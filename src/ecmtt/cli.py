@@ -9,6 +9,8 @@ Exit codes are a total function of the outcome: 0 success, 1 type error,
 2 parse error, 3 fuel exhausted, 4 I/O error, 5 runtime error.  The
 evaluation fuel defaults to one million steps and can be overridden with
 `--max-steps` or the ECMTT_MAX_STEPS environment variable (the flag wins).
+A budget that is not a non-negative integer, from either source, is a usage
+error, reported by argparse with exit code 2.
 """
 
 from __future__ import annotations
@@ -53,16 +55,27 @@ class CliConfig:
     output_format: str = "pretty"
 
 
+def _step_budget(text: str) -> int:
+    """A step budget: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _resolve_fuel(flag_value: Optional[int]) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(ENV_MAX_STEPS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_STEPS
+    if env is None:
+        return DEFAULT_MAX_STEPS
+    try:
+        return _step_budget(env)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{ENV_MAX_STEPS} {exc}") from None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -77,12 +90,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate the main term of a file")
     run.add_argument("file", help="source file to run")
-    run.add_argument("--max-steps", type=int, default=None, help="evaluation fuel")
+    run.add_argument("--max-steps", type=_step_budget, default=None, help="evaluation fuel")
     run.add_argument("--json", action="store_true", help="emit the outcome as JSON")
 
     trace = sub.add_parser("trace", help="evaluate and print every reduction step")
     trace.add_argument("file", help="source file to trace")
-    trace.add_argument("--max-steps", type=int, default=None, help="evaluation fuel")
+    trace.add_argument("--max-steps", type=_step_budget, default=None, help="evaluation fuel")
 
     sub.add_parser("repl", help="start an interactive session")
     sub.add_parser("corpus", help="run the embedded example corpus")
@@ -90,10 +103,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> CliConfig:
+    """Raises argparse.ArgumentTypeError when a command that evaluates gets an
+    invalid ECMTT_MAX_STEPS."""
+    evaluates = args.command in ("run", "trace", "repl")
     return CliConfig(
         command=args.command,
         input_path=getattr(args, "file", None),
-        max_steps=_resolve_fuel(getattr(args, "max_steps", None)),
+        max_steps=_resolve_fuel(getattr(args, "max_steps", None)) if evaluates else DEFAULT_MAX_STEPS,
         output_format="json" if getattr(args, "json", False) else "pretty",
     )
 
@@ -266,8 +282,12 @@ def main(
     stdin = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    args = build_arg_parser().parse_args(argv)
-    config = config_from_args(args)
+    arg_parser = build_arg_parser()
+    args = arg_parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except argparse.ArgumentTypeError as exc:
+        arg_parser.error(str(exc))
     match config.command:
         case "check":
             assert config.input_path is not None

@@ -235,11 +235,18 @@ class Trace:
 
 
 def evaluate(t: S.Term, max_steps: int = DEFAULT_MAX_STEPS, record: bool = False) -> Trace:
-    """Step to a value, recording the path when asked."""
+    """Step to a value, recording the path when asked.
+
+    The budget is checked before each step, so no step beyond `max_steps`
+    is computed: a term that is not a value once the budget is spent ends
+    in `FuelExhausted`, even one that would have got stuck."""
     initial = t
     steps: list[Stepped] = []
     count = 0
     while True:
+        if count >= max_steps:
+            final = Value(t) if is_value(t) else FuelExhausted(count)
+            return Trace(initial, tuple(steps), final, count)
         try:
             stepped = step(t)
         except _StuckError as e:
@@ -250,8 +257,6 @@ def evaluate(t: S.Term, max_steps: int = DEFAULT_MAX_STEPS, record: bool = False
             return Trace(initial, tuple(steps), FuelExhausted(count), count)
         if stepped is None:
             return Trace(initial, tuple(steps), Value(t), count)
-        if count >= max_steps:
-            return Trace(initial, tuple(steps), FuelExhausted(count), count)
         count += 1
         if record:
             steps.append(stepped)

@@ -531,91 +531,119 @@ class FreeVars:
     conts: frozenset[str]
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+NO_FREE_VARS = FreeVars(_NO_NAMES, _NO_NAMES, _NO_NAMES, _NO_NAMES)
+
+
+def _join(a: FreeVars, b: FreeVars) -> FreeVars:
+    """The union of two free-name sets.  An operand that already holds the
+    other is returned as it is, so closed and repeated subterms add no
+    allocation."""
+    if b is NO_FREE_VARS or b is a:
+        return a
+    if a is NO_FREE_VARS:
+        return b
+    av, am, ao, ak = a.values, a.modals, a.ops, a.conts
+    bv, bm, bo, bk = b.values, b.modals, b.ops, b.conts
+    if bv <= av and bm <= am and bo <= ao and bk <= ak:
+        return a
+    if av <= bv and am <= bm and ao <= bo and ak <= bk:
+        return b
+    return FreeVars(av | bv, am | bm, ao | bo, ak | bk)
+
+
+def _bind(
+    fv: FreeVars,
+    values: Iterable[str] = (),
+    modals: Iterable[str] = (),
+    ops: Iterable[str] = (),
+    conts: Iterable[str] = (),
+) -> FreeVars:
+    """`fv` less the names a binder binds; `fv` itself when none is free."""
+    if (
+        fv.values.isdisjoint(values)
+        and fv.modals.isdisjoint(modals)
+        and fv.ops.isdisjoint(ops)
+        and fv.conts.isdisjoint(conts)
+    ):
+        return fv
+    out = FreeVars(
+        fv.values.difference(values),
+        fv.modals.difference(modals),
+        fv.ops.difference(ops),
+        fv.conts.difference(conts),
+    )
+    return NO_FREE_VARS if out == NO_FREE_VARS else out
+
+
 def free_vars(term: Term) -> FreeVars:
     """Free names of a term, one set per namespace.
 
     Box literals bind the operation names of their theory; handler clause
     labels and theory ascriptions are declarations, not uses, so they
     contribute nothing.
+
+    Terms are immutable, so the result is computed once per node, from the
+    cached results of its children, and stored on the node outside its
+    dataclass fields: equality, hashing and printing do not see it.  Closed
+    nodes share `NO_FREE_VARS`.  The recursion goes through this function
+    alone, one frame per tree level, so deep terms fit the same recursion
+    limit as the parser that built them.  A new node class needs a case here.
     """
-    values: set[str] = set()
-    modals: set[str] = set()
-    ops: set[str] = set()
-    conts: set[str] = set()
-
-    def go(t: Term, bv: frozenset[str], bm: frozenset[str], bo: frozenset[str], bk: frozenset[str]) -> None:
-        match t:
-            case Var(name):
-                if name not in bv:
-                    values.add(name)
-            case Lam(param, _, body):
-                go(body, bv | {param}, bm, bo, bk)
-            case App(fn, arg):
-                go(fn, bv, bm, bo, bk)
-                go(arg, bv, bm, bo, bk)
-            case BoxTerm(theory, body):
-                go(body, bv, bm, bo | theory.op_names(), bk)
-            case LetBoxE(uvar, bound, body) | LetBoxC(uvar, bound, body):
-                go(bound, bv, bm, bo, bk)
-                go(body, bv, bm | {uvar}, bo, bk)
-            case EvalTerm(hseq, uvar):
-                go(hseq, bv, bm, bo, bk)
-                if uvar not in bm:
-                    modals.add(uvar)
-            case FixE(fname, param, _, _, _, rec_body, scope) | FixC(
-                fname, param, _, _, _, rec_body, scope
-            ):
-                go(rec_body, bv | {fname, param}, bm, bo, bk)
-                go(scope, bv | {fname}, bm, bo, bk)
-            case IntLit() | BoolLit() | UnitLit() | Nil():
-                pass
-            case Pair(left, right) | Append(left, right) | Arith(_, left, right) | Cmp(_, left, right):
-                go(left, bv, bm, bo, bk)
-                go(right, bv, bm, bo, bk)
-            case ConsE(head, tail):
-                go(head, bv, bm, bo, bk)
-                go(tail, bv, bm, bo, bk)
-            case Proj1(arg) | Proj2(arg):
-                go(arg, bv, bm, bo, bk)
-            case IfE(cond, then, els) | IfC(cond, then, els):
-                go(cond, bv, bm, bo, bk)
-                go(then, bv, bm, bo, bk)
-                go(els, bv, bm, bo, bk)
-            case Ret(value):
-                go(value, bv, bm, bo, bk)
-            case Bind(stmt, var, rest):
-                go(stmt, bv, bm, bo, bk)
-                go(rest, bv | {var}, bm, bo, bk)
-            case OpCall(op, arg):
-                if op not in bo:
-                    ops.add(op)
-                go(arg, bv, bm, bo, bk)
-            case ContCall(kname, arg, state):
-                if kname not in bk:
-                    conts.add(kname)
-                go(arg, bv, bm, bo, bk)
-                go(state, bv, bm, bo, bk)
-            case Handle(uvar, hseq, handler, init):
-                if uvar not in bm:
-                    modals.add(uvar)
-                go(hseq, bv, bm, bo, bk)
-                go(handler, bv, bm, bo, bk)
-                go(init, bv, bm, bo, bk)
-            case Handler(_, op_clauses, ret_clause):
-                for clause in op_clauses:
-                    go(clause.body, bv | {clause.x, clause.z}, bm, bo, bk | {clause.k})
-                go(ret_clause.body, bv | {ret_clause.x, ret_clause.z}, bm, bo, bk)
-            case HSeq(clauses):
-                for clause in clauses:
-                    go(clause.handler, bv, bm, bo, bk)
-                    go(clause.init, bv, bm, bo, bk)
-                    go(clause.body, bv | {clause.var}, bm, bo, bk)
-            case _:
-                raise AssertionError(f"free_vars: unhandled node {t!r}")
-
-    empty: frozenset[str] = frozenset()
-    go(term, empty, empty, empty, empty)
-    return FreeVars(frozenset(values), frozenset(modals), frozenset(ops), frozenset(conts))
+    fv = getattr(term, "_fv", None)
+    if fv is not None:
+        return fv
+    match term:
+        case Var(name):
+            fv = FreeVars(frozenset((name,)), _NO_NAMES, _NO_NAMES, _NO_NAMES)
+        case Bind(stmt, var, rest):
+            fv = _join(free_vars(stmt), _bind(free_vars(rest), values=(var,)))
+        case OpCall(op, arg):
+            fv = _join(FreeVars(_NO_NAMES, _NO_NAMES, frozenset((op,)), _NO_NAMES), free_vars(arg))
+        case ContCall(kname, arg, state):
+            fv = _join(FreeVars(_NO_NAMES, _NO_NAMES, _NO_NAMES, frozenset((kname,))), free_vars(arg))
+            fv = _join(fv, free_vars(state))
+        case Ret(value) | Proj1(value) | Proj2(value):
+            fv = free_vars(value)
+        case IntLit() | BoolLit() | UnitLit() | Nil():
+            fv = NO_FREE_VARS
+        case App(left, right) | Pair(left, right) | ConsE(left, right) | Append(left, right):
+            fv = _join(free_vars(left), free_vars(right))
+        case Arith(_, left, right) | Cmp(_, left, right):
+            fv = _join(free_vars(left), free_vars(right))
+        case IfE(cond, then, els) | IfC(cond, then, els):
+            fv = _join(_join(free_vars(cond), free_vars(then)), free_vars(els))
+        case Lam(param, _, body):
+            fv = _bind(free_vars(body), values=(param,))
+        case BoxTerm(theory, body):
+            fv = _bind(free_vars(body), ops=theory.op_names())
+        case LetBoxE(uvar, bound, body) | LetBoxC(uvar, bound, body):
+            fv = _join(free_vars(bound), _bind(free_vars(body), modals=(uvar,)))
+        case EvalTerm(hseq, uvar):
+            fv = _join(FreeVars(_NO_NAMES, frozenset((uvar,)), _NO_NAMES, _NO_NAMES), free_vars(hseq))
+        case FixE(fname, param, _, _, _, rec_body, scope) | FixC(
+            fname, param, _, _, _, rec_body, scope
+        ):
+            fv = _join(
+                _bind(free_vars(rec_body), values=(fname, param)),
+                _bind(free_vars(scope), values=(fname,)),
+            )
+        case Handle(uvar, hseq, handler, init):
+            fv = _join(FreeVars(_NO_NAMES, frozenset((uvar,)), _NO_NAMES, _NO_NAMES), free_vars(hseq))
+            fv = _join(_join(fv, free_vars(handler)), free_vars(init))
+        case Handler(_, op_clauses, r):
+            fv = _bind(free_vars(r.body), values=(r.x, r.z))
+            for c in op_clauses:
+                fv = _join(fv, _bind(free_vars(c.body), values=(c.x, c.z), conts=(c.k,)))
+        case HSeq(clauses):
+            fv = NO_FREE_VARS
+            for c in clauses:
+                fv = _join(_join(fv, free_vars(c.handler)), free_vars(c.init))
+                fv = _join(fv, _bind(free_vars(c.body), values=(c.var,)))
+        case _:
+            raise AssertionError(f"free_vars: unhandled node {term!r}")
+    object.__setattr__(term, "_fv", fv)
+    return fv
 
 
 # ---------------------------------------------------------------------------

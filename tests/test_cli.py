@@ -133,6 +133,25 @@ def test_run_flag_wins_over_environment(tmp_path, monkeypatch):
     assert "after 60 steps" in err
 
 
+@pytest.mark.parametrize(
+    "flags, env, named",
+    [
+        (["--max-steps", "-1"], None, "--max-steps"),
+        ([], "forty", ENV_MAX_STEPS),
+        ([], "-3", ENV_MAX_STEPS),
+    ],
+)
+def test_invalid_step_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, flags, env, named):
+    path = tmp_path / "loop.ecmtt"
+    path.write_text(LOOP)
+    if env is not None:
+        monkeypatch.setenv(ENV_MAX_STEPS, env)
+    with pytest.raises(SystemExit) as exc:
+        invoke(["run", *flags, str(path)])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_run_division_by_zero_is_a_runtime_error(tmp_path):
     path = tmp_path / "div.ecmtt"
     path.write_text("1 / 0\n")

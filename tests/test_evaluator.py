@@ -1,5 +1,6 @@
 """Small-step evaluation: values, traces, fuel, and runtime failures."""
 
+from ecmtt import subst
 from ecmtt import syntax as S
 from ecmtt.corpus import PRELUDE
 from ecmtt.evaluator import (
@@ -128,6 +129,26 @@ def test_fuel_exhaustion_reports_the_step_budget():
     assert isinstance(outcome.final, FuelExhausted)
     assert outcome.final.steps == 50
     assert outcome.step_count == 50
+
+
+def test_budget_is_checked_before_stepping(monkeypatch):
+    pairs = " ".join(f"y{i} <- get(); w{i} <- set(y{i} + 1);" for i in range(60))
+    term = parse_term(
+        f"let box u = box St. ({pairs} ret 0) in x <- handle u with handlerSt init 0; ret x",
+        TABLE,
+    )
+
+    def no_handling(*args):
+        raise AssertionError("modal_subst ran with no budget left")
+
+    monkeypatch.setattr(subst, "modal_subst", no_handling)
+    outcome = evaluate(term, max_steps=0)
+    assert outcome.final == FuelExhausted(0)
+    assert outcome.step_count == 0
+    # A value needs no step, so a spent budget still reports it.
+    assert evaluate(parse_term("ret 1"), max_steps=0).final == Value(parse_term("ret 1"))
+    # A term that would get stuck at the budget reports fuel, not the stuck step.
+    assert evaluate(parse_term("1 / 0"), max_steps=0).final == FuelExhausted(0)
 
 
 def test_division_by_zero_gets_stuck_with_a_reason():
