@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .corpus import (
@@ -30,12 +29,12 @@ from .corpus import (
     TypeIs,
     run_corpus,
 )
-from .evaluator import DEFAULT_MAX_STEPS, FuelExhausted, Stuck, Value, evaluate
+from .evaluator import DEFAULT_MAX_STEPS, FuelExhausted, Stuck, Value, evaluate, run
 from .parser import DefTable, ParseError, parse_source, parse_term
 from .pretty import pretty, type_text
 from .typecheck import TypeCheckError, infer_term
 
-__all__ = ["CliConfig", "build_arg_parser", "main", "main_entry"]
+__all__ = ["build_arg_parser", "main", "main_entry"]
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -45,14 +44,6 @@ EXIT_IO_ERROR = 4
 EXIT_RUNTIME = 5
 
 ENV_MAX_STEPS = "ECMTT_MAX_STEPS"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    input_path: Optional[str] = None
-    max_steps: int = DEFAULT_MAX_STEPS
-    output_format: str = "pretty"
 
 
 def _step_budget(text: str) -> int:
@@ -100,18 +91,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub.add_parser("repl", help="start an interactive session")
     sub.add_parser("corpus", help="run the embedded example corpus")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    """Raises argparse.ArgumentTypeError when a command that evaluates gets an
-    invalid ECMTT_MAX_STEPS."""
-    evaluates = args.command in ("run", "trace", "repl")
-    return CliConfig(
-        command=args.command,
-        input_path=getattr(args, "file", None),
-        max_steps=_resolve_fuel(getattr(args, "max_steps", None)) if evaluates else DEFAULT_MAX_STEPS,
-        output_format="json" if getattr(args, "json", False) else "pretty",
-    )
 
 
 def _load_main(path: str, err: TextIO):
@@ -191,15 +170,24 @@ def cmd_trace(path: str, max_steps: int, out: TextIO, err: TextIO) -> int:
     except TypeCheckError as exc:
         print(exc.render(), file=err)
         return EXIT_TYPE_ERROR
-    trace = evaluate(main_term, max_steps=max_steps, record=True)
-    if trace.steps:
-        print(pretty(trace.initial), file=out)
-        for stepped in trace.steps:
-            print(f"  --[{stepped.rule}]--> {pretty(stepped.term)}", file=out)
-    if isinstance(trace.final, Value):
-        print(pretty(trace.final.term), file=out)
+    # Each step is printed as it is made, so nothing but the current term
+    # is kept, and a long run shows its progress.
+    steps = run(main_term, max_steps)
+    count = 0
+    while True:
+        try:
+            stepped = next(steps)
+        except StopIteration as stop:
+            final = stop.value
+            break
+        if count == 0:
+            print(pretty(main_term), file=out)
+        count += 1
+        print(f"  --[{stepped.rule}]--> {pretty(stepped.term)}", file=out)
+    if isinstance(final, Value):
+        print(pretty(final.term), file=out)
         return EXIT_OK
-    return _finish_run(trace.final, trace.step_count, False, out, err)
+    return _finish_run(final, count, False, out, err)
 
 
 _REPL_BANNER = "ecmtt repl; :t TERM for a type, def NAME = ... to define, :q to quit"
@@ -284,25 +272,24 @@ def main(
     err = stderr if stderr is not None else sys.stderr
     arg_parser = build_arg_parser()
     args = arg_parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except argparse.ArgumentTypeError as exc:
-        arg_parser.error(str(exc))
-    match config.command:
+    max_steps = DEFAULT_MAX_STEPS
+    if args.command in ("run", "trace", "repl"):
+        try:
+            max_steps = _resolve_fuel(getattr(args, "max_steps", None))
+        except argparse.ArgumentTypeError as exc:
+            arg_parser.error(str(exc))
+    match args.command:
         case "check":
-            assert config.input_path is not None
-            return cmd_check(config.input_path, out, err)
+            return cmd_check(args.file, out, err)
         case "run":
-            assert config.input_path is not None
-            return cmd_run(config.input_path, config.max_steps, config.output_format == "json", out, err)
+            return cmd_run(args.file, max_steps, args.json, out, err)
         case "trace":
-            assert config.input_path is not None
-            return cmd_trace(config.input_path, config.max_steps, out, err)
+            return cmd_trace(args.file, max_steps, out, err)
         case "repl":
-            return cmd_repl(config.max_steps, stdin, out, err)
+            return cmd_repl(max_steps, stdin, out, err)
         case "corpus":
             return cmd_corpus(out)
-    raise AssertionError(f"unknown command {config.command!r}")
+    raise AssertionError(f"unknown command {args.command!r}")
 
 
 def main_entry() -> None:

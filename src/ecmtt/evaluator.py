@@ -8,12 +8,21 @@ lot of work at once.  Between redexes the stepper walks the leftmost
 non-value position, which is the only congruence this language needs: a
 closed well-typed computation never has a bind at its head, because the
 top level offers no operations to call.
+
+The stepper is a refocusing machine (Danvy and Nielsen, "Refocusing in
+reduction semantics", 2004).  It keeps the evaluation context as a stack
+of frames and, after each contraction, carries on from the contractum:
+it descends into the leftmost non-value child, and plugs a value back
+into its parent only when the focus is a value.  It never goes back to
+the root, so a step costs about the size of its redex.  The whole term
+and the nested rule name are built only when a step is recorded.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Generator, Optional, Union
 
 from . import subst
 from . import syntax as S
@@ -52,6 +61,39 @@ class _StuckError(Exception):
         self.reason = reason
 
 
+# The congruence positions: for each node class, the children evaluated
+# before the node itself, in order, with the rule label of a step inside
+# each.  A node with every listed child a value is a redex, unless its
+# class is one of the value forms below.
+_CONGRUENCE: dict[type, tuple[tuple[str, str], ...]] = {
+    S.App: (("fn", "cong-app-l"), ("arg", "cong-app-r")),
+    S.LetBoxE: (("bound", "cong-letbox"),),
+    S.LetBoxC: (("bound", "cong-letbox"),),
+    S.IfE: (("cond", "cong-if"),),
+    S.IfC: (("cond", "cong-if"),),
+    S.Ret: (("value", "cong-ret"),),
+    S.Pair: (("left", "cong-pair-l"), ("right", "cong-pair-r")),
+    S.Proj1: (("arg", "cong-proj"),),
+    S.Proj2: (("arg", "cong-proj"),),
+    S.ConsE: (("head", "cong-cons-l"), ("tail", "cong-cons-r")),
+    S.Append: (("left", "cong-append-l"), ("right", "cong-append-r")),
+    S.Arith: (("left", "cong-arith-l"), ("right", "cong-arith-r")),
+    S.Cmp: (("left", "cong-cmp-l"), ("right", "cong-cmp-r")),
+}
+
+# Classes whose node is a value once its evaluated children are: `is_value`.
+_VALUE_FORMS = frozenset(
+    {S.IntLit, S.BoolLit, S.UnitLit, S.Lam, S.BoxTerm, S.Nil, S.Pair, S.ConsE, S.Ret}
+)
+
+# Congruences whose rule name hides the step taken inside them.
+_OPAQUE = frozenset({"cong-letbox", "cong-if"})
+
+# A frame of the evaluation context: a parent and the index, into its
+# `_CONGRUENCE` entry, of the child the focus replaces.
+_Frame = tuple[S.Term, int]
+
+
 def _unroll(t: Union[S.FixE, S.FixC]) -> S.Term:
     """One unrolling: the recursive name becomes a function whose body is
     the same fix with its own body boxed as the scope."""
@@ -71,134 +113,51 @@ def _unroll(t: Union[S.FixE, S.FixC]) -> S.Term:
     return subst.subst_values(t.scope, {t.fname: lam})
 
 
-def step(t: S.Term) -> Optional[Stepped]:
-    """One step, or None when `t` is a value.  Raises _StuckError when no
-    rule applies."""
+def _contract(t: S.Term) -> tuple[S.Term, str]:
+    """The contractum and rule of a redex: a non-value whose evaluated
+    children are values.  Raises _StuckError when no rule applies."""
     match t:
-        case _ if is_value(t):
-            return None
         case S.Var(name):
             raise _StuckError(f"unbound variable {name}")
         case S.App(f, a):
-            if not is_value(f):
-                inner = step(f)
-                assert inner is not None
-                return Stepped(S.App(inner.term, a, span=t.span), f"cong-app-l:{inner.rule}")
-            if not is_value(a):
-                inner = step(a)
-                assert inner is not None
-                return Stepped(S.App(f, inner.term, span=t.span), f"cong-app-r:{inner.rule}")
             if isinstance(f, S.Lam):
-                return Stepped(subst.subst_values(f.body, {f.param: a}), "beta-app")
+                return subst.subst_values(f.body, {f.param: a}), "beta-app"
             raise _StuckError("application of a non-function")
-        case S.LetBoxE(u, e, body):
+        case S.LetBoxE(u, e, body) | S.LetBoxC(u, e, body):
             if isinstance(e, S.BoxTerm):
-                return Stepped(subst.modal_subst(body, u, e.body), "beta-letbox")
-            if not is_value(e):
-                inner = step(e)
-                assert inner is not None
-                return Stepped(S.LetBoxE(u, inner.term, body, span=t.span), "cong-letbox")
-            raise _StuckError("let box on a non-box value")
-        case S.LetBoxC(u, e, body):
-            if isinstance(e, S.BoxTerm):
-                return Stepped(subst.modal_subst(body, u, e.body), "beta-letbox")
-            if not is_value(e):
-                inner = step(e)
-                assert inner is not None
-                return Stepped(S.LetBoxC(u, inner.term, body, span=t.span), "cong-letbox")
+                return subst.modal_subst(body, u, e.body), "beta-letbox"
             raise _StuckError("let box on a non-box value")
         case S.FixE() | S.FixC():
-            return Stepped(_unroll(t), "unroll-fix")
+            return _unroll(t), "unroll-fix"
         case S.IfE(cond, a, b) | S.IfC(cond, a, b):
-            cls = S.IfE if isinstance(t, S.IfE) else S.IfC
-            if not is_value(cond):
-                inner = step(cond)
-                assert inner is not None
-                return Stepped(cls(inner.term, a, b, span=t.span), "cong-if")
             if isinstance(cond, S.BoolLit):
-                return Stepped(a if cond.value else b, "if-true" if cond.value else "if-false")
+                return (a, "if-true") if cond.value else (b, "if-false")
             raise _StuckError("conditional on a non-boolean")
-        case S.Ret(e):
-            inner = step(e)
-            assert inner is not None
-            return Stepped(S.Ret(inner.term, span=t.span), f"cong-ret:{inner.rule}")
-        case S.Pair(l, r):
-            if not is_value(l):
-                inner = step(l)
-                assert inner is not None
-                return Stepped(S.Pair(inner.term, r, span=t.span), f"cong-pair-l:{inner.rule}")
-            inner = step(r)
-            assert inner is not None
-            return Stepped(S.Pair(l, inner.term, span=t.span), f"cong-pair-r:{inner.rule}")
         case S.Proj1(a):
-            if not is_value(a):
-                inner = step(a)
-                assert inner is not None
-                return Stepped(S.Proj1(inner.term, span=t.span), f"cong-proj:{inner.rule}")
             if isinstance(a, S.Pair):
-                return Stepped(a.left, "proj-fst")
+                return a.left, "proj-fst"
             raise _StuckError("projection from a non-pair")
         case S.Proj2(a):
-            if not is_value(a):
-                inner = step(a)
-                assert inner is not None
-                return Stepped(S.Proj2(inner.term, span=t.span), f"cong-proj:{inner.rule}")
             if isinstance(a, S.Pair):
-                return Stepped(a.right, "proj-snd")
+                return a.right, "proj-snd"
             raise _StuckError("projection from a non-pair")
-        case S.ConsE(h, tl):
-            if not is_value(h):
-                inner = step(h)
-                assert inner is not None
-                return Stepped(S.ConsE(inner.term, tl, span=t.span), f"cong-cons-l:{inner.rule}")
-            inner = step(tl)
-            assert inner is not None
-            return Stepped(S.ConsE(h, inner.term, span=t.span), f"cong-cons-r:{inner.rule}")
         case S.Append(l, r):
-            if not is_value(l):
-                inner = step(l)
-                assert inner is not None
-                return Stepped(S.Append(inner.term, r, span=t.span), f"cong-append-l:{inner.rule}")
-            if not is_value(r):
-                inner = step(r)
-                assert inner is not None
-                return Stepped(S.Append(l, inner.term, span=t.span), f"cong-append-r:{inner.rule}")
             folded = subst.mk_append(l, r, span=t.span)
             if isinstance(folded, S.Append):
                 raise _StuckError("append of non-list values")
-            return Stepped(folded, "append")
+            return folded, "append"
         case S.Arith(op, l, r):
-            if not is_value(l):
-                inner = step(l)
-                assert inner is not None
-                return Stepped(
-                    S.Arith(op, inner.term, r, span=t.span), f"cong-arith-l:{inner.rule}"
-                )
-            if not is_value(r):
-                inner = step(r)
-                assert inner is not None
-                return Stepped(
-                    S.Arith(op, l, inner.term, span=t.span), f"cong-arith-r:{inner.rule}"
-                )
             if op == "/" and isinstance(r, S.IntLit) and r.value == 0:
                 raise _StuckError("division-by-zero")
             folded = subst.mk_arith(op, l, r, span=t.span)
             if isinstance(folded, S.Arith):
                 raise _StuckError("arithmetic on non-integers")
-            return Stepped(folded, "arith")
+            return folded, "arith"
         case S.Cmp(op, l, r):
-            if not is_value(l):
-                inner = step(l)
-                assert inner is not None
-                return Stepped(S.Cmp(op, inner.term, r, span=t.span), f"cong-cmp-l:{inner.rule}")
-            if not is_value(r):
-                inner = step(r)
-                assert inner is not None
-                return Stepped(S.Cmp(op, l, inner.term, span=t.span), f"cong-cmp-r:{inner.rule}")
             folded = subst.mk_cmp(op, l, r, span=t.span)
             if isinstance(folded, S.Cmp):
                 raise _StuckError("comparison of non-integers")
-            return Stepped(folded, "cmp")
+            return folded, "cmp"
         case S.EvalTerm():
             raise _StuckError("eval of an unresolved box variable")
         case S.Bind(stmt, _, _):
@@ -211,6 +170,71 @@ def step(t: S.Term) -> Optional[Stepped]:
                     raise _StuckError("handle of an unresolved box variable")
         case _:
             raise _StuckError("no rule applies")
+
+
+def _plug(parent: S.Term, i: int, child: S.Term) -> S.Term:
+    """`parent` with `child` at its i-th congruence position."""
+    name = _CONGRUENCE[type(parent)][i][0]
+    if getattr(parent, name) is child:
+        return parent
+    return dataclasses.replace(parent, **{name: child})
+
+
+def _recorded(frames: list[_Frame], contractum: S.Term, rule: str) -> Stepped:
+    """The whole term after a contraction, and the rule named through the
+    context; the rule name stops at an opaque congruence."""
+    term = contractum
+    for parent, i in reversed(frames):
+        term = _plug(parent, i, term)
+    labels = []
+    for parent, i in frames:
+        labels.append(_CONGRUENCE[type(parent)][i][1])
+        if labels[-1] in _OPAQUE:
+            break
+    else:
+        labels.append(rule)
+    return Stepped(term, ":".join(labels))
+
+
+def _machine(
+    t: S.Term, max_steps: int, record: bool
+) -> Generator[Optional[Stepped], None, Union[Value, FuelExhausted]]:
+    """Yield once per contraction (the step itself only when `record`) and
+    return the outcome.  The budget is checked before each contraction.
+    Raises _StuckError, or the engine's errors, when a contraction fails."""
+    frames: list[_Frame] = []
+    focus = t
+    start = 0  # the first of the focus's positions not yet known to hold a value
+    count = 0
+    while True:
+        # Refocus: down to the leftmost non-value child, up while the
+        # focus is a value.
+        positions = _CONGRUENCE.get(type(focus), ())
+        i = start
+        while i < len(positions) and is_value(getattr(focus, positions[i][0])):
+            i += 1
+        if i < len(positions):
+            frames.append((focus, i))
+            focus, start = getattr(focus, positions[i][0]), 0
+            continue
+        if type(focus) in _VALUE_FORMS:
+            if not frames:
+                return Value(focus)
+            parent, j = frames.pop()
+            focus, start = _plug(parent, j, focus), j + 1
+            continue
+        if count >= max_steps:
+            return FuelExhausted(count)
+        contractum, rule = _contract(focus)
+        count += 1
+        yield _recorded(frames, contractum, rule) if record else None
+        focus, start = contractum, 0
+
+
+def step(t: S.Term) -> Optional[Stepped]:
+    """One step, or None when `t` is a value: one iteration of the machine
+    from an empty context.  Raises _StuckError when no rule applies."""
+    return next(_machine(t, 1, record=True), None)
 
 
 @dataclass(frozen=True)
@@ -234,30 +258,42 @@ class Trace:
     step_count: int = 0
 
 
-def evaluate(t: S.Term, max_steps: int = DEFAULT_MAX_STEPS, record: bool = False) -> Trace:
-    """Step to a value, recording the path when asked.
+def run(
+    t: S.Term, max_steps: int = DEFAULT_MAX_STEPS, record: bool = True
+) -> Generator[Optional[Stepped], None, Final]:
+    """Yield each step as it is made (None for each one when not `record`)
+    and return the outcome.
 
     The budget is checked before each step, so no step beyond `max_steps`
     is computed: a term that is not a value once the budget is spent ends
     in `FuelExhausted`, even one that would have got stuck."""
-    initial = t
-    steps: list[Stepped] = []
+    machine = _machine(t, max_steps, record)
     count = 0
     while True:
-        if count >= max_steps:
-            final = Value(t) if is_value(t) else FuelExhausted(count)
-            return Trace(initial, tuple(steps), final, count)
         try:
-            stepped = step(t)
+            stepped = next(machine)
+        except StopIteration as stop:
+            return stop.value
         except _StuckError as e:
-            return Trace(initial, tuple(steps), Stuck(e.reason), count)
+            return Stuck(e.reason)
         except subst.SubstitutionError as e:
-            return Trace(initial, tuple(steps), Stuck(str(e)), count)
+            return Stuck(str(e))
         except subst.OutOfFuel:
-            return Trace(initial, tuple(steps), FuelExhausted(count), count)
-        if stepped is None:
-            return Trace(initial, tuple(steps), Value(t), count)
+            return FuelExhausted(count)
         count += 1
-        if record:
-            steps.append(stepped)
-        t = stepped.term
+        yield stepped
+
+
+def evaluate(t: S.Term, max_steps: int = DEFAULT_MAX_STEPS, record: bool = False) -> Trace:
+    """Step to a value, recording the path when asked; see `run`."""
+    steps = run(t, max_steps, record)
+    recorded: list[Stepped] = []
+    count = 0
+    while True:
+        try:
+            stepped = next(steps)
+        except StopIteration as stop:
+            return Trace(t, tuple(recorded), stop.value, count)
+        count += 1
+        if stepped is not None:
+            recorded.append(stepped)

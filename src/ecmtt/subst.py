@@ -143,72 +143,122 @@ class _Engine:
         if self.fuel < 0:
             raise OutOfFuel("substitution fuel exhausted")
 
-    # -- plain normalization (rebuild everything through smart constructors)
+    # -- plain normalization (rebuild through smart constructors)
 
     def norm(self, t: S.Term) -> S.Term:
+        """`t` with every pure redex on literals folded.  A node none of
+        whose children changes and that does not fold is returned as it is.
+        The result is stored on the node, outside its dataclass fields as
+        `free_vars` stores its own, and marks itself as its own normal form,
+        so a payload that is already normal costs one lookup and no fuel.
+        The memo check is here, not in a wrapper, so deep terms take one
+        frame per tree level."""
+        nf = getattr(t, "_nf", None)
+        if nf is not None:
+            return nf
         self.tick()
+        norm = self.norm
         match t:
             case S.Var() | S.IntLit() | S.BoolLit() | S.UnitLit() | S.Nil():
-                return t
+                out = t
             case S.Lam(p, a, b):
-                return S.Lam(p, a, self.norm(b), span=t.span)
+                b2 = norm(b)
+                out = t if b2 is b else S.Lam(p, a, b2, span=t.span)
             case S.App(f, a):
-                return S.App(self.norm(f), self.norm(a), span=t.span)
+                f2, a2 = norm(f), norm(a)
+                out = t if f2 is f and a2 is a else S.App(f2, a2, span=t.span)
             case S.BoxTerm(th, b):
-                return S.BoxTerm(th, self.norm(b), span=t.span)
-            case S.LetBoxE(u, e, b):
-                return S.LetBoxE(u, self.norm(e), self.norm(b), span=t.span)
-            case S.LetBoxC(u, e, b):
-                return S.LetBoxC(u, self.norm(e), self.norm(b), span=t.span)
+                b2 = norm(b)
+                out = t if b2 is b else S.BoxTerm(th, b2, span=t.span)
+            case S.LetBoxE(u, e, b) | S.LetBoxC(u, e, b):
+                e2, b2 = norm(e), norm(b)
+                out = t if e2 is e and b2 is b else type(t)(u, e2, b2, span=t.span)
             case S.EvalTerm(hseq, u):
-                return S.EvalTerm(self.norm(hseq), u, span=t.span)
-            case S.FixE(f, p, a, th, r, rec, sc):
-                return S.FixE(f, p, a, th, r, self.norm(rec), self.norm(sc), span=t.span)
-            case S.FixC(f, p, a, th, r, rec, sc):
-                return S.FixC(f, p, a, th, r, self.norm(rec), self.norm(sc), span=t.span)
+                h2 = norm(hseq)
+                out = t if h2 is hseq else S.EvalTerm(h2, u, span=t.span)
+            case S.FixE(f, p, a, th, r, rec, sc) | S.FixC(f, p, a, th, r, rec, sc):
+                rec2, sc2 = norm(rec), norm(sc)
+                out = t if rec2 is rec and sc2 is sc else type(t)(f, p, a, th, r, rec2, sc2, span=t.span)
             case S.Pair(l, r):
-                return S.Pair(self.norm(l), self.norm(r), span=t.span)
+                l2, r2 = norm(l), norm(r)
+                out = t if l2 is l and r2 is r else S.Pair(l2, r2, span=t.span)
             case S.Proj1(a):
-                return mk_proj1(self.norm(a), span=t.span)
+                a2 = norm(a)
+                out = mk_proj1(a2, span=t.span)
+                out = t if a2 is a and isinstance(out, S.Proj1) else out
             case S.Proj2(a):
-                return mk_proj2(self.norm(a), span=t.span)
+                a2 = norm(a)
+                out = mk_proj2(a2, span=t.span)
+                out = t if a2 is a and isinstance(out, S.Proj2) else out
             case S.ConsE(h, tl):
-                return S.ConsE(self.norm(h), self.norm(tl), span=t.span)
+                h2, tl2 = norm(h), norm(tl)
+                out = t if h2 is h and tl2 is tl else S.ConsE(h2, tl2, span=t.span)
             case S.Append(l, r):
-                return mk_append(self.norm(l), self.norm(r), span=t.span)
+                l2, r2 = norm(l), norm(r)
+                out = mk_append(l2, r2, span=t.span)
+                out = t if l2 is l and r2 is r and isinstance(out, S.Append) else out
             case S.Arith(op, l, r):
-                return mk_arith(op, self.norm(l), self.norm(r), span=t.span)
+                l2, r2 = norm(l), norm(r)
+                out = mk_arith(op, l2, r2, span=t.span)
+                out = t if l2 is l and r2 is r and isinstance(out, S.Arith) else out
             case S.Cmp(op, l, r):
-                return mk_cmp(op, self.norm(l), self.norm(r), span=t.span)
-            case S.IfE(c, a, b):
-                return mk_if_e(self.norm(c), self.norm(a), self.norm(b), span=t.span)
-            case S.IfC(c, a, b):
-                return mk_if_c(self.norm(c), self.norm(a), self.norm(b), span=t.span)
+                l2, r2 = norm(l), norm(r)
+                out = mk_cmp(op, l2, r2, span=t.span)
+                out = t if l2 is l and r2 is r and isinstance(out, S.Cmp) else out
+            case S.IfE(c, a, b) | S.IfC(c, a, b):
+                c2, a2, b2 = norm(c), norm(a), norm(b)
+                if isinstance(c2, S.BoolLit):
+                    out = a2 if c2.value else b2
+                elif c2 is c and a2 is a and b2 is b:
+                    out = t
+                else:
+                    out = type(t)(c2, a2, b2, span=t.span)
             case S.Ret(e):
-                return S.Ret(self.norm(e), span=t.span)
+                e2 = norm(e)
+                out = t if e2 is e else S.Ret(e2, span=t.span)
             case S.Bind(st, x, rest):
-                return S.Bind(self.norm(st), x, self.norm(rest), span=t.span)
+                st2, rest2 = norm(st), norm(rest)
+                out = t if st2 is st and rest2 is rest else S.Bind(st2, x, rest2, span=t.span)
             case S.OpCall(op, a):
-                return S.OpCall(op, self.norm(a), span=t.span)
+                a2 = norm(a)
+                out = t if a2 is a else S.OpCall(op, a2, span=t.span)
             case S.ContCall(k, a, st):
-                return S.ContCall(k, self.norm(a), self.norm(st), span=t.span)
+                a2, st2 = norm(a), norm(st)
+                out = t if a2 is a and st2 is st else S.ContCall(k, a2, st2, span=t.span)
             case S.Handle(u, hseq, h, init):
-                return S.Handle(u, self.norm(hseq), self.norm(h), self.norm(init), span=t.span)
+                hseq2, h2, init2 = norm(hseq), norm(h), norm(init)
+                if hseq2 is hseq and h2 is h and init2 is init:
+                    out = t
+                else:
+                    out = S.Handle(u, hseq2, h2, init2, span=t.span)
+            # Loops, not comprehensions: a comprehension is a frame of its own.
             case S.Handler(th, ops, ret):
-                return S.Handler(
-                    th,
-                    tuple(S.OpClause(c.op, c.x, c.k, c.z, self.norm(c.body)) for c in ops),
-                    S.RetClause(ret.x, ret.z, self.norm(ret.body)),
-                )
+                changed = False
+                new_ops = []
+                for c in ops:
+                    b2 = norm(c.body)
+                    if b2 is not c.body:
+                        c, changed = S.OpClause(c.op, c.x, c.k, c.z, b2), True
+                    new_ops.append(c)
+                b2 = norm(ret.body)
+                if b2 is not ret.body:
+                    ret, changed = S.RetClause(ret.x, ret.z, b2), True
+                out = S.Handler(th, tuple(new_ops), ret) if changed else t
             case S.HSeq(clauses):
-                return S.HSeq(
-                    tuple(
-                        S.HClause(self.norm(c.handler), self.norm(c.init), c.var, self.norm(c.body))
-                        for c in clauses
-                    )
-                )
+                changed = False
+                new_clauses = []
+                for c in clauses:
+                    h2, i2, b2 = norm(c.handler), norm(c.init), norm(c.body)
+                    if h2 is not c.handler or i2 is not c.init or b2 is not c.body:
+                        c, changed = S.HClause(h2, i2, c.var, b2), True
+                    new_clauses.append(c)
+                out = S.HSeq(tuple(new_clauses)) if changed else t
             case _:
                 raise AssertionError(f"norm: unhandled node {t!r}")
+        object.__setattr__(t, "_nf", out)
+        if out is not t:
+            object.__setattr__(out, "_nf", out)
+        return out
 
     # -- value substitution
 

@@ -39,9 +39,7 @@ __all__ = [
 ]
 
 
-# Every error carries one of these kinds.  "bottom-introduction" is reserved
-# for completeness of the vocabulary; no rule currently emits it, since the
-# checker never manufactures a Bottom out of thin air.
+# Every error carries one of these kinds.
 ERROR_KINDS = frozenset(
     {
         "unbound-variable",
@@ -51,7 +49,6 @@ ERROR_KINDS = frozenset(
         "not-a-box",
         "clause-coverage",
         "state-type-mismatch",
-        "bottom-introduction",
         "argument-mismatch",
     }
 )

@@ -13,6 +13,9 @@ import random
 from dataclasses import dataclass
 
 from ecmtt import syntax as S
+from ecmtt.corpus import CASES
+from ecmtt.parser import ParseError, parse_source
+from ecmtt.typecheck import TypeCheckError, infer_term
 
 BASE_TYPES = (S.INT, S.BOOL, S.UNIT)
 
@@ -363,3 +366,17 @@ def gen_roundtrip_term(rng: random.Random) -> S.Term:
         param = sup.fresh("a")
         return S.Lam(param, dom, gen_expr(rng, sup, [(param, dom)], cod, rng.randint(1, 3)))
     return gen_expr(rng, sup, [], gen_data_type(rng, 2), rng.randint(1, 4))
+
+
+def corpus_mains() -> list[S.Term]:
+    """The main terms of the corpus cases that parse and typecheck: the
+    hand-written programs the properties run beside the generated ones."""
+    mains = []
+    for case in CASES:
+        try:
+            main = parse_source(case.source).main
+            infer_term(main)
+        except (ParseError, TypeCheckError):
+            continue
+        mains.append(main)
+    return mains

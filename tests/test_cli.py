@@ -2,11 +2,14 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from ecmtt.cli import ENV_MAX_STEPS, main
+from ecmtt import subst
+from ecmtt.cli import ENV_MAX_STEPS, cmd_trace, main
 from ecmtt.corpus import CASES
+from ecmtt.evaluator import DEFAULT_MAX_STEPS
 
 PIPELINE = """\
 def St = {get:unit=>int, set:int=>unit}
@@ -181,6 +184,47 @@ def test_trace_of_a_value_is_just_the_value(tmp_path):
     code, out, _ = invoke(["trace", str(path)])
     assert code == 0
     assert out.strip() == "ret 42"
+
+
+class _FailingStream(io.StringIO):
+    """Accepts `limit` writes, then raises on the next."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text: str) -> int:
+        if self.limit == 0:
+            raise BrokenPipeError("stream closed")
+        self.limit -= 1
+        return super().write(text)
+
+
+def test_trace_prints_each_step_as_it_is_made(monkeypatch):
+    # A program that never stops, with the full default budget: the output
+    # stream fails on its sixth write, and that must end the trace after a
+    # handful of steps, not once the budget is spent.
+    loop = Path(__file__).resolve().parent.parent / "samples" / "loop.ecmtt"
+    substitutions = 0
+    real = subst.subst_values
+
+    def counting(*args, **kwargs):
+        nonlocal substitutions
+        substitutions += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(subst, "subst_values", counting)
+    out = _FailingStream(5)
+    with pytest.raises(BrokenPipeError):
+        cmd_trace(str(loop), DEFAULT_MAX_STEPS, out, io.StringIO())
+    assert substitutions < 10
+    # print writes a line's text and its newline separately: what got out
+    # is the initial term, the first step and the second step's text, the
+    # head of a bounded trace.
+    code, bounded, _ = invoke(["trace", str(loop), "--max-steps", "5"])
+    assert code == 3
+    assert bounded.startswith(out.getvalue())
+    assert out.getvalue().count("\n") == 2
 
 
 def test_corpus_reports_every_case(capsys):

@@ -1,6 +1,9 @@
 """Small-step evaluation: values, traces, fuel, and runtime failures."""
 
-from ecmtt import subst
+import math
+from pathlib import Path
+
+from ecmtt import evaluator, subst
 from ecmtt import syntax as S
 from ecmtt.corpus import PRELUDE
 from ecmtt.evaluator import (
@@ -17,6 +20,7 @@ from ecmtt.pretty import pretty
 from ecmtt.syntax import alpha_equal
 
 TABLE = parse_source(PRELUDE).table
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def run(text: str) -> str:
@@ -188,3 +192,51 @@ def test_counting_handler_threads_its_state():
     # Each clause resumes with the counter bumped once, so two operations
     # leave the state at 2 alongside the computed sum.
     assert got == "ret (2, 2)"
+
+
+def _is_value_calls_per_step(monkeypatch, n: int) -> float:
+    # Every call goes through the module attribute, the recursive ones too.
+    calls = 0
+    real = evaluator.is_value
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(evaluator, "is_value", counting)
+    source = (SAMPLES / "factorial.ecmtt").read_text().replace("fact 3", f"fact {n}")
+    outcome = evaluate(parse_source(source).main)
+    monkeypatch.setattr(evaluator, "is_value", real)
+    assert outcome.final == Value(S.IntLit(math.factorial(n)))
+    return calls / outcome.step_count
+
+
+def test_a_step_does_not_rewalk_the_term(monkeypatch):
+    # The stepper refocuses from the contractum instead of descending from
+    # the root, so the value checks per step stay flat as the term grows.
+    # Re-descending from the root makes them grow with N.
+    small = _is_value_calls_per_step(monkeypatch, 32)
+    large = _is_value_calls_per_step(monkeypatch, 128)
+    assert small < 3 and large < 3
+    assert large < small + 0.1
+
+
+def test_step_is_one_iteration_of_the_machine():
+    term = parse_term("(1 + 2) * (3 + 4)")
+    outcome = evaluate(term, record=True)
+    current = term
+    for recorded in outcome.steps:
+        stepped = step(current)
+        assert stepped == recorded
+        current = stepped.term
+    assert step(current) is None
+
+
+def test_rules_name_the_path_to_the_redex():
+    outcome = evaluate(parse_term("((1 + 2, 3), if 1 < 2 then 4 else 5)"), record=True)
+    assert [s.rule for s in outcome.steps] == [
+        "cong-pair-l:cong-pair-l:arith",
+        "cong-pair-r:cong-if",
+        "cong-pair-r:if-true",
+    ]

@@ -14,14 +14,12 @@ import sys
 import pytest
 
 from ecmtt import syntax as S
-from ecmtt.corpus import CASES
 from ecmtt.evaluator import evaluate
-from ecmtt.parser import ParseError, parse_source, parse_term
+from ecmtt.parser import parse_term
 from ecmtt.pretty import pretty
 from ecmtt.syntax import NO_FREE_VARS, FreeVars, free_vars
-from ecmtt.typecheck import TypeCheckError, infer_term
 
-from generators import gen_program, gen_roundtrip_term
+from generators import corpus_mains, gen_program, gen_roundtrip_term
 
 TERM_CLASSES = (S.Expr, S.Comp, S.Stmt, S.Handler, S.HSeq)
 
@@ -138,22 +136,10 @@ def test_generated_terms_match_the_reference():
         assert_matches_reference(gen_roundtrip_term(rng))
 
 
-def _corpus_mains() -> list[S.Term]:
-    mains = []
-    for case in CASES:
-        try:
-            main = parse_source(case.source).main
-            infer_term(main)
-        except (ParseError, TypeCheckError):
-            continue
-        mains.append(main)
-    return mains
-
-
 def test_every_evaluation_step_matches_the_reference():
     # The engine builds new nodes at each step and reuses old ones, so the
     # cache is checked on terms it has never seen as well as on cached ones.
-    programs = _corpus_mains() + [gen_program(random.Random(seed))[0] for seed in range(150)]
+    programs = corpus_mains() + [gen_program(random.Random(seed))[0] for seed in range(150)]
     checked = 0
     for program in programs:
         outcome = evaluate(program, max_steps=2000, record=True)
