@@ -17,7 +17,7 @@ the grammar fixes the category.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from . import syntax as S
 from .syntax import Span
@@ -31,8 +31,7 @@ PUNCT2 = ("->", "=>", "<-", "++")
 PUNCT1 = "()[]{}.,;:=<+-*/"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "eof", or the literal text of a keyword/punct
     text: str
     line: int
@@ -64,66 +63,49 @@ def _err(message: str, span: Optional[Span]) -> ParseError:
     return ParseError([Diagnostic("parse error", message, span)])
 
 
-def _ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
-
-
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
+    emit = tokens.append
     i = 0
     line = 1
-    col = 1
+    line_start = 0  # index of the current line's first character
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
         if ch in " \t\r":
             i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if _ident_start(ch):
-            j = i
-            while j < n and _ident_char(text[j]):
+        elif ch == "\n":
+            i += 1
+            line += 1
+            line_start = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
                 j += 1
             word = text[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
+            emit(Token(word if word in KEYWORDS else "ident", word, line, i - line_start + 1))
             i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        elif ch.isdecimal():
+            # isdecimal, not isdigit: int() rejects digits such as '²'.
+            j = i + 1
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
+            emit(Token("int", text[i:j], line, i - line_start + 1))
             i = j
-            continue
-        two = text[i : i + 2]
-        if two in PUNCT2:
-            tokens.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in PUNCT1:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise _err(f"unexpected character {ch!r}", Span(line, col, 1))
-    tokens.append(Token("eof", "", line, col))
+        elif ch == "-" and text.startswith("--", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+        else:
+            two = text[i : i + 2]
+            if two in PUNCT2:
+                emit(Token(two, two, line, i - line_start + 1))
+                i += 2
+            elif ch in PUNCT1:
+                emit(Token(ch, ch, line, i - line_start + 1))
+                i += 1
+            else:
+                raise _err(f"unexpected character {ch!r}", Span(line, i - line_start + 1, 1))
+    emit(Token("eof", "", line, n - line_start + 1))
     return tokens
 
 
@@ -157,18 +139,21 @@ _T = TypeVar("_T")
 
 class _Parser:
     def __init__(self, tokens: list[Token], table: Optional[DefTable] = None):
-        self.tokens = tokens
+        # One extra `eof` lets `at(kind, 1)` look past the end without a
+        # bound check; `advance` never moves beyond the first `eof`.
+        self.tokens = tokens + tokens[-1:]
         self.pos = 0
         self.table = table if table is not None else DefTable()
+        # Successful `parse_expr` results by start position, as (expr, end).
+        self._exprs: dict[int, tuple[S.Expr, int]] = {}
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def at(self, kind: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).kind == kind
+        return self.tokens[self.pos + ahead].kind == kind
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -481,7 +466,18 @@ class _Parser:
     # -- expressions
 
     def parse_expr(self) -> S.Expr:
-        tok = self.peek()
+        # `parse_term` reads a whole term twice, as an expression and as a
+        # computation, and the two readings meet the same expressions (the
+        # bound of `let box u = E in ...`, every argument).  While one term is
+        # parsed the definition table is fixed, so the expression starting at
+        # a token is always the same and is built once.  Errors are not kept.
+        # The check sits here, not in a wrapper, to keep one frame per level.
+        start = self.pos
+        done = self._exprs.get(start)
+        if done is not None:
+            self.pos = done[1]
+            return done[0]
+        tok = self.tokens[start]
         match tok.kind:
             case "fn":
                 self.advance()
@@ -490,18 +486,18 @@ class _Parser:
                 annot = self.parse_type()
                 self.expect(".")
                 body = self.parse_expr()
-                return S.Lam(param, annot, body, span=tok.span)
+                expr: S.Expr = S.Lam(param, annot, body, span=tok.span)
             case "box":
                 self.advance()
                 theory = self.parse_theory_ref()
                 self.expect(".")
                 body = self.parse_comp()
-                return S.BoxTerm(theory, body, span=tok.span)
+                expr = S.BoxTerm(theory, body, span=tok.span)
+            case "let" if self.at("fix", 1):
+                fix = self.parse_fix(expr=True)
+                assert isinstance(fix, S.FixE)
+                expr = fix
             case "let":
-                if self.at("fix", 1):
-                    fix = self.parse_fix(expr=True)
-                    assert isinstance(fix, S.FixE)
-                    return fix
                 self.advance()
                 self.expect("box")
                 uvar = self.expect("ident").text
@@ -509,7 +505,7 @@ class _Parser:
                 bound = self.parse_expr()
                 self.expect("in")
                 body = self.parse_expr()
-                return S.LetBoxE(uvar, bound, body, span=tok.span)
+                expr = S.LetBoxE(uvar, bound, body, span=tok.span)
             case "if":
                 self.advance()
                 cond = self.parse_expr()
@@ -517,9 +513,11 @@ class _Parser:
                 then = self.parse_expr()
                 self.expect("else")
                 els = self.parse_expr()
-                return S.IfE(cond, then, els, span=tok.span)
+                expr = S.IfE(cond, then, els, span=tok.span)
             case _:
-                return self.parse_cmp()
+                expr = self.parse_cmp()
+        self._exprs[start] = (expr, self.pos)
+        return expr
 
     def parse_cmp(self) -> S.Expr:
         left = self.parse_additive()
@@ -651,6 +649,8 @@ class _Parser:
         raise comp_err if comp_pos > expr_pos else expr_err
 
     def _resolve(self, term: S.Term) -> S.Term:
+        if not self.table.terms:
+            return term
         names = S.free_vars(term).values & self.table.terms.keys()
         if not names:
             return term
@@ -681,6 +681,7 @@ class _Parser:
         while self.at("def"):
             name, value = self.parse_def()
             self.table.define(name, value)
+            self._exprs.clear()  # kept expressions were read under the old table
         if self.at("eof"):
             return SourceFile(self.table, None)
         main = self._resolve(self.parse_term())

@@ -108,14 +108,13 @@ def mk_proj2(arg: S.Expr, span: Optional[Span] = None) -> S.Expr:
 
 
 def mk_append(left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
-    if value_spine(left) is not None and value_spine(right) is not None:
-        result = right
-        spine = value_spine(left)
-        assert spine is not None
-        for elem in reversed(spine):
-            result = S.ConsE(elem, result, span=span)
-        return result
-    return S.Append(left, right, span=span)
+    spine = value_spine(left)
+    if spine is None or value_spine(right) is None:
+        return S.Append(left, right, span=span)
+    result = right
+    for elem in reversed(spine):
+        result = S.ConsE(elem, result, span=span)
+    return result
 
 
 def mk_if_e(cond: S.Expr, then: S.Expr, els: S.Expr, span: Optional[Span] = None) -> S.Expr:

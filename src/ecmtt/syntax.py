@@ -13,11 +13,12 @@ continuation name over the clause body.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A source position; the parser makes one per node, so it is a tuple."""
+
     line: int
     col: int
     length: int = 0
@@ -165,11 +166,16 @@ def make_theory(ops: Iterable[OpDecl]) -> EffectContext:
 
 
 def _check_theory(th: EffectContext, where: str) -> None:
+    # Nodes built from already-checked nodes pass the same context again, so
+    # a context that passed is marked, outside its dataclass fields.
+    if getattr(th, "_theory_ok", False):
+        return
     if not th.is_theory():
         raise ValueError(f"{where} must be an algebraic theory (operations only)")
     names = [op.name for op in th.ops]
     if len(names) != len(set(names)):
         raise ValueError(f"duplicate operation name in {where}")
+    object.__setattr__(th, "_theory_ok", True)
 
 
 # ---------------------------------------------------------------------------

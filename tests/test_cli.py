@@ -77,6 +77,16 @@ def test_check_reports_parse_errors(tmp_path):
     assert "parse error" in err
 
 
+def test_run_reports_a_non_decimal_digit_as_a_parse_error(tmp_path):
+    path = tmp_path / "digit.ecmtt"
+    path.write_text("ret \u00b2\n", encoding="utf-8")
+    code, out, err = invoke(["run", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "unexpected character" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_an_io_error(tmp_path):
     code, _, err = invoke(["check", str(tmp_path / "nope.ecmtt")])
     assert code == 4

@@ -253,3 +253,20 @@ def test_roundtrip_nested_conditionals():
 
 def test_roundtrip_squaring_pipeline():
     roundtrip("box {}. (x <- ret 2; ret (x * x))")
+
+
+def test_non_decimal_digits_are_unexpected_characters():
+    # '²' is a digit to str.isdigit but int() rejects it.
+    with pytest.raises(ParseError) as exc:
+        parse_term("ret ²")
+    assert str(exc.value) == "1:5: parse error: unexpected character '²'"
+    with pytest.raises(ParseError):
+        parse_term("1²")
+    assert parse_term("x²") == S.Var("x²")
+    assert parse_term("٣") == S.IntLit(3)
+
+
+def test_end_of_input_after_a_trailing_comment_has_its_column():
+    with pytest.raises(ParseError) as exc:
+        parse_term("ret (1 -- unclosed")
+    assert str(exc.value) == "1:19: parse error: expected ')', found 'end of input'"

@@ -201,3 +201,26 @@ def test_fuel_runs_out_instead_of_spinning():
         handle_with(
             comp("y <- get(); w <- set(y + 1); ret y"), HANDLER_ST, S.IntLit(0), fuel=2
         )
+
+
+def test_mk_append_reads_each_spine_once(monkeypatch):
+    from ecmtt import subst
+
+    calls = 0
+    inner = subst.value_spine
+
+    def counting(e):
+        nonlocal calls
+        calls += 1
+        return inner(e)
+
+    monkeypatch.setattr(subst, "value_spine", counting)
+    one, two = S.ConsE(S.IntLit(1), S.Nil()), S.ConsE(S.IntLit(2), S.Nil())
+    assert subst.mk_append(one, two) == S.ConsE(S.IntLit(1), two)
+    assert calls == 2
+    calls = 0
+    assert subst.mk_append(S.Var("xs"), two) == S.Append(S.Var("xs"), two)
+    assert calls == 1
+    calls = 0
+    assert subst.mk_append(one, S.Var("ys")) == S.Append(one, S.Var("ys"))
+    assert calls == 2

@@ -113,3 +113,53 @@ def test_make_theory_rejects_duplicate_operations():
 
     with pytest.raises(ValueError):
         make_theory([S.OpDecl("get", S.UNIT, S.INT), S.OpDecl("get", S.UNIT, S.BOOL)])
+
+
+def _nodes_with_theory(theory):
+    """One node of each class that checks its theory when built."""
+    body = S.Ret(S.IntLit(0))
+    ret = S.RetClause("x", "z", body)
+    return [
+        lambda: S.BoxTerm(theory, body),
+        lambda: S.FixE("f", "n", S.INT, theory, S.INT, body, S.Var("f")),
+        lambda: S.FixC("f", "n", S.INT, theory, S.INT, body, body),
+        lambda: S.Handler(theory, (), ret),
+        lambda: S.ModalBind("u", S.INT, theory),
+        lambda: S.BoxT(theory, S.INT),
+    ]
+
+
+def test_every_theory_holder_rejects_a_bad_context():
+    import pytest
+
+    for build in _nodes_with_theory(ST):
+        build()  # marks ST as checked
+    not_a_theory = S.EffectContext((S.ContDecl("k", S.INT, S.INT, S.INT),))
+    duplicate = S.EffectContext((S.OpDecl("get", S.UNIT, S.INT), S.OpDecl("get", S.UNIT, S.BOOL)))
+    for bad in (not_a_theory, duplicate):
+        for build in _nodes_with_theory(bad):
+            with pytest.raises(ValueError):
+                build()
+            with pytest.raises(ValueError):
+                build()  # a failed check is not remembered as a pass
+
+
+def test_each_theory_is_checked_once(monkeypatch):
+    calls = 0
+    inner = S.EffectContext.is_theory
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return inner(self)
+
+    monkeypatch.setattr(S.EffectContext, "is_theory", counting)
+    theory = make_theory([S.OpDecl("tick", S.UNIT, S.UNIT)])
+    for build in _nodes_with_theory(theory):
+        build()
+        build()
+    assert calls == 1
+    fresh = make_theory([S.OpDecl("tick", S.UNIT, S.UNIT)])
+    assert fresh == theory
+    S.BoxTerm(fresh, S.Ret(S.IntLit(0)))
+    assert calls == 2
