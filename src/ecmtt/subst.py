@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from . import syntax as S
-from .syntax import Span, free_vars, fresh_name
+from .syntax import Span, bound_names, free_vars, fresh_name
 
 DEFAULT_FUEL = 1_000_000
 
@@ -262,16 +262,33 @@ class _Engine:
     # -- value substitution
 
     def subst(self, t: S.Term, mapping: dict[str, S.Expr]) -> S.Term:
-        return self.sub(t, {k: self.norm(v) for k, v in mapping.items()})
+        m = {k: self.norm(v) for k, v in mapping.items()}
+        return self.sub(t, m) if m else t
+
+    @staticmethod
+    def _names(m: dict[str, S.Expr]) -> set[str]:
+        """Every name a mapping can clash with: its keys and the free value,
+        modal and continuation names of its payloads."""
+        names = set(m)
+        for v in m.values():
+            fv = free_vars(v)
+            names |= fv.values
+            names |= fv.modals
+            names |= fv.conts
+        return names
 
     def _value_binder(
-        self, b: str, m: dict[str, S.Expr], bodies: tuple[S.Term, ...]
-    ) -> tuple[str, dict[str, S.Expr]]:
+        self, b: str, m: dict[str, S.Expr], names: set[str], bodies: tuple[S.Term, ...]
+    ) -> tuple[str, dict[str, S.Expr], set[str]]:
         """Adjust a mapping for descent under a value binder, renaming the
-        binder through the mapping itself when a payload would capture it."""
+        binder through the mapping itself when a payload would capture it.
+        The names returned hold the new mapping's names, and may hold more:
+        a name too many only means a subterm is walked, not skipped."""
+        if b not in names:
+            return b, m, names
         m2 = {k: v for k, v in m.items() if k != b}
         if not m2:
-            return b, m2
+            return b, m2, names
         if any(b in free_vars(v).values for v in m2.values()):
             avoid = set(m2)
             for v in m2.values():
@@ -280,8 +297,8 @@ class _Engine:
                 avoid |= free_vars(body).values
             b2 = fresh_name(b, avoid)
             m2[b] = S.Var(b2)
-            return b2, m2
-        return b, m2
+            return b2, m2, names | {b2}
+        return b, m2, names
 
     def _modal_binder(
         self, u: str, m: dict[str, S.Expr], bodies: tuple[S.Term, ...]
@@ -296,96 +313,103 @@ class _Engine:
             return u2, tuple(self.rename_modal(body, u, u2) for body in bodies)
         return u, bodies
 
-    def _sub_opt(self, t: S.Term, m: dict[str, S.Expr]) -> S.Term:
-        return self.sub(t, m) if m else t
+    def sub(self, t: S.Term, m: dict[str, S.Expr], names: Optional[set[str]] = None) -> S.Term:
+        """Substitute normalized payloads for the free value variables of
+        `t` (`m` is not empty; `names` holds at least `_names(m)`, and is
+        computed here when not given).
 
-    def sub(self, t: S.Term, m: dict[str, S.Expr]) -> S.Term:
-        """Substitute normalized payloads for free value variables."""
+        A subterm with no mapped free name that binds none of `names` is
+        returned as `norm(t)` without a walk: there the walk would rename no
+        binder and keep the whole mapping, so it would rebuild the subterm
+        through the smart constructors `norm` uses.  A skipped subterm costs
+        no fuel when it is already normal.  When `t` is normal, so is the
+        result, and it is marked so, as `norm` marks its own.  The checks
+        are here, not in a wrapper, so deep terms take one frame per level."""
+        if names is None:
+            names = self._names(m)
+        if free_vars(t).values.isdisjoint(m) and bound_names(t).isdisjoint(names):
+            return self.norm(t)
         self.tick()
-        if not m:
-            return t
+        sub = self.sub
         match t:
             case S.Var(name):
-                return m.get(name, t)
-            case S.IntLit() | S.BoolLit() | S.UnitLit() | S.Nil():
-                return t
+                return m[name]
             case S.Lam(p, a, b):
-                p2, m2 = self._value_binder(p, m, (b,))
-                return S.Lam(p2, a, self._sub_opt(b, m2), span=t.span)
+                p2, m2, n2 = self._value_binder(p, m, names, (b,))
+                out = S.Lam(p2, a, sub(b, m2, n2) if m2 else b, span=t.span)
             case S.App(f, a):
-                return S.App(self.sub(f, m), self.sub(a, m), span=t.span)
+                out = S.App(sub(f, m, names), sub(a, m, names), span=t.span)
             case S.BoxTerm(th, b):
-                return S.BoxTerm(th, self.sub(b, m), span=t.span)
-            case S.LetBoxE(u, e, b):
+                out = S.BoxTerm(th, sub(b, m, names), span=t.span)
+            case S.LetBoxE(u, e, b) | S.LetBoxC(u, e, b):
                 u2, (b2,) = self._modal_binder(u, m, (b,))
-                return S.LetBoxE(u2, self.sub(e, m), self.sub(b2, m), span=t.span)
-            case S.LetBoxC(u, e, b):
-                u2, (b2,) = self._modal_binder(u, m, (b,))
-                return S.LetBoxC(u2, self.sub(e, m), self.sub(b2, m), span=t.span)
+                out = type(t)(u2, sub(e, m, names), sub(b2, m, names), span=t.span)
             case S.EvalTerm(hseq, u):
-                return S.EvalTerm(self.sub(hseq, m), u, span=t.span)
+                out = S.EvalTerm(sub(hseq, m, names), u, span=t.span)
             case S.FixE(f, p, a, th, r, rec, sc) | S.FixC(f, p, a, th, r, rec, sc):
-                f2, mf = self._value_binder(f, m, (rec, sc))
-                p2, mp = self._value_binder(p, mf, (rec,))
-                rec2 = self._sub_opt(rec, mp)
-                sc2 = self._sub_opt(sc, mf)
-                cls = S.FixE if isinstance(t, S.FixE) else S.FixC
-                return cls(f2, p2, a, th, r, rec2, sc2, span=t.span)
+                f2, mf, names_f = self._value_binder(f, m, names, (rec, sc))
+                p2, mp, names_p = self._value_binder(p, mf, names_f, (rec,))
+                rec2 = sub(rec, mp, names_p) if mp else rec
+                sc2 = sub(sc, mf, names_f) if mf else sc
+                out = type(t)(f2, p2, a, th, r, rec2, sc2, span=t.span)
             case S.Pair(l, r):
-                return S.Pair(self.sub(l, m), self.sub(r, m), span=t.span)
+                out = S.Pair(sub(l, m, names), sub(r, m, names), span=t.span)
             case S.Proj1(a):
-                return mk_proj1(self.sub(a, m), span=t.span)
+                out = mk_proj1(sub(a, m, names), span=t.span)
             case S.Proj2(a):
-                return mk_proj2(self.sub(a, m), span=t.span)
+                out = mk_proj2(sub(a, m, names), span=t.span)
             case S.ConsE(h, tl):
-                return S.ConsE(self.sub(h, m), self.sub(tl, m), span=t.span)
+                out = S.ConsE(sub(h, m, names), sub(tl, m, names), span=t.span)
             case S.Append(l, r):
-                return mk_append(self.sub(l, m), self.sub(r, m), span=t.span)
+                out = mk_append(sub(l, m, names), sub(r, m, names), span=t.span)
             case S.Arith(op, l, r):
-                return mk_arith(op, self.sub(l, m), self.sub(r, m), span=t.span)
+                out = mk_arith(op, sub(l, m, names), sub(r, m, names), span=t.span)
             case S.Cmp(op, l, r):
-                return mk_cmp(op, self.sub(l, m), self.sub(r, m), span=t.span)
+                out = mk_cmp(op, sub(l, m, names), sub(r, m, names), span=t.span)
             case S.IfE(c, a, b):
-                return mk_if_e(self.sub(c, m), self.sub(a, m), self.sub(b, m), span=t.span)
+                out = mk_if_e(sub(c, m, names), sub(a, m, names), sub(b, m, names), span=t.span)
             case S.IfC(c, a, b):
-                return mk_if_c(self.sub(c, m), self.sub(a, m), self.sub(b, m), span=t.span)
+                out = mk_if_c(sub(c, m, names), sub(a, m, names), sub(b, m, names), span=t.span)
             case S.Ret(e):
-                return S.Ret(self.sub(e, m), span=t.span)
+                out = S.Ret(sub(e, m, names), span=t.span)
             case S.Bind(st, x, rest):
-                st2 = self.sub(st, m)
-                x2, m2 = self._value_binder(x, m, (rest,))
-                return S.Bind(st2, x2, self._sub_opt(rest, m2), span=t.span)
+                st2 = sub(st, m, names)
+                x2, m2, n2 = self._value_binder(x, m, names, (rest,))
+                out = S.Bind(st2, x2, sub(rest, m2, n2) if m2 else rest, span=t.span)
             case S.OpCall(op, a):
-                return S.OpCall(op, self.sub(a, m), span=t.span)
+                out = S.OpCall(op, sub(a, m, names), span=t.span)
             case S.ContCall(k, a, st):
-                return S.ContCall(k, self.sub(a, m), self.sub(st, m), span=t.span)
+                out = S.ContCall(k, sub(a, m, names), sub(st, m, names), span=t.span)
             case S.Handle(u, hseq, h, init):
-                return S.Handle(u, self.sub(hseq, m), self.sub(h, m), self.sub(init, m), span=t.span)
+                out = S.Handle(u, sub(hseq, m, names), sub(h, m, names), sub(init, m, names), span=t.span)
             case S.Handler(th, ops, ret):
-                return S.Handler(
+                out = S.Handler(
                     th,
-                    tuple(self._sub_op_clause(c, m) for c in ops),
-                    self._sub_ret_clause(ret, m),
+                    tuple(self._sub_op_clause(c, m, names) for c in ops),
+                    self._sub_ret_clause(ret, m, names),
                 )
             case S.HSeq(clauses):
-                out = []
+                new_clauses = []
                 for c in clauses:
-                    var2, m2 = self._value_binder(c.var, m, (c.body,))
-                    out.append(
+                    var2, m2, n2 = self._value_binder(c.var, m, names, (c.body,))
+                    new_clauses.append(
                         S.HClause(
-                            self.sub(c.handler, m),
-                            self.sub(c.init, m),
+                            sub(c.handler, m, names),
+                            sub(c.init, m, names),
                             var2,
-                            self._sub_opt(c.body, m2),
+                            sub(c.body, m2, n2) if m2 else c.body,
                         )
                     )
-                return S.HSeq(tuple(out))
+                out = S.HSeq(tuple(new_clauses))
             case _:
                 raise AssertionError(f"sub: unhandled node {t!r}")
+        if getattr(t, "_nf", None) is t:
+            object.__setattr__(out, "_nf", out)
+        return out
 
-    def _sub_op_clause(self, c: S.OpClause, m: dict[str, S.Expr]) -> S.OpClause:
-        x2, mx = self._value_binder(c.x, m, (c.body,))
-        z2, mz = self._value_binder(c.z, mx, (c.body,))
+    def _sub_op_clause(self, c: S.OpClause, m: dict[str, S.Expr], names: set[str]) -> S.OpClause:
+        x2, mx, nx = self._value_binder(c.x, m, names, (c.body,))
+        z2, mz, nz = self._value_binder(c.z, mx, nx, (c.body,))
         body = c.body
         k2 = c.k
         if mz and any(c.k in free_vars(v).conts for v in mz.values()):
@@ -394,17 +418,20 @@ class _Engine:
                 avoid |= free_vars(v).conts
             k2 = fresh_name(c.k, avoid)
             body = self.rename_cont(body, c.k, k2)
-        return S.OpClause(c.op, x2, k2, z2, self._sub_opt(body, mz))
+        return S.OpClause(c.op, x2, k2, z2, self.sub(body, mz, nz) if mz else body)
 
-    def _sub_ret_clause(self, c: S.RetClause, m: dict[str, S.Expr]) -> S.RetClause:
-        x2, mx = self._value_binder(c.x, m, (c.body,))
-        z2, mz = self._value_binder(c.z, mx, (c.body,))
-        return S.RetClause(x2, z2, self._sub_opt(c.body, mz))
+    def _sub_ret_clause(self, c: S.RetClause, m: dict[str, S.Expr], names: set[str]) -> S.RetClause:
+        x2, mx, nx = self._value_binder(c.x, m, names, (c.body,))
+        z2, mz, nz = self._value_binder(c.z, mx, nx, (c.body,))
+        return S.RetClause(x2, z2, self.sub(c.body, mz, nz) if mz else c.body)
 
     # -- renaming of modal and continuation names
 
     def rename_modal(self, t: S.Term, old: str, new: str) -> S.Term:
-        """Rename a free modal variable.  `new` must be fresh for `t`."""
+        """Rename a free modal variable.  `new` must be fresh for `t`.  A
+        subterm where `old` is not free comes back as it is, at no fuel."""
+        if old not in free_vars(t).modals:
+            return t
         self.tick()
         match t:
             case S.LetBoxE(u, e, b) | S.LetBoxC(u, e, b):
@@ -428,7 +455,10 @@ class _Engine:
                 return self._map_children(t, lambda s: self.rename_modal(s, old, new))
 
     def rename_cont(self, t: S.Term, old: str, new: str) -> S.Term:
-        """Rename a free continuation name.  `new` must be fresh for `t`."""
+        """Rename a free continuation name.  `new` must be fresh for `t`.  A
+        subterm where `old` is not free comes back as it is, at no fuel."""
+        if old not in free_vars(t).conts:
+            return t
         self.tick()
         match t:
             case S.ContCall(k, a, st):

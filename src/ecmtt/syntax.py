@@ -198,27 +198,51 @@ class ModalBind:
         _check_theory(self.theory, "modal binding theory")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ModalContext:
-    entries: tuple[Union[ValBind, ModalBind], ...] = ()
+    """The value and modal bindings in scope.  A context is its innermost
+    binding linked to the context it extends, so a binder costs O(1) and a
+    lookup walks outwards from the innermost binding, which wins."""
+
+    entry: Optional[Union[ValBind, ModalBind]] = None
+    parent: Optional[ModalContext] = None
+
+    @property
+    def entries(self) -> tuple[Union[ValBind, ModalBind], ...]:
+        """The bindings, outermost first."""
+        out = []
+        ctx = self
+        while ctx.entry is not None:
+            out.append(ctx.entry)
+            ctx = ctx.parent
+        return tuple(reversed(out))
+
+    def __repr__(self) -> str:
+        return f"ModalContext({self.entries!r})"
 
     def lookup_value(self, name: str) -> Optional[ValBind]:
-        for entry in reversed(self.entries):
+        ctx = self
+        while ctx.entry is not None:
+            entry = ctx.entry
             if isinstance(entry, ValBind) and entry.name == name:
                 return entry
+            ctx = ctx.parent
         return None
 
     def lookup_modal(self, name: str) -> Optional[ModalBind]:
-        for entry in reversed(self.entries):
+        ctx = self
+        while ctx.entry is not None:
+            entry = ctx.entry
             if isinstance(entry, ModalBind) and entry.name == name:
                 return entry
+            ctx = ctx.parent
         return None
 
     def with_value(self, name: str, ty: Type) -> ModalContext:
-        return ModalContext(self.entries + (ValBind(name, ty),))
+        return ModalContext(ValBind(name, ty), self)
 
     def with_modal(self, name: str, ty: Type, theory: EffectContext) -> ModalContext:
-        return ModalContext(self.entries + (ModalBind(name, ty, theory),))
+        return ModalContext(ModalBind(name, ty, theory), self)
 
 
 EMPTY_MODAL = ModalContext()
@@ -650,6 +674,67 @@ def free_vars(term: Term) -> FreeVars:
             raise AssertionError(f"free_vars: unhandled node {term!r}")
     object.__setattr__(term, "_fv", fv)
     return fv
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """`a | b`, or an operand itself when it already holds the other."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def bound_names(term: Term) -> frozenset[str]:
+    """Every name bound anywhere inside a term, all namespaces in one set:
+    `fn` parameters, bind variables, `let box` and `let fix` names, clause
+    `x`, `k` and `z`, and sequence variables.  Operation names bound by box
+    theories are left out, since nothing renames them.
+
+    Cached on the node as `_bv`, the way `free_vars` caches `_fv`, and
+    computed through this function alone, one frame per tree level."""
+    bv = getattr(term, "_bv", None)
+    if bv is not None:
+        return bv
+    match term:
+        case Var() | IntLit() | BoolLit() | UnitLit() | Nil():
+            bv = _NO_NAMES
+        case Bind(stmt, var, rest):
+            bv = _union(_union(bound_names(stmt), bound_names(rest)), frozenset((var,)))
+        case Ret(value) | Proj1(value) | Proj2(value) | OpCall(_, value) | BoxTerm(_, value):
+            bv = bound_names(value)
+        case App(left, right) | Pair(left, right) | ConsE(left, right) | Append(left, right):
+            bv = _union(bound_names(left), bound_names(right))
+        case Arith(_, left, right) | Cmp(_, left, right) | ContCall(_, left, right):
+            bv = _union(bound_names(left), bound_names(right))
+        case IfE(cond, then, els) | IfC(cond, then, els):
+            bv = _union(_union(bound_names(cond), bound_names(then)), bound_names(els))
+        case Lam(param, _, body):
+            bv = _union(bound_names(body), frozenset((param,)))
+        case LetBoxE(uvar, bound, body) | LetBoxC(uvar, bound, body):
+            bv = _union(_union(bound_names(bound), bound_names(body)), frozenset((uvar,)))
+        case EvalTerm(hseq, _):
+            bv = bound_names(hseq)
+        case FixE(fname, param, _, _, _, rec_body, scope) | FixC(
+            fname, param, _, _, _, rec_body, scope
+        ):
+            bv = _union(bound_names(rec_body), bound_names(scope))
+            bv = _union(bv, frozenset((fname, param)))
+        case Handle(_, hseq, handler, init):
+            bv = _union(_union(bound_names(hseq), bound_names(handler)), bound_names(init))
+        case Handler(_, op_clauses, r):
+            bv = _union(bound_names(r.body), frozenset((r.x, r.z)))
+            for c in op_clauses:
+                bv = _union(bv, _union(bound_names(c.body), frozenset((c.x, c.k, c.z))))
+        case HSeq(clauses):
+            bv = _NO_NAMES
+            for c in clauses:
+                bv = _union(_union(bv, bound_names(c.handler)), bound_names(c.init))
+                bv = _union(bv, _union(bound_names(c.body), frozenset((c.var,))))
+        case _:
+            raise AssertionError(f"bound_names: unhandled node {term!r}")
+    object.__setattr__(term, "_bv", bv)
+    return bv
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,20 @@ Env = list[tuple[str, S.Type]]
 
 
 class NameSupply:
-    """Fresh, collision-free identifiers; one counter per program."""
+    """Identifiers, one counter per program.  They are fresh and
+    collision-free, unless `shadow` is set: then every base name but `op`
+    cycles through a pool of two (`x0`, `x1`), so nested binders, clause
+    parameters and sequence variables shadow one another.  Operation names
+    stay unique either way."""
 
-    def __init__(self) -> None:
+    def __init__(self, shadow: bool = False) -> None:
         self.counter = 0
+        self.shadow = shadow
 
     def fresh(self, base: str) -> str:
         self.counter += 1
+        if self.shadow and base != "op":
+            return f"{base}{self.counter % 2}"
         return f"{base}{self.counter}"
 
 
@@ -338,9 +345,11 @@ def gen_fix_comp(
     return comp, ret_ty
 
 
-def gen_program(rng: random.Random) -> tuple[S.Comp, S.Type]:
-    """A closed well-typed top-level computation together with its type."""
-    sup = NameSupply()
+def gen_program(rng: random.Random, shadow: bool = False) -> tuple[S.Comp, S.Type]:
+    """A closed top-level computation together with its type.  It is well
+    typed unless `shadow` is set: a reused name can then hide a variable of
+    another type that the generator still picks, so check before use."""
+    sup = NameSupply(shadow)
     roll = rng.random()
     if roll < 0.45:
         return gen_handle_comp(rng, sup, [], S.EMPTY_THEORY, rng.randint(1, 4))

@@ -1,5 +1,7 @@
 """Type synthesis for expressions, computations, handlers, and sequences."""
 
+import sys
+
 import pytest
 
 from ecmtt import syntax as S
@@ -263,3 +265,36 @@ def test_infer_expr_rejects_division_only_statically_never():
 def test_infer_term_dispatches_on_syntax_class():
     assert type_text(infer_term(parse_term("ret 1"))) == "int"
     assert type_text(infer_term(parse_term("fn x:int. x"))) == "int -> int"
+
+
+def _shadowed_chain(pairs: int, last: S.Comp) -> S.Comp:
+    """`x <- get(); x <- set(x + 1);` repeated, then `last`."""
+    comp = last
+    for _ in range(pairs):
+        comp = S.Bind(S.OpCall("set", S.Arith("+", S.Var("x"), S.IntLit(1))), "x", comp)
+        comp = S.Bind(S.OpCall("get", S.UnitLit()), "x", comp)
+    return comp
+
+
+def test_a_2000_deep_chain_of_shadowed_binds():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 6000))
+    try:
+        # Each `set` sees the `x` of the `get` just before it, not an outer one.
+        assert type_equal(infer_comp(EMPTY_MODAL, ST, _shadowed_chain(1000, S.Ret(S.Var("x")))), S.UNIT)
+        with pytest.raises(TypeCheckError) as exc:
+            infer_comp(EMPTY_MODAL, ST, _shadowed_chain(1000, S.Ret(S.Arith("+", S.Var("x"), S.IntLit(1)))))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert str(exc.value) == "argument-mismatch: expected int, found unit (arithmetic operand)"
+
+
+def test_a_binding_links_to_the_context_it_extends():
+    ctx = EMPTY_MODAL.with_modal("u", S.INT, ST)
+    for i in range(2000):
+        ctx = ctx.with_value("x", S.BOOL if i % 2 else S.INT)
+    assert ctx.with_value("y", S.INT).parent is ctx
+    assert ctx.lookup_value("x").type == S.BOOL
+    assert ctx.lookup_modal("u").theory is ST
+    assert ctx.lookup_value("u") is None and ctx.lookup_modal("x") is None
+    assert len(ctx.entries) == 2001 and ctx.entries[0].name == "u"
