@@ -6,7 +6,8 @@ step, `repl` starts an interactive session, and `corpus` runs the embedded
 example programs against their expectations.
 
 Exit codes are a total function of the outcome: 0 success, 1 type error,
-2 parse error, 3 fuel exhausted, 4 I/O error, 5 runtime error.  The
+2 parse error, 3 fuel exhausted, 4 I/O error, 5 runtime error, 6 input
+nested deeper than the interpreter's recursion limit allows.  The
 evaluation fuel defaults to one million steps and can be overridden with
 `--max-steps` or the ECMTT_MAX_STEPS environment variable (the flag wins).
 A budget that is not a non-negative integer, from either source, is a usage
@@ -42,6 +43,7 @@ EXIT_PARSE_ERROR = 2
 EXIT_FUEL = 3
 EXIT_IO_ERROR = 4
 EXIT_RUNTIME = 5
+EXIT_DEPTH = 6
 
 ENV_MAX_STEPS = "ECMTT_MAX_STEPS"
 
@@ -190,6 +192,10 @@ def cmd_trace(path: str, max_steps: int, out: TextIO, err: TextIO) -> int:
     return _finish_run(final, count, False, out, err)
 
 
+def _depth_message() -> str:
+    return f"input nested too deeply: recursion limit of {sys.getrecursionlimit()} frames reached"
+
+
 _REPL_BANNER = "ecmtt repl; :t TERM for a type, def NAME = ... to define, :q to quit"
 _PROMPT = "ecmtt> "
 
@@ -230,6 +236,8 @@ def cmd_repl(max_steps: int, stdin: TextIO, out: TextIO, err: TextIO) -> int:
             print(exc, file=out)
         except TypeCheckError as exc:
             print(exc.render(), file=out)
+        except RecursionError:
+            print(f"error: {_depth_message()}", file=out)
 
 
 def _expectation_text(result: CaseResult) -> str:
@@ -278,17 +286,25 @@ def main(
             max_steps = _resolve_fuel(getattr(args, "max_steps", None))
         except argparse.ArgumentTypeError as exc:
             arg_parser.error(str(exc))
-    match args.command:
-        case "check":
-            return cmd_check(args.file, out, err)
-        case "run":
-            return cmd_run(args.file, max_steps, args.json, out, err)
-        case "trace":
-            return cmd_trace(args.file, max_steps, out, err)
-        case "repl":
-            return cmd_repl(max_steps, stdin, out, err)
-        case "corpus":
-            return cmd_corpus(out)
+    try:
+        match args.command:
+            case "check":
+                return cmd_check(args.file, out, err)
+            case "run":
+                return cmd_run(args.file, max_steps, args.json, out, err)
+            case "trace":
+                return cmd_trace(args.file, max_steps, out, err)
+            case "repl":
+                return cmd_repl(max_steps, stdin, out, err)
+            case "corpus":
+                return cmd_corpus(out)
+    except RecursionError:
+        # The parser, the typechecker and the engine recurse once per level
+        # of the term, so a deep enough input runs out of frames anywhere.
+        if getattr(args, "json", False):
+            print(json.dumps({"status": "depth-limit", "message": _depth_message()}), file=out)
+        print(f"error: {_depth_message()}", file=err)
+        return EXIT_DEPTH
     raise AssertionError(f"unknown command {args.command!r}")
 
 

@@ -268,7 +268,7 @@ class _Parser:
         return theory
 
     def parse_handler_literal(self) -> S.Handler:
-        self.expect("handler")
+        start = self.expect("handler")
         self.expect("for")
         theory = self.parse_theory_ref()
         self.expect("{")
@@ -314,7 +314,7 @@ class _Parser:
         close = self.expect("}")
         if ret_clause is None:
             raise _err("a handler needs a return clause", close.span)
-        return S.Handler(theory, tuple(op_clauses), ret_clause)
+        return S.Handler(theory, tuple(op_clauses), ret_clause, span=start.span)
 
     def parse_handler_ref(self) -> S.Handler:
         if self.at("handler"):

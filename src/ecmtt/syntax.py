@@ -12,7 +12,7 @@ continuation name over the clause body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple, Optional, Union
 
 
@@ -501,6 +501,7 @@ class Handler:
     theory: EffectContext
     op_clauses: tuple[OpClause, ...]
     ret_clause: RetClause
+    span: Optional[Span] = field(**_SPAN)
 
     def __post_init__(self) -> None:
         _check_theory(self.theory, "handler ascription")
@@ -550,7 +551,93 @@ Term = Union[Expr, Comp, Stmt, Handler, HSeq]
 
 
 # ---------------------------------------------------------------------------
-# Free variables
+# The node schema
+
+# The four namespaces, named as the fields of `FreeVars`.
+VALUES, MODALS, OPS, CONTS = "values", "modals", "ops", "conts"
+
+
+class Row:
+    """How one node class holds subterms and names.
+
+    `children` are the fields that hold subterms, in the order a walk visits
+    them, and `tuples` those of them that hold a tuple of subterms.  `uses`
+    are the fields that name a free occurrence, each with its namespace.
+    `binds` are the binding fields, each with its namespace and the children
+    it scopes over, in the order a walk renames them; an `OPS` binder holds
+    a theory and binds its operations.  Every other field is data.
+
+    The rest is derived from these and the dataclass: `fields`, every field
+    in constructor order (span included), so a node is rebuilt from a list
+    of its field values; `kids`, each child's position in `fields`, name and
+    whether it holds a tuple; `over`, the binders scoping over each child;
+    and `data`, the fields that are neither children, names nor the span.
+    """
+
+    __slots__ = ("cls", "children", "tuples", "uses", "binds", "fields", "kids", "over", "data")
+
+    def __init__(self, cls: type, children=(), tuples=(), uses=(), binds=()):
+        self.cls = cls
+        self.children: tuple[str, ...] = children
+        self.tuples: tuple[str, ...] = tuples
+        self.uses: tuple[tuple[str, str], ...] = uses
+        self.binds: tuple[tuple[str, str, tuple[str, ...]], ...] = binds
+        self.fields = tuple(f.name for f in fields(cls))
+        self.kids = tuple((self.fields.index(c), c, c in tuples) for c in children)
+        self.over = {c: tuple((f, ns) for f, ns, scope in binds if c in scope) for c in children}
+        named = {*children, *(f for f, _ in uses), *(f for f, ns, _ in binds if ns != OPS), "span"}
+        self.data = tuple(f for f in self.fields if f not in named)
+
+
+_FIX = dict(
+    children=("rec_body", "scope"),
+    binds=(("fname", VALUES, ("rec_body", "scope")), ("param", VALUES, ("rec_body",))),
+)
+_LET_BOX = dict(children=("bound", "body"), binds=(("uvar", MODALS, ("body",)),))
+
+ROWS: tuple[Row, ...] = (
+    Row(Var, uses=(("name", VALUES),)),
+    Row(Lam, ("body",), binds=(("param", VALUES, ("body",)),)),
+    Row(App, ("fn", "arg")),
+    Row(BoxTerm, ("body",), binds=(("theory", OPS, ("body",)),)),
+    Row(LetBoxE, **_LET_BOX),
+    Row(EvalTerm, ("hseq",), uses=(("uvar", MODALS),)),
+    Row(FixE, **_FIX),
+    Row(IntLit),
+    Row(BoolLit),
+    Row(UnitLit),
+    Row(Nil),
+    Row(Pair, ("left", "right")),
+    Row(Proj1, ("arg",)),
+    Row(Proj2, ("arg",)),
+    Row(ConsE, ("head", "tail")),
+    Row(Append, ("left", "right")),
+    Row(Arith, ("left", "right")),
+    Row(Cmp, ("left", "right")),
+    Row(IfE, ("cond", "then", "els")),
+    Row(Ret, ("value",)),
+    Row(Bind, ("stmt", "rest"), binds=(("var", VALUES, ("rest",)),)),
+    Row(LetBoxC, **_LET_BOX),
+    Row(FixC, **_FIX),
+    Row(IfC, ("cond", "then", "els")),
+    Row(OpCall, ("arg",), uses=(("op", OPS),)),
+    Row(ContCall, ("arg", "state"), uses=(("kname", CONTS),)),
+    Row(Handle, ("hseq", "handler", "init"), uses=(("uvar", MODALS),)),
+    Row(
+        OpClause,
+        ("body",),
+        binds=(("x", VALUES, ("body",)), ("z", VALUES, ("body",)), ("k", CONTS, ("body",))),
+    ),
+    Row(RetClause, ("body",), binds=(("x", VALUES, ("body",)), ("z", VALUES, ("body",)))),
+    Row(Handler, ("op_clauses", "ret_clause"), tuples=("op_clauses",)),
+    Row(HClause, ("handler", "init", "body"), binds=(("var", VALUES, ("body",)),)),
+    Row(HSeq, ("clauses",), tuples=("clauses",)),
+)
+SCHEMA: dict[type, Row] = {row.cls: row for row in ROWS}
+
+
+# ---------------------------------------------------------------------------
+# Free and bound names
 
 
 @dataclass(frozen=True)
@@ -560,9 +647,20 @@ class FreeVars:
     ops: frozenset[str]
     conts: frozenset[str]
 
+    def __or__(self, other: FreeVars) -> FreeVars:
+        return _join(self, other)
+
 
 _NO_NAMES: frozenset[str] = frozenset()
 NO_FREE_VARS = FreeVars(_NO_NAMES, _NO_NAMES, _NO_NAMES, _NO_NAMES)
+_NAMESPACES = (VALUES, MODALS, OPS, CONTS)
+
+
+def _named(ns: str, names: Iterable[str]) -> FreeVars:
+    """The names as a set in one namespace."""
+    sets = [_NO_NAMES] * 4
+    sets[_NAMESPACES.index(ns)] = frozenset(names)
+    return FreeVars(*sets)
 
 
 def _join(a: FreeVars, b: FreeVars) -> FreeVars:
@@ -582,35 +680,37 @@ def _join(a: FreeVars, b: FreeVars) -> FreeVars:
     return FreeVars(av | bv, am | bm, ao | bo, ak | bk)
 
 
-def _bind(
-    fv: FreeVars,
-    values: Iterable[str] = (),
-    modals: Iterable[str] = (),
-    ops: Iterable[str] = (),
-    conts: Iterable[str] = (),
-) -> FreeVars:
+def _minus(fv: FreeVars, bound: FreeVars) -> FreeVars:
     """`fv` less the names a binder binds; `fv` itself when none is free."""
     if (
-        fv.values.isdisjoint(values)
-        and fv.modals.isdisjoint(modals)
-        and fv.ops.isdisjoint(ops)
-        and fv.conts.isdisjoint(conts)
+        fv.values.isdisjoint(bound.values)
+        and fv.modals.isdisjoint(bound.modals)
+        and fv.ops.isdisjoint(bound.ops)
+        and fv.conts.isdisjoint(bound.conts)
     ):
         return fv
     out = FreeVars(
-        fv.values.difference(values),
-        fv.modals.difference(modals),
-        fv.ops.difference(ops),
-        fv.conts.difference(conts),
+        fv.values - bound.values,
+        fv.modals - bound.modals,
+        fv.ops - bound.ops,
+        fv.conts - bound.conts,
     )
     return NO_FREE_VARS if out == NO_FREE_VARS else out
 
 
-def free_vars(term: Term) -> FreeVars:
-    """Free names of a term, one set per namespace.
+def _bound_by(term: Term, binders: Iterable[tuple[str, str]]) -> FreeVars:
+    """The names the given (field, namespace) binders of `term` bind."""
+    bound = NO_FREE_VARS
+    for f, ns in binders:
+        v = getattr(term, f)
+        bound = _join(bound, _named(ns, v.op_names() if ns == OPS else (v,)))
+    return bound
 
-    Box literals bind the operation names of their theory; handler clause
-    labels and theory ascriptions are declarations, not uses, so they
+
+def free_vars(term: Term) -> FreeVars:
+    """Free names of a term, one set per namespace: the names its `uses`
+    fields hold, and its children's free names less those bound over them.
+    Handler clause labels and theory ascriptions are data, so they
     contribute nothing.
 
     Terms are immutable, so the result is computed once per node, from the
@@ -618,60 +718,24 @@ def free_vars(term: Term) -> FreeVars:
     dataclass fields: equality, hashing and printing do not see it.  Closed
     nodes share `NO_FREE_VARS`.  The recursion goes through this function
     alone, one frame per tree level, so deep terms fit the same recursion
-    limit as the parser that built them.  A new node class needs a case here.
+    limit as the parser that built them.
     """
     fv = getattr(term, "_fv", None)
     if fv is not None:
         return fv
-    match term:
-        case Var(name):
-            fv = FreeVars(frozenset((name,)), _NO_NAMES, _NO_NAMES, _NO_NAMES)
-        case Bind(stmt, var, rest):
-            fv = _join(free_vars(stmt), _bind(free_vars(rest), values=(var,)))
-        case OpCall(op, arg):
-            fv = _join(FreeVars(_NO_NAMES, _NO_NAMES, frozenset((op,)), _NO_NAMES), free_vars(arg))
-        case ContCall(kname, arg, state):
-            fv = _join(FreeVars(_NO_NAMES, _NO_NAMES, _NO_NAMES, frozenset((kname,))), free_vars(arg))
-            fv = _join(fv, free_vars(state))
-        case Ret(value) | Proj1(value) | Proj2(value):
-            fv = free_vars(value)
-        case IntLit() | BoolLit() | UnitLit() | Nil():
-            fv = NO_FREE_VARS
-        case App(left, right) | Pair(left, right) | ConsE(left, right) | Append(left, right):
-            fv = _join(free_vars(left), free_vars(right))
-        case Arith(_, left, right) | Cmp(_, left, right):
-            fv = _join(free_vars(left), free_vars(right))
-        case IfE(cond, then, els) | IfC(cond, then, els):
-            fv = _join(_join(free_vars(cond), free_vars(then)), free_vars(els))
-        case Lam(param, _, body):
-            fv = _bind(free_vars(body), values=(param,))
-        case BoxTerm(theory, body):
-            fv = _bind(free_vars(body), ops=theory.op_names())
-        case LetBoxE(uvar, bound, body) | LetBoxC(uvar, bound, body):
-            fv = _join(free_vars(bound), _bind(free_vars(body), modals=(uvar,)))
-        case EvalTerm(hseq, uvar):
-            fv = _join(FreeVars(_NO_NAMES, frozenset((uvar,)), _NO_NAMES, _NO_NAMES), free_vars(hseq))
-        case FixE(fname, param, _, _, _, rec_body, scope) | FixC(
-            fname, param, _, _, _, rec_body, scope
-        ):
-            fv = _join(
-                _bind(free_vars(rec_body), values=(fname, param)),
-                _bind(free_vars(scope), values=(fname,)),
-            )
-        case Handle(uvar, hseq, handler, init):
-            fv = _join(FreeVars(_NO_NAMES, frozenset((uvar,)), _NO_NAMES, _NO_NAMES), free_vars(hseq))
-            fv = _join(_join(fv, free_vars(handler)), free_vars(init))
-        case Handler(_, op_clauses, r):
-            fv = _bind(free_vars(r.body), values=(r.x, r.z))
-            for c in op_clauses:
-                fv = _join(fv, _bind(free_vars(c.body), values=(c.x, c.z), conts=(c.k,)))
-        case HSeq(clauses):
-            fv = NO_FREE_VARS
-            for c in clauses:
-                fv = _join(_join(fv, free_vars(c.handler)), free_vars(c.init))
-                fv = _join(fv, _bind(free_vars(c.body), values=(c.var,)))
-        case _:
-            raise AssertionError(f"free_vars: unhandled node {term!r}")
+    row = SCHEMA[type(term)]
+    fv = NO_FREE_VARS
+    for f, ns in row.uses:
+        fv = _join(fv, _named(ns, (getattr(term, f),)))
+    for _, c, many in row.kids:
+        kid = getattr(term, c)
+        if many:
+            for item in kid:
+                fv = _join(fv, free_vars(item))
+        elif row.over[c]:
+            fv = _join(fv, _minus(free_vars(kid), _bound_by(term, row.over[c])))
+        else:
+            fv = _join(fv, free_vars(kid))
     object.__setattr__(term, "_fv", fv)
     return fv
 
@@ -686,53 +750,27 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 
 
 def bound_names(term: Term) -> frozenset[str]:
-    """Every name bound anywhere inside a term, all namespaces in one set:
-    `fn` parameters, bind variables, `let box` and `let fix` names, clause
-    `x`, `k` and `z`, and sequence variables.  Operation names bound by box
-    theories are left out, since nothing renames them.
+    """Every name bound anywhere inside a term, all namespaces in one set.
+    Operation names bound by box theories are left out, since nothing
+    renames them.
 
     Cached on the node as `_bv`, the way `free_vars` caches `_fv`, and
     computed through this function alone, one frame per tree level."""
     bv = getattr(term, "_bv", None)
     if bv is not None:
         return bv
-    match term:
-        case Var() | IntLit() | BoolLit() | UnitLit() | Nil():
-            bv = _NO_NAMES
-        case Bind(stmt, var, rest):
-            bv = _union(_union(bound_names(stmt), bound_names(rest)), frozenset((var,)))
-        case Ret(value) | Proj1(value) | Proj2(value) | OpCall(_, value) | BoxTerm(_, value):
-            bv = bound_names(value)
-        case App(left, right) | Pair(left, right) | ConsE(left, right) | Append(left, right):
-            bv = _union(bound_names(left), bound_names(right))
-        case Arith(_, left, right) | Cmp(_, left, right) | ContCall(_, left, right):
-            bv = _union(bound_names(left), bound_names(right))
-        case IfE(cond, then, els) | IfC(cond, then, els):
-            bv = _union(_union(bound_names(cond), bound_names(then)), bound_names(els))
-        case Lam(param, _, body):
-            bv = _union(bound_names(body), frozenset((param,)))
-        case LetBoxE(uvar, bound, body) | LetBoxC(uvar, bound, body):
-            bv = _union(_union(bound_names(bound), bound_names(body)), frozenset((uvar,)))
-        case EvalTerm(hseq, _):
-            bv = bound_names(hseq)
-        case FixE(fname, param, _, _, _, rec_body, scope) | FixC(
-            fname, param, _, _, _, rec_body, scope
-        ):
-            bv = _union(bound_names(rec_body), bound_names(scope))
-            bv = _union(bv, frozenset((fname, param)))
-        case Handle(_, hseq, handler, init):
-            bv = _union(_union(bound_names(hseq), bound_names(handler)), bound_names(init))
-        case Handler(_, op_clauses, r):
-            bv = _union(bound_names(r.body), frozenset((r.x, r.z)))
-            for c in op_clauses:
-                bv = _union(bv, _union(bound_names(c.body), frozenset((c.x, c.k, c.z))))
-        case HSeq(clauses):
-            bv = _NO_NAMES
-            for c in clauses:
-                bv = _union(_union(bv, bound_names(c.handler)), bound_names(c.init))
-                bv = _union(bv, _union(bound_names(c.body), frozenset((c.var,))))
-        case _:
-            raise AssertionError(f"bound_names: unhandled node {term!r}")
+    row = SCHEMA[type(term)]
+    bv = _NO_NAMES
+    for f, ns, _ in row.binds:
+        if ns != OPS:
+            bv = _union(bv, frozenset((getattr(term, f),)))
+    for _, c, many in row.kids:
+        kid = getattr(term, c)
+        if many:
+            for item in kid:
+                bv = _union(bv, bound_names(item))
+        else:
+            bv = _union(bv, bound_names(kid))
     object.__setattr__(term, "_bv", bv)
     return bv
 
@@ -775,139 +813,63 @@ def theory_equal(a: EffectContext, b: EffectContext) -> bool:
     return theory_subset(a, b) and theory_subset(b, a)
 
 
-def _opt_type_equal(a: Optional[Type], b: Optional[Type]) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return type_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Alpha equivalence
+
+
+def _data_equal(a: object, b: object) -> bool:
+    """Equality of two non-name, non-child fields: types structurally,
+    theories as sets, anything else (literals, operators, labels) as is."""
+    if isinstance(a, Type) and isinstance(b, Type):
+        return type_equal(a, b)
+    if isinstance(a, EffectContext) and isinstance(b, EffectContext):
+        return theory_equal(a, b)
+    return a == b
 
 
 def alpha_equal(t1: Term, t2: Term) -> bool:
     """Structural equality up to renaming of bound value, modal, and
     continuation variables.  Operation names must match literally; theory
-    annotations compare as sets."""
+    annotations compare as sets; a handler's clauses are matched by
+    operation name, in any order."""
 
-    def var_eq(env: dict[str, str], renv: dict[str, str], a: str, b: str) -> bool:
-        if a in env:
-            return env[a] == b
-        if b in renv:
+    def go(a: Term, b: Term, env: dict[str, tuple[dict[str, str], dict[str, str]]]) -> bool:
+        # `env` maps each namespace to the bound names of `a` paired with
+        # those of `b`, both ways.
+        cls = type(a)
+        if type(b) is not cls:
             return False
-        return a == b
-
-    def extend(env: dict[str, str], renv: dict[str, str], a: str, b: str) -> tuple[dict[str, str], dict[str, str]]:
-        env2 = dict(env)
-        renv2 = dict(renv)
-        env2[a] = b
-        renv2[b] = a
-        return env2, renv2
-
-    def go(a: Term, b: Term, vs, rvs, ms, rms, ks, rks) -> bool:
-        match (a, b):
-            case (Var(n1), Var(n2)):
-                return var_eq(vs, rvs, n1, n2)
-            case (Lam(p1, t1_, b1), Lam(p2, t2_, b2)):
-                if not type_equal(t1_, t2_):
-                    return False
-                vs2, rvs2 = extend(vs, rvs, p1, p2)
-                return go(b1, b2, vs2, rvs2, ms, rms, ks, rks)
-            case (App(f1, a1), App(f2, a2)):
-                return go(f1, f2, vs, rvs, ms, rms, ks, rks) and go(a1, a2, vs, rvs, ms, rms, ks, rks)
-            case (BoxTerm(th1, c1), BoxTerm(th2, c2)):
-                return theory_equal(th1, th2) and go(c1, c2, vs, rvs, ms, rms, ks, rks)
-            case (LetBoxE(u1, e1, b1), LetBoxE(u2, e2, b2)) | (LetBoxC(u1, e1, b1), LetBoxC(u2, e2, b2)):
-                if not go(e1, e2, vs, rvs, ms, rms, ks, rks):
-                    return False
-                ms2, rms2 = extend(ms, rms, u1, u2)
-                return go(b1, b2, vs, rvs, ms2, rms2, ks, rks)
-            case (EvalTerm(h1, u1), EvalTerm(h2, u2)):
-                return var_eq(ms, rms, u1, u2) and go(h1, h2, vs, rvs, ms, rms, ks, rks)
-            case (
-                (FixE(f1, x1, a1_, th1, r1, c1, s1), FixE(f2, x2, a2_, th2, r2, c2, s2))
-                | (FixC(f1, x1, a1_, th1, r1, c1, s1), FixC(f2, x2, a2_, th2, r2, c2, s2))
-            ):
-                if not (type_equal(a1_, a2_) and theory_equal(th1, th2) and type_equal(r1, r2)):
-                    return False
-                vs2, rvs2 = extend(vs, rvs, f1, f2)
-                vs3, rvs3 = extend(vs2, rvs2, x1, x2)
-                return go(c1, c2, vs3, rvs3, ms, rms, ks, rks) and go(s1, s2, vs2, rvs2, ms, rms, ks, rks)
-            case (IntLit(v1), IntLit(v2)):
-                return v1 == v2
-            case (BoolLit(v1), BoolLit(v2)):
-                return v1 == v2
-            case (UnitLit(), UnitLit()):
-                return True
-            case (Pair(l1, r1), Pair(l2, r2)) | (Append(l1, r1), Append(l2, r2)) | (ConsE(l1, r1), ConsE(l2, r2)):
-                return go(l1, l2, vs, rvs, ms, rms, ks, rks) and go(r1, r2, vs, rvs, ms, rms, ks, rks)
-            case (Arith(o1, l1, r1), Arith(o2, l2, r2)) | (Cmp(o1, l1, r1), Cmp(o2, l2, r2)):
-                return o1 == o2 and go(l1, l2, vs, rvs, ms, rms, ks, rks) and go(r1, r2, vs, rvs, ms, rms, ks, rks)
-            case (Proj1(x1), Proj1(x2)) | (Proj2(x1), Proj2(x2)):
-                return go(x1, x2, vs, rvs, ms, rms, ks, rks)
-            case (Nil(e1), Nil(e2)):
-                return _opt_type_equal(e1, e2)
-            case (IfE(c1, t1_, e1), IfE(c2, t2_, e2)) | (IfC(c1, t1_, e1), IfC(c2, t2_, e2)):
-                return (
-                    go(c1, c2, vs, rvs, ms, rms, ks, rks)
-                    and go(t1_, t2_, vs, rvs, ms, rms, ks, rks)
-                    and go(e1, e2, vs, rvs, ms, rms, ks, rks)
-                )
-            case (Ret(e1), Ret(e2)):
-                return go(e1, e2, vs, rvs, ms, rms, ks, rks)
-            case (Bind(s1, x1, r1), Bind(s2, x2, r2)):
-                if not go(s1, s2, vs, rvs, ms, rms, ks, rks):
-                    return False
-                vs2, rvs2 = extend(vs, rvs, x1, x2)
-                return go(r1, r2, vs2, rvs2, ms, rms, ks, rks)
-            case (OpCall(o1, a1), OpCall(o2, a2)):
-                return o1 == o2 and go(a1, a2, vs, rvs, ms, rms, ks, rks)
-            case (ContCall(k1, a1, s1), ContCall(k2, a2, s2)):
-                return (
-                    var_eq(ks, rks, k1, k2)
-                    and go(a1, a2, vs, rvs, ms, rms, ks, rks)
-                    and go(s1, s2, vs, rvs, ms, rms, ks, rks)
-                )
-            case (Handle(u1, t1_, h1, e1), Handle(u2, t2_, h2, e2)):
-                return (
-                    var_eq(ms, rms, u1, u2)
-                    and go(t1_, t2_, vs, rvs, ms, rms, ks, rks)
-                    and go(h1, h2, vs, rvs, ms, rms, ks, rks)
-                    and go(e1, e2, vs, rvs, ms, rms, ks, rks)
-                )
-            case (Handler(th1, ops1, ret1), Handler(th2, ops2, ret2)):
-                if not theory_equal(th1, th2) or len(ops1) != len(ops2):
-                    return False
-                by_name = {c.op: c for c in ops2}
-                for c1 in ops1:
-                    c2 = by_name.get(c1.op)
-                    if c2 is None:
-                        return False
-                    vs2, rvs2 = extend(vs, rvs, c1.x, c2.x)
-                    vs3, rvs3 = extend(vs2, rvs2, c1.z, c2.z)
-                    ks2, rks2 = extend(ks, rks, c1.k, c2.k)
-                    if not go(c1.body, c2.body, vs3, rvs3, ms, rms, ks2, rks2):
-                        return False
-                vs2, rvs2 = extend(vs, rvs, ret1.x, ret2.x)
-                vs3, rvs3 = extend(vs2, rvs2, ret1.z, ret2.z)
-                return go(ret1.body, ret2.body, vs3, rvs3, ms, rms, ks, rks)
-            case (HSeq(cs1), HSeq(cs2)):
-                if len(cs1) != len(cs2):
-                    return False
-                for c1, c2 in zip(cs1, cs2):
-                    if not go(c1.handler, c2.handler, vs, rvs, ms, rms, ks, rks):
-                        return False
-                    if not go(c1.init, c2.init, vs, rvs, ms, rms, ks, rks):
-                        return False
-                    vs2, rvs2 = extend(vs, rvs, c1.var, c2.var)
-                    if not go(c1.body, c2.body, vs2, rvs2, ms, rms, ks, rks):
-                        return False
-                return True
-            case _:
+        row = SCHEMA[cls]
+        for f in row.data:
+            if not _data_equal(getattr(a, f), getattr(b, f)):
                 return False
+        for f, ns in row.uses:
+            fwd, back = env[ns]
+            x, y = getattr(a, f), getattr(b, f)
+            if not (fwd[x] == y if x in fwd else y not in back and x == y):
+                return False
+        for _, c, many in row.kids:
+            inner = env
+            for f, ns in row.over[c]:
+                if ns != OPS:
+                    fwd, back = inner[ns]
+                    x, y = getattr(a, f), getattr(b, f)
+                    inner = {**inner, ns: ({**fwd, x: y}, {**back, y: x})}
+            x, y = getattr(a, c), getattr(b, c)
+            if not many:
+                x, y = (x,), (y,)
+            elif len(x) != len(y):
+                return False
+            elif cls is Handler:
+                by_op = {clause.op: clause for clause in y}
+                y = tuple(by_op.get(clause.op) for clause in x)
+            for p, q in zip(x, y):
+                if not go(p, q, inner):
+                    return False
+        return True
 
-    e: dict[str, str] = {}
-    return go(t1, t2, e, e, e, e, e, e)
+    empty: dict[str, str] = {}
+    return go(t1, t2, {ns: (empty, empty) for ns in _NAMESPACES})
 
 
 # ---------------------------------------------------------------------------

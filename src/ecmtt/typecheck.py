@@ -422,19 +422,21 @@ def check_handler(
     for clause in h.op_clauses:
         if clause.op in seen:
             raise TypeCheckError(
-                "clause-coverage", f"duplicate clause for operation {clause.op}"
+                "clause-coverage", f"duplicate clause for operation {clause.op}", span=h.span
             )
         seen.add(clause.op)
         if clause.op not in declared:
             raise TypeCheckError(
                 "clause-coverage",
                 f"clause for operation {clause.op} outside the handler theory",
+                span=h.span,
             )
     missing = declared - seen
     if missing:
         raise TypeCheckError(
             "clause-coverage",
             f"missing clause for operation {sorted(missing)[0]}",
+            span=h.span,
         )
 
     rc = h.ret_clause

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -286,3 +287,64 @@ def test_repl_recovers_from_errors():
 def test_repl_ends_cleanly_on_eof():
     code, _, _ = invoke(["repl"], "")
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# Input deeper than the recursion limit
+
+
+def _state_chain(pairs: int) -> str:
+    # The parser runs out of frames at about 490 pairs.
+    chain = "; ".join(f"y{i} <- get(); w{i} <- set(y{i} + 1)" for i in range(pairs))
+    definitions = PIPELINE[: PIPELINE.index("let box")]
+    main = f"let box u = box St. ({chain}; ret y0)\nin x <- handle u with handlerSt init 0; ret x\n"
+    return definitions + main
+
+
+def _collect_all(n: int) -> str:
+    # Typechecks, then runs out of frames in the stepper on the 2**n-element
+    # result list.
+    binds = "; ".join(f"b{i} <- choice()" for i in range(n))
+    value = " + ".join(f"(if b{i} then {i} else {9 - i})" for i in range(n))
+    return (
+        "def Ch = {choice:unit=>bool}\n"
+        "def collectAll = handler for Ch {\n"
+        "  choice(x;k;z) -> (y1 <- k(true;z); y2 <- k(false;z); ret (y1 ++ y2)),\n"
+        "  return(x;z) -> ret [x]\n"
+        "}\n"
+        f"let box u = box Ch. ({binds}; ret ({value}))\nin w <- handle u with collectAll init (); ret w\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "source, check_code",
+    [(_state_chain(600), 6), (_collect_all(10), 0)],
+    ids=["600-pair-chain", "collectAll-10"],
+)
+def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, check_code):
+    path = tmp_path / "deep.ecmtt"
+    path.write_text(source)
+    code, out, err = invoke(["check", str(path)])
+    assert code == check_code
+    if check_code == 0:
+        assert out == "list int\n"
+    else:
+        limit = sys.getrecursionlimit()
+        assert err == f"error: input nested too deeply: recursion limit of {limit} frames reached\n"
+    code, out, err = invoke(["run", "--json", str(path)])
+    assert code == 6
+    payload = json.loads(out)
+    assert payload["status"] == "depth-limit"
+    assert "recursion limit" in payload["message"]
+    assert err.count("\n") == 1 and "Traceback" not in err
+    code, _, err = invoke(["trace", str(path)])
+    assert code == 6
+    assert err.count("\n") == 1 and "recursion limit" in err
+
+
+def test_repl_reports_deep_input_and_carries_on():
+    deep = "(" * 1200 + "1" + ")" * 1200
+    code, out, _ = invoke(["repl"], f"{deep}\nret 7\n:q\n")
+    assert code == 0
+    assert "recursion limit" in out
+    assert "ret 7" in out

@@ -196,6 +196,23 @@ def test_eta_expansion_keeps_empty_theory_behaviour():
     assert observe(e) == observe(eta_expand(e, S.EMPTY_THEORY)) == "3"
 
 
+def test_a_renamed_clause_binder_avoids_the_other_binders_of_its_clause():
+    # The clause names its state `x1` and leaves it unused, so the free
+    # names of its body do not hold `x1`: renaming `x` away from the
+    # substituted `x` must still not pick `x1`, which the state would
+    # capture.
+    get = S.OpClause("get", "x", "k", "x1", S.Ret(S.Var("x")))
+    theory = S.make_theory([S.OpDecl("get", S.UNIT, S.INT)])
+    h = S.Handler(theory, (get,), S.RetClause("x", "z", S.Ret(S.Var("x"))))
+    boxed = modal_subst(h, "u", S.Ret(S.Var("x")))
+    handling = S.Bind(S.Handle("u", S.EMPTY_HSEQ, h, S.IntLit(0)), "v", S.Ret(S.Var("v")))
+    resumed = subst_cont(handling, "j", "a", "b", S.Ret(S.Var("x")))
+    for out in (boxed, resumed.stmt.handler):
+        clause = out.op_clauses[0]
+        assert (clause.x, clause.z, clause.body) == ("x2", "x1", S.Ret(S.Var("x2")))
+        assert alpha_equal(out, h)
+
+
 def test_fuel_runs_out_instead_of_spinning():
     with pytest.raises(OutOfFuel):
         handle_with(

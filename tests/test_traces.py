@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from ecmtt.corpus import CASES
-from ecmtt.evaluator import Value, evaluate
+from ecmtt.evaluator import DEFAULT_MAX_STEPS, Value, evaluate
 from ecmtt.parser import ParseError, parse_source
 from ecmtt.pretty import pretty
 from ecmtt.typecheck import TypeCheckError, infer_term
@@ -71,29 +71,24 @@ def _programs():
         except ParseError:
             continue
         if main is not None:
-            yield f"corpus/{case.name}", main, (None, SHORT_BUDGET)
+            yield f"corpus/{case.name}", main, (DEFAULT_MAX_STEPS, SHORT_BUDGET)
     for path in sorted((ROOT / "samples").glob("*.ecmtt")):
         main = parse_source(path.read_text(encoding="utf-8")).main
-        budget = LOOP_BUDGET if path.stem == "loop" else None
+        budget = LOOP_BUDGET if path.stem == "loop" else DEFAULT_MAX_STEPS
         yield f"sample/{path.stem}", main, (budget, SHORT_BUDGET)
     for seed in range(400):
-        yield f"gen/{seed}", gen_program(random.Random(seed))[0], (None, SHORT_BUDGET)
+        yield f"gen/{seed}", gen_program(random.Random(seed))[0], (DEFAULT_MAX_STEPS, SHORT_BUDGET)
     for seed in range(400):
         term = gen_program(random.Random(seed), shadow=True)[0]
         try:
             infer_term(term)
         except TypeCheckError:
             continue
-        yield f"shadow/{seed}", term, (None, SHORT_BUDGET)
+        yield f"shadow/{seed}", term, (DEFAULT_MAX_STEPS, SHORT_BUDGET)
 
 
 def current_digests() -> dict[str, str]:
-    from ecmtt.evaluator import DEFAULT_MAX_STEPS
-
-    out = {}
-    for key, term, budgets in _programs():
-        out[key] = _digest(term, tuple(DEFAULT_MAX_STEPS if b is None else b for b in budgets))
-    return out
+    return {key: _digest(term, budgets) for key, term, budgets in _programs()}
 
 
 def test_traces_match_the_golden_digests():

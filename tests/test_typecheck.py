@@ -1,5 +1,6 @@
 """Type synthesis for expressions, computations, handlers, and sequences."""
 
+import dataclasses
 import sys
 
 import pytest
@@ -112,6 +113,21 @@ def test_handler_must_cover_every_operation():
         "return(x;z) -> ret (x, z) } init 0)"
     )
     assert err.kind == "clause-coverage"
+
+
+def test_clause_coverage_errors_carry_the_handler_span():
+    clauses = "get(x;k;z) -> k(z;z), set(x;k;z) -> k(();x), return(x;z) -> ret (x, z)"
+    head = "let box u = box St. get() in\n (handle u with "
+    missing = reject(head + "handler for St { get(x;k;z) -> k(z;z), return(x;z) -> ret (x, z) } init 0)")
+    outside = reject(head + "handler for St { " + clauses + ", raise(x;k;z) -> k(z;z) } init 0)")
+    handler = parse_source(PRELUDE + "\n\n  def h = handler for St { " + clauses + " }").table.handlers["h"]
+    duplicate = dataclasses.replace(handler, op_clauses=handler.op_clauses + handler.op_clauses[:1])
+    with pytest.raises(TypeCheckError) as exc:
+        check_handler(EMPTY_MODAL, EMPTY_THEORY, duplicate, S.INT, S.INT)
+    assert missing.render() == "2:17: clause-coverage: missing clause for operation set"
+    assert outside.render() == "2:17: clause-coverage: clause for operation raise outside the handler theory"
+    line = PRELUDE.count("\n") + 3
+    assert exc.value.render() == f"{line}:11: clause-coverage: duplicate clause for operation get"
 
 
 def test_continuation_state_must_match():
