@@ -5,13 +5,25 @@ type of its main term, `run` evaluates it, `trace` prints every reduction
 step, `repl` starts an interactive session, and `corpus` runs the embedded
 example programs against their expectations.
 
-Exit codes are a total function of the outcome: 0 success, 1 type error,
-2 parse error, 3 fuel exhausted, 4 I/O error, 5 runtime error, 6 input
-nested deeper than the interpreter's recursion limit allows.  The
-evaluation fuel defaults to one million steps and can be overridden with
-`--max-steps` or the ECMTT_MAX_STEPS environment variable (the flag wins).
-A budget that is not a non-negative integer, from either source, is a usage
-error, reported by argparse with exit code 2.
+All five take one path: load (read, decode, parse, take the main term),
+typecheck, and reduce unless only the type is wanted.  Each way it ends is an
+`Outcome`, whose exit code and `run --json` status are one row of `OUTCOMES`:
+
+    0  ok              the type (`check`) or the value
+    1  type-error      (also `corpus` when a case fails)
+    2  parse-error     (also a file with no main term)
+    3  fuel-exhausted  the step budget ran out
+    4  io-error        the file cannot be read, or is not UTF-8
+    5  runtime-error   evaluation is stuck
+    6  depth-limit     input nested deeper than the recursion limit allows
+    7  (none)          usage error, reported by argparse
+
+A JSON object carries `message`, the diagnostic without its `error: ` or
+`runtime error: ` prefix, except that `ok` carries `value` and `steps` and
+`fuel-exhausted` carries `steps`.  The evaluation fuel defaults to one
+million steps and can be overridden with `--max-steps` or the
+ECMTT_MAX_STEPS environment variable (the flag wins).  A budget that is not
+a non-negative integer, from either source, is a usage error.
 """
 
 from __future__ import annotations
@@ -20,30 +32,29 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, TextIO
+from typing import Callable, NamedTuple, NoReturn, Optional, TextIO
 
-from .corpus import (
-    CaseResult,
-    EvaluatesTo,
-    ParseErrorExpected,
-    TypeErrorExpected,
-    TypeIs,
-    run_corpus,
-)
-from .evaluator import DEFAULT_MAX_STEPS, FuelExhausted, Stuck, Value, evaluate, run
+from .corpus import CASES, CorpusCase, EvaluatesTo, ParseErrorExpected, TypeErrorExpected, TypeIs
+from .evaluator import DEFAULT_MAX_STEPS, FuelExhausted, Stuck, Value, run
 from .parser import DefTable, ParseError, parse_source, parse_term
 from .pretty import pretty, type_text
+from .syntax import Term
 from .typecheck import TypeCheckError, infer_term
 
 __all__ = ["build_arg_parser", "main", "main_entry"]
 
-EXIT_OK = 0
-EXIT_TYPE_ERROR = 1
-EXIT_PARSE_ERROR = 2
-EXIT_FUEL = 3
-EXIT_IO_ERROR = 4
-EXIT_RUNTIME = 5
-EXIT_DEPTH = 6
+# Each outcome's exit code, the prefix of its diagnostic line on stderr (None
+# for success, printed on stdout), and its JSON fields besides the status.
+OUTCOMES: dict[str, tuple[int, Optional[str], tuple[str, ...]]] = {
+    "ok": (0, None, ("value", "steps")),
+    "type-error": (1, "", ("message",)),
+    "parse-error": (2, "", ("message",)),
+    "fuel-exhausted": (3, "error: ", ("steps",)),
+    "io-error": (4, "error: ", ("message",)),
+    "runtime-error": (5, "runtime error: ", ("message",)),
+    "depth-limit": (6, "error: ", ("message",)),
+}
+EXIT_USAGE = 7
 
 ENV_MAX_STEPS = "ECMTT_MAX_STEPS"
 
@@ -71,8 +82,15 @@ def _resolve_fuel(flag_value: Optional[int]) -> int:
         raise argparse.ArgumentTypeError(f"{ENV_MAX_STEPS} {exc}") from None
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """argparse's usage error, with an exit code no outcome uses."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ecmtt",
         description="Typechecker and interpreter for a calculus of boxed computations and effect handlers.",
     )
@@ -95,86 +113,76 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_main(path: str, err: TextIO):
-    """Read and parse a source file, returning its main term or an exit code."""
+class Outcome(NamedTuple):
+    """How one run of the path ended.  `text` is the type or value printed
+    on success and the diagnostic otherwise; `kind` is a type error's kind."""
+
+    status: str
+    text: str
+    steps: int = 0
+    kind: Optional[str] = None
+
+    @property
+    def line(self) -> str:
+        """The line that reports the outcome, as the REPL prints it."""
+        prefix = OUTCOMES[self.status][1]
+        return self.text if prefix is None else prefix + self.text
+
+
+class _Failed(Exception):
+    """Ends the path with its argument, an outcome that no library exception
+    stands for."""
+
+
+def _main_term(text: str, name: str) -> Term:
+    main_term = parse_source(text).main
+    if main_term is None:
+        raise _Failed(Outcome("parse-error", f"{name}: parse error: source has no main term"))
+    return main_term
+
+
+def _load(path: str) -> Term:
+    """Read, decode and parse a source file, and return its main term."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_IO_ERROR
+        raise _Failed(Outcome("io-error", str(exc))) from None
+    except UnicodeDecodeError as exc:
+        raise _Failed(Outcome("io-error", f"{path}: {exc}")) from None
+    return _main_term(text, path)
+
+
+def outcome(
+    load: Callable[[], Optional[Term]], max_steps: Optional[int] = None, trace: Optional[TextIO] = None
+) -> Optional[Outcome]:
+    """Load a term, typecheck it and, given a step budget, reduce it.  Each
+    library failure becomes its outcome here.  A load that gives no term (a
+    REPL definition) has no outcome."""
     try:
-        source = parse_source(text)
+        term = load()
+        if term is None:
+            return None
+        ty = infer_term(term)
+        return Outcome("ok", type_text(ty)) if max_steps is None else _reduce(term, max_steps, trace)
+    except _Failed as exc:
+        return exc.args[0]
     except ParseError as exc:
-        print(exc, file=err)
-        return EXIT_PARSE_ERROR
-    if source.main is None:
-        print(f"{path}: parse error: source has no main term", file=err)
-        return EXIT_PARSE_ERROR
-    return source.main
-
-
-def cmd_check(path: str, out: TextIO, err: TextIO) -> int:
-    main_term = _load_main(path, err)
-    if isinstance(main_term, int):
-        return main_term
-    try:
-        ty = infer_term(main_term)
+        return Outcome("parse-error", str(exc))
     except TypeCheckError as exc:
-        print(exc.render(), file=err)
-        return EXIT_TYPE_ERROR
-    print(type_text(ty), file=out)
-    return EXIT_OK
+        return Outcome("type-error", exc.render(), kind=exc.kind)
+    except RecursionError:
+        # The parser, the typechecker and the engine recurse once per level
+        # of the term, so a deep enough input runs out of frames anywhere.
+        limit = sys.getrecursionlimit()
+        return Outcome("depth-limit", f"input nested too deeply: recursion limit of {limit} frames reached")
 
 
-def _finish_run(final, steps: int, as_json: bool, out: TextIO, err: TextIO) -> int:
-    match final:
-        case Value(term):
-            text = pretty(term)
-            if as_json:
-                print(json.dumps({"status": "ok", "value": text, "steps": steps}), file=out)
-            else:
-                print(text, file=out)
-            return EXIT_OK
-        case FuelExhausted(spent):
-            if as_json:
-                print(json.dumps({"status": "fuel-exhausted", "steps": spent}), file=out)
-            print(f"error: fuel exhausted after {spent} steps", file=err)
-            return EXIT_FUEL
-        case Stuck(reason):
-            if as_json:
-                print(json.dumps({"status": "runtime-error", "message": reason}), file=out)
-            print(f"runtime error: {reason}", file=err)
-            return EXIT_RUNTIME
-    print("error: evaluation produced no outcome", file=err)
-    return EXIT_RUNTIME
-
-
-def cmd_run(path: str, max_steps: int, as_json: bool, out: TextIO, err: TextIO) -> int:
-    main_term = _load_main(path, err)
-    if isinstance(main_term, int):
-        return main_term
-    try:
-        infer_term(main_term)
-    except TypeCheckError as exc:
-        print(exc.render(), file=err)
-        return EXIT_TYPE_ERROR
-    trace = evaluate(main_term, max_steps=max_steps)
-    return _finish_run(trace.final, trace.step_count, as_json, out, err)
-
-
-def cmd_trace(path: str, max_steps: int, out: TextIO, err: TextIO) -> int:
-    main_term = _load_main(path, err)
-    if isinstance(main_term, int):
-        return main_term
-    try:
-        infer_term(main_term)
-    except TypeCheckError as exc:
-        print(exc.render(), file=err)
-        return EXIT_TYPE_ERROR
-    # Each step is printed as it is made, so nothing but the current term
-    # is kept, and a long run shows its progress.
-    steps = run(main_term, max_steps)
+def _reduce(term: Term, max_steps: int, trace: Optional[TextIO]) -> Outcome:
+    """Drive `evaluator.run` to its end.  With a `trace` stream, print the
+    initial term before the first step and each step as it is made, so
+    nothing but the current term is kept and a long run shows its progress."""
+    steps = run(term, max_steps, record=trace is not None)
     count = 0
     while True:
         try:
@@ -182,18 +190,35 @@ def cmd_trace(path: str, max_steps: int, out: TextIO, err: TextIO) -> int:
         except StopIteration as stop:
             final = stop.value
             break
-        if count == 0:
-            print(pretty(main_term), file=out)
+        if trace is not None:
+            if count == 0:
+                print(pretty(term), file=trace)
+            print(f"  --[{stepped.rule}]--> {pretty(stepped.term)}", file=trace)
         count += 1
-        print(f"  --[{stepped.rule}]--> {pretty(stepped.term)}", file=out)
-    if isinstance(final, Value):
-        print(pretty(final.term), file=out)
-        return EXIT_OK
-    return _finish_run(final, count, False, out, err)
+    match final:
+        case Value(value):
+            return Outcome("ok", pretty(value), count)
+        case FuelExhausted(spent):
+            return Outcome("fuel-exhausted", f"fuel exhausted after {spent} steps", spent)
+        case Stuck(reason):
+            return Outcome("runtime-error", reason, count)
 
 
-def _depth_message() -> str:
-    return f"input nested too deeply: recursion limit of {sys.getrecursionlimit()} frames reached"
+def _report(result: Outcome, out: TextIO, err: TextIO, as_json: bool = False) -> int:
+    """Print an outcome of `check`, `run` or `trace`, and give its exit code."""
+    code, prefix, fields = OUTCOMES[result.status]
+    if as_json:
+        values = {"value": result.text, "message": result.text, "steps": result.steps}
+        print(json.dumps({"status": result.status, **{f: values[f] for f in fields}}), file=out)
+    elif prefix is None:
+        print(result.text, file=out)
+    if prefix is not None:
+        print(result.line, file=err)
+    return code
+
+
+def cmd_trace(path: str, max_steps: int, out: TextIO, err: TextIO) -> int:
+    return _report(outcome(lambda: _load(path), max_steps, out), out, err)
 
 
 _REPL_BANNER = "ecmtt repl; :t TERM for a type, def NAME = ... to define, :q to quit"
@@ -209,64 +234,54 @@ def cmd_repl(max_steps: int, stdin: TextIO, out: TextIO, err: TextIO) -> int:
         line = stdin.readline()
         if not line:
             print(file=out)
-            return EXIT_OK
+            return 0
         line = line.strip()
         if not line:
             continue
         if line in (":q", ":quit"):
-            return EXIT_OK
-        try:
-            if line.startswith(":t "):
-                term = parse_term(line[len(":t "):], table)
-                print(type_text(infer_term(term)), file=out)
-            elif line.startswith("def "):
-                parse_source(line, table)
-            else:
-                term = parse_term(line, table)
-                infer_term(term)
-                trace = evaluate(term, max_steps=max_steps)
-                match trace.final:
-                    case Value(value_term):
-                        print(pretty(value_term), file=out)
-                    case FuelExhausted(spent):
-                        print(f"error: fuel exhausted after {spent} steps", file=out)
-                    case Stuck(reason):
-                        print(f"runtime error: {reason}", file=out)
-        except ParseError as exc:
-            print(exc, file=out)
-        except TypeCheckError as exc:
-            print(exc.render(), file=out)
-        except RecursionError:
-            print(f"error: {_depth_message()}", file=out)
+            return 0
+        if line.startswith(":t "):
+            result = outcome(lambda: parse_term(line[len(":t "):], table))
+        elif line.startswith("def "):
+            # A definition only extends the table.
+            result = outcome(lambda: parse_source(line, table) and None)
+        else:
+            result = outcome(lambda: parse_term(line, table), max_steps)
+        if result is not None:
+            print(result.line, file=out)
 
 
-def _expectation_text(result: CaseResult) -> str:
-    match result.case.expectation:
+def _judge(case: CorpusCase) -> tuple[str, bool, str]:
+    """A corpus case's expectation as text, whether the case meets it, and
+    the line its outcome prints."""
+    expect = case.expectation
+    budget = DEFAULT_MAX_STEPS if isinstance(expect, EvaluatesTo) else None
+    got = outcome(lambda: _main_term(case.source, case.name), budget)
+    match expect:
         case TypeIs(text):
-            return f"type {text}"
+            return f"type {text}", got.status == "ok" and got.text == text, got.line
         case EvaluatesTo(text):
-            return f"value {text}"
+            return f"value {text}", got.status == "ok" and got.text == text, got.line
         case TypeErrorExpected(kind):
-            return f"type error: {kind}" if kind else "type error"
+            met = got.status == "type-error" and kind in (None, got.kind)
+            return f"type error: {kind}" if kind else "type error", met, got.line
         case ParseErrorExpected():
-            return "parse error"
-    return "?"
+            return "parse error", got.status == "parse-error", got.line
 
 
 def cmd_corpus(out: TextIO) -> int:
-    results = run_corpus()
-    name_w = max(len(r.case.name) for r in results)
-    expect_w = max(len(_expectation_text(r)) for r in results)
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        expect = _expectation_text(r)
-        print(f"{status}  {r.case.name:<{name_w}}  {expect:<{expect_w}}  {r.observed}", file=out)
-    failed = sum(1 for r in results if not r.passed)
+    rows = [(case.name, *_judge(case)) for case in CASES]
+    name_w = max(len(name) for name, *_ in rows)
+    expect_w = max(len(expect) for _, expect, *_ in rows)
+    for name, expect, passed, observed in rows:
+        status = "pass" if passed else "FAIL"
+        print(f"{status}  {name:<{name_w}}  {expect:<{expect_w}}  {observed}", file=out)
+    failed = sum(1 for _, _, passed, _ in rows if not passed)
     if failed:
-        print(f"{failed} of {len(results)} cases failed", file=out)
-        return EXIT_TYPE_ERROR
-    print(f"all {len(results)} cases pass", file=out)
-    return EXIT_OK
+        print(f"{failed} of {len(rows)} cases failed", file=out)
+        return 1
+    print(f"all {len(rows)} cases pass", file=out)
+    return 0
 
 
 def main(
@@ -286,25 +301,17 @@ def main(
             max_steps = _resolve_fuel(getattr(args, "max_steps", None))
         except argparse.ArgumentTypeError as exc:
             arg_parser.error(str(exc))
-    try:
-        match args.command:
-            case "check":
-                return cmd_check(args.file, out, err)
-            case "run":
-                return cmd_run(args.file, max_steps, args.json, out, err)
-            case "trace":
-                return cmd_trace(args.file, max_steps, out, err)
-            case "repl":
-                return cmd_repl(max_steps, stdin, out, err)
-            case "corpus":
-                return cmd_corpus(out)
-    except RecursionError:
-        # The parser, the typechecker and the engine recurse once per level
-        # of the term, so a deep enough input runs out of frames anywhere.
-        if getattr(args, "json", False):
-            print(json.dumps({"status": "depth-limit", "message": _depth_message()}), file=out)
-        print(f"error: {_depth_message()}", file=err)
-        return EXIT_DEPTH
+    match args.command:
+        case "check":
+            return _report(outcome(lambda: _load(args.file)), out, err)
+        case "run":
+            return _report(outcome(lambda: _load(args.file), max_steps), out, err, args.json)
+        case "trace":
+            return cmd_trace(args.file, max_steps, out, err)
+        case "repl":
+            return cmd_repl(max_steps, stdin, out, err)
+        case "corpus":
+            return cmd_corpus(out)
     raise AssertionError(f"unknown command {args.command!r}")
 
 

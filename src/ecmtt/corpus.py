@@ -4,7 +4,9 @@ Each case is a complete source file with a stated expectation: the type its
 main term synthesizes, the value it evaluates to, the kind of type error it
 must be rejected with, or a parse failure.  The cases double as executable
 documentation of the surface language and as a regression surface for the
-checker and the evaluator; `ecmtt corpus` runs them all and prints a table.
+checker and the evaluator.  `ecmtt corpus` (in `cli.py`) runs them all on the
+path `check` and `run` take, compares each outcome with its case's
+expectation, and prints a table.
 
 All sources share one prelude of theories, handlers, and helper functions so
 the cases stay short enough to read at a glance.
@@ -15,22 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .evaluator import FuelExhausted, Stuck, Value, evaluate
-from .parser import ParseError, parse_source
-from .pretty import pretty, type_text
-from .typecheck import TypeCheckError, infer_term
-
 __all__ = [
     "PRELUDE",
     "CASES",
     "CorpusCase",
-    "CaseResult",
     "TypeIs",
     "TypeErrorExpected",
     "EvaluatesTo",
     "ParseErrorExpected",
-    "run_case",
-    "run_corpus",
 ]
 
 
@@ -68,13 +62,6 @@ class CorpusCase:
     name: str
     source: str
     expectation: Expectation
-
-
-@dataclass(frozen=True)
-class CaseResult:
-    case: CorpusCase
-    passed: bool
-    observed: str
 
 
 PRELUDE = """\
@@ -377,50 +364,3 @@ CASES: tuple[CorpusCase, ...] = (
     ),
 )
 
-
-def run_case(case: CorpusCase) -> CaseResult:
-    try:
-        source = parse_source(case.source)
-    except ParseError as exc:
-        return CaseResult(
-            case,
-            isinstance(case.expectation, ParseErrorExpected),
-            str(exc),
-        )
-
-    if source.main is None:
-        return CaseResult(case, False, "source has no main term")
-
-    try:
-        ty = infer_term(source.main)
-    except TypeCheckError as exc:
-        expect = case.expectation
-        passed = isinstance(expect, TypeErrorExpected) and (
-            expect.kind is None or expect.kind == exc.kind
-        )
-        return CaseResult(case, passed, exc.render())
-
-    match case.expectation:
-        case TypeIs(text):
-            observed = type_text(ty)
-            return CaseResult(case, observed == text, observed)
-        case EvaluatesTo(text):
-            trace = evaluate(source.main)
-            match trace.final:
-                case Value(term):
-                    observed = pretty(term)
-                    return CaseResult(case, observed == text, observed)
-                case Stuck(reason):
-                    return CaseResult(case, False, f"stuck: {reason}")
-                case FuelExhausted(steps):
-                    return CaseResult(case, False, f"out of fuel after {steps} steps")
-            return CaseResult(case, False, "evaluation produced no outcome")
-        case TypeErrorExpected():
-            return CaseResult(case, False, f"typechecked: {type_text(ty)}")
-        case ParseErrorExpected():
-            return CaseResult(case, False, f"parsed and typechecked: {type_text(ty)}")
-    return CaseResult(case, False, "unknown expectation")
-
-
-def run_corpus() -> list[CaseResult]:
-    return [run_case(case) for case in CASES]

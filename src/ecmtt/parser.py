@@ -586,11 +586,11 @@ class _Parser:
                 return S.Var(tok.text, span=tok.span)
             case "int":
                 self.advance()
-                return S.IntLit(int(tok.text), span=tok.span)
+                return S.IntLit(S.int_of_text(tok.text), span=tok.span)
             case "-" if self.at("int", 1):
                 self.advance()
                 num = self.advance()
-                return S.IntLit(-int(num.text), span=tok.span)
+                return S.IntLit(-S.int_of_text(num.text), span=tok.span)
             case "true" | "false":
                 self.advance()
                 return S.BoolLit(tok.kind == "true", span=tok.span)

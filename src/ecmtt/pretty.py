@@ -128,7 +128,7 @@ def pretty(t: S.Term, prec: int = 0) -> str:
             # A negative literal reads as an operand of binary minus in
             # argument position, so it gets parens anywhere tighter than a
             # multiplication operand.
-            return _wrap(str(value), 5 if value >= 0 else 3, prec)
+            return _wrap(S.int_text(value), 5 if value >= 0 else 3, prec)
         case S.BoolLit(value):
             return "true" if value else "false"
         case S.UnitLit():

@@ -343,6 +343,31 @@ class IntLit(Expr):
     span: Optional[Span] = field(**_SPAN)
 
 
+# CPython converts at most a few thousand digits between int and str at once
+# (a process-wide limit), so a longer number is split at a power of ten.
+
+
+def int_text(n: int) -> str:
+    """The decimal text of `n`, however many digits it has."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits
+        high, low = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + int_text(high) + int_text(low).zfill(k)
+
+
+def int_of_text(digits: str) -> int:
+    """The value of a string of decimal digits, however long."""
+    try:
+        return int(digits)
+    except ValueError:
+        if len(digits) < 2:
+            raise
+        k = len(digits) // 2
+        return int_of_text(digits[:-k]) * 10**k + int_of_text(digits[-k:])
+
+
 @dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool

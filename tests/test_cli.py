@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -153,16 +154,19 @@ def test_run_flag_wins_over_environment(tmp_path, monkeypatch):
         (["--max-steps", "-1"], None, "--max-steps"),
         ([], "forty", ENV_MAX_STEPS),
         ([], "-3", ENV_MAX_STEPS),
+        (None, None, "the following arguments are required: file"),
     ],
 )
 def test_invalid_step_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, flags, env, named):
+    # Exit code 7, apart from the parse-error code 2 that argparse would use.
+    # `flags` None leaves out the file argument.
     path = tmp_path / "loop.ecmtt"
     path.write_text(LOOP)
     if env is not None:
         monkeypatch.setenv(ENV_MAX_STEPS, env)
     with pytest.raises(SystemExit) as exc:
-        invoke(["run", *flags, str(path)])
-    assert exc.value.code == 2
+        invoke(["run"] if flags is None else ["run", *flags, str(path)])
+    assert exc.value.code == 7
     assert named in capsys.readouterr().err
 
 
@@ -348,3 +352,97 @@ def test_repl_reports_deep_input_and_carries_on():
     assert code == 0
     assert "recursion limit" in out
     assert "ret 7" in out
+
+
+def test_unknown_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        invoke(["frobnicate"])
+    assert exc.value.code == 7
+    assert "invalid choice" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Every outcome of the shared path
+
+
+@pytest.mark.parametrize("command", ["check", "run", "trace"])
+def test_an_undecodable_file_is_an_io_error(tmp_path, command):
+    path = tmp_path / "latin.ecmtt"
+    path.write_bytes(b"\xff\xfe ret 1\n")
+    code, out, err = invoke([command, str(path)])
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and str(path) in err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+JSON_OUTCOMES = [
+    ("ok", 0, PIPELINE, []),
+    ("type-error", 1, "(fn x:int. x) true\n", []),
+    ("parse-error", 2, "ret (1 + 2\n", []),
+    ("fuel-exhausted", 3, LOOP, ["--max-steps", "5"]),
+    ("io-error", 4, None, []),
+    ("runtime-error", 5, "1 / 0\n", []),
+    ("depth-limit", 6, "(" * 1200 + "1" + ")" * 1200 + "\n", []),
+]
+
+
+@pytest.mark.parametrize("status, exit_code, source, flags", JSON_OUTCOMES, ids=[o[0] for o in JSON_OUTCOMES])
+def test_run_json_reports_every_outcome(tmp_path, status, exit_code, source, flags):
+    path = tmp_path / "program.ecmtt"
+    if source is not None:
+        path.write_text(source)
+    code, out, err = invoke(["run", "--json", *flags, str(path)])
+    assert code == exit_code
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["status"] == status
+    if status == "ok":
+        assert set(payload) == {"status", "value", "steps"}
+        assert err == ""
+    elif status == "fuel-exhausted":
+        assert payload == {"status": status, "steps": 5}
+        assert err == "error: fuel exhausted after 5 steps\n"
+    else:
+        # The stderr diagnostic, without its category prefix.
+        assert set(payload) == {"status", "message"}
+        assert err.count("\n") == 1 and err.rstrip("\n").endswith(payload["message"])
+
+
+# ---------------------------------------------------------------------------
+# Integers past CPython's int/str conversion limit
+
+BIG = "7" * 5000
+
+
+def _digits(n: int) -> str:
+    # Decimal text built from small conversions only, independent of ecmtt.
+    chunks = []
+    while n >= 10**100:
+        n, low = divmod(n, 10**100)
+        chunks.append(str(low).zfill(100))
+    return str(n) + "".join(reversed(chunks))
+
+
+def test_a_5000_digit_literal_checks_and_runs(tmp_path):
+    path = tmp_path / "big.ecmtt"
+    path.write_text(f"ret {BIG}\n")
+    assert invoke(["check", str(path)]) == (0, "int\n", "")
+    assert invoke(["run", str(path)]) == (0, f"ret {BIG}\n", "")
+
+
+def test_the_repl_reads_and_prints_a_5000_digit_literal():
+    code, out, _ = invoke(["repl"], f"{BIG} + 1\nret 7\n:q\n")
+    assert code == 0
+    assert f"ecmtt> {BIG[:-1]}8\n" in out
+    assert "ecmtt> ret 7\n" in out
+
+
+def test_a_factorial_past_the_conversion_limit_prints(tmp_path):
+    sample = Path(__file__).resolve().parent.parent / "samples" / "factorial.ecmtt"
+    path = tmp_path / "fact.ecmtt"
+    path.write_text(sample.read_text().replace("fact 3", "fact 1800"))
+    code, out, err = invoke(["run", str(path)])
+    assert (code, err) == (0, "")
+    assert out == _digits(math.factorial(1800)) + "\n"
+    assert len(out) > 5000

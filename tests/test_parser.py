@@ -270,3 +270,17 @@ def test_end_of_input_after_a_trailing_comment_has_its_column():
     with pytest.raises(ParseError) as exc:
         parse_term("ret (1 -- unclosed")
     assert str(exc.value) == "1:19: parse error: expected ')', found 'end of input'"
+
+
+def test_integers_past_the_conversion_limit_parse_and_print():
+    # CPython converts at most 4,300 digits between int and str at once.
+    sevens = 7 * (10**5000 - 1) // 9
+    source = parse_source(f"ret {'7' * 5000}")
+    assert source.main == S.Ret(S.IntLit(sevens))
+    assert parse_term(f"-{'7' * 5000}") == S.IntLit(-sevens)
+    assert pretty(S.IntLit(sevens)) == "7" * 5000
+    assert pretty(S.IntLit(-(10**4300))) == "-1" + "0" * 4300
+    assert pretty(S.IntLit(10**9001 - 1)) == "9" * 9001
+    for n in (sevens, -sevens, 10**4300, 10**4301 - 1, -(10**9000) + 1):
+        assert parse_term(pretty(S.IntLit(n))) == S.IntLit(n)
+    assert S.int_of_text("0" * 4999 + "1") == 1

@@ -241,3 +241,35 @@ def test_mk_append_reads_each_spine_once(monkeypatch):
     calls = 0
     assert subst.mk_append(one, S.Var("ys")) == S.Append(one, S.Var("ys"))
     assert calls == 2
+
+
+def test_value_substitution_renames_a_modal_binder_the_payload_uses():
+    # The payload `eval u` names the modal variable `u` that the `let box`
+    # binds, so the binder is renamed, not the payload captured.
+    term = parse_term("let box u = box {}. ret 1 in x")
+    out = subst_values(term, {"x": parse_term("eval u")})
+    assert out == parse_term("let box u1 = box {}. ret 1 in eval u")
+    assert alpha_equal(out, parse_term("let box w = box {}. ret 1 in eval u"))
+    assert not alpha_equal(out, parse_term("let box u = box {}. ret 1 in eval u"))
+
+
+def test_renaming_a_clause_binder_skips_a_body_another_binder_rebinds():
+    # The clause binds `x` twice, as argument and as state.  Both would
+    # capture the payload's `x`; renaming the argument leaves the body
+    # alone, since the state still binds `x` there.
+    theory = S.make_theory([S.OpDecl("get", S.UNIT, S.INT)])
+    ret = S.RetClause("x", "z", S.Ret(S.Var("x")))
+    get = S.OpClause("get", "x", "k", "x", S.Ret(S.EvalTerm(S.EMPTY_HSEQ, "u")))
+    out = modal_subst(S.Handler(theory, (get,), ret), "u", S.Ret(S.Var("x")))
+    assert out.op_clauses == (S.OpClause("get", "x1", "k", "x2", S.Ret(S.Var("x"))),)
+    by_hand = S.OpClause("get", "a", "k", "b", S.Ret(S.Var("x")))
+    assert alpha_equal(out, S.Handler(theory, (by_hand,), ret))
+    # Where the body uses `x`, it means the state, and follows the state's
+    # new name only.
+    body = S.Ret(S.Arith("+", S.Var("x"), S.EvalTerm(S.EMPTY_HSEQ, "u")))
+    get = S.OpClause("get", "x", "k", "x", body)
+    out = modal_subst(S.Handler(theory, (get,), ret), "u", S.Ret(S.Var("x")))
+    renamed = S.Ret(S.Arith("+", S.Var("x2"), S.Var("x")))
+    assert out.op_clauses == (S.OpClause("get", "x1", "k", "x2", renamed),)
+    by_hand = S.OpClause("get", "a", "k", "b", S.Ret(S.Arith("+", S.Var("b"), S.Var("x"))))
+    assert alpha_equal(out, S.Handler(theory, (by_hand,), ret))
