@@ -3,6 +3,8 @@
 import math
 from pathlib import Path
 
+import pytest
+
 from ecmtt import evaluator, subst
 from ecmtt import syntax as S
 from ecmtt.corpus import PRELUDE
@@ -232,6 +234,15 @@ def test_step_is_one_iteration_of_the_machine():
         current = stepped.term
     assert step(current) is None
 
+
+
+def test_step_raises_on_a_stuck_term():
+    # A stuck term is neither a value (None) nor a step; `run` reports it
+    # as `Stuck`, and `step` raises.
+    term = S.Arith("/", S.IntLit(1), S.IntLit(0))
+    assert evaluate(term).final == Stuck("division-by-zero")
+    with pytest.raises(evaluator._StuckError, match="division-by-zero"):
+        step(term)
 
 def test_rules_name_the_path_to_the_redex():
     outcome = evaluate(parse_term("((1 + 2, 3), if 1 < 2 then 4 else 5)"), record=True)

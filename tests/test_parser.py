@@ -214,6 +214,17 @@ def test_parse_error_carries_position():
     assert "parse error" in msg
 
 
+
+def test_let_without_box_or_fix_expects_box():
+    # `let` opens `let box` and `let fix` alike; the error names `box`, in
+    # either category.
+    with pytest.raises(ParseError) as exc:
+        parse_term("let x = 1 in x")
+    assert str(exc.value) == "1:5: parse error: expected 'box', found 'x'"
+    with pytest.raises(ParseError) as exc:
+        parse_term("box {}. let x = 1 in ret x")
+    assert str(exc.value) == "1:13: parse error: expected 'box', found 'x'"
+
 def test_parse_error_on_unexpected_character():
     with pytest.raises(ParseError):
         parse_term("1 ? 2")

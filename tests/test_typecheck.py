@@ -283,6 +283,35 @@ def test_infer_term_dispatches_on_syntax_class():
     assert type_text(infer_term(parse_term("fn x:int. x"))) == "int -> int"
 
 
+
+_GET = S.OpCall("get", S.UnitLit())
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        # `ret 1` as a function argument
+        S.App(S.Lam("x", S.INT, S.Var("x")), S.Ret(S.IntLit(1))),
+        # `1` as a bind's rest
+        S.BoxTerm(ST, S.Bind(_GET, "x", S.IntLit(1))),
+        # `get()` as a bind's rest
+        S.BoxTerm(ST, S.Bind(_GET, "x", _GET)),
+        # `ret 1` as a bind's statement
+        S.BoxTerm(ST, S.Bind(S.Ret(S.IntLit(1)), "x", S.Ret(S.Var("x")))),
+        # an expression `let box` whose body is `ret 2`
+        S.LetBoxE("u", S.BoxTerm(EMPTY_THEORY, S.Ret(S.IntLit(1))), S.Ret(S.IntLit(2))),
+    ],
+    ids=["ret-as-argument", "expr-as-rest", "stmt-as-rest", "comp-as-stmt", "comp-as-letbox-body"],
+)
+def test_a_term_of_the_wrong_category_is_rejected(term):
+    # The parser never builds these, but a term built by hand can; the
+    # checker rejects an expression where a computation belongs and the
+    # reverse, as well as either where a statement belongs.
+    with pytest.raises(TypeCheckError) as exc:
+        infer_term(term)
+    assert exc.value.kind == "argument-mismatch"
+
+
 def _shadowed_chain(pairs: int, last: S.Comp) -> S.Comp:
     """`x <- get(); x <- set(x + 1);` repeated, then `last`."""
     comp = last
