@@ -158,7 +158,7 @@ def outcome(
 ) -> Optional[Outcome]:
     """Load a term, typecheck it and, given a step budget, reduce it.  Each
     library failure becomes its outcome here.  A load that gives no term (a
-    REPL definition) has no outcome."""
+    REPL line of definitions only) has no outcome."""
     try:
         term = load()
         if term is None:
@@ -243,8 +243,8 @@ def cmd_repl(max_steps: int, stdin: TextIO, out: TextIO, err: TextIO) -> int:
         if line.startswith(":t "):
             result = outcome(lambda: parse_term(line[len(":t "):], table))
         elif line.startswith("def "):
-            # A definition only extends the table.
-            result = outcome(lambda: parse_source(line, table) and None)
+            # Definitions extend the table; a term after them is run.
+            result = outcome(lambda: parse_source(line, table).main, max_steps)
         else:
             result = outcome(lambda: parse_term(line, table), max_steps)
         if result is not None:

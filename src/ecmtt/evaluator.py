@@ -57,8 +57,7 @@ class Stuck:
 
 
 class _StuckError(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+    """No rule applies; the message says why."""
 
 
 # The congruence positions: for each node class, the children evaluated
@@ -133,13 +132,9 @@ def _contract(t: S.Term) -> tuple[S.Term, str]:
             if isinstance(cond, S.BoolLit):
                 return (a, "if-true") if cond.value else (b, "if-false")
             raise _StuckError("conditional on a non-boolean")
-        case S.Proj1(a):
+        case S.Proj1(a) | S.Proj2(a):
             if isinstance(a, S.Pair):
-                return a.left, "proj-fst"
-            raise _StuckError("projection from a non-pair")
-        case S.Proj2(a):
-            if isinstance(a, S.Pair):
-                return a.right, "proj-snd"
+                return (a.left, "proj-fst") if isinstance(t, S.Proj1) else (a.right, "proj-snd")
             raise _StuckError("projection from a non-pair")
         case S.Append(l, r):
             folded = subst.mk_append(l, r, span=t.span)
@@ -196,47 +191,6 @@ def _recorded(frames: list[_Frame], contractum: S.Term, rule: str) -> Stepped:
     return Stepped(term, ":".join(labels))
 
 
-def _machine(
-    t: S.Term, max_steps: int, record: bool
-) -> Generator[Optional[Stepped], None, Union[Value, FuelExhausted]]:
-    """Yield once per contraction (the step itself only when `record`) and
-    return the outcome.  The budget is checked before each contraction.
-    Raises _StuckError, or the engine's errors, when a contraction fails."""
-    frames: list[_Frame] = []
-    focus = t
-    start = 0  # the first of the focus's positions not yet known to hold a value
-    count = 0
-    while True:
-        # Refocus: down to the leftmost non-value child, up while the
-        # focus is a value.
-        positions = _CONGRUENCE.get(type(focus), ())
-        i = start
-        while i < len(positions) and is_value(getattr(focus, positions[i][0])):
-            i += 1
-        if i < len(positions):
-            frames.append((focus, i))
-            focus, start = getattr(focus, positions[i][0]), 0
-            continue
-        if type(focus) in _VALUE_FORMS:
-            if not frames:
-                return Value(focus)
-            parent, j = frames.pop()
-            focus, start = _plug(parent, j, focus), j + 1
-            continue
-        if count >= max_steps:
-            return FuelExhausted(count)
-        contractum, rule = _contract(focus)
-        count += 1
-        yield _recorded(frames, contractum, rule) if record else None
-        focus, start = contractum, 0
-
-
-def step(t: S.Term) -> Optional[Stepped]:
-    """One step, or None when `t` is a value: one iteration of the machine
-    from an empty context.  Raises _StuckError when no rule applies."""
-    return next(_machine(t, 1, record=True), None)
-
-
 @dataclass(frozen=True)
 class FuelExhausted:
     steps: int
@@ -267,21 +221,53 @@ def run(
     The budget is checked before each step, so no step beyond `max_steps`
     is computed: a term that is not a value once the budget is spent ends
     in `FuelExhausted`, even one that would have got stuck."""
-    machine = _machine(t, max_steps, record)
+    frames: list[_Frame] = []
+    focus = t
+    start = 0  # the first of the focus's positions not yet known to hold a value
     count = 0
     while True:
+        # Refocus: down to the leftmost non-value child, up while the
+        # focus is a value.
+        positions = _CONGRUENCE.get(type(focus), ())
+        i = start
+        while i < len(positions) and is_value(getattr(focus, positions[i][0])):
+            i += 1
+        if i < len(positions):
+            frames.append((focus, i))
+            focus, start = getattr(focus, positions[i][0]), 0
+            continue
+        if type(focus) in _VALUE_FORMS:
+            if not frames:
+                return Value(focus)
+            parent, j = frames.pop()
+            focus, start = _plug(parent, j, focus), j + 1
+            continue
+        if count >= max_steps:
+            return FuelExhausted(count)
         try:
-            stepped = next(machine)
-        except StopIteration as stop:
-            return stop.value
-        except _StuckError as e:
-            return Stuck(e.reason)
-        except subst.SubstitutionError as e:
+            contractum, rule = _contract(focus)
+        except (_StuckError, subst.SubstitutionError) as e:
             return Stuck(str(e))
         except subst.OutOfFuel:
             return FuelExhausted(count)
         count += 1
-        yield stepped
+        yield _recorded(frames, contractum, rule) if record else None
+        focus, start = contractum, 0
+
+
+def step(t: S.Term) -> Optional[Stepped]:
+    """One step, or None when `t` is a value: `run` with a budget of one
+    step.  Raises _StuckError when no rule applies, and the engine's
+    OutOfFuel when its own budget runs out within the step."""
+    try:
+        return next(run(t, 1))
+    except StopIteration as stop:
+        match stop.value:
+            case Stuck(reason):
+                raise _StuckError(reason) from None
+            case FuelExhausted():
+                raise subst.OutOfFuel() from None
+        return None
 
 
 def evaluate(t: S.Term, max_steps: int = DEFAULT_MAX_STEPS, record: bool = False) -> Trace:

@@ -386,25 +386,9 @@ class _Parser:
             case "ret":
                 self.advance()
                 return S.Ret(self.parse_expr(), span=tok.span)
-            case "let":
-                if self.at("fix", 1):
-                    return self.parse_fix(expr=False)
-                self.advance()
-                self.expect("box")
-                uvar = self.expect("ident").text
-                self.expect("=")
-                bound = self.parse_expr()
-                self.expect("in")
-                body = self.parse_comp()
-                return S.LetBoxC(uvar, bound, body, span=tok.span)
-            case "if":
-                self.advance()
-                cond = self.parse_expr()
-                self.expect("then")
-                then = self.parse_comp()
-                self.expect("else")
-                els = self.parse_comp()
-                return S.IfC(cond, then, els, span=tok.span)
+            case "let" | "if":
+                cls, fields, span = self.parse_twin(self.parse_comp, S.LetBoxC, S.FixC, S.IfC)
+                return cls(*fields, self.parse_comp(), span=span)
             case "(":
                 self.advance()
                 body = self.parse_comp()
@@ -440,9 +424,30 @@ class _Parser:
                     f"expected a computation, found {tok.text or 'end of input'!r}", tok.span
                 )
 
-    def parse_fix(self, expr: bool) -> Union[S.FixE, S.FixC]:
-        tok = self.expect("let")
-        self.expect("fix")
+    def parse_twin(
+        self, branch: Callable[[], S.Term], let_box: type, fix: type, if_: type
+    ) -> tuple[type, tuple, Span]:
+        """`let box`, `let fix` or `if`, the forms that exist in both
+        categories, up to their last part: the class, the fields before that
+        part, and the span.  `branch` parses a branch in the category of the
+        whole, and the three classes are that category's.  The caller parses
+        the last part itself, so a chain of these forms (`else if`, `in let
+        box`) takes one Python frame per form."""
+        tok = self.advance()
+        if tok.kind == "if":
+            cond = self.parse_expr()
+            self.expect("then")
+            then = branch()
+            self.expect("else")
+            return if_, (cond, then), tok.span
+        if not self.at("fix"):
+            self.expect("box")
+            uvar = self.expect("ident").text
+            self.expect("=")
+            bound = self.parse_expr()
+            self.expect("in")
+            return let_box, (uvar, bound), tok.span
+        self.advance()
         fname = self.expect("ident").text
         self.expect("(")
         param = self.expect("ident").text
@@ -457,11 +462,7 @@ class _Parser:
         self.expect("=")
         rec_body = self.parse_comp()
         self.expect("in")
-        if expr:
-            scope: S.Term = self.parse_expr()
-            return S.FixE(fname, param, annot, theory, ret_type, rec_body, scope, span=tok.span)
-        scope = self.parse_comp()
-        return S.FixC(fname, param, annot, theory, ret_type, rec_body, scope, span=tok.span)
+        return fix, (fname, param, annot, theory, ret_type, rec_body), tok.span
 
     # -- expressions
 
@@ -493,27 +494,9 @@ class _Parser:
                 self.expect(".")
                 body = self.parse_comp()
                 expr = S.BoxTerm(theory, body, span=tok.span)
-            case "let" if self.at("fix", 1):
-                fix = self.parse_fix(expr=True)
-                assert isinstance(fix, S.FixE)
-                expr = fix
-            case "let":
-                self.advance()
-                self.expect("box")
-                uvar = self.expect("ident").text
-                self.expect("=")
-                bound = self.parse_expr()
-                self.expect("in")
-                body = self.parse_expr()
-                expr = S.LetBoxE(uvar, bound, body, span=tok.span)
-            case "if":
-                self.advance()
-                cond = self.parse_expr()
-                self.expect("then")
-                then = self.parse_expr()
-                self.expect("else")
-                els = self.parse_expr()
-                expr = S.IfE(cond, then, els, span=tok.span)
+            case "let" | "if":
+                cls, fields, span = self.parse_twin(self.parse_expr, S.LetBoxE, S.FixE, S.IfE)
+                expr = cls(*fields, self.parse_expr(), span=span)
             case _:
                 expr = self.parse_cmp()
         self._exprs[start] = (expr, self.pos)
@@ -553,12 +536,10 @@ class _Parser:
 
     def parse_application(self) -> S.Expr:
         tok = self.peek()
-        if tok.kind == "fst":
+        if tok.kind in ("fst", "snd"):
             self.advance()
-            return S.Proj1(self.parse_atom(), span=tok.span)
-        if tok.kind == "snd":
-            self.advance()
-            return S.Proj2(self.parse_atom(), span=tok.span)
+            proj = S.Proj1 if tok.kind == "fst" else S.Proj2
+            return proj(self.parse_atom(), span=tok.span)
         if tok.kind == "eval":
             self.advance()
             hseq = S.EMPTY_HSEQ
@@ -721,9 +702,7 @@ def parse_handler(text: str, table: Optional[DefTable] = None) -> S.Handler:
 
 def parse_term(text: str, table: Optional[DefTable] = None) -> S.Term:
     parser = _Parser(tokenize(text), table)
-    term = parser.parse_term()
-    parser.expect("eof", "end of input")
-    return parser._resolve(term)
+    return parser._resolve(_finish(parser, parser.parse_term()))
 
 
 def parse_source(text: str, table: Optional[DefTable] = None) -> SourceFile:

@@ -154,10 +154,9 @@ def pretty(t: S.Term, prec: int = 0) -> str:
             return _wrap(f"eval {seq}{uvar}", 4, prec)
         case S.FixE() | S.FixC():
             return _wrap(_fix_text(t), 0, prec)
-        case S.Proj1(arg):
-            return _wrap(f"fst {pretty(arg, 5)}", 4, prec)
-        case S.Proj2(arg):
-            return _wrap(f"snd {pretty(arg, 5)}", 4, prec)
+        case S.Proj1(arg) | S.Proj2(arg):
+            word = "fst" if isinstance(t, S.Proj1) else "snd"
+            return _wrap(f"{word} {pretty(arg, 5)}", 4, prec)
         case S.Append(left, right):
             return _wrap(f"{pretty(left, 2)} ++ {pretty(right, 3)}", 2, prec)
         case S.Arith(op, left, right):

@@ -2,6 +2,8 @@
 
 Expressions synthesize a type from the modal context alone; computations and
 statements also consult an effect context of operations and continuations.
+Expressions and computations are typed by one walk, `infer`, where an effect
+context of None marks an expression position.
 Handlers are checked against the value type and state type of the computation
 they receive, synthesizing their answer type from the return clause.  A
 handling sequence is checked right to left: each clause's prefix must produce
@@ -30,6 +32,7 @@ __all__ = [
     "ERROR_KINDS",
     "TypeCheckError",
     "HandlerSig",
+    "infer",
     "infer_expr",
     "infer_comp",
     "infer_stmt",
@@ -191,58 +194,74 @@ def _join(t1: Type, t2: Type, span: Optional[Span], message: str = "conditional 
 
 
 # ---------------------------------------------------------------------------
-# Expressions
+# Expressions, computations and statements
 
 
-def infer_expr(delta: ModalContext, e: S.Expr) -> Type:
-    match e:
+def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Type:
+    """The type of an expression when `gamma` is None, and otherwise of a
+    computation over the effect context `gamma`; a term of another category
+    is rejected.  `let box`, `let fix` and `if` exist in both categories and
+    are one case each, whose last part stays in the category of the whole."""
+    if not isinstance(t, S.Expr if gamma is None else S.Comp):
+        what = "expression" if gamma is None else "computation"
+        raise TypeCheckError("argument-mismatch", f"unrecognized {what} {t!r}")
+    match t:
         case S.Var(name):
             bind = delta.lookup_value(name)
             if bind is None:
-                raise TypeCheckError("unbound-variable", f"value variable {name}", span=e.span)
+                raise TypeCheckError("unbound-variable", f"value variable {name}", span=t.span)
             return bind.type
 
+        case S.Ret(value):
+            return infer(delta, None, value)
+
+        case S.Bind(stmt, var, rest):
+            ta = infer_stmt(delta, gamma, stmt)
+            return infer(delta.with_value(var, ta), gamma, rest)
+
         case S.Lam(param, annot, body):
-            return S.ArrowT(annot, infer_expr(delta.with_value(param, annot), body))
+            return S.ArrowT(annot, infer(delta.with_value(param, annot), None, body))
 
         case S.App(fn, arg):
-            tf = infer_expr(delta, fn)
+            tf = infer(delta, None, fn)
             if isinstance(tf, S.BottomT):
-                infer_expr(delta, arg)
+                infer(delta, None, arg)
                 return S.BOTTOM
             if not isinstance(tf, S.ArrowT):
                 raise TypeCheckError(
-                    "not-a-function", span=e.span, expected="a function type", found=tf
+                    "not-a-function", span=t.span, expected="a function type", found=tf
                 )
-            ta = infer_expr(delta, arg)
-            _require(ta, tf.dom, e.span, message="function argument")
+            ta = infer(delta, None, arg)
+            _require(ta, tf.dom, t.span, message="function argument")
             return tf.cod
 
         case S.BoxTerm(theory, body):
-            return S.BoxT(theory, infer_comp(delta, theory, body))
+            return S.BoxT(theory, infer(delta, theory, body))
 
-        case S.LetBoxE(uvar, bound, body):
-            tb = infer_expr(delta, bound)
+        case S.LetBoxE(uvar, bound, body) | S.LetBoxC(uvar, bound, body):
+            tb = infer(delta, None, bound)
             if isinstance(tb, S.BottomT):
                 return S.BOTTOM
             if not isinstance(tb, S.BoxT):
                 raise TypeCheckError(
-                    "not-a-box", span=e.span, expected="a boxed computation", found=tb
+                    "not-a-box", span=t.span, expected="a boxed computation", found=tb
                 )
-            return infer_expr(delta.with_modal(uvar, tb.body, tb.theory), body)
+            return infer(delta.with_modal(uvar, tb.body, tb.theory), gamma, body)
 
         case S.EvalTerm(hseq, uvar):
             bind = delta.lookup_modal(uvar)
             if bind is None:
-                raise TypeCheckError("unbound-variable", f"modal variable {uvar}", span=e.span)
-            return infer_hseq(delta, EMPTY_THEORY, hseq, bind.type, bind.theory, span=e.span)
+                raise TypeCheckError("unbound-variable", f"modal variable {uvar}", span=t.span)
+            return infer_hseq(delta, EMPTY_THEORY, hseq, bind.type, bind.theory, span=t.span)
 
-        case S.FixE(fname, param, annot, theory, ret_type, rec_body, scope):
+        case S.FixE(fname, param, annot, theory, ret_type, rec_body, scope) | S.FixC(
+            fname, param, annot, theory, ret_type, rec_body, scope
+        ):
             ftype = S.ArrowT(annot, S.BoxT(theory, ret_type))
             inner = delta.with_value(fname, ftype).with_value(param, annot)
-            got = infer_comp(inner, theory, rec_body)
-            _require(got, ret_type, e.span, message="recursive body")
-            return infer_expr(delta.with_value(fname, ftype), scope)
+            got = infer(inner, theory, rec_body)
+            _require(got, ret_type, t.span, message="recursive body")
+            return infer(delta.with_value(fname, ftype), gamma, scope)
 
         case S.IntLit():
             return S.INT
@@ -252,112 +271,71 @@ def infer_expr(delta: ModalContext, e: S.Expr) -> Type:
             return S.UNIT
 
         case S.Pair(left, right):
-            return S.ProdT(infer_expr(delta, left), infer_expr(delta, right))
+            return S.ProdT(infer(delta, None, left), infer(delta, None, right))
 
-        case S.Proj1(arg):
-            tp = infer_expr(delta, arg)
+        case S.Proj1(arg) | S.Proj2(arg):
+            tp = infer(delta, None, arg)
             if isinstance(tp, S.BottomT):
                 return S.BOTTOM
             if not isinstance(tp, S.ProdT):
                 raise TypeCheckError(
-                    "argument-mismatch", span=e.span, expected="a pair type", found=tp
+                    "argument-mismatch", span=t.span, expected="a pair type", found=tp
                 )
-            return tp.left
-
-        case S.Proj2(arg):
-            tp = infer_expr(delta, arg)
-            if isinstance(tp, S.BottomT):
-                return S.BOTTOM
-            if not isinstance(tp, S.ProdT):
-                raise TypeCheckError(
-                    "argument-mismatch", span=e.span, expected="a pair type", found=tp
-                )
-            return tp.right
+            return tp.left if isinstance(t, S.Proj1) else tp.right
 
         case S.Nil(elem):
             if elem is None:
                 raise TypeCheckError(
                     "argument-mismatch",
                     "cannot infer an element type for []",
-                    span=e.span,
+                    span=t.span,
                 )
             return S.ListT(elem)
 
         case S.ConsE(head, tail):
-            th = infer_expr(delta, head)
+            th = infer(delta, None, head)
             if isinstance(tail, S.Nil) and tail.elem is None:
                 return S.ListT(th)
-            tt = infer_expr(delta, tail)
+            tt = infer(delta, None, tail)
             if not isinstance(tt, (S.ListT, S.BottomT)):
                 raise TypeCheckError(
-                    "argument-mismatch", span=e.span, expected="a list type", found=tt
+                    "argument-mismatch", span=t.span, expected="a list type", found=tt
                 )
-            return _join(S.ListT(th), tt, e.span, message="list tail")
+            return _join(S.ListT(th), tt, t.span, message="list tail")
 
         case S.Append(left, right):
-            tl = infer_expr(delta, left)
-            tr = infer_expr(delta, right)
+            tl = infer(delta, None, left)
+            tr = infer(delta, None, right)
             for side in (tl, tr):
                 if not isinstance(side, (S.ListT, S.BottomT)):
                     raise TypeCheckError(
-                        "argument-mismatch", span=e.span, expected="a list type", found=side
+                        "argument-mismatch", span=t.span, expected="a list type", found=side
                     )
-            return _join(tl, tr, e.span, message="append operand")
+            return _join(tl, tr, t.span, message="append operand")
 
         case S.Arith(_, left, right):
-            _require(infer_expr(delta, left), S.INT, e.span, message="arithmetic operand")
-            _require(infer_expr(delta, right), S.INT, e.span, message="arithmetic operand")
+            _require(infer(delta, None, left), S.INT, t.span, message="arithmetic operand")
+            _require(infer(delta, None, right), S.INT, t.span, message="arithmetic operand")
             return S.INT
 
         case S.Cmp(_, left, right):
-            _require(infer_expr(delta, left), S.INT, e.span, message="comparison operand")
-            _require(infer_expr(delta, right), S.INT, e.span, message="comparison operand")
+            _require(infer(delta, None, left), S.INT, t.span, message="comparison operand")
+            _require(infer(delta, None, right), S.INT, t.span, message="comparison operand")
             return S.BOOL
 
-        case S.IfE(cond, then, els):
-            _require(infer_expr(delta, cond), S.BOOL, e.span, message="condition")
-            return _join(infer_expr(delta, then), infer_expr(delta, els), e.span)
+        case S.IfE(cond, then, els) | S.IfC(cond, then, els):
+            _require(infer(delta, None, cond), S.BOOL, t.span, message="condition")
+            return _join(infer(delta, gamma, then), infer(delta, gamma, els), t.span)
 
-    raise TypeCheckError("argument-mismatch", f"unrecognized expression {e!r}")
+    raise TypeCheckError("argument-mismatch", f"unrecognized term {t!r}")
 
 
-# ---------------------------------------------------------------------------
-# Computations and statements
+def infer_expr(delta: ModalContext, e: S.Expr) -> Type:
+    return infer(delta, None, e)
 
 
 def infer_comp(delta: ModalContext, gamma: EffectContext, c: S.Comp) -> Type:
-    match c:
-        case S.Ret(value):
-            return infer_expr(delta, value)
-
-        case S.Bind(stmt, var, rest):
-            ta = infer_stmt(delta, gamma, stmt)
-            return infer_comp(delta.with_value(var, ta), gamma, rest)
-
-        case S.LetBoxC(uvar, bound, body):
-            tb = infer_expr(delta, bound)
-            if isinstance(tb, S.BottomT):
-                return S.BOTTOM
-            if not isinstance(tb, S.BoxT):
-                raise TypeCheckError(
-                    "not-a-box", span=c.span, expected="a boxed computation", found=tb
-                )
-            return infer_comp(delta.with_modal(uvar, tb.body, tb.theory), gamma, body)
-
-        case S.FixC(fname, param, annot, theory, ret_type, rec_body, scope):
-            ftype = S.ArrowT(annot, S.BoxT(theory, ret_type))
-            inner = delta.with_value(fname, ftype).with_value(param, annot)
-            got = infer_comp(inner, theory, rec_body)
-            _require(got, ret_type, c.span, message="recursive body")
-            return infer_comp(delta.with_value(fname, ftype), gamma, scope)
-
-        case S.IfC(cond, then, els):
-            _require(infer_expr(delta, cond), S.BOOL, c.span, message="condition")
-            return _join(
-                infer_comp(delta, gamma, then), infer_comp(delta, gamma, els), c.span
-            )
-
-    raise TypeCheckError("argument-mismatch", f"unrecognized computation {c!r}")
+    return infer(delta, gamma, c)
 
 
 def infer_stmt(delta: ModalContext, gamma: EffectContext, s: S.Stmt) -> Type:
@@ -366,7 +344,7 @@ def infer_stmt(delta: ModalContext, gamma: EffectContext, s: S.Stmt) -> Type:
             decl = gamma.lookup_op(op)
             if decl is None:
                 raise TypeCheckError("op-not-in-context", f"operation {op}", span=s.span)
-            ta = infer_expr(delta, arg)
+            ta = infer(delta, None, arg)
             _require(ta, decl.in_type, s.span, message=f"argument of {op}")
             return decl.out_type
 
@@ -376,9 +354,9 @@ def infer_stmt(delta: ModalContext, gamma: EffectContext, s: S.Stmt) -> Type:
                 raise TypeCheckError(
                     "unbound-variable", f"continuation variable {kname}", span=s.span
                 )
-            ta = infer_expr(delta, arg)
+            ta = infer(delta, None, arg)
             _require(ta, decl.in_type, s.span, message=f"argument of {kname}")
-            ts = infer_expr(delta, state)
+            ts = infer(delta, None, state)
             _require(
                 ts,
                 decl.state_type,
@@ -393,7 +371,7 @@ def infer_stmt(delta: ModalContext, gamma: EffectContext, s: S.Stmt) -> Type:
             if bind is None:
                 raise TypeCheckError("unbound-variable", f"modal variable {uvar}", span=s.span)
             mid = infer_hseq(delta, handler.theory, hseq, bind.type, bind.theory, span=s.span)
-            ts = infer_expr(delta, init)
+            ts = infer(delta, None, init)
             sig = check_handler(delta, gamma, handler, mid, ts)
             return sig.out_type
 
@@ -440,7 +418,7 @@ def check_handler(
         )
 
     rc = h.ret_clause
-    out_type = infer_comp(
+    out_type = infer(
         delta.with_value(rc.x, in_type).with_value(rc.z, state_type), gamma, rc.body
     )
 
@@ -454,7 +432,7 @@ def check_handler(
         extended = gamma.with_cont(
             S.ContDecl(clause.k, decl.out_type, state_type, out_type)
         )
-        got = infer_comp(inner, extended, clause.body)
+        got = infer(inner, extended, clause.body)
         out_type = _join(
             out_type, got, clause.body.span, message=f"clause for {clause.op}"
         )
@@ -492,9 +470,9 @@ def infer_hseq(
     last = theta.clauses[-1]
     prefix = S.HSeq(theta.clauses[:-1])
     mid = infer_hseq(delta, last.handler.theory, prefix, in_type, source_theory, span=span)
-    ts = infer_expr(delta, last.init)
+    ts = infer(delta, None, last.init)
     sig = check_handler(delta, ambient, last.handler, mid, ts)
-    return infer_comp(delta.with_value(last.var, sig.out_type), ambient, last.body)
+    return infer(delta.with_value(last.var, sig.out_type), ambient, last.body)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +487,9 @@ def infer_term(term: S.Term) -> Type:
     they perform must be handled internally.
     """
     if isinstance(term, S.Expr):
-        return infer_expr(S.EMPTY_MODAL, term)
+        return infer(S.EMPTY_MODAL, None, term)
     if isinstance(term, S.Comp):
-        return infer_comp(S.EMPTY_MODAL, EMPTY_THEORY, term)
+        return infer(S.EMPTY_MODAL, EMPTY_THEORY, term)
     if isinstance(term, S.Stmt):
         return infer_stmt(S.EMPTY_MODAL, EMPTY_THEORY, term)
     raise ValueError(f"cannot type a {type(term).__name__} at top level")

@@ -279,6 +279,13 @@ def test_repl_definitions_persist():
     assert "ret (0, 1)" in out
 
 
+
+def test_repl_runs_a_term_after_a_definition_on_one_line():
+    code, out, _ = invoke(["repl"], "def one = 1 ret one + 5\none\n:q\n")
+    assert code == 0
+    assert "ecmtt> ret 6\n" in out
+    assert "ecmtt> 1\n" in out
+
 def test_repl_recovers_from_errors():
     session = "fn x. x\nbox {}. get()\nret 7\n:q\n"
     code, out, _ = invoke(["repl"], session)
