@@ -251,3 +251,48 @@ def test_rules_name_the_path_to_the_redex():
         "cong-pair-r:cong-if",
         "cong-pair-r:if-true",
     ]
+
+
+_TRIVIAL = S.Handler(S.EMPTY_THEORY, (), S.RetClause("x", "z", S.Ret(S.Var("x"))))
+_K_CALL = S.ContCall("k", S.IntLit(1), S.IntLit(2))
+
+
+def _bound(stmt: S.Stmt) -> S.Comp:
+    return S.Bind(stmt, "x", S.Ret(S.Var("x")))
+
+
+def _handled(u: str) -> S.Comp:
+    return _bound(S.Handle(u, S.EMPTY_HSEQ, _TRIVIAL, S.UnitLit()))
+
+
+@pytest.mark.parametrize(
+    "term, reason",
+    [
+        (S.Var("x"), "unbound variable x"),
+        (S.IfE(S.IntLit(1), S.IntLit(2), S.IntLit(3)), "conditional on a non-boolean"),
+        (S.Proj1(S.IntLit(1)), "projection from a non-pair"),
+        (S.Append(S.IntLit(1), S.Nil()), "append of non-list values"),
+        (S.Arith("+", S.BoolLit(True), S.IntLit(1)), "arithmetic on non-integers"),
+        (S.Cmp("<", S.BoolLit(True), S.IntLit(1)), "comparison of non-integers"),
+        (S.EvalTerm(S.EMPTY_HSEQ, "u"), "eval of an unresolved box variable"),
+        (_bound(S.OpCall("get", S.UnitLit())), "unhandled operation get at top level"),
+        (_bound(_K_CALL), "unapplied continuation k at top level"),
+        (_handled("u"), "handle of an unresolved box variable"),
+        (S.OpCall("get", S.UnitLit()), "no rule applies"),
+        (
+            S.LetBoxE("u", S.BoxTerm(S.EMPTY_THEORY, _bound(_K_CALL)), S.EvalTerm(S.EMPTY_HSEQ, "u")),
+            "continuation 'k' escapes evaluation",
+        ),
+        (
+            S.LetBoxC("u", S.BoxTerm(S.EMPTY_THEORY, _bound(_K_CALL)), _handled("u")),
+            "continuation call in a handled computation",
+        ),
+    ],
+)
+def test_ill_formed_closed_terms_get_stuck_with_their_reason(term, reason):
+    assert evaluate(term).final == Stuck(reason)
+
+
+def test_eval_of_boxed_let_fix_strips_it_to_an_expression():
+    term = parse_term("let box u = box {}. let fix f(n:int):[{}]int = ret n in ret 5 in eval u")
+    assert evaluate(term).final == Value(S.IntLit(5))

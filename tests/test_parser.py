@@ -295,3 +295,73 @@ def test_integers_past_the_conversion_limit_parse_and_print():
     for n in (sevens, -sevens, 10**4300, 10**4301 - 1, -(10**9000) + 1):
         assert parse_term(pretty(S.IntLit(n))) == S.IntLit(n)
     assert S.int_of_text("0" * 4999 + "1") == 1
+
+
+# Error texts and productions no other test reaches, pinned exactly.
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_source, "def T = {a:int=>int, a:int=>int}", "1:22: parse error: duplicate operation 'a' in theory"),
+        (
+            parse_handler,
+            "handler for {} { return(x;z) -> ret x, return(x;z) -> ret x }",
+            "1:40: parse error: a handler has exactly one return clause",
+        ),
+        (
+            parse_handler,
+            "handler for {a:unit=>int} { a(x;k;z) -> ret x, a(x;k;z) -> ret x }",
+            "1:48: parse error: duplicate clause for operation 'a'",
+        ),
+        (
+            parse_handler,
+            "handler for {a:unit=>int} { a(x;k;z) -> ret x }",
+            "1:47: parse error: a handler needs a return clause",
+        ),
+        (
+            parse_handler,
+            "handler for {} { 1 }",
+            "1:18: parse error: expected an operation clause or return clause, found '1'",
+        ),
+        (parse_term, "box Nope. ret 1", "1:5: parse error: unknown theory name 'Nope'"),
+        (
+            parse_source,
+            "def x = box {}. (y <- handle u with nope init (); ret y)",
+            "1:37: parse error: unknown handler name 'nope'",
+        ),
+        (parse_term, "fn x:. x", "1:6: parse error: expected a type, found '.'"),
+        (
+            parse_source,
+            "def x = ret 1",
+            "1:5: parse error: definition 'x' must be an expression, a theory, or a handler",
+        ),
+        (parse_term, "box {}. (x <- ; ret 1)", "1:15: parse error: expected a statement, found ';'"),
+    ],
+)
+def test_rare_parse_errors_keep_their_texts(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_a_named_base_type_is_its_own_type():
+    from ecmtt.typecheck import infer_term
+
+    assert type_text(infer_term(parse_term("fn x:A. x"))) == "A -> A"
+
+
+def test_eval_with_a_two_clause_sequence():
+    h = "handler for {} { return(x;z) -> ret x }"
+    text = f"let box u = box {{}}. ret 1 in eval [{h} init () as y. ret y; {h} init () as w. ret (w, w)] u"
+    term = parse_term(text)
+    assert isinstance(term, S.LetBoxE)
+    assert isinstance(term.body, S.EvalTerm)
+    assert [c.var for c in term.body.hseq.clauses] == ["y", "w"]
+    assert parse_term(pretty(term)) == term
+
+
+def test_a_statement_without_a_binder_binds_a_fresh_name():
+    term = parse_term("a(); ret 1")
+    assert term == S.Bind(S.OpCall("a", S.UnitLit()), "_", S.Ret(S.IntLit(1)))
+    assert pretty(term) == "_ <- a(); ret 1"

@@ -343,3 +343,45 @@ def test_a_binding_links_to_the_context_it_extends():
     assert ctx.lookup_modal("u").theory is ST
     assert ctx.lookup_value("u") is None and ctx.lookup_modal("x") is None
     assert len(ctx.entries) == 2001 and ctx.entries[0].name == "u"
+
+
+@pytest.mark.parametrize("text", ["fn b:bot. b 1", "fn b:bot. let box u = b in eval u", "fn b:bot. fst b"])
+def test_bottom_eliminates_into_any_form(text):
+    assert type_text(infer_term(parse_term(text))) == "bot -> bot"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "1:1: argument-mismatch: cannot infer an element type for []"),
+        ("fst 1", "1:1: argument-mismatch: expected a pair type, found int"),
+        ("[1] ++ 2", "1:5: argument-mismatch: expected a list type, found int"),
+        ("eval u", "1:1: unbound-variable: modal variable u"),
+        (
+            "if true then box {a:unit=>int}. ret 1 else box {}. ret 1",
+            "1:1: argument-mismatch: expected [ {a:unit=>int} ] int, found [ {} ] int"
+            " (conditional branches disagree)",
+        ),
+    ],
+)
+def test_rare_type_errors_keep_their_texts(text, message):
+    with pytest.raises(TypeCheckError) as exc:
+        infer_term(parse_term(text))
+    assert str(exc.value) == message
+
+
+def test_a_cons_onto_a_non_list_is_rejected():
+    with pytest.raises(TypeCheckError) as exc:
+        infer_term(S.ConsE(S.IntLit(1), S.IntLit(2)))
+    assert str(exc.value) == "argument-mismatch: expected a list type, found int"
+
+
+def test_a_bare_operation_call_is_not_in_context():
+    with pytest.raises(TypeCheckError) as exc:
+        infer_term(S.OpCall("get", S.UnitLit()))
+    assert exc.value.kind == "op-not-in-context"
+
+
+def test_a_handler_is_not_a_term():
+    with pytest.raises(ValueError, match="cannot type a Handler at top level"):
+        infer_term(HANDLER_ST)
