@@ -169,10 +169,7 @@ def _contract(t: S.Term) -> tuple[S.Term, str]:
 
 def _plug(parent: S.Term, i: int, child: S.Term) -> S.Term:
     """`parent` with `child` at its i-th congruence position."""
-    name = _CONGRUENCE[type(parent)][i][0]
-    if getattr(parent, name) is child:
-        return parent
-    return dataclasses.replace(parent, **{name: child})
+    return dataclasses.replace(parent, **{_CONGRUENCE[type(parent)][i][0]: child})
 
 
 def _recorded(frames: list[_Frame], contractum: S.Term, rule: str) -> Stepped:

@@ -42,25 +42,18 @@ class Token(NamedTuple):
         return Span(self.line, self.col, len(self.text))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str
-    message: str
-    span: Optional[Span] = None
-
-    def __str__(self) -> str:
-        where = f"{self.span}: " if self.span else ""
-        return f"{where}{self.severity}: {self.message}"
-
-
 class ParseError(Exception):
-    def __init__(self, diagnostics: list[Diagnostic]):
-        self.diagnostics = diagnostics
-        super().__init__("; ".join(str(d) for d in diagnostics))
+    """The first error in the input: its message, and where it was found.
+    Prints as `LINE:COL: parse error: MESSAGE`."""
+
+    def __init__(self, message: str, span: Optional[Span] = None):
+        self.message = message
+        self.span = span
+        super().__init__(f"{span}: parse error: {message}" if span else f"parse error: {message}")
 
 
 def _err(message: str, span: Optional[Span]) -> ParseError:
-    return ParseError([Diagnostic("parse error", message, span)])
+    return ParseError(message, span)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -236,7 +229,7 @@ class _Parser:
     # -- theories and handlers
 
     def parse_theory_literal(self) -> S.EffectContext:
-        open_tok = self.expect("{")
+        self.expect("{")
         ops: list[S.OpDecl] = []
         if not self.at("}"):
             while True:
@@ -253,19 +246,24 @@ class _Parser:
                     continue
                 break
         self.expect("}")
-        try:
-            return S.make_theory(ops)
-        except ValueError as e:
-            raise _err(str(e), open_tok.span)
+        return S.make_theory(ops)
+
+    def _ref(self, start: str, literal: Callable[[], _T], what: str, named: dict[str, _T]) -> _T:
+        """A theory or a handler: a literal, read by `literal` when the next
+        token is `start`, or the name of a definition in `named`."""
+        if self.at(start):
+            return literal()
+        tok = self.expect("ident", f"a {what}")
+        value = named.get(tok.text)
+        if value is None:
+            raise _err(f"unknown {what} name {tok.text!r}", tok.span)
+        return value
 
     def parse_theory_ref(self) -> S.EffectContext:
-        if self.at("{"):
-            return self.parse_theory_literal()
-        tok = self.expect("ident", "a theory")
-        theory = self.table.theories.get(tok.text)
-        if theory is None:
-            raise _err(f"unknown theory name {tok.text!r}", tok.span)
-        return theory
+        return self._ref("{", self.parse_theory_literal, "theory", self.table.theories)
+
+    def parse_handler_ref(self) -> S.Handler:
+        return self._ref("handler", self.parse_handler_literal, "handler", self.table.handlers)
 
     def parse_handler_literal(self) -> S.Handler:
         start = self.expect("handler")
@@ -275,38 +273,30 @@ class _Parser:
         op_clauses: list[S.OpClause] = []
         ret_clause: Optional[S.RetClause] = None
         while True:
+            # `return(x; z) -> c` or `op(x; k; z) -> c`
             tok = self.peek()
-            if tok.kind == "return":
-                self.advance()
-                self.expect("(")
-                x = self.expect("ident").text
-                self.expect(";")
-                z = self.expect("ident").text
-                self.expect(")")
-                self.expect("->")
-                body = self.parse_comp()
-                if ret_clause is not None:
-                    raise _err("a handler has exactly one return clause", tok.span)
-                ret_clause = S.RetClause(x, z, body)
-            elif tok.kind == "ident":
-                self.advance()
-                self.expect("(")
-                x = self.expect("ident").text
-                self.expect(";")
-                k = self.expect("ident").text
-                self.expect(";")
-                z = self.expect("ident").text
-                self.expect(")")
-                self.expect("->")
-                body = self.parse_comp()
-                if any(c.op == tok.text for c in op_clauses):
-                    raise _err(f"duplicate clause for operation {tok.text!r}", tok.span)
-                op_clauses.append(S.OpClause(tok.text, x, k, z, body))
-            else:
+            if tok.kind not in ("return", "ident"):
                 raise _err(
                     f"expected an operation clause or return clause, found {tok.text!r}",
                     tok.span,
                 )
+            self.advance()
+            self.expect("(")
+            names = [self.expect("ident").text]
+            while len(names) < (2 if tok.kind == "return" else 3):
+                self.expect(";")
+                names.append(self.expect("ident").text)
+            self.expect(")")
+            self.expect("->")
+            body = self.parse_comp()
+            if tok.kind == "return":
+                if ret_clause is not None:
+                    raise _err("a handler has exactly one return clause", tok.span)
+                ret_clause = S.RetClause(*names, body)
+            else:
+                if any(c.op == tok.text for c in op_clauses):
+                    raise _err(f"duplicate clause for operation {tok.text!r}", tok.span)
+                op_clauses.append(S.OpClause(tok.text, *names, body))
             if self.at(","):
                 self.advance()
                 continue
@@ -315,15 +305,6 @@ class _Parser:
         if ret_clause is None:
             raise _err("a handler needs a return clause", close.span)
         return S.Handler(theory, tuple(op_clauses), ret_clause, span=start.span)
-
-    def parse_handler_ref(self) -> S.Handler:
-        if self.at("handler"):
-            return self.parse_handler_literal()
-        tok = self.expect("ident", "a handler")
-        handler = self.table.handlers.get(tok.text)
-        if handler is None:
-            raise _err(f"unknown handler name {tok.text!r}", tok.span)
-        return handler
 
     def parse_hseq_clauses(self) -> S.HSeq:
         clauses: list[S.HClause] = []

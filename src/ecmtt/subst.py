@@ -100,16 +100,16 @@ def mk_cmp(op: str, left: S.Expr, right: S.Expr, span: Optional[Span] = None) ->
     return S.Cmp(op, left, right, span=span)
 
 
+def _value_pair(arg: S.Expr) -> bool:
+    return isinstance(arg, S.Pair) and is_pure_value(arg.left) and is_pure_value(arg.right)
+
+
 def mk_proj1(arg: S.Expr, span: Optional[Span] = None) -> S.Expr:
-    if isinstance(arg, S.Pair) and is_pure_value(arg.left) and is_pure_value(arg.right):
-        return arg.left
-    return S.Proj1(arg, span=span)
+    return arg.left if _value_pair(arg) else S.Proj1(arg, span=span)
 
 
 def mk_proj2(arg: S.Expr, span: Optional[Span] = None) -> S.Expr:
-    if isinstance(arg, S.Pair) and is_pure_value(arg.left) and is_pure_value(arg.right):
-        return arg.right
-    return S.Proj2(arg, span=span)
+    return arg.right if _value_pair(arg) else S.Proj2(arg, span=span)
 
 
 def mk_append(left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
@@ -122,16 +122,11 @@ def mk_append(left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Exp
     return result
 
 
-def mk_if_e(cond: S.Expr, then: S.Expr, els: S.Expr, span: Optional[Span] = None) -> S.Expr:
+def mk_if(cond: S.Expr, then: S.Term, els: S.Term, span: Optional[Span] = None) -> S.Term:
+    """A conditional, an expression or a computation as `then` is."""
     if isinstance(cond, S.BoolLit):
         return then if cond.value else els
-    return S.IfE(cond, then, els, span=span)
-
-
-def mk_if_c(cond: S.Expr, then: S.Comp, els: S.Comp, span: Optional[Span] = None) -> S.Comp:
-    if isinstance(cond, S.BoolLit):
-        return then if cond.value else els
-    return S.IfC(cond, then, els, span=span)
+    return (S.IfC if isinstance(then, S.Comp) else S.IfE)(cond, then, els, span=span)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +143,18 @@ _BUILD.update(
         S.Append: mk_append,
         S.Arith: mk_arith,
         S.Cmp: mk_cmp,
-        S.IfE: mk_if_e,
-        S.IfC: mk_if_c,
+        S.IfE: mk_if,
+        S.IfC: mk_if,
     }
 )
 
-# The child of a bind, `let box` or `let fix` computation that its result
-# comes from.
-_TAIL = {S.Bind: "rest", S.LetBoxC: "body", S.FixC: "scope"}
+# The children of each computation but `ret` that its result comes from,
+# its tails, by name and by position in `Row.fields`.
+_TAILS = {S.Bind: ("rest",), S.LetBoxC: ("body",), S.FixC: ("scope",), S.IfC: ("then", "els")}
+_TAIL_AT = {cls: tuple(map(SCHEMA[cls].fields.index, tails)) for cls, tails in _TAILS.items()}
+
+# The expression form of each computation that `eval_meta` strips down.
+_EXPR_TWIN = {S.LetBoxC: S.LetBoxE, S.FixC: S.FixE, S.IfC: S.IfE}
 
 
 def _field_values(t: S.Term, row: S.Row) -> list:
@@ -413,30 +412,20 @@ class _Engine:
                 self._freshen_binder(row, args, f, ns, scope, getattr(avoid or danger, ns))
         return args
 
-    def _tail(self, c: S.Comp, danger: S.FreeVars, avoid: Optional[S.FreeVars] = None) -> tuple[list, int]:
-        """The field values of a bind, `let box` or `let fix` computation,
-        freshened for a walk into its tail, and the tail's position."""
-        tail = _TAIL[type(c)]
-        return self._freshen(c, (tail,), danger, avoid), SCHEMA[type(c)].fields.index(tail)
-
     # -- monadic substitution: plug a continuation in for a computation's result
 
     def subst_monadic(self, c: S.Comp, x: str, cont: S.Comp) -> S.Comp:
         """Replace each `ret e` leaf of `c` with `cont[e/x]`."""
         self.tick()
-        match c:
-            case S.Ret(e):
-                return self.subst(cont, {x: e})
-            case S.IfC(cond, a, b):
-                return mk_if_c(
-                    cond, self.subst_monadic(a, x, cont), self.subst_monadic(b, x, cont), span=c.span
-                )
+        if type(c) is S.Ret:
+            return self.subst(cont, {x: c.value})
         cfv = free_vars(cont)
         danger = S.FreeVars(cfv.values - {x}, cfv.modals, cfv.ops, cfv.conts)
         avoid = S.FreeVars(cfv.values | {x}, cfv.modals, cfv.ops, cfv.conts)
-        args, i = self._tail(c, danger, avoid)
-        args[i] = self.subst_monadic(args[i], x, cont)
-        return type(c)(*args)
+        args = self._freshen(c, _TAILS[type(c)], danger, avoid)
+        for i in _TAIL_AT[type(c)]:
+            args[i] = self.subst_monadic(args[i], x, cont)
+        return _BUILD[type(c)](*args)
 
     # -- continuation substitution
 
@@ -499,13 +488,10 @@ class _Engine:
                     S.Ret(S.Var(xf)),
                     span=c.span,
                 )
-            case S.IfC(cond, a, b):
-                return mk_if_c(
-                    cond, self.handle_with(a, h, state), self.handle_with(b, h, state), span=c.span
-                )
-        args, i = self._tail(c, free_vars(h) | free_vars(state))
-        args[i] = self.handle_with(args[i], h, state)
-        return type(c)(*args)
+        args = self._freshen(c, _TAILS[type(c)], free_vars(h) | free_vars(state))
+        for i in _TAIL_AT[type(c)]:
+            args[i] = self.handle_with(args[i], h, state)
+        return _BUILD[type(c)](*args)
 
     def handle_seq(self, c: S.Comp, theta: S.HSeq) -> S.Comp:
         if not theta.clauses:
@@ -546,7 +532,8 @@ class _Engine:
     def eval_meta(self, c: S.Comp) -> S.Expr:
         """Strip a computation with no effects left into an expression: a
         returned value is the value itself, and a handle at the head folds
-        into an eval with the handling attached to the sequence."""
+        into an eval with the handling attached to the sequence.  A `let
+        box`, `let fix` or `if` becomes its expression twin."""
         self.tick()
         match c:
             case S.Ret(e):
@@ -558,14 +545,10 @@ class _Engine:
                 raise SubstitutionError(f"operation {op!r} escapes evaluation")
             case S.Bind(S.ContCall(kn, _, _), _, _):
                 raise SubstitutionError(f"continuation {kn!r} escapes evaluation")
-            case S.LetBoxC(u, e, b):
-                return S.LetBoxE(u, e, self.eval_meta(b), span=c.span)
-            case S.FixC(f, p, a, th, r, rec, sc):
-                return S.FixE(f, p, a, th, r, rec, self.eval_meta(sc), span=c.span)
-            case S.IfC(cond, a, b):
-                return mk_if_e(cond, self.eval_meta(a), self.eval_meta(b), span=c.span)
-            case _:
-                raise AssertionError(f"eval_meta: unhandled computation {c!r}")
+        args = _field_values(c, SCHEMA[type(c)])
+        for i in _TAIL_AT[type(c)]:
+            args[i] = self.eval_meta(args[i])
+        return _BUILD[_EXPR_TWIN[type(c)]](*args)
 
 
 # ---------------------------------------------------------------------------

@@ -252,25 +252,25 @@ EMPTY_MODAL = ModalContext()
 # Terms
 
 
-class Expr:
+class _Node:
+    """A term of any category; it prints as surface syntax."""
+
     def __str__(self) -> str:
         from .pretty import pretty
 
         return pretty(self)
 
 
-class Comp:
-    def __str__(self) -> str:
-        from .pretty import pretty
-
-        return pretty(self)
+class Expr(_Node):
+    pass
 
 
-class Stmt:
-    def __str__(self) -> str:
-        from .pretty import pretty
+class Comp(_Node):
+    pass
 
-        return pretty(self)
+
+class Stmt(_Node):
+    pass
 
 
 _SPAN = dict(default=None, compare=False, repr=False)
@@ -522,7 +522,7 @@ class RetClause:
 
 
 @dataclass(frozen=True)
-class Handler:
+class Handler(_Node):
     theory: EffectContext
     op_clauses: tuple[OpClause, ...]
     ret_clause: RetClause
@@ -537,11 +537,6 @@ class Handler:
                 return clause
         return None
 
-    def __str__(self) -> str:
-        from .pretty import pretty
-
-        return pretty(self)
-
 
 @dataclass(frozen=True)
 class HClause:
@@ -552,13 +547,8 @@ class HClause:
 
 
 @dataclass(frozen=True)
-class HSeq:
+class HSeq(_Node):
     clauses: tuple[HClause, ...] = ()
-
-    def __str__(self) -> str:
-        from .pretty import pretty
-
-        return pretty(self)
 
 
 @dataclass(frozen=True)

@@ -103,9 +103,6 @@ class TypeCheckError(Exception):
             parts.append(f": {self.message}")
         return "".join(parts)
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 @dataclass(frozen=True)
 class HandlerSig:

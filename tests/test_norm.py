@@ -18,7 +18,7 @@ from ecmtt import syntax as S
 from ecmtt.evaluator import evaluate
 from ecmtt.parser import parse_term
 from ecmtt.pretty import pretty
-from ecmtt.subst import mk_append, mk_arith, mk_cmp, mk_if_c, mk_if_e, mk_proj1, mk_proj2
+from ecmtt.subst import mk_append, mk_arith, mk_cmp, mk_if, mk_proj1, mk_proj2
 
 from generators import corpus_mains, gen_program, gen_roundtrip_term
 
@@ -59,9 +59,9 @@ def reference_norm(t: S.Term) -> S.Term:
         case S.Cmp(op, l, r):
             return mk_cmp(op, n(l), n(r), span=t.span)
         case S.IfE(c, a, b):
-            return mk_if_e(n(c), n(a), n(b), span=t.span)
+            return mk_if(n(c), n(a), n(b), span=t.span)
         case S.IfC(c, a, b):
-            return mk_if_c(n(c), n(a), n(b), span=t.span)
+            return mk_if(n(c), n(a), n(b), span=t.span)
         case S.Ret(e):
             return S.Ret(n(e), span=t.span)
         case S.Bind(st, x, rest):

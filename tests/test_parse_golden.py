@@ -74,9 +74,9 @@ def _digest(text: str, base: DefTable) -> str:
     return h.hexdigest()
 
 
-def _prelude_defs() -> list[tuple[str, str, DefTable]]:
+def _prelude_defs() -> tuple[list[tuple[str, str, DefTable]], DefTable]:
     """(name, text, table of the definitions before it) for each prelude
-    definition, and the table of the whole prelude last as `(None, '', table)`."""
+    definition, and the table of the whole prelude."""
     chunks: list[str] = []
     for line in PRELUDE.splitlines(keepends=True):
         if line.startswith("def ") or not chunks:
@@ -89,16 +89,14 @@ def _prelude_defs() -> list[tuple[str, str, DefTable]]:
         name = chunk.split()[1]
         out.append((name, chunk, _copy(table)))
         parse_source(chunk, table)
-    out.append((None, "", table))
-    return out
+    return out, table
 
 
 def _sources():
     """(key, text, table in scope) for every pinned source."""
     for path in sorted((ROOT / "samples").glob("*.ecmtt")):
         yield f"sample/{path.stem}", path.read_text(encoding="utf-8"), DefTable()
-    defs = _prelude_defs()
-    prelude = defs.pop()[2]
+    defs, prelude = _prelude_defs()
     for name, text, table in defs:
         yield f"prelude/{name}", text, table
     for case in CASES:

@@ -13,6 +13,7 @@ from ecmtt.parser import (
 )
 from ecmtt.pretty import pretty, type_text
 from ecmtt.syntax import alpha_equal, type_equal
+from ecmtt.typecheck import infer_term
 
 
 def roundtrip(text: str) -> S.Term:
@@ -346,8 +347,6 @@ def test_rare_parse_errors_keep_their_texts(parse, text, message):
 
 
 def test_a_named_base_type_is_its_own_type():
-    from ecmtt.typecheck import infer_term
-
     assert type_text(infer_term(parse_term("fn x:A. x"))) == "A -> A"
 
 

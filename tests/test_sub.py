@@ -22,7 +22,7 @@ from ecmtt import syntax as S
 from ecmtt.evaluator import Value, evaluate
 from ecmtt.parser import parse_source, parse_term
 from ecmtt.pretty import pretty
-from ecmtt.subst import mk_append, mk_arith, mk_cmp, mk_if_c, mk_if_e, mk_proj1, mk_proj2
+from ecmtt.subst import mk_append, mk_arith, mk_cmp, mk_if, mk_proj1, mk_proj2
 from ecmtt.syntax import bound_names, free_vars, fresh_name
 from ecmtt.typecheck import TypeCheckError, infer_term
 
@@ -125,9 +125,9 @@ def reference_sub(eng, t, m, names=None):
         case S.Cmp(op, l, r):
             return mk_cmp(op, s(l), s(r), span=t.span)
         case S.IfE(c, a, b):
-            return mk_if_e(s(c), s(a), s(b), span=t.span)
+            return mk_if(s(c), s(a), s(b), span=t.span)
         case S.IfC(c, a, b):
-            return mk_if_c(s(c), s(a), s(b), span=t.span)
+            return mk_if(s(c), s(a), s(b), span=t.span)
         case S.Ret(e):
             return S.Ret(s(e), span=t.span)
         case S.Bind(st, x, rest):
