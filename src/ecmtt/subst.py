@@ -26,10 +26,23 @@ box variable, and the operations on computations.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Optional
 
 from . import syntax as S
-from .syntax import CONTS, MODALS, OPS, SCHEMA, VALUES, Span, bound_names, free_vars, fresh_name
+from .syntax import (
+    CONTS,
+    MODALS,
+    OPS,
+    SCHEMA,
+    VALUES,
+    Span,
+    binder_mask,
+    free_vars,
+    fresh_name,
+    name_bit,
+    name_mask,
+)
 
 DEFAULT_FUEL = 1_000_000
 
@@ -157,8 +170,17 @@ _TAIL_AT = {cls: tuple(map(SCHEMA[cls].fields.index, tails)) for cls, tails in _
 _EXPR_TWIN = {S.LetBoxC: S.LetBoxE, S.FixC: S.FixE, S.IfC: S.IfE}
 
 
+def _reader(fields: tuple[str, ...]) -> Callable[[S.Term], tuple]:
+    get = attrgetter(*fields)
+    return get if len(fields) > 1 else lambda t: (get(t),)
+
+
+# Each class's field values in `Row.fields` order, read in one call.
+_READ = {cls: _reader(row.fields) for cls, row in SCHEMA.items()}
+
+
 def _field_values(t: S.Term, row: S.Row) -> list:
-    return [getattr(t, f) for f in row.fields]
+    return list(_READ[row.cls](t))
 
 
 def _unshadowed(t: S.Term, row: S.Row, ns: str, name: str) -> tuple[str, ...]:
@@ -245,26 +267,25 @@ class _Engine:
         return self.sub(t, m) if m else t
 
     @staticmethod
-    def _names(m: dict[str, S.Expr]) -> set[str]:
-        """Every name a mapping can clash with: its keys and the free value,
-        modal and continuation names of its payloads."""
-        names = set(m)
+    def _names(m: dict[str, S.Expr]) -> int:
+        """Every name a mapping can clash with, as a mask (`name_mask`): its
+        keys and the free value, modal and continuation names of its
+        payloads."""
+        names = name_mask(m)
         for v in m.values():
             fv = free_vars(v)
-            names |= fv.values
-            names |= fv.modals
-            names |= fv.conts
+            if fv is not S.NO_FREE_VARS:
+                names |= name_mask(fv.values) | name_mask(fv.modals) | name_mask(fv.conts)
         return names
 
     def _value_binder(
-        self, b: str, m: dict[str, S.Expr], names: set[str], bodies: tuple[S.Term, ...]
-    ) -> tuple[str, dict[str, S.Expr], set[str]]:
-        """Adjust a mapping for descent under a value binder, renaming the
-        binder through the mapping itself when a payload would capture it.
-        The names returned hold the new mapping's names, and may hold more:
-        a name too many only means a subterm is walked, not skipped."""
-        if b not in names:
-            return b, m, names
+        self, b: str, m: dict[str, S.Expr], names: int, bodies: tuple[S.Term, ...]
+    ) -> tuple[str, dict[str, S.Expr], int]:
+        """Adjust a mapping for descent under a value binder in `names`,
+        renaming the binder through the mapping itself when a payload would
+        capture it.  The names returned hold the new mapping's names, and
+        may hold more: a name too many only means a subterm is walked, not
+        skipped."""
         m2 = {k: v for k, v in m.items() if k != b}
         if not m2:
             return b, m2, names
@@ -276,27 +297,31 @@ class _Engine:
                 avoid |= free_vars(body).values
             b2 = fresh_name(b, avoid)
             m2[b] = S.Var(b2)
-            return b2, m2, names | {b2}
+            return b2, m2, names | name_bit(b2)
         return b, m2, names
 
     def _sub_binders(
-        self, row: S.Row, args: list, m: dict[str, S.Expr], names: set[str]
-    ) -> dict[str, tuple[dict[str, S.Expr], set[str]]]:
+        self, row: S.Row, args: list, m: dict[str, S.Expr], names: int
+    ) -> dict[str, tuple[dict[str, S.Expr], int]]:
         """The mapping, with its names, that each child under a binder is
-        substituted with.  A value binder is handled by `_value_binder`; a
-        modal or continuation binder that a payload would capture is renamed
-        in the children it scopes over.  New binder names and renamed
-        children are written into `args`, the node's field values."""
+        substituted with, for the children where it is not `m`.  A binder
+        outside `names` changes nothing.  A value binder is handled by
+        `_value_binder`; a modal or continuation binder that a payload would
+        capture is renamed in the children it scopes over.  New binder names
+        and renamed children are written into `args`, the node's field
+        values."""
         index = row.fields.index
-        inner: dict[str, tuple[dict[str, S.Expr], set[str]]] = {}
+        inner: dict[str, tuple[dict[str, S.Expr], int]] = {}
         for f, ns, scope in row.binds:
             if ns == OPS:
                 continue
+            i = index(f)
+            b = args[i]
             m2, n2 = inner.get(scope[0], (m, names))
-            b = args[index(f)]
+            if not name_bit(b) & n2:
+                continue
             if ns == VALUES:
-                b2, m2, n2 = self._value_binder(b, m2, n2, tuple(args[index(c)] for c in scope))
-                args[index(f)] = b2
+                args[i], m2, n2 = self._value_binder(b, m2, n2, tuple(args[index(c)] for c in scope))
             elif m2 and any(b in getattr(free_vars(v), ns) for v in m2.values()):
                 avoid: set[str] = set()
                 for v in m2.values():
@@ -306,10 +331,10 @@ class _Engine:
                 inner[c] = (m2, n2)
         return inner
 
-    def sub(self, t: S.Term, m: dict[str, S.Expr], names: Optional[set[str]] = None) -> S.Term:
+    def sub(self, t: S.Term, m: dict[str, S.Expr], names: Optional[int] = None) -> S.Term:
         """Substitute normalized payloads for the free value variables of
-        `t` (`m` is not empty; `names` holds at least `_names(m)`, and is
-        computed here when not given).
+        `t` (`m` is not empty; the mask `names` holds at least `_names(m)`,
+        and is computed here when not given).
 
         A subterm with no mapped free name that binds none of `names` is
         returned as `norm(t)` without a walk: there the walk would rename no
@@ -321,7 +346,7 @@ class _Engine:
         are here, not in a wrapper, so deep terms take one frame per level."""
         if names is None:
             names = self._names(m)
-        if free_vars(t).values.isdisjoint(m) and bound_names(t).isdisjoint(names):
+        if free_vars(t).values.isdisjoint(m) and not binder_mask(t) & names:
             return self.norm(t)
         self.tick()
         cls = type(t)
@@ -456,42 +481,107 @@ class _Engine:
 
     # -- handling
 
+    @staticmethod
+    def _tail_path(t: S.Comp, k: str) -> Optional[list[tuple[type, int]]]:
+        """The way down to the one call of `k` in `t`, when that call is
+        `v <- k(e1; e2); ret v` and each step goes into the only tail of a
+        node (see `_TAILS`) where `k` is free: each step as the node's class
+        and the tail's position in its field values.  None when `k` is not
+        called, called in a non-tail position, or called in two branches."""
+        path = []
+        while True:
+            cls = type(t)
+            if cls is S.Bind and type(t.stmt) is S.ContCall and t.stmt.kname == k:
+                v = t.rest.value if type(t.rest) is S.Ret else None
+                return path if type(v) is S.Var and v.name == t.var else None
+            at = _TAIL_AT.get(cls)
+            if at is None:
+                return None
+            args = _field_values(t, SCHEMA[cls])
+            hot = [i for i, _, _ in SCHEMA[cls].kids if k in free_vars(args[i]).conts]
+            if len(hot) != 1 or hot[0] not in at:
+                return None
+            path.append((cls, hot[0]))
+            t = args[hot[0]]
+
     def handle_with(self, c: S.Comp, h: S.Handler, state: S.Expr) -> S.Comp:
-        """Run handler h over computation c with the given state expression."""
-        self.tick()
-        match c:
-            case S.Ret(e):
-                r = h.ret_clause
-                return self.subst(r.body, {r.x: e, r.z: state})
-            case S.Bind(S.OpCall(op, arg), _, _):
-                clause = h.clause_for(op)
-                if clause is None:
-                    raise SubstitutionError(f"no clause handles operation {op!r}")
-                outside = free_vars(h) | free_vars(state)
-                _, yv, rest, _ = self._freshen(c, ("rest",), outside)
-                z2 = fresh_name("z", free_vars(rest).values | outside.values | {yv})
-                plugged = self.subst(clause.body, {clause.x: arg, clause.z: state})
-                resumed = self.handle_with(rest, h, S.Var(z2))
-                return self.subst_cont(plugged, clause.k, yv, z2, resumed)
-            case S.Bind(S.ContCall(), _, _):
-                raise SubstitutionError("continuation call in a handled computation")
-            case S.Bind(S.Handle(u2, theta2, h2, e2), yv, rest):
-                # A handle under a handler: the inner handling becomes one
-                # more stage of the sequence, and this handler takes over as
-                # the outermost one.
-                clause = S.HClause(h2, e2, yv, rest)
-                hseq = S.HSeq(theta2.clauses + (clause,))
-                xf = "x"
-                return S.Bind(
-                    S.Handle(u2, hseq, h, state, span=c.span),
-                    xf,
-                    S.Ret(S.Var(xf)),
-                    span=c.span,
-                )
-        args = self._freshen(c, _TAILS[type(c)], free_vars(h) | free_vars(state))
-        for i in _TAIL_AT[type(c)]:
-            args[i] = self.handle_with(args[i], h, state)
-        return _BUILD[type(c)](*args)
+        """Run handler h over computation c with the given state expression.
+
+        An operation whose plugged clause calls its `k` once, as `v <-
+        k(e1; e2); ret v` in tail position (`_tail_path`), is handled in
+        place: the clause's statements around the call are kept as holes,
+        and the loop goes on with `rest[y := e1]` under the state `e2`, so a
+        concrete state stays a value.  The binders around the call are first
+        renamed away from the free names of `rest` and `h`, which end up
+        under them.  Any other clause handles `rest` under a fresh state
+        variable and substitutes the continuation for `k` with `subst_cont`.
+        A `let box` or `let fix` is a hole too, so handling takes a frame
+        per `if` and per clause that is not tail-resumptive, not per
+        operation; the holes are filled, innermost first, at the end."""
+        holes: list[tuple[type, list, int]] = []
+        while True:
+            self.tick()
+            match c:
+                case S.Ret(e):
+                    r = h.ret_clause
+                    out = self.subst(r.body, {r.x: e, r.z: state})
+                    break
+                case S.Bind(S.OpCall(op, arg), _, _):
+                    clause = h.clause_for(op)
+                    if clause is None:
+                        raise SubstitutionError(f"no clause handles operation {op!r}")
+                    outside = free_vars(h) | free_vars(state)
+                    _, yv, rest, _ = self._freshen(c, ("rest",), outside)
+                    plugged = self.subst(clause.body, {clause.x: arg, clause.z: state})
+                    path = self._tail_path(plugged, clause.k)
+                    if path is None:
+                        z2 = fresh_name("z", free_vars(rest).values | outside.values | {yv})
+                        resumed = self.handle_with(rest, h, S.Var(z2))
+                        out = self.subst_cont(plugged, clause.k, yv, z2, resumed)
+                        break
+                    if path:
+                        rfv = free_vars(rest)
+                        danger = free_vars(h) | S.FreeVars(rfv.values - {yv}, rfv.modals, rfv.ops, rfv.conts)
+                        avoid = S.FreeVars(danger.values | {yv}, danger.modals, danger.ops, danger.conts)
+                        for cls, i in path:
+                            args = self._freshen(plugged, (SCHEMA[cls].fields[i],), danger, avoid)
+                            holes.append((cls, args, i))
+                            plugged = args[i]
+                    call = plugged.stmt
+                    c = self.subst(rest, {yv: call.arg})
+                    state = call.state
+                    continue
+                case S.Bind(S.ContCall(), _, _):
+                    raise SubstitutionError("continuation call in a handled computation")
+                case S.Bind(S.Handle(u2, theta2, h2, e2), yv, rest):
+                    # A handle under a handler: the inner handling becomes one
+                    # more stage of the sequence, and this handler takes over as
+                    # the outermost one.
+                    clause = S.HClause(h2, e2, yv, rest)
+                    hseq = S.HSeq(theta2.clauses + (clause,))
+                    xf = "x"
+                    out = S.Bind(
+                        S.Handle(u2, hseq, h, state, span=c.span),
+                        xf,
+                        S.Ret(S.Var(xf)),
+                        span=c.span,
+                    )
+                    break
+            cls = type(c)
+            args = self._freshen(c, _TAILS[cls], free_vars(h) | free_vars(state))
+            at = _TAIL_AT[cls]
+            if len(at) == 1:
+                holes.append((cls, args, at[0]))
+                c = args[at[0]]
+                continue
+            for i in at:
+                args[i] = self.handle_with(args[i], h, state)
+            out = _BUILD[cls](*args)
+            break
+        for cls, args, i in reversed(holes):
+            args[i] = out
+            out = _BUILD[cls](*args)
+        return out
 
     def handle_seq(self, c: S.Comp, theta: S.HSeq) -> S.Comp:
         if not theta.clauses:

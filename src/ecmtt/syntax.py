@@ -695,31 +695,23 @@ def _join(a: FreeVars, b: FreeVars) -> FreeVars:
     return FreeVars(av | bv, am | bm, ao | bo, ak | bk)
 
 
-def _minus(fv: FreeVars, bound: FreeVars) -> FreeVars:
-    """`fv` less the names a binder binds; `fv` itself when none is free."""
-    if (
-        fv.values.isdisjoint(bound.values)
-        and fv.modals.isdisjoint(bound.modals)
-        and fv.ops.isdisjoint(bound.ops)
-        and fv.conts.isdisjoint(bound.conts)
-    ):
-        return fv
-    out = FreeVars(
-        fv.values - bound.values,
-        fv.modals - bound.modals,
-        fv.ops - bound.ops,
-        fv.conts - bound.conts,
-    )
-    return NO_FREE_VARS if out == NO_FREE_VARS else out
-
-
-def _bound_by(term: Term, binders: Iterable[tuple[str, str]]) -> FreeVars:
-    """The names the given (field, namespace) binders of `term` bind."""
-    bound = NO_FREE_VARS
+def _unbound(fv: FreeVars, term: Term, binders: Iterable[tuple[str, str]]) -> FreeVars:
+    """`fv` less the names the given (field, namespace) binders of `term`
+    bind; `fv` itself when none of them is free."""
+    sets = None
     for f, ns in binders:
         v = getattr(term, f)
-        bound = _join(bound, _named(ns, v.op_names() if ns == OPS else (v,)))
-    return bound
+        names = v.op_names() if ns == OPS else (v,)
+        i = _NAMESPACES.index(ns)
+        held = getattr(fv, ns) if sets is None else sets[i]
+        if held.isdisjoint(names):
+            continue
+        if sets is None:
+            sets = [fv.values, fv.modals, fv.ops, fv.conts]
+        sets[i] = held.difference(names)
+    if sets is None:
+        return fv
+    return FreeVars(*sets) if any(sets) else NO_FREE_VARS
 
 
 def free_vars(term: Term) -> FreeVars:
@@ -748,46 +740,70 @@ def free_vars(term: Term) -> FreeVars:
             for item in kid:
                 fv = _join(fv, free_vars(item))
         elif row.over[c]:
-            fv = _join(fv, _minus(free_vars(kid), _bound_by(term, row.over[c])))
+            fv = _join(fv, _unbound(free_vars(kid), term, row.over[c]))
         else:
             fv = _join(fv, free_vars(kid))
     object.__setattr__(term, "_fv", fv)
     return fv
 
 
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    """`a | b`, or an operand itself when it already holds the other."""
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
+# Each name's bit in the masks below, given the first time the name is
+# asked about and never changed.  The table is process-wide because the
+# masks cached on nodes outlive any one engine.  Two threads registering at
+# once can give two names one bit, which only makes a mask hold a name too
+# many; `setdefault` keeps a name from getting two bits.
+_BITS: dict[str, int] = {}
 
 
-def bound_names(term: Term) -> frozenset[str]:
-    """Every name bound anywhere inside a term, all namespaces in one set.
-    Operation names bound by box theories are left out, since nothing
-    renames them.
+def name_bit(name: str) -> int:
+    """The name's bit in a mask of names."""
+    bit = _BITS.get(name)
+    if bit is None:
+        bit = _BITS.setdefault(name, 1 << len(_BITS))
+    return bit
+
+
+def name_mask(names: Iterable[str]) -> int:
+    """The names as a mask of bits, one bit per name."""
+    mask = 0
+    for name in names:
+        mask |= name_bit(name)
+    return mask
+
+
+def binder_mask(term: Term) -> int:
+    """Every name bound anywhere inside a term, all namespaces in one mask
+    (see `name_mask`).  Operation names bound by box theories are left out,
+    since nothing renames them.
 
     Cached on the node as `_bv`, the way `free_vars` caches `_fv`, and
-    computed through this function alone, one frame per tree level."""
+    computed through this function alone, one frame per tree level.  A
+    node's mask is its binders' bits or its children's masks, so a chain of
+    N binders costs a few machine words per level, where a set of names per
+    level would copy every name below it."""
     bv = getattr(term, "_bv", None)
     if bv is not None:
         return bv
     row = SCHEMA[type(term)]
-    bv = _NO_NAMES
+    bv = 0
     for f, ns, _ in row.binds:
         if ns != OPS:
-            bv = _union(bv, frozenset((getattr(term, f),)))
+            bv |= name_bit(getattr(term, f))
     for _, c, many in row.kids:
         kid = getattr(term, c)
         if many:
             for item in kid:
-                bv = _union(bv, bound_names(item))
+                bv |= binder_mask(item)
         else:
-            bv = _union(bv, bound_names(kid))
+            bv |= binder_mask(kid)
     object.__setattr__(term, "_bv", bv)
     return bv
+
+
+def bound_names(term: Term) -> frozenset[str]:
+    """Every name bound anywhere inside a term, as `binder_mask` has them."""
+    mask = binder_mask(term)
+    return frozenset(name for name, bit in _BITS.items() if bit & mask)
 
 
 # ---------------------------------------------------------------------------

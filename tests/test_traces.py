@@ -29,8 +29,9 @@ from pathlib import Path
 
 from ecmtt.corpus import CASES
 from ecmtt.evaluator import DEFAULT_MAX_STEPS, Value, evaluate
-from ecmtt.parser import ParseError, parse_source
+from ecmtt.parser import ParseError, parse_source, parse_term
 from ecmtt.pretty import pretty
+from ecmtt.syntax import alpha_equal
 from ecmtt.typecheck import TypeCheckError, infer_term
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -98,6 +99,54 @@ def test_traces_match_the_golden_digests():
     assert sorted(got) == sorted(expected)
     changed = [key for key in got if got[key] != expected[key]]
     assert not changed, f"{len(changed)} traces changed, first {changed[:10]}"
+
+
+# `corpus/abort-handler-caught` and `sample/exceptions` run the same program,
+# `explode 12`.  Before tail-resumptive clauses were handled with the
+# concrete state, its third step printed the binder of the exploding
+# clause's `y <- raise()` as `y1`: the set was handled with its argument
+# `y + 1` symbolic, and substituting it into that clause renamed the `y` the
+# argument would be captured by.  With the state concrete the argument is
+# `13`, nothing is captured, and the binder prints as `y`.  These are the
+# steps as they printed then; each must stay alpha-equal to the step printed
+# now.
+EXPLODE_12_STEPS = (
+    (
+        "cong-letbox",
+        "let box u = let box u = (fn n:int. box {get:unit=>int, set:int=>unit}. y <- get(); w <- set(y + n);"
+        " ret y) 1 in box {raise:unit=>bot}. x <- handle u with handler for {get:unit=>int, set:int=>unit}"
+        " { get(x; k; z) -> x <- k(z; z); ret x, set(x; k; z) -> if x = 13 then y <- raise(); ret y else"
+        " x <- k((); x); ret x, return(x; z) -> ret (x, z) } init 12; ret fst x in x <- handle u with handler"
+        " for {raise:unit=>bot} { raise(x; k; z) -> ret 42, return(x; z) -> ret x } init (); ret x",
+    ),
+    (
+        "cong-letbox",
+        "let box u = let box u = box {get:unit=>int, set:int=>unit}. y <- get(); w <- set(y + 1); ret y in"
+        " box {raise:unit=>bot}. x <- handle u with handler for {get:unit=>int, set:int=>unit} { get(x; k; z)"
+        " -> x <- k(z; z); ret x, set(x; k; z) -> if x = 13 then y <- raise(); ret y else x <- k((); x);"
+        " ret x, return(x; z) -> ret (x, z) } init 12; ret fst x in x <- handle u with handler for"
+        " {raise:unit=>bot} { raise(x; k; z) -> ret 42, return(x; z) -> ret x } init (); ret x",
+    ),
+    (
+        "cong-letbox",
+        "let box u = box {raise:unit=>bot}. y1 <- raise(); ret fst y1 in x <- handle u with handler for"
+        " {raise:unit=>bot} { raise(x; k; z) -> ret 42, return(x; z) -> ret x } init (); ret x",
+    ),
+    ("beta-letbox", "ret 42"),
+)
+
+
+def test_the_re_pinned_traces_differ_from_the_old_ones_by_a_binder_name_alone():
+    programs = {key: term for key, term, _ in _programs()}
+    for key in ("corpus/abort-handler-caught", "sample/exceptions"):
+        steps = evaluate(programs[key], record=True).steps
+        assert [s.rule for s in steps] == [rule for rule, _ in EXPLODE_12_STEPS]
+        changed = []
+        for step, (_, old) in zip(steps, EXPLODE_12_STEPS):
+            assert alpha_equal(step.term, parse_term(old)), (key, old)
+            if pretty(step.term) != old:
+                changed.append(pretty(step.term))
+        assert changed == [EXPLODE_12_STEPS[2][1].replace("y1", "y")], key
 
 
 if __name__ == "__main__":
