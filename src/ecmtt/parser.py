@@ -10,8 +10,11 @@ binder of the same name shadows the definition.
 Terms are ambiguous between expressions and computations only at whole-term
 positions (a file's main term, a definition body, one REPL line).  There the
 parser runs both grammars from the same spot and keeps the parse that
-consumed more input, preferring the expression on a tie.  Everywhere else
-the grammar fixes the category.
+consumed more input, preferring the expression on a tie.  A term that
+reads as an expression but fails as a computation beyond the point where
+the expression ended reports the computation's error; when both readings
+fail, the one that got further reports.  Everywhere else the grammar fixes
+the category.
 """
 
 from __future__ import annotations
@@ -594,21 +597,16 @@ class _Parser:
         expr_result, expr_pos, expr_err = self._attempt(self.parse_expr)
         self.pos = start
         comp_result, comp_pos, comp_err = self._attempt(self.parse_comp)
-        if expr_err is None and comp_err is None:
-            # Both grammars accept a prefix; keep whichever consumed more,
-            # with ties going to the expression reading.
-            if expr_pos >= comp_pos:
-                self.pos = expr_pos
-                return expr_result
-            self.pos = comp_pos
-            return comp_result
-        if expr_err is None:
+        # Keep the reading that consumed more, the expression on a tie; a
+        # computation that fails beyond where the expression ended reports
+        # its own error.
+        if expr_err is None and comp_pos <= expr_pos:
             self.pos = expr_pos
             return expr_result
         if comp_err is None:
             self.pos = comp_pos
             return comp_result
-        raise comp_err if comp_pos > expr_pos else expr_err
+        raise comp_err if expr_err is None or comp_pos > expr_pos else expr_err
 
     def _resolve(self, term: S.Term) -> S.Term:
         if not self.table.terms:

@@ -37,11 +37,8 @@ from .syntax import (
     SCHEMA,
     VALUES,
     Span,
-    binder_mask,
     free_vars,
     fresh_name,
-    name_bit,
-    name_mask,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -266,29 +263,14 @@ class _Engine:
         m = {k: self.norm(v) for k, v in mapping.items()}
         return self.sub(t, m) if m else t
 
-    @staticmethod
-    def _names(m: dict[str, S.Expr]) -> int:
-        """Every name a mapping can clash with, as a mask (`name_mask`): its
-        keys and the free value, modal and continuation names of its
-        payloads."""
-        names = name_mask(m)
-        for v in m.values():
-            fv = free_vars(v)
-            if fv is not S.NO_FREE_VARS:
-                names |= name_mask(fv.values) | name_mask(fv.modals) | name_mask(fv.conts)
-        return names
-
     def _value_binder(
-        self, b: str, m: dict[str, S.Expr], names: int, bodies: tuple[S.Term, ...]
-    ) -> tuple[str, dict[str, S.Expr], int]:
-        """Adjust a mapping for descent under a value binder in `names`,
-        renaming the binder through the mapping itself when a payload would
-        capture it.  The names returned hold the new mapping's names, and
-        may hold more: a name too many only means a subterm is walked, not
-        skipped."""
+        self, b: str, m: dict[str, S.Expr], bodies: tuple[S.Term, ...]
+    ) -> tuple[str, dict[str, S.Expr]]:
+        """Adjust a mapping for descent under a value binder, renaming the
+        binder through the mapping itself when a payload would capture it."""
         m2 = {k: v for k, v in m.items() if k != b}
         if not m2:
-            return b, m2, names
+            return b, m2
         if any(b in free_vars(v).values for v in m2.values()):
             avoid = set(m2)
             for v in m2.values():
@@ -297,56 +279,48 @@ class _Engine:
                 avoid |= free_vars(body).values
             b2 = fresh_name(b, avoid)
             m2[b] = S.Var(b2)
-            return b2, m2, names | name_bit(b2)
-        return b, m2, names
+            return b2, m2
+        return b, m2
 
-    def _sub_binders(
-        self, row: S.Row, args: list, m: dict[str, S.Expr], names: int
-    ) -> dict[str, tuple[dict[str, S.Expr], int]]:
-        """The mapping, with its names, that each child under a binder is
-        substituted with, for the children where it is not `m`.  A binder
-        outside `names` changes nothing.  A value binder is handled by
+    def _sub_binders(self, row: S.Row, args: list, m: dict[str, S.Expr]) -> dict[str, dict[str, S.Expr]]:
+        """The mapping each child under a binder is substituted with, for
+        the children where it is not `m`.  A value binder is handled by
         `_value_binder`; a modal or continuation binder that a payload would
-        capture is renamed in the children it scopes over.  New binder names
-        and renamed children are written into `args`, the node's field
-        values."""
+        capture is renamed in the children it scopes over.  `sub` calls this
+        only on a node where a mapped name is free, so a binder is renamed
+        only where the substitution reaches under it.  New binder names and
+        renamed children are written into `args`, the node's field values."""
         index = row.fields.index
-        inner: dict[str, tuple[dict[str, S.Expr], int]] = {}
+        inner: dict[str, dict[str, S.Expr]] = {}
         for f, ns, scope in row.binds:
             if ns == OPS:
                 continue
             i = index(f)
             b = args[i]
-            m2, n2 = inner.get(scope[0], (m, names))
-            if not name_bit(b) & n2:
-                continue
+            m2 = inner.get(scope[0], m)
             if ns == VALUES:
-                args[i], m2, n2 = self._value_binder(b, m2, n2, tuple(args[index(c)] for c in scope))
+                args[i], m2 = self._value_binder(b, m2, tuple(args[index(c)] for c in scope))
             elif m2 and any(b in getattr(free_vars(v), ns) for v in m2.values()):
                 avoid: set[str] = set()
                 for v in m2.values():
                     avoid |= getattr(free_vars(v), ns)
                 self._freshen_binder(row, args, f, ns, scope, avoid)
             for c in scope:
-                inner[c] = (m2, n2)
+                inner[c] = m2
         return inner
 
-    def sub(self, t: S.Term, m: dict[str, S.Expr], names: Optional[int] = None) -> S.Term:
+    def sub(self, t: S.Term, m: dict[str, S.Expr]) -> S.Term:
         """Substitute normalized payloads for the free value variables of
-        `t` (`m` is not empty; the mask `names` holds at least `_names(m)`,
-        and is computed here when not given).
+        `t` (`m` is not empty).
 
-        A subterm with no mapped free name that binds none of `names` is
-        returned as `norm(t)` without a walk: there the walk would rename no
-        binder and keep the whole mapping, so it would rebuild the subterm
-        through the smart constructors `norm` uses.  A skipped subterm costs
-        no fuel when it is already normal.  Under a binder that drops the
-        last key, a child is left as it is.  When `t` is normal, so is the
-        result, and it is marked so, as `norm` marks its own.  The checks
-        are here, not in a wrapper, so deep terms take one frame per level."""
-        if names is None:
-            names = self._names(m)
-        if free_vars(t).values.isdisjoint(m) and not binder_mask(t) & names:
+        A subterm where no mapped name is free is returned as `norm(t)`
+        without a walk, binders and all: no payload can be captured where
+        none is put.  A skipped subterm costs no fuel when it is already
+        normal.  Under a binder that drops the last key, a child is left as
+        it is.  When `t` is normal, so is the result, and it is marked so,
+        as `norm` marks its own.  The checks are here, not in a wrapper, so
+        deep terms take one frame per level."""
+        if free_vars(t).values.isdisjoint(m):
             return self.norm(t)
         self.tick()
         cls = type(t)
@@ -355,18 +329,18 @@ class _Engine:
         sub = self.sub
         row = SCHEMA[cls]
         args = _field_values(t, row)
-        inner = self._sub_binders(row, args, m, names) if row.binds else {}
+        inner = self._sub_binders(row, args, m) if row.binds else {}
         for i, c, many in row.kids:
-            m2, n2 = inner[c] if c in inner else (m, names)
+            m2 = inner.get(c, m)
             if not m2:
                 continue
             if many:
                 items = []
                 for item in args[i]:
-                    items.append(sub(item, m2, n2))
+                    items.append(sub(item, m2))
                 args[i] = tuple(items)
             else:
-                args[i] = sub(args[i], m2, n2)
+                args[i] = sub(args[i], m2)
         out = _BUILD[cls](*args)
         if getattr(t, "_nf", None) is t:
             object.__setattr__(out, "_nf", out)
@@ -483,20 +457,18 @@ class _Engine:
 
     @staticmethod
     def _tail_path(t: S.Comp, k: str) -> Optional[list[tuple[type, int]]]:
-        """The way down to the one call of `k` in `t`, when that call is
-        `v <- k(e1; e2); ret v` and each step goes into the only tail of a
-        node (see `_TAILS`) where `k` is free: each step as the node's class
-        and the tail's position in its field values.  None when `k` is not
-        called, called in a non-tail position, or called in two branches."""
+        """The way down to the one call of `k` in `t`, where `k` is free,
+        when that call is `v <- k(e1; e2); ret v` and each step goes into
+        the only tail of a node (see `_TAILS`) where `k` is free: each step
+        as the node's class and the tail's position in its field values.
+        None when `k` is called in a non-tail position or in two branches."""
         path = []
         while True:
             cls = type(t)
             if cls is S.Bind and type(t.stmt) is S.ContCall and t.stmt.kname == k:
                 v = t.rest.value if type(t.rest) is S.Ret else None
                 return path if type(v) is S.Var and v.name == t.var else None
-            at = _TAIL_AT.get(cls)
-            if at is None:
-                return None
+            at = _TAIL_AT.get(cls, ())
             args = _field_values(t, SCHEMA[cls])
             hot = [i for i, _, _ in SCHEMA[cls].kids if k in free_vars(args[i]).conts]
             if len(hot) != 1 or hot[0] not in at:
@@ -513,8 +485,10 @@ class _Engine:
         and the loop goes on with `rest[y := e1]` under the state `e2`, so a
         concrete state stays a value.  The binders around the call are first
         renamed away from the free names of `rest` and `h`, which end up
-        under them.  Any other clause handles `rest` under a fresh state
-        variable and substitutes the continuation for `k` with `subst_cont`.
+        under them.  A clause that does not call its `k` is the result as it
+        is, and `rest` is not handled.  Any other clause handles `rest`
+        under a fresh state variable and substitutes the continuation for
+        `k` with `subst_cont`.
         A `let box` or `let fix` is a hole too, so handling takes a frame
         per `if` and per clause that is not tail-resumptive, not per
         operation; the holes are filled, innermost first, at the end."""
@@ -530,9 +504,12 @@ class _Engine:
                     clause = h.clause_for(op)
                     if clause is None:
                         raise SubstitutionError(f"no clause handles operation {op!r}")
+                    plugged = self.subst(clause.body, {clause.x: arg, clause.z: state})
+                    if clause.k not in free_vars(plugged).conts:
+                        out = plugged
+                        break
                     outside = free_vars(h) | free_vars(state)
                     _, yv, rest, _ = self._freshen(c, ("rest",), outside)
-                    plugged = self.subst(clause.body, {clause.x: arg, clause.z: state})
                     path = self._tail_path(plugged, clause.k)
                     if path is None:
                         z2 = fresh_name("z", free_vars(rest).values | outside.values | {yv})

@@ -747,65 +747,6 @@ def free_vars(term: Term) -> FreeVars:
     return fv
 
 
-# Each name's bit in the masks below, given the first time the name is
-# asked about and never changed.  The table is process-wide because the
-# masks cached on nodes outlive any one engine.  Two threads registering at
-# once can give two names one bit, which only makes a mask hold a name too
-# many; `setdefault` keeps a name from getting two bits.
-_BITS: dict[str, int] = {}
-
-
-def name_bit(name: str) -> int:
-    """The name's bit in a mask of names."""
-    bit = _BITS.get(name)
-    if bit is None:
-        bit = _BITS.setdefault(name, 1 << len(_BITS))
-    return bit
-
-
-def name_mask(names: Iterable[str]) -> int:
-    """The names as a mask of bits, one bit per name."""
-    mask = 0
-    for name in names:
-        mask |= name_bit(name)
-    return mask
-
-
-def binder_mask(term: Term) -> int:
-    """Every name bound anywhere inside a term, all namespaces in one mask
-    (see `name_mask`).  Operation names bound by box theories are left out,
-    since nothing renames them.
-
-    Cached on the node as `_bv`, the way `free_vars` caches `_fv`, and
-    computed through this function alone, one frame per tree level.  A
-    node's mask is its binders' bits or its children's masks, so a chain of
-    N binders costs a few machine words per level, where a set of names per
-    level would copy every name below it."""
-    bv = getattr(term, "_bv", None)
-    if bv is not None:
-        return bv
-    row = SCHEMA[type(term)]
-    bv = 0
-    for f, ns, _ in row.binds:
-        if ns != OPS:
-            bv |= name_bit(getattr(term, f))
-    for _, c, many in row.kids:
-        kid = getattr(term, c)
-        if many:
-            for item in kid:
-                bv |= binder_mask(item)
-        else:
-            bv |= binder_mask(kid)
-    object.__setattr__(term, "_bv", bv)
-    return bv
-
-
-def bound_names(term: Term) -> frozenset[str]:
-    """Every name bound anywhere inside a term, as `binder_mask` has them."""
-    mask = binder_mask(term)
-    return frozenset(name for name, bit in _BITS.items() if bit & mask)
-
-
 # ---------------------------------------------------------------------------
 # Type equality and theory inclusion
 

@@ -79,6 +79,21 @@ def test_check_reports_parse_errors(tmp_path):
     assert "parse error" in err
 
 
+def test_check_reports_the_error_of_the_reading_that_got_further(tmp_path):
+    # The expression reading stops before the `<-`; the computation reading
+    # gets to the unknown handler name.
+    path = tmp_path / "nope.ecmtt"
+    path.write_text(
+        "def St = {get:unit=>int, set:int=>unit}\n"
+        "let box u = box St. get()\n"
+        "in x <- handle u with nope init 0; ret x\n"
+    )
+    code, out, err = invoke(["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "3:23: parse error: unknown handler name 'nope'"
+
+
 def test_run_reports_a_non_decimal_digit_as_a_parse_error(tmp_path):
     path = tmp_path / "digit.ecmtt"
     path.write_text("ret \u00b2\n", encoding="utf-8")

@@ -1,7 +1,7 @@
 """The node schema: one row per node class, naming only that class's fields.
 
-Every tree walk of the engine (`free_vars`, `bound_names`, `alpha_equal`,
-`norm`, `sub`, renaming and the congruences of the substitutions) reads
+Every tree walk of the engine (`free_vars`, `alpha_equal`, `norm`, `sub`,
+renaming and the congruences of the substitutions) reads
 `syntax.SCHEMA`, so a class without a row, or a row that misses a child or
 a binder, would go wrong deep inside a walk.  These checks catch that here.
 """

@@ -1,21 +1,20 @@
-"""Substitute only where a mapped name occurs: `_Engine.sub` against the
+"""Substitute only where a mapped name is free: `_Engine.sub` against the
 walk-everything substitution.
 
-`sub` returns `norm(t)` for a subterm that has no mapped free name and binds
-none of the mapping's names, without walking it.  The reference below is the
-walk it replaced, which visits every node under the substitution and keeps
-nothing.  Even where no mapped name occurs under it, the walk renames a
-binder that a payload would capture, and under a binder that shadows the
-only key it stops and leaves the body as it is, not normalised.  A skip on
-the first condition alone does neither, which changes printed traces, so
-the traces below are compared on programs whose names shadow one another.
+`sub` returns `norm(t)` for a subterm where no mapped name is free, without
+walking it.  The reference below is the walk it replaced, which visits every
+node under the substitution and keeps nothing.  Even where no mapped name
+occurs under it, the walk renames a binder that a payload would capture, and
+under a binder that shadows the only key it stops and leaves the body as it
+is, not normalised.  `sub` does neither, so a trace may print a binder name
+or a folded literal differently; the traces below, on programs whose names
+shadow one another, must agree on every rule and final line, and on every
+step up to renaming once both are normalised.
 """
 
 import dataclasses
 import random
 import sys
-
-import pytest
 
 from ecmtt import subst
 from ecmtt import syntax as S
@@ -23,7 +22,7 @@ from ecmtt.evaluator import Value, evaluate
 from ecmtt.parser import parse_source, parse_term
 from ecmtt.pretty import pretty
 from ecmtt.subst import mk_append, mk_arith, mk_cmp, mk_if, mk_proj1, mk_proj2
-from ecmtt.syntax import bound_names, free_vars, fresh_name
+from ecmtt.syntax import alpha_equal, free_vars, fresh_name
 from ecmtt.typecheck import TypeCheckError, infer_term
 
 from generators import gen_program
@@ -81,7 +80,7 @@ def _ref_ret_clause(eng, c, m):
     return S.RetClause(x2, z2, _ref_opt(eng, c.body, mz))
 
 
-def reference_sub(eng, t, m, names=None):
+def reference_sub(eng, t, m):
     eng.tick()
     if not m:
         return t
@@ -157,15 +156,12 @@ def reference_sub(eng, t, m, names=None):
 # Traces
 
 
-def full_trace(term: S.Term) -> list[str]:
-    """The initial term, every step's rule and printed term, and the final
-    state."""
+def full_trace(term: S.Term) -> tuple[list[tuple[str, S.Term]], str]:
+    """Every step's rule and term, and the printed final state."""
     outcome = evaluate(term, record=True)
-    lines = [pretty(term)]
-    lines += [f"{s.rule}\t{pretty(s.term)}" for s in outcome.steps]
     final = outcome.final
-    lines.append(f"value\t{pretty(final.term)}" if isinstance(final, Value) else repr(final))
-    return lines
+    last = f"value\t{pretty(final.term)}" if isinstance(final, Value) else repr(final)
+    return [(s.rule, s.term) for s in outcome.steps], last
 
 
 def shadowing_programs() -> list[int]:
@@ -180,18 +176,20 @@ def shadowing_programs() -> list[int]:
     return seeds
 
 
-def traces(monkeypatch, reference: bool) -> list[list[str]]:
-    # Each run builds its terms afresh, so no cached field of one run is
-    # seen by the other.
-    with monkeypatch.context() as patch:
-        if reference:
-            patch.setattr(subst._Engine, "sub", reference_sub)
-        out = [full_trace(gen_program(random.Random(seed), shadow=True)[0]) for seed in SHADOW_SEEDS]
-        out += [full_trace(gen_program(random.Random(seed))[0]) for seed in range(400)]
-    return out
-
-
 SHADOW_SEEDS = shadowing_programs()
+
+
+def bound_names(term: S.Term) -> set[str]:
+    """Every value, modal and continuation name bound inside `term`, read
+    from `SCHEMA` with a loop, so deep terms need no recursion."""
+    names, todo = set(), [term]
+    while todo:
+        t = todo.pop()
+        row = S.SCHEMA[type(t)]
+        names.update(getattr(t, f) for f, ns, _ in row.binds if ns != S.OPS)
+        for _, c, many in row.kids:
+            todo.extend(getattr(t, c) if many else (getattr(t, c),))
+    return names
 
 
 def binds_again(t) -> bool:
@@ -221,13 +219,30 @@ def test_the_shadowing_generator_reuses_names():
 
 
 def test_traces_match_the_walk_everything_substitution(monkeypatch):
-    got = traces(monkeypatch, reference=False)
-    expected = traces(monkeypatch, reference=True)
-    assert len(got) == 2992 + 400
-    for a, b in zip(got, expected):
-        assert a == b, a[0]
-    # Enough steps happen for the comparison to mean something.
-    assert sum(len(t) for t in got) > 10_000
+    # Each run builds its program afresh, so no cached field of one run is
+    # seen by the other.
+    builds = [lambda seed=seed: gen_program(random.Random(seed), shadow=True)[0] for seed in SHADOW_SEEDS]
+    builds += [lambda seed=seed: gen_program(random.Random(seed))[0] for seed in range(400)]
+    assert len(builds) == 2992 + 400
+    differing = lines = 0
+    for build in builds:
+        got, got_final = full_trace(build())
+        with monkeypatch.context() as patch:
+            patch.setattr(subst._Engine, "sub", reference_sub)
+            expected, expected_final = full_trace(build())
+        assert [r for r, _ in got] == [r for r, _ in expected], pretty(build())
+        assert got_final == expected_final, pretty(build())
+        same = True
+        for (_, a), (_, b) in zip(got, expected):
+            if pretty(a) != pretty(b):
+                same = False
+                assert alpha_equal(subst.normalize(a), subst.normalize(b)), pretty(b)
+        differing += not same
+        lines += len(got) + 2  # the initial term, each step and the final state
+    # Enough steps happen for the comparison to mean something, and few
+    # traces print differently.
+    assert lines > 10_000
+    assert differing == 16
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +309,20 @@ def test_sub_visits_do_not_rise_on_state_handling(monkeypatch):
 
 def test_a_skipped_normal_subterm_is_returned_at_no_cost():
     term = subst.normalize(parse_term("fn y:int. (y + 1, [y, 2])"))
-    three = subst.normalize(S.IntLit(3))
-    # `x` is not free, and no binder clashes with the mapping's names.
-    assert subst.subst_values(term, {"x": three}, fuel=0) is term
-    # A binder that is a key, or free in a payload, forces the walk.
-    with pytest.raises(subst.OutOfFuel):
-        subst.subst_values(term, {"y": three}, fuel=0)
-    with pytest.raises(subst.OutOfFuel):
-        subst.subst_values(term, {"x": S.Var("y")}, fuel=0)
-    # The walk renames a binder a payload would capture even where no mapped
-    # name occurs under it, so such a subterm is walked, not skipped.
-    renamed = subst.subst_values(S.Pair(S.Var("x"), term), {"x": S.Var("y")})
-    assert pretty(renamed) == "(y, fn y1:int. (y1 + 1, [y1, 2]))"
+    y3 = subst.normalize(S.IntLit(3))
+    vy = subst.normalize(S.Var("y"))
+    # No mapped name is free, so the term is not walked, even where a binder
+    # is a key or is free in a payload.
+    assert subst.subst_values(term, {"x": y3}, fuel=0) is term
+    assert subst.subst_values(term, {"y": y3}, fuel=0) is term
+    assert subst.subst_values(term, {"x": vy}, fuel=0) is term
+    # Next to a mapped name, the subterm is still skipped, binder and all.
+    out = subst.subst_values(S.Pair(S.Var("x"), term), {"x": S.Var("y")})
+    assert pretty(out) == "(y, fn y:int. (y + 1, [y, 2]))"
+    # Where the substitution reaches under a binder a payload would be
+    # captured by, the binder is renamed.
+    out = subst.subst_values(parse_term("fn y:int. x + y"), {"x": S.Var("y")})
+    assert pretty(out) == "fn y1:int. y + y1"
 
 
 def test_sub_output_of_a_normal_term_is_marked_normal():
@@ -332,11 +349,45 @@ def test_sub_of_a_450_pair_chain_fits_the_default_recursion_limit():
     sys.setrecursionlimit(1000)
     try:
         out = subst.subst_values(term, {"x": S.IntLit(1)})
-        binders = bound_names(term)
     finally:
         sys.setrecursionlimit(limit)
     assert pretty(out).endswith("w449 <- set(y449 + 1); ret 1")
-    assert len(binders) == 900
+    assert len(bound_names(term)) == 900
+
+
+# ---------------------------------------------------------------------------
+# Handler clauses: the walk into a tuple of clauses
+
+ST = "{get:unit=>int, set:int=>unit}"
+READS_N = (
+    f"handler for {ST} {{ get(x; k; z) -> k(n; z), set(x; k; z) -> k((); x),"
+    " return(x; z) -> ret (x + z) }"
+)
+
+
+def test_a_beta_step_substitutes_into_the_clause_that_reads_the_argument():
+    source = (
+        f"def St = {ST}\n"
+        f"let box u = (fn n:int. let box v = box St. (y <- get(); w <- set(y + 1); ret (y * 10))\n"
+        f"  in box {{}}. (r <- handle v with {READS_N} init 1; ret r)) 5\n"
+        "in eval u"
+    )
+    # get answers n = 5 and leaves the state 1; set makes it 6; 50 + 6.
+    outcome = evaluate(parse_source(source).main)
+    assert isinstance(outcome.final, Value) and pretty(outcome.final.term) == "56"
+
+
+def test_a_clause_binder_a_payload_would_capture_is_renamed():
+    term = parse_term(f"x <- handle v [{READS_N} init n as z. ret (z + n)] with {READS_N} init 0; ret x")
+    out = subst.subst_values(term, {"n": S.Var("z")})
+    hseq, handler = out.stmt.hseq, out.stmt.handler
+    # The clauses that read `n` have their `z` renamed; the others keep it.
+    for h in (hseq.clauses[0].handler, handler):
+        get, put = h.op_clauses
+        assert (get.z, pretty(get.body)) == ("z1", "x <- k(z; z1); ret x")
+        assert (put.z, h.ret_clause.z) == ("z", "z")
+    assert (hseq.clauses[0].var, pretty(hseq.clauses[0].body)) == ("z1", "ret z1 + z")
+    assert pretty(hseq.clauses[0].init) == "z"
 
 
 # ---------------------------------------------------------------------------

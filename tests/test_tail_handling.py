@@ -4,8 +4,9 @@ state `e2` kept concrete, by the loop in `subst._Engine.handle_with`.
 
 Each shape below has a result worked out by hand.  Which path a clause
 took shows in the `subst_cont` calls: the tail rule makes none, and every
-other clause (multi-shot, discarding, non-tail, `k` in both branches) makes
-at least one.
+other clause that calls its `k` (multi-shot, non-tail, `k` in both
+branches) makes at least one.  A clause that discards its `k` is the result
+as it is: the rest of the computation is not handled.
 """
 
 import sys
@@ -136,14 +137,14 @@ def test_a_clause_that_uses_the_result_of_k_takes_the_general_path(monkeypatch):
     assert conts > 0
 
 
-def test_a_discarding_clause_takes_the_general_path(monkeypatch):
+def test_a_discarding_clause_drops_the_rest_of_the_computation(monkeypatch):
     out, conts = handled(monkeypatch, "w <- raise(); ret 1", "handlerExn", S.UnitLit())
     assert pretty(out) == "ret 42"
-    assert conts > 0
+    assert conts == 0
     # A set of 13 makes the explosive clause discard its continuation.
     out, conts = handled(monkeypatch, "y <- get(); w <- set(y + 1); ret y", "handlerExplosiveSt", S.IntLit(12))
     assert alpha_equal(out, comp("y <- raise(); ret y"))
-    assert conts > 0
+    assert conts == 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,16 @@ def test_sub_visits_grow_linearly_on_a_handler_st_chain(monkeypatch):
     # Handling under a symbolic state made 22,222 and 328,822 visits here
     # (14.8x); the tail rule makes 2,119 and 8,419 (4.0x).
     assert visits[400] <= 4.5 * visits[100]
+
+
+def test_a_discarding_clause_handles_nothing_after_it(monkeypatch):
+    # From -287, the 300th set writes 13; the 150 pairs after it are dropped
+    # unhandled, with no continuation substituted and no handling nested.
+    chain = "; ".join(f"y{i} <- get(); w{i} <- set(y{i} + 1)" for i in range(450))
+    handles = count_calls(monkeypatch, "handle_with")
+    out, conts = handled(monkeypatch, f"{chain}; ret 0", "handlerExplosiveSt", S.IntLit(-287))
+    assert alpha_equal(out, comp("y <- raise(); ret y"))
+    assert conts == 0 and handles[0] == 1
 
 
 def state_ops(n: int, explode_at: int | None = None) -> list[tuple[str, int]]:

@@ -31,6 +31,7 @@ from ecmtt.corpus import CASES
 from ecmtt.evaluator import DEFAULT_MAX_STEPS, Value, evaluate
 from ecmtt.parser import ParseError, parse_source, parse_term
 from ecmtt.pretty import pretty
+from ecmtt.subst import normalize
 from ecmtt.syntax import alpha_equal
 from ecmtt.typecheck import TypeCheckError, infer_term
 
@@ -147,6 +148,77 @@ def test_the_re_pinned_traces_differ_from_the_old_ones_by_a_binder_name_alone():
             if pretty(step.term) != old:
                 changed.append(pretty(step.term))
         assert changed == [EXPLODE_12_STEPS[2][1].replace("y1", "y")], key
+
+
+# `shadow/47`, `shadow/233` and `shadow/278` changed one step each when `sub`
+# stopped walking into subterms where no mapped name is free: the walk used to
+# stop under a binder that shadowed the last key and leave the body as it
+# was, where a skipped subterm is now normalized, so `4 - 47` and `if false
+# ...` are folded a step earlier.  For each: the rules and the final line as
+# they were, and each changed step as it printed then, by position.
+SHADOW_STEPS = {
+    "shadow/47": (
+        ("beta-letbox", "beta-letbox", "beta-letbox", "beta-letbox"),
+        {
+            1: (
+                "let box u0 = box {op19:unit=>bool}. ret () in x <- handle u0 [handler for"
+                " {op19:unit=>bool} { op19(x0; k1; z0) -> y1 <- k1(z0 = 61; 46); ret y1, return(x0; z1)"
+                " -> ret (x0, z1) } init 37 as w1. let box u1 = box {op28:unit=>bool}. v1 <- op28();"
+                " ret [(), ()] in w0 <- handle u1 with handler for {op28:unit=>bool} { op28(x0; k1; z0)"
+                " -> ret [(), ()], return(x0; z1) -> ret x0 } init true; ret 4 - 47] with handler for"
+                " {op1:bool=>unit, op2:bool=>bool, op3:unit=>bool} { op1(x1; k0; z1) -> y0 <- k0(();"
+                " 58); ret y0, op2(x1; k0; z1) -> y0 <- k0(false; 2); ret y0, op3(x1; k0; z1) -> y0 <-"
+                " k0(false; z1); ret y0, return(x1; z0) -> ret x1 } init 62; ret 43"
+            ),
+        },
+        "ret 43",
+    ),
+    "shadow/233": (
+        ("cong-ret:beta-letbox", "cong-ret:beta-letbox", "cong-ret:beta-letbox"),
+        {
+            1: (
+                "ret (let box u1 = box {op21:unit=>bool}. ret [(), (), ()] in eval [handler for"
+                " {op21:unit=>bool} { op21(x0; k1; z0) -> ret [(), ()], return(x0; z1) -> ret x0 } init"
+                " false as w0. if true then ret 7 else ret 29] u1)"
+            ),
+        },
+        "ret 7",
+    ),
+    "shadow/278": (
+        ("beta-letbox", "beta-letbox", "beta-letbox", "beta-letbox"),
+        {
+            0: (
+                "let box u0 = box {op15:int=>int, op16:int=>unit, op17:unit=>bool}. let box u1 = box"
+                " {op18:int=>bool, op19:int=>bool, op20:int=>unit}. v1 <- op20(94); ret false in w0 <-"
+                " handle u1 with handler for {op18:int=>bool, op19:int=>bool, op20:int=>unit} {"
+                " op18(x0; k1; z0) -> y1 <- k1(true; z0); ret y1, op19(x0; k1; z0) -> ret false,"
+                " op20(x1; k0; z1) -> y0 <- k0(z1; ()); ret y0, return(x0; z1) -> ret x0 } init (); v1"
+                " <- op15(24); ret () in w1 <- handle u0 with handler for {op15:int=>int,"
+                " op16:int=>unit, op17:unit=>bool} { op15(x0; k1; z0) -> ret ((), true), op16(x1; k0;"
+                " z1) -> y0 <- k0((); true); ret y0, op17(x1; k0; z1) -> ret ((), true), return(x0; z1)"
+                " -> ret (x0, z1) } init true; let box u1 = box {op52:bool=>bool, op53:int=>bool,"
+                " op54:bool=>int}. ret ((), 88) in w0 <- handle u1 with handler for {op52:bool=>bool,"
+                " op53:int=>bool, op54:bool=>int} { op52(x1; k0; z1) -> y0 <- k0(true; z1); ret y0,"
+                " op53(x1; k0; z1) -> y0 <- k0(false; -47); ret y0, op54(x1; k0; z1) -> y0 <- k0(z1;"
+                " 3630); ret y0, return(x1; z0) -> ret (x1, z0) } init 91; if false then ret 12 else"
+                " ret 35"
+            ),
+        },
+        "ret 35",
+    ),
+}
+
+
+def test_the_re_pinned_shadow_traces_differ_from_the_old_ones_up_to_normalization():
+    programs = {key: term for key, term, _ in _programs()}
+    for key, (rules, old_steps, final) in SHADOW_STEPS.items():
+        trace = evaluate(programs[key], record=True)
+        assert [s.rule for s in trace.steps] == list(rules), key
+        assert trace.step_count == len(rules) and pretty(trace.final.term) == final, key
+        for i, old in old_steps.items():
+            new = trace.steps[i].term
+            assert pretty(new) != old, (key, i)
+            assert alpha_equal(normalize(new), normalize(parse_term(old))), (key, i)
 
 
 if __name__ == "__main__":

@@ -94,6 +94,12 @@ def test_argument_mismatch_on_application():
     assert err.kind == "argument-mismatch"
 
 
+def test_base_types_are_equal_by_name():
+    assert type_of("fn f:A -> A. fn a:A. f a") == "(A -> A) -> A -> A"
+    err = reject("fn f:A -> A. fn b:B. f b")
+    assert err.kind == "argument-mismatch"
+
+
 def test_branches_must_agree():
     err = reject("if true then 1 else false")
     assert err.kind == "argument-mismatch"
