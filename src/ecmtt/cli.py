@@ -12,7 +12,7 @@ typecheck, and reduce unless only the type is wanted.  Each way it ends is an
     0  ok              the type (`check`) or the value
     1  type-error      (also `corpus` when a case fails)
     2  parse-error     (also a file with no main term)
-    3  fuel-exhausted  the step budget ran out
+    3  fuel-exhausted  the step budget, or the engine's fuel within a step, ran out
     4  io-error        the file cannot be read, or is not UTF-8
     5  runtime-error   evaluation is stuck
     6  depth-limit     input nested deeper than the recursion limit allows
@@ -20,7 +20,8 @@ typecheck, and reduce unless only the type is wanted.  Each way it ends is an
 
 A JSON object carries `message`, the diagnostic without its `error: ` or
 `runtime error: ` prefix, except that `ok` carries `value` and `steps` and
-`fuel-exhausted` carries `steps`.  The evaluation fuel defaults to one
+`fuel-exhausted` carries `steps`, and `budget` ("substitution fuel") when the
+engine's fuel ran out within a step.  The evaluation fuel defaults to one
 million steps and can be overridden with `--max-steps` or the
 ECMTT_MAX_STEPS environment variable (the flag wins).  A budget that is not
 a non-negative integer, from either source, is a usage error.
@@ -49,7 +50,7 @@ OUTCOMES: dict[str, tuple[int, Optional[str], tuple[str, ...]]] = {
     "ok": (0, None, ("value", "steps")),
     "type-error": (1, "", ("message",)),
     "parse-error": (2, "", ("message",)),
-    "fuel-exhausted": (3, "error: ", ("steps",)),
+    "fuel-exhausted": (3, "error: ", ("steps", "budget")),
     "io-error": (4, "error: ", ("message",)),
     "runtime-error": (5, "runtime error: ", ("message",)),
     "depth-limit": (6, "error: ", ("message",)),
@@ -115,7 +116,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 class Outcome(NamedTuple):
     """How one run of the path ended.  `text` is the type or value printed
-    on success and the diagnostic otherwise; `kind` is a type error's kind."""
+    on success and the diagnostic otherwise; `kind` is a type error's kind,
+    or the budget that ran out when it is not the step budget."""
 
     status: str
     text: str
@@ -198,8 +200,10 @@ def _reduce(term: Term, max_steps: int, trace: Optional[TextIO]) -> Outcome:
     match final:
         case Value(value):
             return Outcome("ok", pretty(value), count)
-        case FuelExhausted(spent):
+        case FuelExhausted(spent, "steps"):
             return Outcome("fuel-exhausted", f"fuel exhausted after {spent} steps", spent)
+        case FuelExhausted(spent, budget):
+            return Outcome("fuel-exhausted", f"{budget} fuel exhausted after {spent} steps", spent, f"{budget} fuel")
         case Stuck(reason):
             return Outcome("runtime-error", reason, count)
 
@@ -208,7 +212,8 @@ def _report(result: Outcome, out: TextIO, err: TextIO, as_json: bool = False) ->
     """Print an outcome of `check`, `run` or `trace`, and give its exit code."""
     code, prefix, fields = OUTCOMES[result.status]
     if as_json:
-        values = {"value": result.text, "message": result.text, "steps": result.steps}
+        values = {"value": result.text, "message": result.text, "steps": result.steps, "budget": result.kind}
+        fields = tuple(f for f in fields if values[f] is not None)
         print(json.dumps({"status": result.status, **{f: values[f] for f in fields}}), file=out)
     elif prefix is None:
         print(result.text, file=out)

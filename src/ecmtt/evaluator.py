@@ -190,7 +190,15 @@ def _recorded(frames: list[_Frame], contractum: S.Term, rule: str) -> Stepped:
 
 @dataclass(frozen=True)
 class FuelExhausted:
+    """The step budget ran out after `steps` steps, or, with `budget`
+    "substitution", the engine's own fuel within the next step."""
+
     steps: int
+    budget: str = "steps"
+
+    def __repr__(self) -> str:  # the step budget's repr is pinned in traces
+        budget = "" if self.budget == "steps" else f", budget={self.budget!r}"
+        return f"FuelExhausted(steps={self.steps}{budget})"
 
 
 @dataclass(frozen=True)
@@ -246,7 +254,7 @@ def run(
         except (_StuckError, subst.SubstitutionError) as e:
             return Stuck(str(e))
         except subst.OutOfFuel:
-            return FuelExhausted(count)
+            return FuelExhausted(count, "substitution")
         count += 1
         yield _recorded(frames, contractum, rule) if record else None
         focus, start = contractum, 0

@@ -476,85 +476,125 @@ class _Engine:
             path.append((cls, hot[0]))
             t = args[hot[0]]
 
+    def _pending(self, t: S.Term, env: Optional[dict[str, S.Expr]]) -> S.Term:
+        """`t` with `handle_with`'s pending substitution applied, normalized
+        as `subst` leaves it; `t` itself while `env` is None, before the
+        first operation.  `sub` gets only the names free in `t`, so its skip
+        test does not grow with `env`."""
+        if env is None:
+            return t
+        m = {k: env[k] for k in free_vars(t).values if k in env}
+        return self.sub(t, m) if m else self.norm(t)
+
     def handle_with(self, c: S.Comp, h: S.Handler, state: S.Expr) -> S.Comp:
         """Run handler h over computation c with the given state expression.
 
         An operation whose plugged clause calls its `k` once, as `v <-
         k(e1; e2); ret v` in tail position (`_tail_path`), is handled in
         place: the clause's statements around the call are kept as holes,
-        and the loop goes on with `rest[y := e1]` under the state `e2`, so a
-        concrete state stays a value.  The binders around the call are first
-        renamed away from the free names of `rest` and `h`, which end up
-        under them.  A clause that does not call its `k` is the result as it
-        is, and `rest` is not handled.  Any other clause handles `rest`
-        under a fresh state variable and substitutes the continuation for
-        `k` with `subst_cont`.
-        A `let box` or `let fix` is a hole too, so handling takes a frame
-        per `if` and per clause that is not tail-resumptive, not per
-        operation; the holes are filled, innermost first, at the end."""
+        and the loop goes on with `rest` under the state `e2`, so a concrete
+        state stays a value.  A clause whose whole body is the call is not
+        plugged: only `e1` and `e2` are substituted into.  The result `y :=
+        e1` joins `env`, a pending substitution from names of `c` to
+        normalized payloads, cut down at each operation to the names free in
+        `rest`.  `env` is applied (`_pending`) where the loop emits code: an
+        operation's argument, a `ret` value, the fields of a `let box` or
+        `let fix` outside its tail, and all that is left when the loop
+        leaves the rule.  The binders of such a hole are renamed as `sub`
+        renames them where a payload would be captured, and away from the
+        free names of `h` and the state; the clause's binders around the
+        call, away from those of `h` and of `rest` once `env` is applied.
+        A clause that does not call its `k` is the result as it is, and
+        `rest` is not handled.  Any other clause handles `rest` under a
+        fresh state variable and substitutes the continuation for `k` with
+        `subst_cont`.  Handling takes a frame per `if` and per clause that
+        is not tail-resumptive, not per operation; the holes are filled,
+        innermost first, at the end."""
         holes: list[tuple[type, list, int]] = []
+        env: Optional[dict[str, S.Expr]] = None
         while True:
             self.tick()
             match c:
                 case S.Ret(e):
                     r = h.ret_clause
-                    out = self.subst(r.body, {r.x: e, r.z: state})
+                    out = self.subst(r.body, {r.x: self._pending(e, env), r.z: state})
                     break
-                case S.Bind(S.OpCall(op, arg), _, _):
+                case S.Bind(S.OpCall(op, arg), yv, rest):
                     clause = h.clause_for(op)
                     if clause is None:
                         raise SubstitutionError(f"no clause handles operation {op!r}")
-                    plugged = self.subst(clause.body, {clause.x: arg, clause.z: state})
+                    m = {clause.x: self._pending(arg, env), clause.z: state}
+                    rfv = free_vars(rest)
+                    live = {v: env[v] for v in rfv.values if v != yv and v in env} if env else {}
+                    if type(clause.body) is S.Bind and self._tail_path(clause.body, clause.k) == []:
+                        call = clause.body.stmt
+                        live[yv], state = self.subst(call.arg, m), self.subst(call.state, m)
+                        env, c = live, rest
+                        continue
+                    plugged = self.subst(clause.body, m)
                     if clause.k not in free_vars(plugged).conts:
                         out = plugged
                         break
-                    outside = free_vars(h) | free_vars(state)
-                    _, yv, rest, _ = self._freshen(c, ("rest",), outside)
                     path = self._tail_path(plugged, clause.k)
                     if path is None:
+                        outside = free_vars(h) | free_vars(state)
+                        _, yv, rest, _ = self._freshen(self._pending(c, env), ("rest",), outside)
                         z2 = fresh_name("z", free_vars(rest).values | outside.values | {yv})
                         resumed = self.handle_with(rest, h, S.Var(z2))
                         out = self.subst_cont(plugged, clause.k, yv, z2, resumed)
                         break
                     if path:
-                        rfv = free_vars(rest)
-                        danger = free_vars(h) | S.FreeVars(rfv.values - {yv}, rfv.modals, rfv.ops, rfv.conts)
+                        danger = free_vars(h) | S.FreeVars(
+                            rfv.values.difference((yv,), live), rfv.modals, rfv.ops, rfv.conts
+                        )
+                        for payload in live.values():
+                            danger |= free_vars(payload)
                         avoid = S.FreeVars(danger.values | {yv}, danger.modals, danger.ops, danger.conts)
                         for cls, i in path:
                             args = self._freshen(plugged, (SCHEMA[cls].fields[i],), danger, avoid)
                             holes.append((cls, args, i))
                             plugged = args[i]
-                    call = plugged.stmt
-                    c = self.subst(rest, {yv: call.arg})
-                    state = call.state
+                    live[yv], state = plugged.stmt.arg, plugged.stmt.state
+                    env, c = live, rest
                     continue
                 case S.Bind(S.ContCall(), _, _):
                     raise SubstitutionError("continuation call in a handled computation")
-                case S.Bind(S.Handle(u2, theta2, h2, e2), yv, rest):
+                case S.Bind(S.Handle(), _, _):
                     # A handle under a handler: the inner handling becomes one
                     # more stage of the sequence, and this handler takes over as
                     # the outermost one.
-                    clause = S.HClause(h2, e2, yv, rest)
-                    hseq = S.HSeq(theta2.clauses + (clause,))
-                    xf = "x"
-                    out = S.Bind(
-                        S.Handle(u2, hseq, h, state, span=c.span),
-                        xf,
-                        S.Ret(S.Var(xf)),
-                        span=c.span,
-                    )
+                    c = self._pending(c, env)
+                    inner = c.stmt
+                    hseq = S.HSeq(inner.hseq.clauses + (S.HClause(inner.handler, inner.init, c.var, c.rest),))
+                    out = S.Bind(S.Handle(inner.uvar, hseq, h, state, span=c.span), "x", S.Ret(S.Var("x")), span=c.span)
                     break
             cls = type(c)
-            args = self._freshen(c, _TAILS[cls], free_vars(h) | free_vars(state))
-            at = _TAIL_AT[cls]
-            if len(at) == 1:
-                holes.append((cls, args, at[0]))
-                c = args[at[0]]
+            outside = free_vars(h) | free_vars(state)
+            if cls is S.IfC:
+                # Each branch is handled by a call of its own, once `env` is
+                # applied; a condition that folds leaves one branch.
+                c, env = self._pending(c, env), env and {}
+                if type(c) is S.IfC:
+                    out = mk_if(c.cond, self.handle_with(c.then, h, state), self.handle_with(c.els, h, state), c.span)
+                    break
                 continue
-            for i in at:
-                args[i] = self.handle_with(args[i], h, state)
-            out = _BUILD[cls](*args)
-            break
+            # A `let box` or `let fix`: `env` goes on into its tail through
+            # its binders, as `sub` takes a mapping through them.
+            row, i = SCHEMA[cls], _TAIL_AT[cls][0]
+            args = _field_values(c, row)
+            m = None if env is None else {k: env[k] for k in free_vars(c).values if k in env}
+            inner = self._sub_binders(row, args, m) if m else {}
+            if any(args[row.fields.index(f)] in getattr(outside, ns) for f, ns in row.over[row.fields[i]]):
+                # The clauses and the state would be captured: rename the
+                # binder once `env` is applied.
+                args, env = self._freshen(self._pending(c, env), _TAILS[cls], outside), env and {}
+            else:
+                for j, f, _ in row.kids:
+                    if j != i:
+                        args[j] = self._pending(args[j], inner.get(f, m))
+                env = inner.get(row.fields[i], m)
+            holes.append((cls, args, i))
+            c = args[i]
         for cls, args, i in reversed(holes):
             args[i] = out
             out = _BUILD[cls](*args)

@@ -431,6 +431,25 @@ def test_run_json_reports_every_outcome(tmp_path, status, exit_code, source, fla
         assert err.count("\n") == 1 and err.rstrip("\n").endswith(payload["message"])
 
 
+def test_run_json_names_the_substitution_budget(tmp_path, monkeypatch):
+    # With 50 ticks per engine call, the fuel runs out in the handling step
+    # that follows two steps without the engine (`1 = 1`, then `if`).
+    chain = " ".join(f"y{i} <- get(); w{i} <- set(y{i} + 1);" for i in range(60))
+    path = tmp_path / "chain.ecmtt"
+    path.write_text(
+        PIPELINE.split("let box")[0]
+        + f"if 1 = 1 then (let box u = box St. ({chain} ret 0)\n"
+        + "in x <- handle u with handlerSt init 0; ret x) else ret (0, 0)\n"
+    )
+    assert invoke(["run", str(path)])[:2] == (0, "ret (0, 60)\n")
+    init = subst._Engine.__init__
+    monkeypatch.setattr(subst._Engine, "__init__", lambda self, _=None: init(self, 50))
+    code, out, err = invoke(["run", "--json", str(path)])
+    assert code == 3
+    assert json.loads(out) == {"status": "fuel-exhausted", "steps": 2, "budget": "substitution fuel"}
+    assert err == "error: substitution fuel exhausted after 2 steps\n"
+
+
 # ---------------------------------------------------------------------------
 # Integers past CPython's int/str conversion limit
 

@@ -157,6 +157,32 @@ def test_budget_is_checked_before_stepping(monkeypatch):
     assert evaluate(parse_term("1 / 0"), max_steps=0).final == FuelExhausted(0)
 
 
+# Two steps that use no engine (`1 = 1`, then `if`), then a beta-letbox
+# step that handles 60 get/set pairs, at least one engine tick per pair.
+HANDLED_CHAIN = (
+    "if 1 = 1 then (let box u = box St. ("
+    + " ".join(f"y{i} <- get(); w{i} <- set(y{i} + 1);" for i in range(60))
+    + " ret 0) in x <- handle u with handlerSt init 0; ret x) else ret (0, 0)"
+)
+
+
+def test_engine_fuel_running_out_is_named_as_the_substitution_budget(monkeypatch):
+    term = parse_term(HANDLED_CHAIN, TABLE)
+    assert evaluate(term).final == Value(parse_term("ret (0, 60)"))
+    init = subst._Engine.__init__
+    monkeypatch.setattr(subst._Engine, "__init__", lambda self, _=None: init(self, 50))
+    outcome = evaluate(term)
+    assert outcome.final == FuelExhausted(2, "substitution")
+    assert outcome.step_count == 2
+    assert evaluate(term, max_steps=2).final == FuelExhausted(2)
+    assert FuelExhausted(2).budget == "steps"
+    # `step` makes the two steps, then raises the engine's exception.
+    for _ in range(2):
+        term = step(term).term
+    with pytest.raises(subst.OutOfFuel):
+        step(term)
+
+
 def test_division_by_zero_gets_stuck_with_a_reason():
     outcome = evaluate(parse_term("1 / 0"))
     assert isinstance(outcome.final, Stuck)

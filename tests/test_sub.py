@@ -242,7 +242,7 @@ def test_traces_match_the_walk_everything_substitution(monkeypatch):
     # Enough steps happen for the comparison to mean something, and few
     # traces print differently.
     assert lines > 10_000
-    assert differing == 16
+    assert differing == 14
 
 
 # ---------------------------------------------------------------------------

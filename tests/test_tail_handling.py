@@ -7,6 +7,10 @@ took shows in the `subst_cont` calls: the tail rule makes none, and every
 other clause that calls its `k` (multi-shot, non-tail, `k` in both
 branches) makes at least one.  A clause that discards its `k` is the result
 as it is: the rest of the computation is not handled.
+
+The loop keeps the operations' results as a pending substitution; the
+capture tests check the renaming that needs against Python models of the
+programs, and the count tests what it saves.
 """
 
 import sys
@@ -35,6 +39,8 @@ def plusOneSt = handler for St {
   set(x;k;z) -> k((); x),
   return(x;z) -> ret x
 }
+
+def eval_f = fn x:[{}]int. let box u = x in eval u
 """
 
 TABLE = parse_source(PRELUDE + HANDLERS).table
@@ -181,33 +187,130 @@ def test_clause_binders_do_not_capture_the_names_of_the_handled_program(shadow, 
     assert run(source + main) == f"ret ({result}, 5)"
 
 
+def reperformed_chain(n: int, shadow: bool) -> tuple[str, int]:
+    """A chain of N get/set pairs under names from a `NameSupply`, then `y
+    <- get(); w <- set(y + 2); ret (a + y)`, where `a` is the first pair's
+    name and `y` and `w` are `idSt`'s own clause binders; and the value it
+    returns from state 4, by a model that looks names up as they are bound."""
+    sup = NameSupply(shadow)
+    stmts = []
+    for i in range(n):
+        a, w = sup.fresh("y"), sup.fresh("w")
+        stmts += [(a, None), (w, (a, i % 3 + 1))]
+    stmts += [("y", None), ("w", ("y", 2))]
+    read = stmts[0][0]
+    env, s = {}, 4
+    for name, set_to in stmts:
+        if set_to is None:
+            env[name] = s
+        else:
+            s, env[name] = env[set_to[0]] + set_to[1], ()
+    text = "; ".join(f"{b} <- get()" if st is None else f"{b} <- set({st[0]} + {st[1]})" for b, st in stmts)
+    return f"{text}; ret ({read} + y)", env[read] + env["y"]
+
+
+@pytest.mark.parametrize("shadow", [False, True])
+def test_pending_payloads_are_not_captured_by_the_clause_binders(shadow, monkeypatch):
+    # `idSt` re-performs each operation under its binder `y`, so the first
+    # result is pending as `Var(y)` while the program binds `y` again: each
+    # later clause `y` must be renamed away from it.
+    program, result = reperformed_chain(6, shadow)
+    calls = count_calls(monkeypatch, "subst_cont")
+    assert alpha_equal(subst.handle_with(comp(program), TABLE.handlers["idSt"], S.UnitLit()), comp(program))
+    assert calls[0] == 0
+    main = (
+        f"let box v = (let box u = box St. ({program}) in box St. (x <- handle u with idSt init (); ret x))\n"
+        "in r <- handle v with handlerSt init 4; ret r\n"
+    )
+    assert run(PRELUDE + main).startswith(f"ret ({result}, ")
+
+
+def test_a_pending_payload_is_not_captured_by_a_let_fix_or_let_box_of_the_program(monkeypatch):
+    # The first get reads the initial state, which names an outer `f` and
+    # `u`; after `set(5)` the state no longer does, so the loop carries that
+    # pending payload under the program's own `let fix f` and `let box u`.
+    code = (
+        "y <- get(); w <- set(5); let fix f(n:int):[{}]int = ret n in "
+        "let box u = box {}. ret 0 in ret (y + eval_f (f 2) + eval u)"
+    )
+    out, conts = handled(monkeypatch, code, "handlerSt", parse_term("eval_f (f (eval u))", TABLE))
+    expected = (
+        "let fix f1(n:int):[{}]int = ret n in let box u1 = box {}. ret 0 in "
+        "ret (eval_f (f (eval u)) + eval_f (f1 2) + eval u1, 5)"
+    )
+    assert alpha_equal(out, comp(expected))
+    assert conts == 0
+    main = (
+        f"let box v = box St. ({code})\n"
+        "in let box u = box {}. ret 10\n"
+        "in let fix f(n:int):[{}]int = ret (n + 1)\n"
+        "in x <- handle v with handlerSt init (eval_f (f (eval u))); ret x\n"
+    )
+    # y reads the outer f of the outer u, 10 + 1; the inner ones give 2 and 0.
+    assert run(PRELUDE + HANDLERS + main) == f"ret ({10 + 1 + 2 + 0}, 5)"
+
+
+def test_a_let_box_binder_is_renamed_away_from_the_state(monkeypatch):
+    # The state names `u`, so the program's `let box u` would capture the
+    # handler's use of it, before and after an operation.
+    state = parse_term("eval u", TABLE)
+    for code in ("", "y <- get(); "):
+        program = f"{code}let box u = box {{}}. ret 0 in w <- get(); ret (w + eval u)"
+        out, _ = handled(monkeypatch, program, "handlerSt", state)
+        assert alpha_equal(out, comp("let box u1 = box {}. ret 0 in ret (eval u + eval u1, eval u)"))
+
+
 # ---------------------------------------------------------------------------
 # Cost and depth
 
 
-def uniform_chain(n: int) -> str:
+def uniform_chain(n: int, result: str = "y0") -> str:
     chain = "; ".join(f"y{i} <- get(); w{i} <- set(y{i} + 1)" for i in range(n))
-    return PRELUDE + f"let box u = box St. ({chain}; ret y0)\nin x <- handle u with handlerSt init 0; ret x\n"
+    return PRELUDE + f"let box u = box St. ({chain}; ret {result})\nin x <- handle u with handlerSt init 0; ret x\n"
+
+
+def sub_visits(monkeypatch, source: str) -> tuple[str, int]:
+    """The printed value of a program, and the `sub` calls evaluating it took."""
+    with monkeypatch.context() as patch:
+        calls = count_calls(patch, "sub")
+        return run(source), calls[0]
 
 
 def test_sub_visits_grow_linearly_on_a_handler_st_chain(monkeypatch):
-    # The counting wrapper adds a frame to each level of `sub`, whose walk
-    # goes down the whole chain to `ret y0`; the depth tests below run at the
-    # default limit without it.
     visits = {}
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4000))
-    try:
-        for n in (100, 400):
-            with monkeypatch.context() as patch:
-                calls = count_calls(patch, "sub")
-                assert run(uniform_chain(n)) == f"ret (0, {n})"
-            visits[n] = calls[0]
-    finally:
-        sys.setrecursionlimit(limit)
+    for n in (100, 400):
+        value, visits[n] = sub_visits(monkeypatch, uniform_chain(n))
+        assert value == f"ret (0, {n})"
     # Handling under a symbolic state made 22,222 and 328,822 visits here
-    # (14.8x); the tail rule makes 2,119 and 8,419 (4.0x).
+    # (14.8x); substituting each result into the rest at once, 2,119 and
+    # 8,419 (4.0x), walking the chain down to `ret y0`.
     assert visits[400] <= 4.5 * visits[100]
+
+
+def test_far_reads_cost_no_more_sub_visits_than_near_ones(monkeypatch):
+    # Substituting each result into the rest at once rebuilt the chain down
+    # to every far read: 13,204 visits for the first four against 6,832 for
+    # the last two.  With the results pending, each read costs one lookup.
+    far, far_visits = sub_visits(monkeypatch, uniform_chain(400, "(y0 + y1 + y2 + y3)"))
+    near, near_visits = sub_visits(monkeypatch, uniform_chain(400, "(y399 + y398)"))
+    assert (far, near) == ("ret (6, 400)", "ret (797, 400)")
+    assert far_visits <= 1.1 * near_visits
+
+
+def test_a_direct_tail_clause_is_not_plugged(monkeypatch):
+    # `handlerSt`'s clauses are `k(z; z)` and `k((); x)`: only their two
+    # arguments are substituted into, never the clause body.
+    bodies = [clause.body for clause in TABLE.handlers["handlerSt"].op_clauses]
+    substituted = []
+    inner = subst._Engine.subst
+
+    def recording(self, t, mapping):
+        substituted.append(t)
+        return inner(self, t, mapping)
+
+    monkeypatch.setattr(subst._Engine, "subst", recording)
+    assert run(uniform_chain(20)) == "ret (0, 20)"
+    assert substituted and not any(t == body for t in substituted for body in bodies)
 
 
 def test_a_discarding_clause_handles_nothing_after_it(monkeypatch):
