@@ -196,10 +196,6 @@ class FuelExhausted:
     steps: int
     budget: str = "steps"
 
-    def __repr__(self) -> str:  # the step budget's repr is pinned in traces
-        budget = "" if self.budget == "steps" else f", budget={self.budget!r}"
-        return f"FuelExhausted(steps={self.steps}{budget})"
-
 
 @dataclass(frozen=True)
 class Value:

@@ -137,10 +137,6 @@ def pretty(t: S.Term, prec: int = 0) -> str:
             return f"({pretty(left, 0)}, {pretty(right, 0)})"
         case S.Nil() | S.ConsE() if (spine := _list_spine(t)) is not None:
             return "[" + ", ".join(pretty(e, 0) for e in spine) + "]"
-        case S.ConsE(head, tail):
-            # No literal form for a cons onto an open tail; fall back to an
-            # append, which normalizes back to the same term.
-            return _wrap(f"[{pretty(head, 0)}] ++ {pretty(tail, 3)}", 2, prec)
         case S.Lam(param, annot, body):
             return _wrap(f"fn {param}:{type_text(annot)}. {pretty(body, 0)}", 0, prec)
         case S.App(fn, arg):

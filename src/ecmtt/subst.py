@@ -263,52 +263,6 @@ class _Engine:
         m = {k: self.norm(v) for k, v in mapping.items()}
         return self.sub(t, m) if m else t
 
-    def _value_binder(
-        self, b: str, m: dict[str, S.Expr], bodies: tuple[S.Term, ...]
-    ) -> tuple[str, dict[str, S.Expr]]:
-        """Adjust a mapping for descent under a value binder, renaming the
-        binder through the mapping itself when a payload would capture it."""
-        m2 = {k: v for k, v in m.items() if k != b}
-        if not m2:
-            return b, m2
-        if any(b in free_vars(v).values for v in m2.values()):
-            avoid = set(m2)
-            for v in m2.values():
-                avoid |= free_vars(v).values
-            for body in bodies:
-                avoid |= free_vars(body).values
-            b2 = fresh_name(b, avoid)
-            m2[b] = S.Var(b2)
-            return b2, m2
-        return b, m2
-
-    def _sub_binders(self, row: S.Row, args: list, m: dict[str, S.Expr]) -> dict[str, dict[str, S.Expr]]:
-        """The mapping each child under a binder is substituted with, for
-        the children where it is not `m`.  A value binder is handled by
-        `_value_binder`; a modal or continuation binder that a payload would
-        capture is renamed in the children it scopes over.  `sub` calls this
-        only on a node where a mapped name is free, so a binder is renamed
-        only where the substitution reaches under it.  New binder names and
-        renamed children are written into `args`, the node's field values."""
-        index = row.fields.index
-        inner: dict[str, dict[str, S.Expr]] = {}
-        for f, ns, scope in row.binds:
-            if ns == OPS:
-                continue
-            i = index(f)
-            b = args[i]
-            m2 = inner.get(scope[0], m)
-            if ns == VALUES:
-                args[i], m2 = self._value_binder(b, m2, tuple(args[index(c)] for c in scope))
-            elif m2 and any(b in getattr(free_vars(v), ns) for v in m2.values()):
-                avoid: set[str] = set()
-                for v in m2.values():
-                    avoid |= getattr(free_vars(v), ns)
-                self._freshen_binder(row, args, f, ns, scope, avoid)
-            for c in scope:
-                inner[c] = m2
-        return inner
-
     def sub(self, t: S.Term, m: dict[str, S.Expr]) -> S.Term:
         """Substitute normalized payloads for the free value variables of
         `t` (`m` is not empty).
@@ -316,10 +270,10 @@ class _Engine:
         A subterm where no mapped name is free is returned as `norm(t)`
         without a walk, binders and all: no payload can be captured where
         none is put.  A skipped subterm costs no fuel when it is already
-        normal.  Under a binder that drops the last key, a child is left as
-        it is.  When `t` is normal, so is the result, and it is marked so,
-        as `norm` marks its own.  The checks are here, not in a wrapper, so
-        deep terms take one frame per level."""
+        normal.  Binders are renamed by `_scope`; under a binder that drops
+        the last key, a child is left as it is.  When `t` is normal, so is
+        the result, and it is marked so, as `norm` marks its own.  The checks
+        are here, not in a wrapper, so deep terms take one frame per level."""
         if free_vars(t).values.isdisjoint(m):
             return self.norm(t)
         self.tick()
@@ -328,8 +282,10 @@ class _Engine:
             return m[t.name]
         sub = self.sub
         row = SCHEMA[cls]
-        args = _field_values(t, row)
-        inner = self._sub_binders(row, args, m) if row.binds else {}
+        if row.binds:
+            args, inner = self._scope(t, m)
+        else:
+            args, inner = _field_values(t, row), {}
         for i, c, many in row.kids:
             m2 = inner.get(c, m)
             if not m2:
@@ -346,7 +302,7 @@ class _Engine:
             object.__setattr__(out, "_nf", out)
         return out
 
-    # -- renaming of modal and continuation names
+    # -- capture avoidance: renaming a binder where something would be captured
 
     def _rename(self, t: S.Term, ns: str, old: str, new: str) -> S.Term:
         """Rename a free name of namespace `ns`.  `new` must be fresh for
@@ -363,53 +319,64 @@ class _Engine:
                 args[row.fields.index(f)] = new
         return cls(*_map_into(row, args, _unshadowed(t, row, ns, old), self._rename, ns, old, new))
 
-    def rename_modal(self, t: S.Term, old: str, new: str) -> S.Term:
-        """Rename a free modal variable; see `_rename`."""
-        return self._rename(t, MODALS, old, new)
-
-    def rename_cont(self, t: S.Term, old: str, new: str) -> S.Term:
-        """Rename a free continuation name; see `_rename`."""
-        return self._rename(t, CONTS, old, new)
-
-    # -- capture avoidance for the walks below
-
-    def _freshen_binder(
-        self, row: S.Row, args: list, f: str, ns: str, scope: tuple[str, ...], avoid: set[str]
-    ) -> None:
-        """Rename the binder in field `f` to a name outside `avoid`, the free
-        names of the children it scopes over and the node's other binders,
-        and rename it in each of those children where no other binder of the
-        node rebinds its old name.  `args`, the node's field values, is
-        updated in place."""
-        index = row.fields.index
-        b = args[index(f)]
-        taken = set(avoid)
-        for c in scope:
-            taken |= getattr(free_vars(args[index(c)]), ns)
-        for g, other, _ in row.binds:
-            if other == ns and g != f:
-                taken.add(args[index(g)])
-        b2 = args[index(f)] = fresh_name(b, taken)
-        for c in scope:
-            if any(other == ns and g != f and args[index(g)] == b for g, other in row.over[c]):
-                continue
-            i = index(c)
-            args[i] = self.sub(args[i], {b: S.Var(b2)}) if ns == VALUES else self._rename(args[i], ns, b, b2)
-
     def _freshen(
         self, t: S.Term, into: tuple[str, ...], danger: S.FreeVars, avoid: Optional[S.FreeVars] = None
     ) -> list:
         """The field values of `t`, with each binder renamed that scopes
-        over a child in `into` and whose name is in `danger`, away from
-        `avoid` (by default `danger`).  Operation names are never renamed."""
+        over a child in `into` and whose name is in `danger`: to a name
+        outside `avoid` (by default `danger`), the free names of the children
+        it scopes over and the node's other binders, and in each of those
+        children where no other binder of the node rebinds its old name.
+        Operation names are never renamed."""
         row = SCHEMA[type(t)]
         args = _field_values(t, row)
+        index = row.fields.index
         for f, ns, scope in row.binds:
-            if ns == OPS or args[row.fields.index(f)] not in getattr(danger, ns):
+            b = args[index(f)]
+            if ns == OPS or b not in getattr(danger, ns) or not any(c in into for c in scope):
                 continue
-            if any(c in into for c in scope):
-                self._freshen_binder(row, args, f, ns, scope, getattr(avoid or danger, ns))
+            taken = set(getattr(avoid or danger, ns))
+            for c in scope:
+                taken |= getattr(free_vars(args[index(c)]), ns)
+            for g, other, _ in row.binds:
+                if other == ns and g != f:
+                    taken.add(args[index(g)])
+            b2 = args[index(f)] = fresh_name(b, taken)
+            for c in scope:
+                if any(other == ns and g != f and args[index(g)] == b for g, other in row.over[c]):
+                    continue
+                i = index(c)
+                args[i] = self.sub(args[i], {b: S.Var(b2)}) if ns == VALUES else self._rename(args[i], ns, b, b2)
         return args
+
+    def _scope(self, t: S.Term, m: dict[str, S.Expr], outside: S.FreeVars = S.NO_FREE_VARS) -> tuple[list, dict]:
+        """Take the substitution `m` under the binders of `t`: the field
+        values of `t` with each binder renamed that a payload would capture
+        (the payload of a key free in `t` other than the binder), and each
+        binder over a tail of `t` (see `_TAILS`) whose name is in `outside`;
+        and the mapping for each child, `m` less the value names bound over
+        it."""
+        row = SCHEMA[type(t)]
+        fv = free_vars(t).values
+        danger = S.NO_FREE_VARS
+        for k in m.keys() & fv:
+            p = free_vars(m[k])
+            danger |= S.FreeVars(p.values - {k}, p.modals, p.ops, p.conts) if k in p.values else p
+        args = _field_values(t, row)
+        if danger is not S.NO_FREE_VARS or outside is not S.NO_FREE_VARS:
+            # A new name must not be a key either, or `m` would replace it.
+            avoid = S.FreeVars(danger.values.union(m), danger.modals, danger.ops, danger.conts)
+            args = self._freshen(t, row.children, danger, avoid)
+            if outside is not S.NO_FREE_VARS:
+                args = self._freshen(row.cls(*args), _TAILS[row.cls], outside, outside | avoid)
+        inner: dict[str, dict[str, S.Expr]] = {}
+        for f, ns, scope in row.binds:
+            b = getattr(t, f)
+            for c in scope:
+                m2 = inner.get(c, m)
+                if ns == VALUES and b in m2:
+                    inner[c] = {k: v for k, v in m2.items() if k != b}
+        return args, inner
 
     # -- monadic substitution: plug a continuation in for a computation's result
 
@@ -500,10 +467,10 @@ class _Engine:
         `rest`.  `env` is applied (`_pending`) where the loop emits code: an
         operation's argument, a `ret` value, the fields of a `let box` or
         `let fix` outside its tail, and all that is left when the loop
-        leaves the rule.  The binders of such a hole are renamed as `sub`
-        renames them where a payload would be captured, and away from the
-        free names of `h` and the state; the clause's binders around the
-        call, away from those of `h` and of `rest` once `env` is applied.
+        leaves the rule.  The binders of such a hole are renamed by `_scope`
+        as in `sub`, and those over its tail away from the free names of `h`
+        and the state; the clause's binders around the call, away from those
+        of `h` and of `rest` once `env` is applied.
         A clause that does not call its `k` is the result as it is, and
         `rest` is not handled.  Any other clause handles `rest` under a
         fresh state variable and substitutes the continuation for `k` with
@@ -569,7 +536,6 @@ class _Engine:
                     out = S.Bind(S.Handle(inner.uvar, hseq, h, state, span=c.span), "x", S.Ret(S.Var("x")), span=c.span)
                     break
             cls = type(c)
-            outside = free_vars(h) | free_vars(state)
             if cls is S.IfC:
                 # Each branch is handled by a call of its own, once `env` is
                 # applied; a condition that folds leaves one branch.
@@ -579,20 +545,13 @@ class _Engine:
                     break
                 continue
             # A `let box` or `let fix`: `env` goes on into its tail through
-            # its binders, as `sub` takes a mapping through them.
+            # its binders, renamed as in `sub` and away from `h` and the state.
             row, i = SCHEMA[cls], _TAIL_AT[cls][0]
-            args = _field_values(c, row)
-            m = None if env is None else {k: env[k] for k in free_vars(c).values if k in env}
-            inner = self._sub_binders(row, args, m) if m else {}
-            if any(args[row.fields.index(f)] in getattr(outside, ns) for f, ns in row.over[row.fields[i]]):
-                # The clauses and the state would be captured: rename the
-                # binder once `env` is applied.
-                args, env = self._freshen(self._pending(c, env), _TAILS[cls], outside), env and {}
-            else:
-                for j, f, _ in row.kids:
-                    if j != i:
-                        args[j] = self._pending(args[j], inner.get(f, m))
-                env = inner.get(row.fields[i], m)
+            args, inner = self._scope(c, env or {}, free_vars(h) | free_vars(state))
+            for j, f, _ in row.kids:
+                if j != i:
+                    args[j] = self._pending(args[j], env and inner.get(f, env))
+            env = env and inner.get(row.fields[i], env)
             holes.append((cls, args, i))
             c = args[i]
         for cls, args, i in reversed(holes):

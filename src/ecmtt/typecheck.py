@@ -324,8 +324,6 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
             _require(infer(delta, None, cond), S.BOOL, t.span, message="condition")
             return _join(infer(delta, gamma, then), infer(delta, gamma, els), t.span)
 
-    raise TypeCheckError("argument-mismatch", f"unrecognized term {t!r}")
-
 
 def infer_expr(delta: ModalContext, e: S.Expr) -> Type:
     return infer(delta, None, e)

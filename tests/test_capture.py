@@ -1,0 +1,250 @@
+"""Capture avoidance against a reference that does not trust the engine.
+
+The reference renames *every* binder of the term it substitutes into to a
+globally fresh name (one no term or payload can contain: it has a `'`), and
+then replaces the free occurrences of each key by its payload.  No payload
+can be captured then, so there is nothing to check.  Its table of binders is
+written out here, apart from `syntax.SCHEMA`, and it never calls the engine.
+
+The terms are random and untyped (substitution is syntactic): small names
+drawn from one pool per namespace, so binders shadow one another, and
+payloads built from the same pools, so they name the term's own value,
+modal and continuation binders, and carry `let box`/`let fix` of their own.
+The engine's result and the reference's must be alpha-equal once both are
+normalized.  Each seed is printed on failure.
+"""
+
+import dataclasses
+import random
+
+from ecmtt import syntax as S
+from ecmtt.pretty import pretty
+from ecmtt.subst import normalize, subst_monadic, subst_values
+from ecmtt.syntax import alpha_equal, free_vars
+
+VAL, MOD, CONT = "value", "modal", "cont"
+
+# Per class, each binding field with its namespace and the children it
+# scopes over, in order: a later binder shadows an earlier one of a name.
+BINDERS = {
+    S.Lam: (("param", VAL, ("body",)),),
+    S.LetBoxE: (("uvar", MOD, ("body",)),),
+    S.LetBoxC: (("uvar", MOD, ("body",)),),
+    S.FixE: (("fname", VAL, ("rec_body", "scope")), ("param", VAL, ("rec_body",))),
+    S.FixC: (("fname", VAL, ("rec_body", "scope")), ("param", VAL, ("rec_body",))),
+    S.Bind: (("var", VAL, ("rest",)),),
+    S.OpClause: (("x", VAL, ("body",)), ("z", VAL, ("body",)), ("k", CONT, ("body",))),
+    S.RetClause: (("x", VAL, ("body",)), ("z", VAL, ("body",))),
+    S.HClause: (("var", VAL, ("body",)),),
+}
+# The fields that name a free modal variable or continuation.
+USES = {S.EvalTerm: ("uvar", MOD), S.Handle: ("uvar", MOD), S.ContCall: ("kname", CONT)}
+NODES = (S.Expr, S.Comp, S.Stmt, S.Handler, S.HSeq, S.OpClause, S.RetClause, S.HClause)
+
+# ---------------------------------------------------------------------------
+# The reference
+
+
+class Reference:
+    def __init__(self) -> None:
+        self.count = 0
+
+    def fresh(self, name: str) -> str:
+        self.count += 1
+        return f"{name}'{self.count}"
+
+    def subst(self, t, env: dict):
+        """`t` with every binder renamed fresh and each free name looked up
+        in `env`: (namespace, name) to a payload for a value, else a name."""
+        if isinstance(t, tuple):
+            return tuple(self.subst(item, env) for item in t)
+        if not isinstance(t, NODES):
+            return t
+        cls = type(t)
+        if cls is S.Var:
+            return env.get((VAL, t.name), t)
+        fields = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
+        if cls in USES:
+            f, ns = USES[cls]
+            fields[f] = env.get((ns, fields[f]), fields[f])
+        inner: dict[str, dict] = {}
+        for f, ns, scope in BINDERS.get(cls, ()):
+            old = fields[f]
+            fields[f] = new = self.fresh(old)
+            for c in scope:
+                inner[c] = {**inner.get(c, env), (ns, old): S.Var(new) if ns == VAL else new}
+        for name, value in fields.items():
+            fields[name] = self.subst(value, inner.get(name, env))
+        return cls(**fields)
+
+    def plug(self, c: S.Comp, x: str, cont: S.Comp) -> S.Comp:
+        """Each `ret e` leaf of `c`, whose binders are already fresh, replaced
+        by `cont` with `e` for `x`."""
+        match c:
+            case S.Ret(e):
+                return self.subst(cont, {(VAL, x): e})
+            case S.Bind(stmt, v, rest):
+                return S.Bind(stmt, v, self.plug(rest, x, cont))
+            case S.LetBoxC(u, e, body):
+                return S.LetBoxC(u, e, self.plug(body, x, cont))
+            case S.FixC():
+                return dataclasses.replace(c, scope=self.plug(c.scope, x, cont))
+            case S.IfC(cond, then, els):
+                return S.IfC(cond, self.plug(then, x, cont), self.plug(els, x, cont))
+        raise AssertionError(f"not a computation: {c!r}")
+
+
+def reference_subst(t: S.Term, mapping: dict[str, S.Expr]) -> S.Term:
+    return Reference().subst(t, {(VAL, k): v for k, v in mapping.items()})
+
+
+def reference_monadic(c: S.Comp, x: str, cont: S.Comp) -> S.Comp:
+    ref = Reference()
+    return ref.plug(ref.subst(c, {}), x, cont)
+
+
+# ---------------------------------------------------------------------------
+# Random terms over small name pools
+
+VALUE_NAMES = ("a", "a1", "b", "x")
+MODAL_NAMES = ("u", "u1")
+CONT_NAMES = ("k", "k1")
+THEORY = S.make_theory([S.OpDecl("op", S.INT, S.INT)])
+
+
+class Gen:
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+
+    def value(self) -> str:
+        return self.rng.choice(VALUE_NAMES)
+
+    def modal(self) -> str:
+        return self.rng.choice(MODAL_NAMES)
+
+    def cont(self) -> str:
+        return self.rng.choice(CONT_NAMES)
+
+    def expr(self, depth: int) -> S.Expr:
+        rng = self.rng
+        if depth <= 0:
+            return rng.choice([S.Var(self.value()), S.Var(self.value()), S.IntLit(rng.randint(0, 9))])
+        d = depth - 1
+        pick = rng.randrange(10)
+        if pick == 0:
+            return S.Lam(self.value(), S.INT, self.expr(d))
+        if pick == 1:
+            return S.LetBoxE(self.modal(), self.expr(d), self.expr(d))
+        if pick == 2:
+            return S.EvalTerm(self.hseq(d), self.modal())
+        if pick == 3:
+            return S.FixE(self.value(), self.value(), S.INT, THEORY, S.INT, self.comp(d), self.expr(d))
+        if pick == 4:
+            return S.BoxTerm(THEORY, self.comp(d))
+        if pick == 5:
+            return S.Pair(self.expr(d), self.expr(d))
+        if pick == 6:
+            return S.Arith("+", self.expr(d), self.expr(d))
+        if pick == 7:
+            return S.IfE(S.Cmp("<", self.expr(d), self.expr(d)), self.expr(d), self.expr(d))
+        return S.App(self.expr(d), self.expr(d))
+
+    def stmt(self, depth: int) -> S.Stmt:
+        d = max(depth - 1, 0)
+        pick = self.rng.randrange(3)
+        if pick == 0:
+            return S.OpCall("op", self.expr(d))
+        if pick == 1:
+            return S.ContCall(self.cont(), self.expr(d), self.expr(d))
+        return S.Handle(self.modal(), self.hseq(d), self.handler(d), self.expr(d))
+
+    def comp(self, depth: int) -> S.Comp:
+        rng = self.rng
+        if depth <= 0:
+            return S.Ret(self.expr(0))
+        d = depth - 1
+        pick = rng.randrange(6)
+        if pick == 0:
+            return S.Ret(self.expr(d))
+        if pick == 1:
+            return S.LetBoxC(self.modal(), self.expr(d), self.comp(d))
+        if pick == 2:
+            return S.FixC(self.value(), self.value(), S.INT, THEORY, S.INT, self.comp(d), self.comp(d))
+        if pick == 3:
+            return S.IfC(S.Cmp("<", self.expr(d), self.expr(d)), self.comp(d), self.comp(d))
+        return S.Bind(self.stmt(d), self.value(), self.comp(d))
+
+    def handler(self, depth: int) -> S.Handler:
+        clause = S.OpClause("op", self.value(), self.cont(), self.value(), self.comp(depth))
+        return S.Handler(THEORY, (clause,), S.RetClause(self.value(), self.value(), self.comp(depth)))
+
+    def hseq(self, depth: int) -> S.HSeq:
+        if depth <= 0 or self.rng.random() < 0.5:
+            return S.EMPTY_HSEQ
+        return S.HSeq((S.HClause(self.handler(depth - 1), self.expr(0), self.value(), self.comp(depth - 1)),))
+
+    def mapping(self, t: S.Term) -> dict[str, S.Expr]:
+        """Payloads for one or two of the value names free in `t`."""
+        free = sorted(free_vars(t).values)
+        keys = self.rng.sample(free, min(len(free), self.rng.randint(1, 2)))
+        return {k: self.expr(self.rng.randint(0, 2)) for k in keys}
+
+
+def bound_values(t) -> set[str]:
+    """The value names bound anywhere in `t`."""
+    if isinstance(t, tuple):
+        return set().union(*map(bound_values, t))
+    if not isinstance(t, NODES):
+        return set()
+    names = {getattr(t, f) for f, ns, _ in BINDERS.get(type(t), ()) if ns == VAL}
+    for f in dataclasses.fields(t):
+        names |= bound_values(getattr(t, f.name))
+    return names
+
+
+def same(got: S.Term, expected: S.Term) -> bool:
+    return alpha_equal(normalize(got), normalize(expected))
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+def test_subst_values_agrees_with_renaming_every_binder():
+    exposed = 0
+    for seed in range(800):
+        gen = Gen(random.Random(seed))
+        t = gen.comp(4) if seed % 2 else gen.expr(4)
+        m = gen.mapping(t)
+        if not m:
+            continue
+        got = subst_values(t, m)
+        assert same(got, reference_subst(t, m)), (
+            f"seed {seed}: {pretty(t)}\n  with {({k: pretty(v) for k, v in m.items()})}\n  gave {pretty(got)}"
+        )
+        payload_names = set().union(*(free_vars(v).values for v in m.values()))
+        exposed += bool(payload_names & bound_values(t))
+    # Most cases put a payload under a binder of a name it mentions.
+    assert exposed >= 500
+
+
+def test_subst_monadic_agrees_with_renaming_every_binder():
+    exposed = 0
+    for seed in range(800):
+        gen = Gen(random.Random(seed))
+        c, x, cont = gen.comp(4), gen.value(), gen.comp(3)
+        got = subst_monadic(c, x, cont)
+        assert same(got, reference_monadic(c, x, cont)), (
+            f"seed {seed}: {pretty(c)}\n  into {x}. {pretty(cont)}\n  gave {pretty(got)}"
+        )
+        exposed += bool((free_vars(cont).values - {x}) & bound_values(c))
+    assert exposed >= 600
+
+
+def test_the_reference_renames_binders_and_not_free_names():
+    t = S.Lam("a", S.INT, S.Arith("+", S.Var("a"), S.Var("b")))
+    out = reference_subst(t, {"b": S.Var("a")})
+    assert out == S.Lam("a'1", S.INT, S.Arith("+", S.Var("a'1"), S.Var("a")))
+    fix = S.FixC("f", "f", S.INT, THEORY, S.INT, S.Ret(S.Var("f")), S.Ret(S.Var("f")))
+    out = reference_subst(fix, {})
+    assert (out.rec_body, out.scope) == (S.Ret(S.Var("f'2")), S.Ret(S.Var("f'1")))

@@ -301,6 +301,13 @@ def test_repl_runs_a_term_after_a_definition_on_one_line():
     assert "ecmtt> ret 6\n" in out
     assert "ecmtt> 1\n" in out
 
+def test_repl_skips_blank_lines():
+    code, out, _ = invoke(["repl"], "\n   \nret 2\n:q\n")
+    assert code == 0
+    # Each blank line gets a new prompt and no output.
+    assert "ecmtt> ecmtt> ecmtt> ret 2\n" in out
+
+
 def test_repl_recovers_from_errors():
     session = "fn x. x\nbox {}. get()\nret 7\n:q\n"
     code, out, _ = invoke(["repl"], session)

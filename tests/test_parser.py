@@ -364,3 +364,15 @@ def test_a_statement_without_a_binder_binds_a_fresh_name():
     term = parse_term("a(); ret 1")
     assert term == S.Bind(S.OpCall("a", S.UnitLit()), "_", S.Ret(S.IntLit(1)))
     assert pretty(term) == "_ <- a(); ret 1"
+
+
+def test_statements_sequences_types_and_terms_print_on_their_own():
+    h = "handler for {} { return(x; z) -> ret x }"
+    term = parse_term(f"x <- handle u [{h} init 0 as y. ret y] with {h} init 1; ret x")
+    assert pretty(term.stmt) == f"handle u [{h} init 0 as y. ret y] with {h} init 1"
+    assert pretty(term.stmt.hseq) == f"{h} init 0 as y. ret y"
+    assert str(term) == pretty(term)
+    assert str(parse_type("int -> [ {} ] bool")) == "int -> [ {} ] bool"
+    # A clause is printed only as a part of its handler.
+    with pytest.raises(AssertionError, match="unhandled node"):
+        pretty(term.stmt.handler.ret_clause)

@@ -53,7 +53,7 @@ def _ref_modal_binder(eng, u, m, body):
         for v in m.values():
             avoid |= free_vars(v).modals
         u2 = fresh_name(u, avoid)
-        return u2, eng.rename_modal(body, u, u2)
+        return u2, eng._rename(body, S.MODALS, u, u2)
     return u, body
 
 
@@ -70,7 +70,7 @@ def _ref_op_clause(eng, c, m):
         for v in mz.values():
             avoid |= free_vars(v).conts
         k2 = fresh_name(c.k, avoid)
-        body = eng.rename_cont(body, c.k, k2)
+        body = eng._rename(body, S.CONTS, c.k, k2)
     return S.OpClause(c.op, x2, k2, z2, _ref_opt(eng, body, mz))
 
 
@@ -160,7 +160,10 @@ def full_trace(term: S.Term) -> tuple[list[tuple[str, S.Term]], str]:
     """Every step's rule and term, and the printed final state."""
     outcome = evaluate(term, record=True)
     final = outcome.final
-    last = f"value\t{pretty(final.term)}" if isinstance(final, Value) else repr(final)
+    if isinstance(final, Value):
+        last = f"value\t{pretty(final.term)}"
+    else:
+        last = f"{type(final).__name__}{dataclasses.astuple(final)}"
     return [(s.rule, s.term) for s in outcome.steps], last
 
 
@@ -397,16 +400,16 @@ def test_a_clause_binder_a_payload_would_capture_is_renamed():
 def test_renaming_returns_a_term_without_the_name_as_it_is():
     eng = subst._Engine(fuel=0)
     comp = parse_term("let box v = box {}. ret 1 in let box w = eval v in ret w")
-    assert eng.rename_modal(comp, "u", "u1") is comp
+    assert eng._rename(comp, S.MODALS, "u", "u1") is comp
     # `v` is bound, so it is not free either.
-    assert eng.rename_modal(comp, "v", "v1") is comp
+    assert eng._rename(comp, S.MODALS, "v", "v1") is comp
     handler = S.Handler(
         S.EMPTY_THEORY,
         (),
         S.RetClause("x", "z", S.Bind(S.ContCall("k", S.Var("x"), S.Var("z")), "y", S.Ret(S.Var("y")))),
     )
-    assert eng.rename_cont(handler, "j", "j1") is handler
-    renamed = subst._Engine().rename_cont(handler, "k", "k1")
+    assert eng._rename(handler, S.CONTS, "j", "j1") is handler
+    renamed = subst._Engine()._rename(handler, S.CONTS, "k", "k1")
     assert renamed.ret_clause.body.stmt.kname == "k1"
-    out = subst._Engine().rename_modal(parse_term("eval u"), "u", "u1")
+    out = subst._Engine()._rename(parse_term("eval u"), S.MODALS, "u", "u1")
     assert out == S.EvalTerm(S.EMPTY_HSEQ, "u1")

@@ -260,6 +260,26 @@ def test_a_let_box_binder_is_renamed_away_from_the_state(monkeypatch):
         assert alpha_equal(out, comp("let box u1 = box {}. ret 0 in ret (eval u + eval u1, eval u)"))
 
 
+def test_a_let_fix_binder_is_renamed_away_from_the_state(monkeypatch):
+    # The state names `f`, so the program's `let fix f` would capture the
+    # handler's use of it, before an operation and after one whose result,
+    # pending, names `f` too.
+    state = parse_term("eval_f (f 3)", TABLE)
+    s = "eval_f (f 3)"
+    fix = "let fix f(n:int):[{}]int = ret (n + 1) in "
+    cases = (
+        ("", "ret (w + eval_f (f w))", f"ret ({s} + eval_f (f1 ({s})), {s})", 30 + 31),
+        ("y <- get(); ", "ret (y + w + eval_f (f w))", f"ret ({s} + {s} + eval_f (f1 ({s})), {s})", 30 + 30 + 31),
+    )
+    main = "in let fix f(n:int):[{}]int = ret (n * 10)\nin x <- handle v with handlerSt init (eval_f (f 3)); ret x\n"
+    for code, result, expected, value in cases:
+        program = f"{code}{fix}w <- get(); {result}"
+        out, _ = handled(monkeypatch, program, "handlerSt", state)
+        assert alpha_equal(out, comp(f"let fix f1(n:int):[{{}}]int = ret (n + 1) in {expected}"))
+        # The outer f makes the state 30; the inner one adds 1 to it.
+        assert run(PRELUDE + HANDLERS + f"let box v = box St. ({program})\n" + main) == f"ret ({value}, 30)"
+
+
 # ---------------------------------------------------------------------------
 # Cost and depth
 

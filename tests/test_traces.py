@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from ecmtt.corpus import CASES
-from ecmtt.evaluator import DEFAULT_MAX_STEPS, Value, evaluate
+from ecmtt.evaluator import DEFAULT_MAX_STEPS, FuelExhausted, Stuck, Value, evaluate
 from ecmtt.parser import ParseError, parse_source, parse_term
 from ecmtt.pretty import pretty
 from ecmtt.subst import normalize
@@ -49,10 +49,22 @@ def _trace_lines(term, max_steps: int) -> list[str]:
     trace = evaluate(term, max_steps=max_steps, record=True)
     lines = [pretty(term)]
     lines += [f"{s.rule}\t{pretty(s.term)}" for s in trace.steps]
-    final = trace.final
-    lines.append(f"value\t{pretty(final.term)}" if isinstance(final, Value) else repr(final))
+    lines.append(_final_line(trace.final))
     lines.append(f"steps\t{trace.step_count}")
     return lines
+
+
+def _final_line(final) -> str:
+    """The final state as the digests were pinned with it."""
+    match final:
+        case Value(term):
+            return f"value\t{pretty(term)}"
+        case Stuck(reason):
+            return f"Stuck(reason={reason!r})"
+        case FuelExhausted(steps, "steps"):
+            return f"FuelExhausted(steps={steps})"
+        case FuelExhausted(steps, budget):
+            return f"FuelExhausted(steps={steps}, budget={budget!r})"
 
 
 def _digest(term, budgets: tuple[int, ...]) -> str:

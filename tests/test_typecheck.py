@@ -290,6 +290,16 @@ def test_infer_term_dispatches_on_syntax_class():
 
 
 
+def test_an_annotated_nil_has_its_list_type():
+    # The parser gives `[]` no element type; a term built by hand can.
+    assert type_text(infer_term(S.Nil(S.INT))) == "list int"
+
+
+def test_an_unknown_error_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown error kind 'no-such-kind'"):
+        TypeCheckError("no-such-kind")
+
+
 _GET = S.OpCall("get", S.UnitLit())
 
 
