@@ -33,12 +33,12 @@ DEFAULT_MAX_STEPS = 1_000_000
 def is_value(t: S.Term) -> bool:
     """Closed runtime values; `ret v` is the terminal computation."""
     match t:
-        case S.IntLit() | S.BoolLit() | S.UnitLit() | S.Lam() | S.BoxTerm() | S.Nil():
+        case S.IntLit() | S.BoolLit() | S.UnitLit() | S.Lam() | S.BoxTerm():
             return True
         case S.Pair(left, right):
             return is_value(left) and is_value(right)
-        case S.ConsE(head, tail):
-            return is_value(head) and is_value(tail)
+        case S.ListE(elems):
+            return all(map(is_value, elems))
         case S.Ret(value):
             return is_value(value)
         case _:
@@ -74,23 +74,32 @@ _CONGRUENCE: dict[type, tuple[tuple[str, str], ...]] = {
     S.Pair: (("left", "cong-pair-l"), ("right", "cong-pair-r")),
     S.Proj1: (("arg", "cong-proj"),),
     S.Proj2: (("arg", "cong-proj"),),
-    S.ConsE: (("head", "cong-cons-l"), ("tail", "cong-cons-r")),
     S.Append: (("left", "cong-append-l"), ("right", "cong-append-r")),
     S.Arith: (("left", "cong-arith-l"), ("right", "cong-arith-r")),
     S.Cmp: (("left", "cong-cmp-l"), ("right", "cong-cmp-r")),
 }
 
+
+class _Elems(list):
+    """The elements of a list the machine is inside, left to right, each
+    put in place as it becomes a value: the list is rebuilt, with no source
+    span, once all are values or when a step is recorded, not once per
+    element.  A step inside element i is labelled as if the list were a
+    chain of cons cells: `cong-cons-r` i times, then `cong-cons-l`."""
+
+
 # Classes whose node is a value once its evaluated children are: `is_value`.
+# A list's elements are its evaluated children, read by `run` itself.
 _VALUE_FORMS = frozenset(
-    {S.IntLit, S.BoolLit, S.UnitLit, S.Lam, S.BoxTerm, S.Nil, S.Pair, S.ConsE, S.Ret}
+    {S.IntLit, S.BoolLit, S.UnitLit, S.Lam, S.BoxTerm, S.Pair, S.ListE, _Elems, S.Ret}
 )
 
 # Congruences whose rule name hides the step taken inside them.
 _OPAQUE = frozenset({"cong-letbox", "cong-if"})
 
 # A frame of the evaluation context: a parent and the index, into its
-# `_CONGRUENCE` entry, of the child the focus replaces.
-_Frame = tuple[S.Term, int]
+# `_CONGRUENCE` entry or its list elements, of the child the focus replaces.
+_Frame = tuple[Union[S.Term, _Elems], int]
 
 
 def _unroll(t: Union[S.FixE, S.FixC]) -> S.Term:
@@ -167,19 +176,29 @@ def _contract(t: S.Term) -> tuple[S.Term, str]:
             raise _StuckError("no rule applies")
 
 
-def _plug(parent: S.Term, i: int, child: S.Term) -> S.Term:
-    """`parent` with `child` at its i-th congruence position."""
+def _plug(parent: Union[S.Term, _Elems], i: int, child: S.Term) -> Union[S.Term, _Elems]:
+    """`parent` with `child` at its i-th congruence position; a list's
+    elements take it in place."""
+    if type(parent) is _Elems:
+        parent[i] = child
+        return parent
     return dataclasses.replace(parent, **{_CONGRUENCE[type(parent)][i][0]: child})
 
 
 def _recorded(frames: list[_Frame], contractum: S.Term, rule: str) -> Stepped:
     """The whole term after a contraction, and the rule named through the
-    context; the rule name stops at an opaque congruence."""
+    context; the rule name stops at an opaque congruence.  A list's
+    elements take the stepped element in place until it is a value."""
     term = contractum
     for parent, i in reversed(frames):
         term = _plug(parent, i, term)
+        if type(term) is _Elems:
+            term = S.ListE(tuple(term))
     labels = []
     for parent, i in frames:
+        if type(parent) is _Elems:
+            labels += ["cong-cons-r"] * i + ["cong-cons-l"]
+            continue
         labels.append(_CONGRUENCE[type(parent)][i][1])
         if labels[-1] in _OPAQUE:
             break
@@ -238,6 +257,18 @@ def run(
             focus, start = getattr(focus, positions[i][0]), 0
             continue
         if type(focus) in _VALUE_FORMS:
+            if type(focus) is S.ListE or type(focus) is _Elems:
+                # Into the first element from `start` that is not a value.
+                elems = focus if type(focus) is _Elems else focus.elems
+                i = start
+                while i < len(elems) and is_value(elems[i]):
+                    i += 1
+                if i < len(elems):
+                    frames.append((focus if elems is focus else _Elems(elems), i))
+                    focus, start = elems[i], 0
+                    continue
+                if elems is focus:
+                    focus = S.ListE(tuple(elems))
             if not frames:
                 return Value(focus)
             parent, j = frames.pop()

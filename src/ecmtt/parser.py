@@ -581,10 +581,7 @@ class _Parser:
                         self.advance()
                         elems.append(self.parse_expr())
                 self.expect("]")
-                result: S.Expr = S.Nil(span=tok.span)
-                for elem in reversed(elems):
-                    result = S.ConsE(elem, result, span=tok.span)
-                return result
+                return S.ListE(tuple(elems), span=tok.span)
             case _:
                 raise _err(
                     f"expected an expression, found {tok.text or 'end of input'!r}", tok.span

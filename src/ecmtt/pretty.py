@@ -54,20 +54,6 @@ def type_text(ty: S.Type, prec: int = 0) -> str:
             raise AssertionError(f"type_text: unhandled type {ty!r}")
 
 
-def _list_spine(e: S.Expr) -> list[S.Expr] | None:
-    """Elements of a cons chain ending in nil, or None if the tail is open."""
-    elems: list[S.Expr] = []
-    while True:
-        match e:
-            case S.Nil():
-                return elems
-            case S.ConsE(head, tail):
-                elems.append(head)
-                e = tail
-            case _:
-                return None
-
-
 def _stmt_text(s: S.Stmt) -> str:
     match s:
         case S.OpCall(op, arg):
@@ -135,8 +121,8 @@ def pretty(t: S.Term, prec: int = 0) -> str:
             return "()"
         case S.Pair(left, right):
             return f"({pretty(left, 0)}, {pretty(right, 0)})"
-        case S.Nil() | S.ConsE() if (spine := _list_spine(t)) is not None:
-            return "[" + ", ".join(pretty(e, 0) for e in spine) + "]"
+        case S.ListE(elems):
+            return "[" + ", ".join(pretty(e, 0) for e in elems) + "]"
         case S.Lam(param, annot, body):
             return _wrap(f"fn {param}:{type_text(annot)}. {pretty(body, 0)}", 0, prec)
         case S.App(fn, arg):

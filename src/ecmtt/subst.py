@@ -59,28 +59,14 @@ class OutOfFuel(Exception):
 def is_pure_value(e: S.Expr) -> bool:
     """Open values: safe to duplicate or discard during substitution."""
     match e:
-        case S.Var() | S.IntLit() | S.BoolLit() | S.UnitLit() | S.Lam() | S.BoxTerm() | S.Nil():
+        case S.Var() | S.IntLit() | S.BoolLit() | S.UnitLit() | S.Lam() | S.BoxTerm():
             return True
         case S.Pair(left, right):
             return is_pure_value(left) and is_pure_value(right)
-        case S.ConsE(head, tail):
-            return is_pure_value(head) and is_pure_value(tail)
+        case S.ListE(elems):
+            return all(map(is_pure_value, elems))
         case _:
             return False
-
-
-def value_spine(e: S.Expr) -> Optional[list[S.Expr]]:
-    """The elements of a nil-terminated chain of pure values, else None."""
-    elems: list[S.Expr] = []
-    while True:
-        match e:
-            case S.Nil():
-                return elems
-            case S.ConsE(head, tail) if is_pure_value(head):
-                elems.append(head)
-                e = tail
-            case _:
-                return None
 
 
 def _div(a: int, b: int) -> int:
@@ -123,13 +109,9 @@ def mk_proj2(arg: S.Expr, span: Optional[Span] = None) -> S.Expr:
 
 
 def mk_append(left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
-    spine = value_spine(left)
-    if spine is None or value_spine(right) is None:
-        return S.Append(left, right, span=span)
-    result = right
-    for elem in reversed(spine):
-        result = S.ConsE(elem, result, span=span)
-    return result
+    if type(left) is S.ListE and type(right) is S.ListE and is_pure_value(left) and is_pure_value(right):
+        return S.ListE(left.elems + right.elems, span=span)
+    return S.Append(left, right, span=span)
 
 
 def mk_if(cond: S.Expr, then: S.Term, els: S.Term, span: Optional[Span] = None) -> S.Term:

@@ -399,18 +399,8 @@ class Proj2(Expr):
 
 
 @dataclass(frozen=True)
-class Nil(Expr):
-    # The element annotation is kernel-only: the surface form [] parses to
-    # Nil(None) and takes its element type from the head of an enclosing
-    # non-empty literal.
-    elem: Optional[Type] = None
-    span: Optional[Span] = field(**_SPAN)
-
-
-@dataclass(frozen=True)
-class ConsE(Expr):
-    head: Expr
-    tail: Expr
+class ListE(Expr):
+    elems: tuple[Expr, ...]
     span: Optional[Span] = field(**_SPAN)
 
 
@@ -621,11 +611,10 @@ ROWS: tuple[Row, ...] = (
     Row(IntLit),
     Row(BoolLit),
     Row(UnitLit),
-    Row(Nil),
     Row(Pair, ("left", "right")),
     Row(Proj1, ("arg",)),
     Row(Proj2, ("arg",)),
-    Row(ConsE, ("head", "tail")),
+    Row(ListE, ("elems",), tuples=("elems",)),
     Row(Append, ("left", "right")),
     Row(Arith, ("left", "right")),
     Row(Cmp, ("left", "right")),

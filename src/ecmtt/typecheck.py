@@ -280,25 +280,19 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
                 )
             return tp.left if isinstance(t, S.Proj1) else tp.right
 
-        case S.Nil(elem):
-            if elem is None:
+        case S.ListE(elems):
+            if not elems:
                 raise TypeCheckError(
                     "argument-mismatch",
                     "cannot infer an element type for []",
                     span=t.span,
                 )
-            return S.ListT(elem)
-
-        case S.ConsE(head, tail):
-            th = infer(delta, None, head)
-            if isinstance(tail, S.Nil) and tail.elem is None:
-                return S.ListT(th)
-            tt = infer(delta, None, tail)
-            if not isinstance(tt, (S.ListT, S.BottomT)):
-                raise TypeCheckError(
-                    "argument-mismatch", span=t.span, expected="a list type", found=tt
-                )
-            return _join(S.ListT(th), tt, t.span, message="list tail")
+            # Joined from the right, as a cons onto each element's tail.
+            types = [infer(delta, None, e) for e in elems]
+            out = S.ListT(types.pop())
+            for ty in reversed(types):
+                out = _join(S.ListT(ty), out, t.span, message="list tail")
+            return out
 
         case S.Append(left, right):
             tl = infer(delta, None, left)

@@ -65,11 +65,7 @@ def gen_literal(rng: random.Random, ty: S.Type) -> S.Expr:
         case S.ProdT(left, right):
             return S.Pair(gen_literal(rng, left), gen_literal(rng, right))
         case S.ListT(elem):
-            items = [gen_literal(rng, elem) for _ in range(rng.randint(1, 2))]
-            out: S.Expr = S.Nil()
-            for item in reversed(items):
-                out = S.ConsE(item, out)
-            return out
+            return S.ListE(tuple(gen_literal(rng, elem) for _ in range(rng.randint(1, 2))))
     raise ValueError(f"no literal for type {ty!r}")
 
 
@@ -130,11 +126,10 @@ def gen_expr(rng: random.Random, sup: NameSupply, env: Env, ty: S.Type, depth: i
                 gen_expr(rng, sup, env, ty.right, depth - 1),
             )
         case "cons":
-            # The surface syntax has no cons operator, so a cons onto an
-            # arbitrary tail is unreachable from parsing; keep cons cells in
-            # literal spine form and prepend via append instead.
+            # The surface syntax has no cons operator: prepend by appending
+            # a one-element literal.
             assert isinstance(ty, S.ListT)
-            head = S.ConsE(gen_expr(rng, sup, env, ty.elem, depth - 1), S.Nil())
+            head = S.ListE((gen_expr(rng, sup, env, ty.elem, depth - 1),))
             return S.Append(head, gen_expr(rng, sup, env, ty, depth - 1))
         case "append":
             assert isinstance(ty, S.ListT)

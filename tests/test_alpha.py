@@ -23,12 +23,6 @@ from generators import corpus_mains, gen_program, gen_roundtrip_term
 # The reference
 
 
-def _opt_type_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return type_equal(a, b)
-
-
 def reference_alpha_equal(t1, t2) -> bool:
     """One match arm per pair of node classes, environments threaded as
     three pairs of maps."""
@@ -82,14 +76,16 @@ def reference_alpha_equal(t1, t2) -> bool:
                 return v1 == v2
             case (S.UnitLit(), S.UnitLit()):
                 return True
-            case (S.Pair(l1, r1), S.Pair(l2, r2)) | (S.Append(l1, r1), S.Append(l2, r2)) | (S.ConsE(l1, r1), S.ConsE(l2, r2)):
+            case (S.Pair(l1, r1), S.Pair(l2, r2)) | (S.Append(l1, r1), S.Append(l2, r2)):
                 return go(l1, l2, vs, rvs, ms, rms, ks, rks) and go(r1, r2, vs, rvs, ms, rms, ks, rks)
             case (S.Arith(o1, l1, r1), S.Arith(o2, l2, r2)) | (S.Cmp(o1, l1, r1), S.Cmp(o2, l2, r2)):
                 return o1 == o2 and go(l1, l2, vs, rvs, ms, rms, ks, rks) and go(r1, r2, vs, rvs, ms, rms, ks, rks)
             case (S.Proj1(x1), S.Proj1(x2)) | (S.Proj2(x1), S.Proj2(x2)):
                 return go(x1, x2, vs, rvs, ms, rms, ks, rks)
-            case (S.Nil(e1), S.Nil(e2)):
-                return _opt_type_equal(e1, e2)
+            case (S.ListE(es1), S.ListE(es2)):
+                return len(es1) == len(es2) and all(
+                    go(x1, x2, vs, rvs, ms, rms, ks, rks) for x1, x2 in zip(es1, es2)
+                )
             case (S.IfE(c1, t1_, e1), S.IfE(c2, t2_, e2)) | (S.IfC(c1, t1_, e1), S.IfC(c2, t2_, e2)):
                 return (
                     go(c1, c2, vs, rvs, ms, rms, ks, rks)

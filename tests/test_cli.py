@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output formats, and the repl."""
 
 import io
+import itertools
 import json
 import math
 import sys
@@ -335,8 +336,7 @@ def _state_chain(pairs: int) -> str:
 
 
 def _collect_all(n: int) -> str:
-    # Typechecks, then runs out of frames in the stepper on the 2**n-element
-    # result list.
+    # Collects the sum of every way to make n choices, a 2**n-element list.
     binds = "; ".join(f"b{i} <- choice()" for i in range(n))
     value = " + ".join(f"(if b{i} then {i} else {9 - i})" for i in range(n))
     return (
@@ -349,21 +349,38 @@ def _collect_all(n: int) -> str:
     )
 
 
+def _collect_all_value(n: int) -> str:
+    """What `_collect_all(n)` returns, modelled without ecmtt: the sums in
+    the order the choices are made, `true` first."""
+    sums = [sum(i if b else 9 - i for i, b in enumerate(bs)) for bs in itertools.product((True, False), repeat=n)]
+    return f"ret [{', '.join(map(str, sums))}]"
+
+
 @pytest.mark.parametrize(
     "source, check_code",
     [(_state_chain(600), 6), (_collect_all(10), 0)],
     ids=["600-pair-chain", "collectAll-10"],
 )
 def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, check_code):
+    # The chain is nested too deeply for the parser.  `collectAll`'s
+    # 1,024-element result list takes no frame per element, so it runs and
+    # traces to its value.
     path = tmp_path / "deep.ecmtt"
     path.write_text(source)
     code, out, err = invoke(["check", str(path)])
     assert code == check_code
     if check_code == 0:
         assert out == "list int\n"
-    else:
-        limit = sys.getrecursionlimit()
-        assert err == f"error: input nested too deeply: recursion limit of {limit} frames reached\n"
+        value = _collect_all_value(10)
+        code, out, err = invoke(["run", "--json", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"status": "ok", "value": value, "steps": 1}
+        code, out, err = invoke(["trace", str(path)])
+        assert (code, err) == (0, "")
+        assert out.endswith(f"  --[beta-letbox]--> {value}\n{value}\n")
+        return
+    limit = sys.getrecursionlimit()
+    assert err == f"error: input nested too deeply: recursion limit of {limit} frames reached\n"
     code, out, err = invoke(["run", "--json", str(path)])
     assert code == 6
     payload = json.loads(out)
@@ -373,6 +390,15 @@ def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, check_c
     code, _, err = invoke(["trace", str(path)])
     assert code == 6
     assert err.count("\n") == 1 and "recursion limit" in err
+
+
+def test_long_lists_run_to_their_values(tmp_path):
+    path = tmp_path / "nondet.ecmtt"
+    path.write_text(_collect_all(12))
+    assert invoke(["run", str(path)]) == (0, _collect_all_value(12) + "\n", "")
+    literal = "[" + ", ".join(map(str, range(100_000))) + "]"
+    path.write_text(literal + "\n")
+    assert invoke(["run", str(path)]) == (0, literal + "\n", "")
 
 
 def test_repl_reports_deep_input_and_carries_on():

@@ -1,6 +1,7 @@
 """Small-step evaluation: values, traces, fuel, and runtime failures."""
 
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,63 @@ def test_rules_name_the_path_to_the_redex():
     ]
 
 
+LIST_STEPS = {
+    "[1 + 1, 2, 3 * 3, [4] ++ [5]]": [
+        ("cong-cons-l:arith", "[2, 2, 3 * 3, [4] ++ [5]]"),
+        ("cong-cons-r:cong-cons-r:cong-cons-l:arith", "[2, 2, 9, [4] ++ [5]]"),
+        ("cong-cons-r:cong-cons-r:cong-cons-r:cong-cons-l:append", "[2, 2, 9, [4, 5]]"),
+    ],
+    "(0, [[1 + 1], [2 - 1], [3] ++ [1 - 1]])": [
+        ("cong-pair-r:cong-cons-l:cong-cons-l:arith", "(0, [[2], [2 - 1], [3] ++ [1 - 1]])"),
+        ("cong-pair-r:cong-cons-r:cong-cons-l:cong-cons-l:arith", "(0, [[2], [1], [3] ++ [1 - 1]])"),
+        (
+            "cong-pair-r:cong-cons-r:cong-cons-r:cong-cons-l:cong-append-r:cong-cons-l:arith",
+            "(0, [[2], [1], [3] ++ [0]])",
+        ),
+        ("cong-pair-r:cong-cons-r:cong-cons-r:cong-cons-l:append", "(0, [[2], [1], [3, 0]])"),
+    ],
+}
+
+
+@pytest.mark.parametrize("text", LIST_STEPS)
+def test_list_elements_step_left_to_right_labelled_as_a_cons_chain(text):
+    # A step inside element i is labelled as the cons chain the printer
+    # shows: `cong-cons-r` once per element before it, then `cong-cons-l`.
+    outcome = evaluate(parse_term(text), record=True)
+    assert [(s.rule, pretty(s.term)) for s in outcome.steps] == LIST_STEPS[text]
+    assert outcome.final == Value(outcome.steps[-1].term)
+    current = parse_term(text)
+    for recorded in outcome.steps:
+        assert step(current) == recorded
+        current = recorded.term
+
+
+def _seconds_to_step_a_list(n: int) -> float:
+    term = S.ListE((S.Arith("+", S.IntLit(1), S.IntLit(1)),) * n)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        outcome = evaluate(term)
+        best = min(best, time.perf_counter() - start)
+    assert outcome.final == Value(S.ListE((S.IntLit(2),) * n))
+    return best
+
+
+def test_stepping_across_a_list_takes_linear_time():
+    # A step inside a list fills the elements in place: 8 times the
+    # elements take about 8 times as long.  Copying the list on each step
+    # takes about 64 times as long.
+    assert _seconds_to_step_a_list(32_000) < 25 * _seconds_to_step_a_list(4_000)
+
+
+def test_a_stuck_list_element_stops_the_list():
+    outcome = evaluate(parse_term("[1 + 1, 2, 6 / 0, 3 + 3]"), record=True)
+    assert [(s.rule, pretty(s.term)) for s in outcome.steps] == [
+        ("cong-cons-l:arith", "[2, 2, 6 / 0, 3 + 3]")
+    ]
+    assert outcome.final == Stuck("division-by-zero")
+
+
 _TRIVIAL = S.Handler(S.EMPTY_THEORY, (), S.RetClause("x", "z", S.Ret(S.Var("x"))))
 _K_CALL = S.ContCall("k", S.IntLit(1), S.IntLit(2))
 
@@ -297,7 +355,7 @@ def _handled(u: str) -> S.Comp:
         (S.Var("x"), "unbound variable x"),
         (S.IfE(S.IntLit(1), S.IntLit(2), S.IntLit(3)), "conditional on a non-boolean"),
         (S.Proj1(S.IntLit(1)), "projection from a non-pair"),
-        (S.Append(S.IntLit(1), S.Nil()), "append of non-list values"),
+        (S.Append(S.IntLit(1), S.ListE(())), "append of non-list values"),
         (S.Arith("+", S.BoolLit(True), S.IntLit(1)), "arithmetic on non-integers"),
         (S.Cmp("<", S.BoolLit(True), S.IntLit(1)), "comparison of non-integers"),
         (S.EvalTerm(S.EMPTY_HSEQ, "u"), "eval of an unresolved box variable"),

@@ -54,9 +54,12 @@ def reference_free_vars(term: S.Term) -> FreeVars:
             ):
                 go(rec_body, bv | {fname, param}, bm, bo, bk)
                 go(scope, bv | {fname}, bm, bo, bk)
-            case S.IntLit() | S.BoolLit() | S.UnitLit() | S.Nil():
+            case S.IntLit() | S.BoolLit() | S.UnitLit():
                 pass
-            case S.Pair(left, right) | S.Append(left, right) | S.ConsE(left, right):
+            case S.ListE(elems):
+                for elem in elems:
+                    go(elem, bv, bm, bo, bk)
+            case S.Pair(left, right) | S.Append(left, right):
                 go(left, bv, bm, bo, bk)
                 go(right, bv, bm, bo, bk)
             case S.Arith(_, left, right) | S.Cmp(_, left, right):

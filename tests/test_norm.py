@@ -26,7 +26,7 @@ from generators import corpus_mains, gen_program, gen_roundtrip_term
 def reference_norm(t: S.Term) -> S.Term:
     n = reference_norm
     match t:
-        case S.Var() | S.IntLit() | S.BoolLit() | S.UnitLit() | S.Nil():
+        case S.Var() | S.IntLit() | S.BoolLit() | S.UnitLit():
             return t
         case S.Lam(p, a, b):
             return S.Lam(p, a, n(b), span=t.span)
@@ -50,8 +50,8 @@ def reference_norm(t: S.Term) -> S.Term:
             return mk_proj1(n(a), span=t.span)
         case S.Proj2(a):
             return mk_proj2(n(a), span=t.span)
-        case S.ConsE(h, tl):
-            return S.ConsE(n(h), n(tl), span=t.span)
+        case S.ListE(elems):
+            return S.ListE(tuple(n(e) for e in elems), span=t.span)
         case S.Append(l, r):
             return mk_append(n(l), n(r), span=t.span)
         case S.Arith(op, l, r):

@@ -56,13 +56,13 @@ def test_append_is_left_associative():
     assert isinstance(term.left, S.Append)
 
 
-def test_list_literal_is_a_cons_spine():
+def test_list_literal_is_one_flat_node():
     term = parse_term("[1, 2]")
-    assert term == S.ConsE(S.IntLit(1), S.ConsE(S.IntLit(2), S.Nil()))
+    assert term == S.ListE((S.IntLit(1), S.IntLit(2)))
 
 
 def test_empty_list_literal():
-    assert parse_term("[]") == S.Nil()
+    assert parse_term("[]") == S.ListE(())
 
 
 def test_comments_run_to_end_of_line():

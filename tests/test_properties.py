@@ -109,10 +109,8 @@ def test_arithmetic_agrees_with_python(a, b):
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), max_size=5))
 def test_list_literals_roundtrip(xs):
-    spine: S.Expr = S.Nil()
-    for x in reversed(xs):
-        spine = S.ConsE(S.IntLit(x), spine)
-    assert alpha_equal(parse_term(pretty(spine)), spine)
+    literal = S.ListE(tuple(S.IntLit(x) for x in xs))
+    assert alpha_equal(parse_term(pretty(literal)), literal)
 
 
 @given(st.text(alphabet="abcxyz", min_size=1, max_size=3))

@@ -46,7 +46,7 @@ def holds_terms(tp) -> bool:
 def test_every_node_class_has_exactly_one_row():
     assert len(S.ROWS) == len(S.SCHEMA)
     assert set(S.SCHEMA) == node_classes()
-    assert len(S.SCHEMA) == 32
+    assert len(S.SCHEMA) == 31
 
 
 @pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)

@@ -91,7 +91,7 @@ def reference_sub(eng, t, m):
     match t:
         case S.Var(name):
             return m.get(name, t)
-        case S.IntLit() | S.BoolLit() | S.UnitLit() | S.Nil():
+        case S.IntLit() | S.BoolLit() | S.UnitLit():
             return t
         case S.Lam(p, a, b):
             p2, m2 = _ref_value_binder(p, m, (b,))
@@ -115,8 +115,8 @@ def reference_sub(eng, t, m):
             return mk_proj1(s(a), span=t.span)
         case S.Proj2(a):
             return mk_proj2(s(a), span=t.span)
-        case S.ConsE(h, tl):
-            return S.ConsE(s(h), s(tl), span=t.span)
+        case S.ListE(elems):
+            return S.ListE(tuple(s(e) for e in elems), span=t.span)
         case S.Append(l, r):
             return mk_append(s(l), s(r), span=t.span)
         case S.Arith(op, l, r):

@@ -220,27 +220,16 @@ def test_fuel_runs_out_instead_of_spinning():
         )
 
 
-def test_mk_append_reads_each_spine_once(monkeypatch):
-    from ecmtt import subst
+def test_mk_append_folds_two_lists_of_pure_values_only():
+    from ecmtt.subst import mk_append
 
-    calls = 0
-    inner = subst.value_spine
-
-    def counting(e):
-        nonlocal calls
-        calls += 1
-        return inner(e)
-
-    monkeypatch.setattr(subst, "value_spine", counting)
-    one, two = S.ConsE(S.IntLit(1), S.Nil()), S.ConsE(S.IntLit(2), S.Nil())
-    assert subst.mk_append(one, two) == S.ConsE(S.IntLit(1), two)
-    assert calls == 2
-    calls = 0
-    assert subst.mk_append(S.Var("xs"), two) == S.Append(S.Var("xs"), two)
-    assert calls == 1
-    calls = 0
-    assert subst.mk_append(one, S.Var("ys")) == S.Append(one, S.Var("ys"))
-    assert calls == 2
+    one, two = S.ListE((S.IntLit(1), S.Var("x"))), S.ListE((S.IntLit(2),))
+    assert mk_append(one, two) == S.ListE((S.IntLit(1), S.Var("x"), S.IntLit(2)))
+    assert mk_append(S.ListE(()), two) == two
+    # Not a list, or an element that is not a pure value: no fold.
+    busy = S.ListE((S.Arith("+", S.IntLit(1), S.IntLit(1)),))
+    for left, right in [(S.Var("xs"), two), (one, S.Var("ys")), (busy, two), (two, busy)]:
+        assert mk_append(left, right) == S.Append(left, right)
 
 
 def test_value_substitution_renames_a_modal_binder_the_payload_uses():

@@ -290,11 +290,6 @@ def test_infer_term_dispatches_on_syntax_class():
 
 
 
-def test_an_annotated_nil_has_its_list_type():
-    # The parser gives `[]` no element type; a term built by hand can.
-    assert type_text(infer_term(S.Nil(S.INT))) == "list int"
-
-
 def test_an_unknown_error_kind_is_refused():
     with pytest.raises(ValueError, match="unknown error kind 'no-such-kind'"):
         TypeCheckError("no-such-kind")
@@ -384,12 +379,6 @@ def test_rare_type_errors_keep_their_texts(text, message):
     with pytest.raises(TypeCheckError) as exc:
         infer_term(parse_term(text))
     assert str(exc.value) == message
-
-
-def test_a_cons_onto_a_non_list_is_rejected():
-    with pytest.raises(TypeCheckError) as exc:
-        infer_term(S.ConsE(S.IntLit(1), S.IntLit(2)))
-    assert str(exc.value) == "argument-mismatch: expected a list type, found int"
 
 
 def test_a_bare_operation_call_is_not_in_context():
