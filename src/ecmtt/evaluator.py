@@ -104,21 +104,31 @@ _Frame = tuple[Union[S.Term, _Elems], int]
 
 def _unroll(t: Union[S.FixE, S.FixC]) -> S.Term:
     """One unrolling: the recursive name becomes a function whose body is
-    the same fix with its own body boxed as the scope."""
-    lam = S.Lam(
-        t.param,
-        t.annot,
-        S.FixE(
-            t.fname,
+    the same fix with its own body boxed as the scope.
+
+    The function depends on the definition alone, so it is built once and
+    kept on the body node, outside its dataclass fields, as `_unrolled`: a
+    pair of the key it was built from and the function.  Later unrollings
+    reuse it, already normal and with its free names known.  The key holds
+    the whole definition, the names compared by value and the types and
+    theory by identity, because a renamed `fname` or `param` of a fix that
+    does not recurse leaves the same body object."""
+    key = (t.fname, t.param, t.annot, t.theory, t.ret_type)
+    memo = getattr(t.rec_body, "_unrolled", None)
+    if memo is None or not _same_definition(memo[0], key):
+        lam = S.Lam(
             t.param,
             t.annot,
-            t.theory,
-            t.ret_type,
-            t.rec_body,
-            S.BoxTerm(t.theory, t.rec_body),
-        ),
-    )
-    return subst.subst_values(t.scope, {t.fname: lam})
+            S.FixE(*key, t.rec_body, S.BoxTerm(t.theory, t.rec_body)),
+        )
+        memo = (key, lam)
+        object.__setattr__(t.rec_body, "_unrolled", memo)
+    return subst.subst_values(t.scope, {t.fname: memo[1]})
+
+
+def _same_definition(a: tuple, b: tuple) -> bool:
+    """Two `_unroll` keys: names equal, types and theory the same objects."""
+    return a[0] == b[0] and a[1] == b[1] and all(x is y for x, y in zip(a[2:], b[2:]))
 
 
 def _contract(t: S.Term) -> tuple[S.Term, str]:
@@ -303,7 +313,11 @@ def step(t: S.Term) -> Optional[Stepped]:
 
 
 def evaluate(t: S.Term, max_steps: int = DEFAULT_MAX_STEPS, record: bool = False) -> Trace:
-    """Step to a value, recording the path when asked; see `run`."""
+    """Step to a value, recording the path when asked; see `run`.
+
+    The engine's fuel is charged only for work not already cached on the
+    term, so evaluating the same term again can spend fewer ticks and run
+    out of fuel later; the steps and the outcome are otherwise the same."""
     steps = run(t, max_steps, record)
     recorded: list[Stepped] = []
     count = 0

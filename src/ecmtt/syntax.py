@@ -741,7 +741,10 @@ def free_vars(term: Term) -> FreeVars:
 
 
 def type_equal(a: Type, b: Type) -> bool:
-    """Structural equality; box theories compare as name-keyed sets."""
+    """Structural equality; box theories compare as name-keyed sets.  A type
+    is equal to itself, so the same object answers at once."""
+    if a is b:
+        return True
     match (a, b):
         case (UnitT(), UnitT()) | (IntT(), IntT()) | (BoolT(), BoolT()) | (BottomT(), BottomT()):
             return True

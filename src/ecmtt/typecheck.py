@@ -125,8 +125,10 @@ def _merge(t1: Type, t2: Type) -> Optional[Type]:
     boxes, and arrow codomains; a branch that can only abort may therefore
     sit next to one that produces a real value.  Arrow domains must agree
     exactly: lambda binders carry literal annotations, so nothing ever
-    widens there.
+    widens there.  A type merges with itself to itself.
     """
+    if t1 is t2:
+        return t1
     if isinstance(t1, S.BottomT):
         return t2
     if isinstance(t2, S.BottomT):
@@ -168,8 +170,10 @@ def _require(
     A Bottom-typed expression fits anywhere (no value inhabits it), and the
     same holds componentwise: a pair whose first component can only abort
     fits a pair of ints.  The converse does not hold, so an expected Bottom
-    accepts only Bottom.
+    accepts only Bottom.  A type fits itself.
     """
+    if actual is expected:
+        return
     merged = _merge(actual, expected)
     if merged is not None and S.type_equal(merged, expected):
         return

@@ -21,6 +21,7 @@ from ecmtt.evaluator import (
 from ecmtt.parser import parse_source, parse_term
 from ecmtt.pretty import pretty
 from ecmtt.syntax import alpha_equal
+from test_tail_handling import count_calls
 
 TABLE = parse_source(PRELUDE).table
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -104,6 +105,100 @@ def test_fix_unrolls_until_the_base_case():
         "in eval_f (fact 3)"
     )
     assert got == "6"
+
+
+def _unrolled_afresh(t: S.Term) -> S.Term:
+    """The scope of a `let fix` with the recursive name replaced by a
+    function built anew from the definition."""
+    lam = S.Lam(
+        t.param,
+        t.annot,
+        S.FixE(t.fname, t.param, t.annot, t.theory, t.ret_type, t.rec_body, S.BoxTerm(t.theory, t.rec_body)),
+    )
+    return subst.subst_values(t.scope, {t.fname: lam})
+
+
+def test_definitions_sharing_a_body_unroll_to_their_own_functions():
+    # Capture avoidance can rename the name or the parameter of a fix that
+    # does not recurse and keep its body object; the unrolled function is
+    # kept on that object, so every field of the definition must tell.
+    body = parse_term("ret (n + 1)")
+    st = TABLE.theories["St"]
+    fixes = [
+        S.FixE("f", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("f")),
+        S.FixE("f", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("f")),
+        S.FixE("g", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("g")),
+        S.FixE("g", "m", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("g")),
+        S.FixE("g", "m", S.BOOL, S.EMPTY_THEORY, S.INT, body, S.Var("g")),
+        S.FixE("g", "m", S.BOOL, st, S.INT, body, S.Var("g")),
+        S.FixE("g", "m", S.BOOL, st, S.BOOL, body, S.Var("g")),
+        S.FixC("f", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Ret(S.Var("f"))),
+        S.FixC("g", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Ret(S.Var("g"))),
+    ]
+    for t in fixes + fixes[::-1]:
+        got, want = evaluator._unroll(t), _unrolled_afresh(t)
+        assert alpha_equal(got, want)
+        assert pretty(got) == pretty(want)
+    # The same definition unrolls to the same function object.
+    assert evaluator._unroll(fixes[0]) is evaluator._unroll(fixes[1])
+
+
+def _steps(term: S.Term) -> list[tuple[str, str]]:
+    return [(s.rule, pretty(s.term)) for s in evaluate(term, record=True).steps]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (SAMPLES / "factorial.ecmtt").read_text().replace("fact 3", "fact 5"),
+        # A fix that does not recurse, called from one that does.
+        "def eval_f = fn x:[{}]int. let box u = x in eval u\n"
+        "let fix f(n:int):[{}]int = ret (n + 1) in "
+        "let fix g(n:int):[{}]int = if n = 0 then ret (eval_f (f 7)) else ret (n + eval_f (g (n - 1))) "
+        "in eval_f (g 3)",
+    ],
+)
+def test_a_term_evaluated_again_takes_the_same_steps(text):
+    term = parse_source(text).main
+    first = _steps(term)
+    assert _steps(term) == first
+    assert _steps(parse_source(text).main) == first
+
+
+def test_a_let_fix_computation_unrolls_in_place():
+    term = parse_term(
+        "let fix f(n:int):[{}]int = if n = 0 then ret 0 else ret (n + eval_f (f (n - 1))) "
+        "in ret (eval_f (f 4))",
+        TABLE,
+    )
+    assert isinstance(term, S.FixC)
+    outcome = evaluate(term, record=True)
+    assert outcome.final == Value(S.Ret(S.IntLit(10)))
+    first = outcome.steps[0]
+    assert first.rule == "unroll-fix"
+    assert isinstance(first.term, S.Ret)
+    assert pretty(first.term) == pretty(_unrolled_afresh(term))
+
+
+def test_fact_64_unrolls_one_function(monkeypatch):
+    # The function put for `fact` depends on the definition alone, so every
+    # unroll-fix step reuses one, already normal with its free names known.
+    source = (SAMPLES / "factorial.ecmtt").read_text().replace("fact 3", "fact 64")
+    term = parse_source(source).main
+    functions = []  # the payloads themselves, so that their ids stay distinct
+    inner = subst.subst_values
+
+    def recording(t, mapping, *rest):
+        functions.extend(v for v in mapping.values() if isinstance(v, S.Lam) and isinstance(v.body, S.FixE))
+        return inner(t, mapping, *rest)
+
+    monkeypatch.setattr(subst, "subst_values", recording)
+    ticks = count_calls(monkeypatch, "tick")
+    outcome = evaluate(term)
+    assert outcome.final == Value(S.IntLit(math.factorial(64)))
+    assert len(functions) == 66  # the top-level fix and 65 calls of fact
+    assert len({id(f) for f in functions}) == 1
+    assert ticks[0] <= 1500
 
 
 def test_trace_records_every_intermediate_term():

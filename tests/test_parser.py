@@ -296,6 +296,9 @@ def test_integers_past_the_conversion_limit_parse_and_print():
     for n in (sevens, -sevens, 10**4300, 10**4301 - 1, -(10**9000) + 1):
         assert parse_term(pretty(S.IntLit(n))) == S.IntLit(n)
     assert S.int_of_text("0" * 4999 + "1") == 1
+    # A piece too short to split is not digits: int's own error stands.
+    with pytest.raises(ValueError):
+        S.int_of_text("x")
 
 
 # Error texts and productions no other test reaches, pinned exactly.

@@ -2,6 +2,7 @@
 
 from ecmtt import syntax as S
 from ecmtt.parser import parse_term, parse_type
+from ecmtt.pretty import theory_text
 from ecmtt.syntax import (
     alpha_equal,
     free_vars,
@@ -22,6 +23,14 @@ def test_type_equal_ignores_theory_order():
     a = parse_type("[ {get:unit=>int, set:int=>unit} ] int")
     b = parse_type("[ {set:int=>unit, get:unit=>int} ] int")
     assert type_equal(a, b)
+
+
+def test_type_equal_compares_distinct_objects_by_structure():
+    # The same object answers at once; separately built types are walked.
+    pair = S.ProdT(S.INT, S.ListT(S.UNIT))
+    assert type_equal(pair, pair)
+    assert type_equal(S.ProdT(S.IntT(), S.ListT(S.UnitT())), pair)
+    assert type_equal(S.BoxT(ST, S.BoolT()), S.BoxT(ST, S.BOOL))
 
 
 def test_type_equal_distinguishes_structure():
@@ -163,3 +172,16 @@ def test_each_theory_is_checked_once(monkeypatch):
     assert fresh == theory
     S.BoxTerm(fresh, S.Ret(S.IntLit(0)))
     assert calls == 2
+
+
+def test_contexts_print_their_entries_outermost_first():
+    # A continuation declaration prints its state type after a slash.
+    with_k = ST.with_cont(S.ContDecl("k", S.INT, S.BOOL, S.UNIT))
+    assert theory_text(with_k) == "{get:unit=>int, set:int=>unit, k~:int/bool=>unit}"
+    ctx = S.ModalContext(S.ValBind("x", S.INT), S.ModalContext())
+    ctx = S.ModalContext(S.ModalBind("u", S.BOOL, S.EMPTY_THEORY), ctx)
+    assert repr(ctx) == (
+        "ModalContext((ValBind(name='x', type=IntT()), "
+        "ModalBind(name='u', type=BoolT(), theory=EffectContext(entries=()))))"
+    )
+    assert repr(S.ModalContext()) == "ModalContext(())"
