@@ -14,8 +14,9 @@ the cases stay short enough to read at a glance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
+
+from .record import Record, record
 
 __all__ = [
     "PRELUDE",
@@ -28,37 +29,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TypeIs:
+@record
+class TypeIs(Record):
     """The main term must synthesize exactly this rendered type."""
 
     text: str
 
 
-@dataclass(frozen=True)
-class TypeErrorExpected:
+@record
+class TypeErrorExpected(Record):
     """The main term must be rejected; `kind` pins the diagnostic kind."""
 
     kind: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class EvaluatesTo:
+@record
+class EvaluatesTo(Record):
     """The main term must typecheck and reduce to exactly this value."""
 
     text: str
 
 
-@dataclass(frozen=True)
-class ParseErrorExpected:
+@record
+class ParseErrorExpected(Record):
     """The source must fail to parse."""
 
 
 Expectation = Union[TypeIs, TypeErrorExpected, EvaluatesTo, ParseErrorExpected]
 
 
-@dataclass(frozen=True)
-class CorpusCase:
+@record
+class CorpusCase(Record):
     name: str
     source: str
     expectation: Expectation

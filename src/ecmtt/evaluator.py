@@ -20,12 +20,11 @@ and the nested rule name are built only when a step is recorded.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Generator, Optional, Union
 
 from . import subst
 from . import syntax as S
+from .record import Record, record
 
 DEFAULT_MAX_STEPS = 1_000_000
 
@@ -45,14 +44,14 @@ def is_value(t: S.Term) -> bool:
             return False
 
 
-@dataclass(frozen=True)
-class Stepped:
+@record
+class Stepped(Record):
     term: S.Term
     rule: str
 
 
-@dataclass(frozen=True)
-class Stuck:
+@record
+class Stuck(Record):
     reason: str
 
 
@@ -107,7 +106,7 @@ def _unroll(t: Union[S.FixE, S.FixC]) -> S.Term:
     the same fix with its own body boxed as the scope.
 
     The function depends on the definition alone, so it is built once and
-    kept on the body node, outside its dataclass fields, as `_unrolled`: a
+    kept on the body node, outside its record fields, as `_unrolled`: a
     pair of the key it was built from and the function.  Later unrollings
     reuse it, already normal and with its free names known.  The key holds
     the whole definition, the names compared by value and the types and
@@ -187,12 +186,16 @@ def _contract(t: S.Term) -> tuple[S.Term, str]:
 
 
 def _plug(parent: Union[S.Term, _Elems], i: int, child: S.Term) -> Union[S.Term, _Elems]:
-    """`parent` with `child` at its i-th congruence position; a list's
-    elements take it in place."""
-    if type(parent) is _Elems:
+    """`parent` with `child` at its i-th congruence position, rebuilt from
+    its fields in order; a list's elements take it in place."""
+    cls = type(parent)
+    if cls is _Elems:
         parent[i] = child
         return parent
-    return dataclasses.replace(parent, **{_CONGRUENCE[type(parent)][i][0]: child})
+    fields = cls.__match_args__
+    args = [getattr(parent, f) for f in fields]
+    args[fields.index(_CONGRUENCE[cls][i][0])] = child
+    return cls(*args)
 
 
 def _recorded(frames: list[_Frame], contractum: S.Term, rule: str) -> Stepped:
@@ -217,8 +220,8 @@ def _recorded(frames: list[_Frame], contractum: S.Term, rule: str) -> Stepped:
     return Stepped(term, ":".join(labels))
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+@record
+class FuelExhausted(Record):
     """The step budget ran out after `steps` steps, or, with `budget`
     "substitution", the engine's own fuel within the next step."""
 
@@ -226,16 +229,16 @@ class FuelExhausted:
     budget: str = "steps"
 
 
-@dataclass(frozen=True)
-class Value:
+@record
+class Value(Record):
     term: S.Term
 
 
 Final = Union[Value, Stuck, FuelExhausted]
 
 
-@dataclass(frozen=True)
-class Trace:
+@record
+class Trace(Record):
     initial: S.Term
     steps: tuple[Stepped, ...]
     final: Final

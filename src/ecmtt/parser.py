@@ -19,10 +19,10 @@ the category.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from . import syntax as S
+from .record import Record, record
 from .syntax import Span
 
 KEYWORDS = frozenset(
@@ -105,11 +105,18 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass
 class DefTable:
-    theories: dict[str, S.EffectContext] = field(default_factory=dict)
-    handlers: dict[str, S.Handler] = field(default_factory=dict)
-    terms: dict[str, S.Expr] = field(default_factory=dict)
+    """The definitions in scope, by kind: theories, handlers and terms."""
+
+    def __init__(
+        self,
+        theories: Optional[dict[str, S.EffectContext]] = None,
+        handlers: Optional[dict[str, S.Handler]] = None,
+        terms: Optional[dict[str, S.Expr]] = None,
+    ):
+        self.theories = {} if theories is None else theories
+        self.handlers = {} if handlers is None else handlers
+        self.terms = {} if terms is None else terms
 
     def define(self, name: str, value: Union[S.EffectContext, S.Handler, S.Expr]) -> None:
         # A redefinition replaces the old entry whatever its kind was.
@@ -124,8 +131,8 @@ class DefTable:
             self.terms[name] = value
 
 
-@dataclass(frozen=True)
-class SourceFile:
+@record
+class SourceFile(Record):
     table: DefTable
     main: Optional[S.Term]
 

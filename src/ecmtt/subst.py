@@ -26,10 +26,10 @@ box variable, and the operations on computations.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, Optional
 
 from . import syntax as S
+from .record import reader
 from .syntax import (
     CONTS,
     MODALS,
@@ -149,13 +149,8 @@ _TAIL_AT = {cls: tuple(map(SCHEMA[cls].fields.index, tails)) for cls, tails in _
 _EXPR_TWIN = {S.LetBoxC: S.LetBoxE, S.FixC: S.FixE, S.IfC: S.IfE}
 
 
-def _reader(fields: tuple[str, ...]) -> Callable[[S.Term], tuple]:
-    get = attrgetter(*fields)
-    return get if len(fields) > 1 else lambda t: (get(t),)
-
-
 # Each class's field values in `Row.fields` order, read in one call.
-_READ = {cls: _reader(row.fields) for cls, row in SCHEMA.items()}
+_READ = {cls: reader(row.fields) for cls, row in SCHEMA.items()}
 
 
 def _field_values(t: S.Term, row: S.Row) -> list:
@@ -200,7 +195,7 @@ class _Engine:
     def norm(self, t: S.Term) -> S.Term:
         """`t` with every pure redex on literals folded.  A node none of
         whose children changes and that does not fold is returned as it is.
-        The result is stored on the node, outside its dataclass fields as
+        The result is stored on the node, outside its record fields as
         `free_vars` stores its own, and marks itself as its own normal form,
         so a payload that is already normal costs one lookup and no fuel.
         The memo check is here, not in a wrapper, and tuples of clauses are

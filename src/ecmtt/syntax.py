@@ -12,8 +12,9 @@ continuation name over the clause body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple, Optional, Union
+
+from .record import Record, record
 
 
 class Span(NamedTuple):
@@ -31,56 +32,56 @@ class Span(NamedTuple):
 # Types
 
 
-class Type:
+class Type(Record):
     def __str__(self) -> str:
         from .pretty import type_text
 
         return type_text(self)
 
 
-@dataclass(frozen=True)
+@record
 class UnitT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class IntT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BoolT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BottomT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BaseT(Type):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class ProdT(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
+@record
 class ListT(Type):
     elem: Type
 
 
-@dataclass(frozen=True)
+@record
 class ArrowT(Type):
     dom: Type
     cod: Type
 
 
-@dataclass(frozen=True)
+@record
 class BoxT(Type):
     theory: "EffectContext"
     body: Type
@@ -99,23 +100,23 @@ BOTTOM = BottomT()
 # Effect contexts and theories
 
 
-@dataclass(frozen=True)
-class OpDecl:
+@record
+class OpDecl(Record):
     name: str
     in_type: Type
     out_type: Type
 
 
-@dataclass(frozen=True)
-class ContDecl:
+@record
+class ContDecl(Record):
     name: str
     in_type: Type
     state_type: Type
     out_type: Type
 
 
-@dataclass(frozen=True)
-class EffectContext:
+@record
+class EffectContext(Record):
     """A sequence of operation and continuation declarations.
 
     An *algebraic theory* is the special case containing operations only;
@@ -167,7 +168,7 @@ def make_theory(ops: Iterable[OpDecl]) -> EffectContext:
 
 def _check_theory(th: EffectContext, where: str) -> None:
     # Nodes built from already-checked nodes pass the same context again, so
-    # a context that passed is marked, outside its dataclass fields.
+    # a context that passed is marked, outside its record fields.
     if getattr(th, "_theory_ok", False):
         return
     if not th.is_theory():
@@ -182,14 +183,14 @@ def _check_theory(th: EffectContext, where: str) -> None:
 # Modal contexts
 
 
-@dataclass(frozen=True)
-class ValBind:
+@record
+class ValBind(Record):
     name: str
     type: Type
 
 
-@dataclass(frozen=True)
-class ModalBind:
+@record
+class ModalBind(Record):
     name: str
     type: Type
     theory: EffectContext
@@ -198,14 +199,19 @@ class ModalBind:
         _check_theory(self.theory, "modal binding theory")
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ModalContext:
     """The value and modal bindings in scope.  A context is its innermost
     binding linked to the context it extends, so a binder costs O(1) and a
-    lookup walks outwards from the innermost binding, which wins."""
+    lookup walks outwards from the innermost binding, which wins.  Contexts
+    compare by identity."""
 
-    entry: Optional[Union[ValBind, ModalBind]] = None
-    parent: Optional[ModalContext] = None
+    __slots__ = ("entry", "parent")
+
+    def __init__(
+        self, entry: Optional[Union[ValBind, ModalBind]] = None, parent: Optional[ModalContext] = None
+    ):
+        self.entry = entry
+        self.parent = parent
 
     @property
     def entries(self) -> tuple[Union[ValBind, ModalBind], ...]:
@@ -252,7 +258,7 @@ EMPTY_MODAL = ModalContext()
 # Terms
 
 
-class _Node:
+class _Node(Record):
     """A term of any category; it prints as surface syntax."""
 
     def __str__(self) -> str:
@@ -273,56 +279,53 @@ class Stmt(_Node):
     pass
 
 
-_SPAN = dict(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
+@record
 class Var(Expr):
     name: str
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class Lam(Expr):
     param: str
     annot: Type
     body: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class App(Expr):
     fn: Expr
     arg: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class BoxTerm(Expr):
     theory: EffectContext
     body: Comp
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
     def __post_init__(self) -> None:
         _check_theory(self.theory, "box annotation")
 
 
-@dataclass(frozen=True)
+@record
 class LetBoxE(Expr):
     uvar: str
     bound: Expr
     body: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class EvalTerm(Expr):
     hseq: "HSeq"
     uvar: str
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class FixE(Expr):
     fname: str
     param: str
@@ -331,16 +334,16 @@ class FixE(Expr):
     ret_type: Type
     rec_body: Comp
     scope: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
     def __post_init__(self) -> None:
         _check_theory(self.theory, "fix annotation")
 
 
-@dataclass(frozen=True)
+@record
 class IntLit(Expr):
     value: int
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
 # CPython converts at most a few thousand digits between int and str at once
@@ -368,96 +371,96 @@ def int_of_text(digits: str) -> int:
         return int_of_text(digits[:-k]) * 10**k + int_of_text(digits[-k:])
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit(Expr):
     value: bool
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class UnitLit(Expr):
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class Pair(Expr):
     left: Expr
     right: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class Proj1(Expr):
     arg: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class Proj2(Expr):
     arg: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class ListE(Expr):
     elems: tuple[Expr, ...]
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class Append(Expr):
     left: Expr
     right: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class Arith(Expr):
     op: str  # one of + - * /
     left: Expr
     right: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class Cmp(Expr):
     op: str  # one of = <
     left: Expr
     right: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class IfE(Expr):
     cond: Expr
     then: Expr
     els: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class Ret(Comp):
     value: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class Bind(Comp):
     stmt: Stmt
     var: str
     rest: Comp
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class LetBoxC(Comp):
     uvar: str
     bound: Expr
     body: Comp
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class FixC(Comp):
     fname: str
     param: str
@@ -466,37 +469,37 @@ class FixC(Comp):
     ret_type: Type
     rec_body: Comp
     scope: Comp
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
     def __post_init__(self) -> None:
         _check_theory(self.theory, "fix annotation")
 
 
-@dataclass(frozen=True)
+@record
 class IfC(Comp):
     cond: Expr
     then: Comp
     els: Comp
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class OpCall(Stmt):
     op: str
     arg: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
+@record
 class ContCall(Stmt):
     kname: str
     arg: Expr
     state: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class OpClause:
+@record
+class OpClause(Record):
     op: str
     x: str
     k: str
@@ -504,19 +507,19 @@ class OpClause:
     body: Comp
 
 
-@dataclass(frozen=True)
-class RetClause:
+@record
+class RetClause(Record):
     x: str
     z: str
     body: Comp
 
 
-@dataclass(frozen=True)
+@record
 class Handler(_Node):
     theory: EffectContext
     op_clauses: tuple[OpClause, ...]
     ret_clause: RetClause
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
     def __post_init__(self) -> None:
         _check_theory(self.theory, "handler ascription")
@@ -528,26 +531,26 @@ class Handler(_Node):
         return None
 
 
-@dataclass(frozen=True)
-class HClause:
+@record
+class HClause(Record):
     handler: Handler
     init: Expr
     var: str
     body: Comp
 
 
-@dataclass(frozen=True)
+@record
 class HSeq(_Node):
     clauses: tuple[HClause, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Handle(Stmt):
     uvar: str
     hseq: HSeq
     handler: Handler
     init: Expr
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
 EMPTY_HSEQ = HSeq()
@@ -572,7 +575,7 @@ class Row:
     it scopes over, in the order a walk renames them; an `OPS` binder holds
     a theory and binds its operations.  Every other field is data.
 
-    The rest is derived from these and the dataclass: `fields`, every field
+    The rest is derived from these and the record: `fields`, every field
     in constructor order (span included), so a node is rebuilt from a list
     of its field values; `kids`, each child's position in `fields`, name and
     whether it holds a tuple; `over`, the binders scoping over each child;
@@ -587,7 +590,7 @@ class Row:
         self.tuples: tuple[str, ...] = tuples
         self.uses: tuple[tuple[str, str], ...] = uses
         self.binds: tuple[tuple[str, str, tuple[str, ...]], ...] = binds
-        self.fields = tuple(f.name for f in fields(cls))
+        self.fields = cls.fields()
         self.kids = tuple((self.fields.index(c), c, c in tuples) for c in children)
         self.over = {c: tuple((f, ns) for f, ns, scope in binds if c in scope) for c in children}
         named = {*children, *(f for f, _ in uses), *(f for f, ns, _ in binds if ns != OPS), "span"}
@@ -644,8 +647,8 @@ SCHEMA: dict[type, Row] = {row.cls: row for row in ROWS}
 # Free and bound names
 
 
-@dataclass(frozen=True)
-class FreeVars:
+@record
+class FreeVars(Record):
     values: frozenset[str]
     modals: frozenset[str]
     ops: frozenset[str]
@@ -711,7 +714,7 @@ def free_vars(term: Term) -> FreeVars:
 
     Terms are immutable, so the result is computed once per node, from the
     cached results of its children, and stored on the node outside its
-    dataclass fields: equality, hashing and printing do not see it.  Closed
+    record fields: equality, hashing and printing do not see it.  Closed
     nodes share `NO_FREE_VARS`.  The recursion goes through this function
     alone, one frame per tree level, so deep terms fit the same recursion
     limit as the parser that built them.

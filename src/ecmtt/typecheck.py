@@ -21,11 +21,11 @@ substitution grafts a continuation into a branch that can only abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import syntax as S
 from .pretty import theory_text, type_text
+from .record import Record, record
 from .syntax import EMPTY_THEORY, EffectContext, ModalContext, Span, Type
 
 __all__ = [
@@ -104,8 +104,8 @@ class TypeCheckError(Exception):
         return "".join(parts)
 
 
-@dataclass(frozen=True)
-class HandlerSig:
+@record
+class HandlerSig(Record):
     """The four components of a handler ascription.
 
     The handler consumes computations of ``in_type`` over ``theory``, threads

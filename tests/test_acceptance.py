@@ -20,7 +20,6 @@ run reads as a checklist.  The guarantees:
    the whole corpus and 1,000 generated terms.
 """
 
-import dataclasses
 import io
 import random
 import time
@@ -31,6 +30,7 @@ from ecmtt.corpus import CASES, PRELUDE, EvaluatesTo
 from ecmtt.evaluator import Stuck, Value, evaluate
 from ecmtt.parser import ParseError, parse_source, parse_term
 from ecmtt.pretty import pretty, type_text
+from ecmtt.record import Record
 from ecmtt.subst import (
     eta_expand,
     eval_meta,
@@ -407,9 +407,9 @@ def _boxes_in(term: S.Term) -> list[S.BoxTerm]:
     def walk(node) -> None:
         if isinstance(node, S.BoxTerm):
             found.append(node)
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
-            for f in dataclasses.fields(node):
-                walk(getattr(node, f.name))
+        if isinstance(node, Record):
+            for f in node.fields():
+                walk(getattr(node, f))
         elif isinstance(node, tuple):
             for item in node:
                 walk(item)

@@ -8,7 +8,6 @@ handler's clauses matched by operation name.  The reference below is the
 per-class walk it replaced, kept as it was.
 """
 
-import dataclasses
 import random
 
 from ecmtt import syntax as S
@@ -173,7 +172,7 @@ def st_handlers() -> list[S.Handler]:
 
 def handler_pairs():
     handlers = st_handlers()
-    handlers += [dataclasses.replace(h, op_clauses=h.op_clauses[::-1]) for h in handlers]
+    handlers += [h.replace(op_clauses=h.op_clauses[::-1]) for h in handlers]
     return [(a, b) for a in handlers for b in handlers]
 
 
@@ -203,7 +202,7 @@ def test_the_derived_walk_agrees_with_the_reference():
 def test_handlers_match_clauses_by_operation_name():
     h, renamed, swapped, short, free_k = st_handlers()
     assert alpha_equal(h, renamed) and alpha_equal(renamed, h)
-    assert alpha_equal(h, dataclasses.replace(h, op_clauses=h.op_clauses[::-1]))
+    assert alpha_equal(h, h.replace(op_clauses=h.op_clauses[::-1]))
     assert not alpha_equal(h, swapped)
     assert not alpha_equal(h, short) and not alpha_equal(short, h)
     assert not alpha_equal(h, free_k)

@@ -14,7 +14,6 @@ The engine's result and the reference's must be alpha-equal once both are
 normalized.  Each seed is printed on failure.
 """
 
-import dataclasses
 import random
 
 from ecmtt import syntax as S
@@ -63,7 +62,7 @@ class Reference:
         cls = type(t)
         if cls is S.Var:
             return env.get((VAL, t.name), t)
-        fields = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
+        fields = {f: getattr(t, f) for f in t.fields()}
         if cls in USES:
             f, ns = USES[cls]
             fields[f] = env.get((ns, fields[f]), fields[f])
@@ -88,7 +87,7 @@ class Reference:
             case S.LetBoxC(u, e, body):
                 return S.LetBoxC(u, e, self.plug(body, x, cont))
             case S.FixC():
-                return dataclasses.replace(c, scope=self.plug(c.scope, x, cont))
+                return c.replace(scope=self.plug(c.scope, x, cont))
             case S.IfC(cond, then, els):
                 return S.IfC(cond, self.plug(then, x, cont), self.plug(els, x, cont))
         raise AssertionError(f"not a computation: {c!r}")
@@ -197,8 +196,8 @@ def bound_values(t) -> set[str]:
     if not isinstance(t, NODES):
         return set()
     names = {getattr(t, f) for f, ns, _ in BINDERS.get(type(t), ()) if ns == VAL}
-    for f in dataclasses.fields(t):
-        names |= bound_values(getattr(t, f.name))
+    for f in t.fields():
+        names |= bound_values(getattr(t, f))
     return names
 
 

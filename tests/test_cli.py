@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ecmtt import subst
+from ecmtt import cli, subst
 from ecmtt.cli import ENV_MAX_STEPS, cmd_trace, main
-from ecmtt.corpus import CASES
+from ecmtt.corpus import CASES, TypeIs
 from ecmtt.evaluator import DEFAULT_MAX_STEPS
 
 PIPELINE = """\
@@ -265,6 +265,16 @@ def test_corpus_reports_every_case(capsys):
     assert lines[-1] == f"all {len(CASES)} cases pass"
     assert len(lines) == len(CASES) + 1
     assert all(line.startswith("pass") for line in lines[:-1])
+
+
+def test_corpus_reports_a_failing_case(monkeypatch):
+    wrong = CASES[0].replace(expectation=TypeIs("bool"))
+    monkeypatch.setattr(cli, "CASES", [CASES[1], wrong])
+    out = io.StringIO()
+    assert cli.cmd_corpus(out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("pass") and lines[1].startswith("FAIL")
+    assert lines[-1] == "1 of 2 cases failed"
 
 
 def test_repl_types_terms_and_quits():

@@ -7,7 +7,6 @@ code with the cached one.  Every comparison covers each subterm of the
 term, not only its root, because every node carries its own result.
 """
 
-import dataclasses
 import random
 import sys
 
@@ -17,6 +16,7 @@ from ecmtt import syntax as S
 from ecmtt.evaluator import evaluate
 from ecmtt.parser import parse_term
 from ecmtt.pretty import pretty
+from ecmtt.record import Record
 from ecmtt.syntax import NO_FREE_VARS, FreeVars, free_vars
 
 from generators import corpus_mains, gen_program, gen_roundtrip_term
@@ -118,9 +118,9 @@ def subterms(term: S.Term) -> list[S.Term]:
         if isinstance(node, tuple):
             for item in node:
                 walk(item)
-        elif dataclasses.is_dataclass(node) and not isinstance(node, (S.EffectContext, S.Type)):
-            for f in dataclasses.fields(node):
-                walk(getattr(node, f.name))
+        elif isinstance(node, Record) and not isinstance(node, (S.EffectContext, S.Type)):
+            for f in node.fields():
+                walk(getattr(node, f))
 
     walk(term)
     return out
@@ -267,9 +267,9 @@ def test_caching_leaves_equality_hash_and_printing_alone():
 def test_replace_on_a_cached_node_recomputes():
     lam = S.Lam(x, S.INT, S.App(S.Var(x), S.Var(y)))
     assert free_vars(lam) == _fv(values=[y])
-    assert free_vars(dataclasses.replace(lam, param=y)) == _fv(values=[x])
-    assert free_vars(dataclasses.replace(lam, body=S.Var(z))) == _fv(values=[z])
-    assert free_vars(dataclasses.replace(lam, body=S.IntLit(0))) is NO_FREE_VARS
+    assert free_vars(lam.replace(param=y)) == _fv(values=[x])
+    assert free_vars(lam.replace(body=S.Var(z))) == _fv(values=[z])
+    assert free_vars(lam.replace(body=S.IntLit(0))) is NO_FREE_VARS
 
 
 def test_free_vars_of_a_450_pair_chain_fits_the_default_recursion_limit():

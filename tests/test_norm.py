@@ -7,7 +7,6 @@ through the smart constructors and keeps nothing, which shares no code
 with the cached one.
 """
 
-import dataclasses
 import random
 import sys
 
@@ -168,10 +167,10 @@ def test_replace_gives_a_node_without_the_memo():
     lam = parse_term("fn x:int. x + (1 + 1)")
     assert subst.normalize(lam) == parse_term("fn x:int. x + 2")
     assert "_nf" in vars(lam)
-    fresh = dataclasses.replace(lam, param="y")
+    fresh = lam.replace(param="y")
     assert "_nf" not in vars(fresh)
     assert subst.normalize(fresh) == parse_term("fn y:int. x + 2")
-    assert subst.normalize(dataclasses.replace(lam, body=S.Var("z"))) == S.Lam("x", S.INT, S.Var("z"))
+    assert subst.normalize(lam.replace(body=S.Var("z"))) == S.Lam("x", S.INT, S.Var("z"))
 
 
 def test_normalize_of_a_450_pair_chain_fits_the_default_recursion_limit():

@@ -6,7 +6,6 @@ renaming and the congruences of the substitutions) reads
 a binder, would go wrong deep inside a walk.  These checks catch that here.
 """
 
-import dataclasses
 import inspect
 import typing
 
@@ -19,7 +18,7 @@ NAMESPACES = {S.VALUES, S.MODALS, S.OPS, S.CONTS}
 
 
 def node_classes() -> set[type]:
-    """Every concrete term class: the dataclass subclasses of `Expr`,
+    """Every concrete term class: the record subclasses of `Expr`,
     `Comp` and `Stmt`, the handler, the handling sequence and the three
     clause records."""
     out = {S.Handler, S.HSeq, S.OpClause, S.RetClause, S.HClause}
@@ -27,7 +26,7 @@ def node_classes() -> set[type]:
     while stack:
         cls = stack.pop()
         stack.extend(cls.__subclasses__())
-        if dataclasses.is_dataclass(cls):
+        if "__match_args__" in vars(cls):  # made by `@record`
             out.add(cls)
     return out
 
@@ -52,7 +51,7 @@ def test_every_node_class_has_exactly_one_row():
 @pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
 def test_each_row_names_its_own_fields(cls):
     row = S.SCHEMA[cls]
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = list(cls.fields())
     hints = typing.get_type_hints(cls)
     assert row.fields == tuple(names)
     # The children are exactly the fields that hold subterms, and the

@@ -12,7 +12,6 @@ shadow one another, must agree on every rule and final line, and on every
 step up to renaming once both are normalised.
 """
 
-import dataclasses
 import random
 import sys
 
@@ -21,6 +20,7 @@ from ecmtt import syntax as S
 from ecmtt.evaluator import Value, evaluate
 from ecmtt.parser import parse_source, parse_term
 from ecmtt.pretty import pretty
+from ecmtt.record import Record
 from ecmtt.subst import mk_append, mk_arith, mk_cmp, mk_if, mk_proj1, mk_proj2
 from ecmtt.syntax import alpha_equal, free_vars, fresh_name
 from ecmtt.typecheck import TypeCheckError, infer_term
@@ -163,7 +163,7 @@ def full_trace(term: S.Term) -> tuple[list[tuple[str, S.Term]], str]:
     if isinstance(final, Value):
         last = f"value\t{pretty(final.term)}"
     else:
-        last = f"{type(final).__name__}{dataclasses.astuple(final)}"
+        last = f"{type(final).__name__}{tuple(getattr(final, f) for f in final.fields())}"
     return [(s.rule, s.term) for s in outcome.steps], last
 
 
@@ -207,8 +207,8 @@ def binds_again(t) -> bool:
                 return True
     if isinstance(t, tuple):
         return any(binds_again(x) for x in t)
-    if dataclasses.is_dataclass(t):
-        return any(binds_again(getattr(t, f.name)) for f in dataclasses.fields(t))
+    if isinstance(t, Record):
+        return any(binds_again(getattr(t, f)) for f in t.fields())
     return False
 
 

@@ -1,6 +1,5 @@
 """Type synthesis for expressions, computations, handlers, and sequences."""
 
-import dataclasses
 import sys
 
 import pytest
@@ -127,7 +126,7 @@ def test_clause_coverage_errors_carry_the_handler_span():
     missing = reject(head + "handler for St { get(x;k;z) -> k(z;z), return(x;z) -> ret (x, z) } init 0)")
     outside = reject(head + "handler for St { " + clauses + ", raise(x;k;z) -> k(z;z) } init 0)")
     handler = parse_source(PRELUDE + "\n\n  def h = handler for St { " + clauses + " }").table.handlers["h"]
-    duplicate = dataclasses.replace(handler, op_clauses=handler.op_clauses + handler.op_clauses[:1])
+    duplicate = handler.replace(op_clauses=handler.op_clauses + handler.op_clauses[:1])
     with pytest.raises(TypeCheckError) as exc:
         check_handler(EMPTY_MODAL, EMPTY_THEORY, duplicate, S.INT, S.INT)
     assert missing.render() == "2:17: clause-coverage: missing clause for operation set"

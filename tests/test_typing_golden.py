@@ -22,7 +22,6 @@ and says in its description which lines changed and why.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import sys
@@ -72,7 +71,7 @@ def _swap_int(term: S.Term, k: int) -> S.Term:
         for _, name, many in row.kids:
             child = getattr(t, name)
             new[name] = tuple(map(walk, child)) if many else walk(child)
-        return dataclasses.replace(t, **new)
+        return t.replace(**new)
 
     return walk(term)
 
