@@ -30,7 +30,6 @@ a non-negative integer, from either source, is a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable, NamedTuple, NoReturn, Optional, TextIO
@@ -212,6 +211,9 @@ def _report(result: Outcome, out: TextIO, err: TextIO, as_json: bool = False) ->
     """Print an outcome of `check`, `run` or `trace`, and give its exit code."""
     code, prefix, fields = OUTCOMES[result.status]
     if as_json:
+        # Imported here, so that start-up without `--json` does not load it.
+        import json
+
         values = {"value": result.text, "message": result.text, "steps": result.steps, "budget": result.kind}
         fields = tuple(f for f in fields if values[f] is not None)
         print(json.dumps({"status": result.status, **{f: values[f] for f in fields}}), file=out)

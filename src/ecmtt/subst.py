@@ -21,7 +21,13 @@ stepper reports it if it is actually reached.
 The walks read each node's children and binders from `syntax.SCHEMA`, so
 only the cases where the operations differ from a congruence are written
 out: a variable, a continuation call, a handle or eval of the substituted
-box variable, and the operations on computations.
+box variable, and the operations on computations.  The walks that act at a
+name (`sub`, `_rename`, `modal_subst`, `subst_cont`) return a subterm where
+their name is not free without walking it, normalised (`_rename`: as it is).
+
+Fuel is spent in ticks: one per node a walk enters where its name is free,
+plus one per node `norm` has not normalised before; the operations on
+computations tick once per node of the descent they make.
 """
 
 from __future__ import annotations
@@ -242,15 +248,12 @@ class _Engine:
 
     def sub(self, t: S.Term, m: dict[str, S.Expr]) -> S.Term:
         """Substitute normalized payloads for the free value variables of
-        `t` (`m` is not empty).
-
-        A subterm where no mapped name is free is returned as `norm(t)`
-        without a walk, binders and all: no payload can be captured where
-        none is put.  A skipped subterm costs no fuel when it is already
-        normal.  Binders are renamed by `_scope`; under a binder that drops
-        the last key, a child is left as it is.  When `t` is normal, so is
-        the result, and it is marked so, as `norm` marks its own.  The checks
-        are here, not in a wrapper, so deep terms take one frame per level."""
+        `t` (`m` is not empty).  A skipped subterm keeps its binders: no
+        payload can be captured where none is put.  Binders are renamed by
+        `_scope`; under a binder that drops the last key, a child is left as
+        it is.  When `t` is normal, so is the result, and it is marked so, as
+        `norm` marks its own.  The checks are here, not in a wrapper, so deep
+        terms take one frame per level."""
         if free_vars(t).values.isdisjoint(m):
             return self.norm(t)
         self.tick()
@@ -283,8 +286,7 @@ class _Engine:
 
     def _rename(self, t: S.Term, ns: str, old: str, new: str) -> S.Term:
         """Rename a free name of namespace `ns`.  `new` must be fresh for
-        `t`.  A subterm where `old` is not free comes back as it is, at no
-        fuel.  Nodes are rebuilt with their plain constructors."""
+        `t`.  Nodes are rebuilt with their plain constructors."""
         if old not in getattr(free_vars(t), ns):
             return t
         self.tick()
@@ -374,24 +376,20 @@ class _Engine:
 
     def subst_cont(self, t: S.Term, k: str, xp: str, yp: str, body: S.Comp) -> S.Term:
         """Substitute the parametrized continuation (xp, yp).body for calls
-        of `k`.  A call `v <- k(e1; e2); c` becomes the body at e1/e2 with
-        the rest of the computation, itself still rewritten, plugged in for
-        v.  `body` must not call `k` itself.
-
-        Calls occur in computations, statements and handler clauses.  The
-        walk leaves expressions alone, and handling sequences, whose
-        clauses cannot call the continuation of an enclosing handler."""
+        of `k`, which `body` must not call itself.  A call `v <- k(e1; e2);
+        c` becomes the body at e1/e2 with the rest of the computation, itself
+        still rewritten, plugged in for v.  Elsewhere the walk goes into every
+        child not under a binder of `k`, renaming the binders the body would
+        be captured by."""
+        if k not in free_vars(t).conts:
+            return self.norm(t)
         self.tick()
         match t:
             case S.Bind(S.ContCall(k2, e1, e2), v, rest) if k2 == k:
                 plugged = self.subst(body, {xp: e1, yp: e2})
                 return self.subst_monadic(plugged, v, self.subst_cont(rest, k, xp, yp, body))
         row = SCHEMA[type(t)]
-        into = tuple(
-            c for c in _unshadowed(t, row, CONTS, k) if not isinstance(getattr(t, c), (S.Expr, S.HSeq))
-        )
-        if not into:
-            return t
+        into = _unshadowed(t, row, CONTS, k)
         bfv = free_vars(body)
         danger = S.FreeVars(bfv.values - {xp, yp}, bfv.modals, bfv.ops, bfv.conts)
         args = self._freshen(t, into, danger, bfv)
@@ -553,6 +551,8 @@ class _Engine:
         sequence and then stripped down to an expression.  Elsewhere the
         walk goes into every child not under a binder of `u`, renaming the
         binders the code would be captured by."""
+        if u not in free_vars(t).modals:
+            return self.norm(t)
         self.tick()
         match t:
             case S.Bind(S.Handle(u2, theta, h, e), x, rest) if u2 == u:
@@ -564,8 +564,6 @@ class _Engine:
             case S.EvalTerm(theta, u2) if u2 == u:
                 return self.eval_meta(self.handle_seq(c, self.modal_subst(theta, u, c)))
         row = SCHEMA[type(t)]
-        if not row.kids:
-            return t
         into = _unshadowed(t, row, MODALS, u)
         args = self._freshen(t, into, free_vars(c))
         return _BUILD[type(t)](*_map_into(row, args, into, self.modal_subst, u, c))

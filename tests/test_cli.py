@@ -402,6 +402,17 @@ def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, check_c
     assert err.count("\n") == 1 and "recursion limit" in err
 
 
+def test_a_recursion_error_exits_6_naming_the_limit(monkeypatch, pipeline_file):
+    def too_deep(term):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "infer_term", too_deep)
+    code, out, err = invoke(["check", pipeline_file])
+    limit = sys.getrecursionlimit()
+    assert (code, out) == (6, "")
+    assert err == f"error: input nested too deeply: recursion limit of {limit} frames reached\n"
+
+
 def test_long_lists_run_to_their_values(tmp_path):
     path = tmp_path / "nondet.ecmtt"
     path.write_text(_collect_all(12))

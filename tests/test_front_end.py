@@ -244,6 +244,29 @@ def test_ties_go_to_the_expression():
     assert isinstance(parse_term("let box u = b in f(2)"), S.LetBoxE)
 
 
+# A bare `f(a)` reads as an application or as an operation call, so the
+# category of a twin form, and the reading of the branches before its last
+# part, can hang on tokens after that last part: each text with its class
+# and printed form, or `None` for a parse error at `;`.
+WHOLE_TERMS = (
+    ("if true then f(1) else g(2); ret 3", S.IfC, "if true then x <- f(1); ret x else _ <- g(2); ret 3"),
+    ("if true then f(1) else g(2)", S.IfE, "if true then f 1 else g 2"),
+    ("let box u = x in f(1); ret 1", S.LetBoxC, "let box u = x in _ <- f(1); ret 1"),
+    ("(f(1)); ret 2", None, None),
+    ("(f(1); ret 2)", S.Bind, "_ <- f(1); ret 2"),
+)
+
+
+@pytest.mark.parametrize("text, cls, printed", WHOLE_TERMS)
+def test_the_category_of_a_whole_term_can_hang_on_its_last_tokens(text, cls, printed):
+    if cls is None:
+        with pytest.raises(ParseError, match="^1:7: .*found ';'"):
+            parse_term(text)
+        return
+    term = parse_term(text)
+    assert (type(term), pretty(term)) == (cls, printed)
+
+
 def test_sharing_does_not_change_printed_terms():
     for seed in range(200):
         text = pretty(gen_roundtrip_term(random.Random(seed)))

@@ -143,13 +143,14 @@ def test_dataclasses_functions_still_read_records():
     ids=["cli", "layers"],
 )
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect(modules):
-    # Both cost tens of milliseconds at every start-up; this fails as soon
-    # as some import brings either back.
+    # Both cost tens of milliseconds at every start-up, and `json`, which
+    # only `run --json` needs, a few more; this fails as soon as some import
+    # brings one of them back.
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         f"import {', '.join(modules)}\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
     )
     done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

@@ -6,10 +6,12 @@ walking it.  The reference below is the walk it replaced, which visits every
 node under the substitution and keeps nothing.  Even where no mapped name
 occurs under it, the walk renames a binder that a payload would capture, and
 under a binder that shadows the only key it stops and leaves the body as it
-is, not normalised.  `sub` does neither, so a trace may print a binder name
+is, not normalised.  `sub` does neither, so a step could print a binder name
 or a folded literal differently; the traces below, on programs whose names
-shadow one another, must agree on every rule and final line, and on every
-step up to renaming once both are normalised.
+shadow one another, agree on every rule, step and final line.
+
+`modal_subst` and `subst_cont` skip by the same rule, where the box or
+continuation variable they substitute for is not free.
 """
 
 import random
@@ -242,10 +244,10 @@ def test_traces_match_the_walk_everything_substitution(monkeypatch):
                 assert alpha_equal(subst.normalize(a), subst.normalize(b)), pretty(b)
         differing += not same
         lines += len(got) + 2  # the initial term, each step and the final state
-    # Enough steps happen for the comparison to mean something, and few
-    # traces print differently.
+    # Enough steps happen for the comparison to mean something, and every
+    # trace prints the same.
     assert lines > 10_000
-    assert differing == 14
+    assert differing == 0
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +358,62 @@ def test_sub_of_a_450_pair_chain_fits_the_default_recursion_limit():
         sys.setrecursionlimit(limit)
     assert pretty(out).endswith("w449 <- set(y449 + 1); ret 1")
     assert len(bound_names(term)) == 900
+
+
+def ticking_calls(monkeypatch, name: str) -> list[int]:
+    """Count the calls of the engine method `name` that spend fuel of their
+    own, not counting the calls of `name` they make: the calls that get
+    past the skip.  The count is `[0]` of the list returned."""
+    calls, spent = [0], []
+    inner, tick = getattr(subst._Engine, name), subst._Engine.tick
+
+    def counting(self, *args):
+        spent.append(0)
+        try:
+            return inner(self, *args)
+        finally:
+            calls[0] += spent.pop() > 0
+
+    def ticking(self):
+        if spent:
+            spent[-1] += 1
+        tick(self)
+
+    monkeypatch.setattr(subst._Engine, name, counting)
+    monkeypatch.setattr(subst._Engine, "tick", ticking)
+    return calls
+
+
+def beside(n: int, hot: S.Comp) -> S.Comp:
+    """`if b then hot else ret [y0 + 1, ..., y(n-1) + 1]`, normalised, so
+    that a skip costs no fuel."""
+    elems = tuple(S.Arith("+", S.Var(f"y{i}"), S.IntLit(1)) for i in range(n))
+    return subst.normalize(S.IfC(S.Var("b"), hot, S.Ret(S.ListE(elems))))
+
+
+def test_modal_and_continuation_substitution_skip_where_their_name_is_not_free(monkeypatch):
+    handler = S.Handler(S.EMPTY_THEORY, (), S.RetClause("x", "z", S.Ret(S.Var("x"))))
+    handle_u = S.Bind(S.Handle("u", S.EMPTY_HSEQ, handler, S.IntLit(0)), "v", S.Ret(S.Var("v")))
+    call_k = S.Bind(S.ContCall("k", S.IntLit(1), S.UnitLit()), "v", S.Ret(S.Var("v")))
+    for name, hot, run in [
+        ("modal_subst", handle_u, lambda t: subst.modal_subst(t, "u", S.Ret(S.IntLit(1)))),
+        ("subst_cont", call_k, lambda t: subst.subst_cont(t, "k", "a", "s", S.Ret(S.Var("a")))),
+    ]:
+        counts = []
+        for n in (10, 1_000):
+            term = beside(n, hot)
+            with monkeypatch.context() as patch:
+                calls = ticking_calls(patch, name)
+                out = run(term)
+            assert pretty(out.then) == "ret 1" and out.els is term.els
+            counts.append(calls[0])
+        # Only the `if` and the one use of the name tick, whatever the size
+        # of the list beside them.
+        assert counts == [2, 2], name
+    # A normal term without the name comes back as it is, at no cost.
+    side = beside(10, handle_u).els
+    assert subst.modal_subst(side, "u", S.Ret(S.IntLit(1)), fuel=0) is side
+    assert subst.subst_cont(side, "k", "a", "s", S.Ret(S.Var("a")), fuel=0) is side
 
 
 # ---------------------------------------------------------------------------

@@ -198,19 +198,27 @@ def test_eta_expansion_keeps_empty_theory_behaviour():
 
 def test_a_renamed_clause_binder_avoids_the_other_binders_of_its_clause():
     # The clause names its state `x1` and leaves it unused, so the free
-    # names of its body do not hold `x1`: renaming `x` away from the
-    # substituted `x` must still not pick `x1`, which the state would
-    # capture.
-    get = S.OpClause("get", "x", "k", "x1", S.Ret(S.Var("x")))
+    # names of its body do not hold `x1`.  Each substitution reaches into the
+    # body, at `eval u` and at the call of `j`, with code that reads `x`:
+    # renaming `x` away from it must still not pick `x1`, which the state
+    # would capture.
     theory = S.make_theory([S.OpDecl("get", S.UNIT, S.INT)])
-    h = S.Handler(theory, (get,), S.RetClause("x", "z", S.Ret(S.Var("x"))))
-    boxed = modal_subst(h, "u", S.Ret(S.Var("x")))
-    handling = S.Bind(S.Handle("u", S.EMPTY_HSEQ, h, S.IntLit(0)), "v", S.Ret(S.Var("v")))
-    resumed = subst_cont(handling, "j", "a", "b", S.Ret(S.Var("x")))
+    ret = S.RetClause("x", "z", S.Ret(S.Var("x")))
+
+    def handler(body: S.Comp) -> S.Handler:
+        return S.Handler(theory, (S.OpClause("get", "x", "k", "x1", body),), ret)
+
+    reads_u = handler(S.Ret(S.Pair(S.Var("x"), S.EvalTerm(S.EMPTY_HSEQ, "u"))))
+    boxed = modal_subst(reads_u, "u", S.Ret(S.Var("x")))
+    calls_j = handler(S.Bind(S.ContCall("j", S.Var("x"), S.IntLit(0)), "v", S.Ret(S.Var("v"))))
+    handling = S.Bind(S.Handle("w", S.EMPTY_HSEQ, calls_j, S.IntLit(0)), "v", S.Ret(S.Var("v")))
+    resumed = subst_cont(handling, "j", "a", "b", S.Ret(S.Pair(S.Var("a"), S.Var("x"))))
+    # Both give the clause body `ret (x', x)`, `x'` the renamed binder.
+    expected = S.Handler(theory, (S.OpClause("get", "y", "k", "s", S.Ret(S.Pair(S.Var("y"), S.Var("x")))),), ret)
     for out in (boxed, resumed.stmt.handler):
         clause = out.op_clauses[0]
-        assert (clause.x, clause.z, clause.body) == ("x2", "x1", S.Ret(S.Var("x2")))
-        assert alpha_equal(out, h)
+        assert (clause.x, clause.z, clause.body) == ("x2", "x1", S.Ret(S.Pair(S.Var("x2"), S.Var("x"))))
+        assert alpha_equal(out, expected)
 
 
 def test_fuel_runs_out_instead_of_spinning():
