@@ -27,7 +27,9 @@ their name is not free without walking it, normalised (`_rename`: as it is).
 
 Fuel is spent in ticks: one per node a walk enters where its name is free,
 plus one per node `norm` has not normalised before; the operations on
-computations tick once per node of the descent they make.
+computations tick once per node of the descent they make.  A node that
+occurs more than once in a continuation `subst_cont` plugs is entered once
+per plug and mapping, however many paths lead to it.
 """
 
 from __future__ import annotations
@@ -63,14 +65,16 @@ class OutOfFuel(Exception):
 
 
 def is_pure_value(e: S.Expr) -> bool:
-    """Open values: safe to duplicate or discard during substitution."""
+    """Open values: safe to duplicate or discard during substitution.  A
+    list `mk_append` folded is marked pure on the node, outside its record
+    fields, so it is not checked again."""
     match e:
         case S.Var() | S.IntLit() | S.BoolLit() | S.UnitLit() | S.Lam() | S.BoxTerm():
             return True
         case S.Pair(left, right):
             return is_pure_value(left) and is_pure_value(right)
         case S.ListE(elems):
-            return all(map(is_pure_value, elems))
+            return getattr(e, "_pure", False) or all(map(is_pure_value, elems))
         case _:
             return False
 
@@ -116,7 +120,9 @@ def mk_proj2(arg: S.Expr, span: Optional[Span] = None) -> S.Expr:
 
 def mk_append(left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
     if type(left) is S.ListE and type(right) is S.ListE and is_pure_value(left) and is_pure_value(right):
-        return S.ListE(left.elems + right.elems, span=span)
+        out = S.ListE(left.elems + right.elems, span=span)
+        object.__setattr__(out, "_pure", True)
+        return out
     return S.Append(left, right, span=span)
 
 
@@ -190,6 +196,8 @@ def _map_into(row: S.Row, args: list, into: tuple[str, ...], walk: Callable, *ex
 class _Engine:
     def __init__(self, fuel: int = DEFAULT_FUEL):
         self.fuel = fuel
+        # `sub`'s results by `(id(t), id(m))`, while `subst_cont` plugs.
+        self.shared: Optional[dict[tuple[int, int], tuple]] = None
 
     def tick(self) -> None:
         self.fuel -= 1
@@ -256,6 +264,11 @@ class _Engine:
         terms take one frame per level."""
         if free_vars(t).values.isdisjoint(m):
             return self.norm(t)
+        shared = self.shared
+        if shared is not None:
+            hit = shared.get((id(t), id(m)))
+            if hit is not None:
+                return hit[2]
         self.tick()
         cls = type(t)
         if cls is S.Var:
@@ -280,6 +293,9 @@ class _Engine:
         out = _BUILD[cls](*args)
         if getattr(t, "_nf", None) is t:
             object.__setattr__(out, "_nf", out)
+        if shared is not None:
+            # The entry keeps `t` and `m` alive, so neither id is reused.
+            shared[id(t), id(m)] = (t, m, out)
         return out
 
     # -- capture avoidance: renaming a binder where something would be captured
@@ -380,13 +396,24 @@ class _Engine:
         c` becomes the body at e1/e2 with the rest of the computation, itself
         still rewritten, plugged in for v.  Elsewhere the walk goes into every
         child not under a binder of `k`, renaming the binders the body would
-        be captured by."""
+        be captured by.
+
+        `body` is handled once and plugged at every call, and a plug's
+        result shares each subterm its payloads are not free in, so a body
+        built by earlier plugs can reach one node by many paths.  While it
+        plugs, `sub` keeps its results in `shared` by the identities of node
+        and mapping, and walks each such pair once; the mapping is part of
+        the key, as a child under a binder gets a smaller one.  `sub` never
+        plugs, so the memo is never nested, and an engine out of fuel is not
+        used again."""
         if k not in free_vars(t).conts:
             return self.norm(t)
         self.tick()
         match t:
             case S.Bind(S.ContCall(k2, e1, e2), v, rest) if k2 == k:
+                self.shared = {}
                 plugged = self.subst(body, {xp: e1, yp: e2})
+                self.shared = None
                 return self.subst_monadic(plugged, v, self.subst_cont(rest, k, xp, yp, body))
         row = SCHEMA[type(t)]
         into = _unshadowed(t, row, CONTS, k)

@@ -282,32 +282,46 @@ def state_pairs(n: int) -> str:
     return STATE + f"let box u = box St. ({chain}; ret y0)\nin x <- handle u with handlerSt init 0; ret x"
 
 
-def sub_visits(monkeypatch, source: str) -> tuple[int, S.Term]:
-    visits = 0
-    inner = subst._Engine.sub
+def engine_calls(monkeypatch, name: str, source: str) -> tuple[int, S.Term]:
+    """The calls of the engine method `name` made evaluating `source`, and
+    the value it evaluates to."""
+    calls = 0
+    inner = getattr(subst._Engine, name)
 
     def counting(self, *args):
-        nonlocal visits
-        visits += 1
+        nonlocal calls
+        calls += 1
         return inner(self, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(subst._Engine, "sub", counting)
+        patch.setattr(subst._Engine, name, counting)
         outcome = evaluate(parse_source(source).main)
     assert isinstance(outcome.final, Value)
-    return visits, outcome.final.term
+    return calls, outcome.final.term
 
 
 def test_sub_visits_fall_on_multishot_handling(monkeypatch):
-    # The walk-everything substitution makes 15,627 visits here.
-    visits, result = sub_visits(monkeypatch, collect_all(8))
-    assert visits < 12_000
+    # The walk-everything substitution makes 15,627 visits here, and a walk
+    # that enters each shared node once per path to it 9,861.
+    visits, result = engine_calls(monkeypatch, "sub", collect_all(8))
+    assert visits < 4_500
     assert pretty(result).count(",") == 2**8 - 1
+
+
+def test_multishot_ticks_follow_the_leaves(monkeypatch):
+    # The handled continuation is plugged twice per choice, and the two
+    # results share every subterm the choice is not free in; a plug that
+    # walked a shared node once per path to it grew 2.15x per choice and
+    # spent 25,862 ticks at n = 10.
+    ticks = {n: engine_calls(monkeypatch, "tick", collect_all(n))[0] for n in range(8, 12)}
+    for n in (9, 10, 11):
+        assert ticks[n] <= 2.05 * ticks[n - 1], ticks
+    assert ticks[10] <= 9_000
 
 
 def test_sub_visits_do_not_rise_on_state_handling(monkeypatch):
     # The walk-everything substitution makes 4,166 visits here.
-    visits, result = sub_visits(monkeypatch, state_pairs(40))
+    visits, result = engine_calls(monkeypatch, "sub", state_pairs(40))
     assert visits <= 4_166
     assert pretty(result) == "ret (0, 40)"
 
@@ -414,6 +428,34 @@ def test_modal_and_continuation_substitution_skip_where_their_name_is_not_free(m
     side = beside(10, handle_u).els
     assert subst.modal_subst(side, "u", S.Ret(S.IntLit(1)), fuel=0) is side
     assert subst.subst_cont(side, "k", "a", "s", S.Ret(S.Var("a")), fuel=0) is side
+
+
+def unshared(t):
+    """A copy of `t` rebuilt node by node, so that no node occurs twice."""
+    if isinstance(t, tuple):
+        return tuple(map(unshared, t))
+    if isinstance(t, Record):
+        return type(t)(*(unshared(getattr(t, f)) for f in type(t).fields()))
+    return t
+
+
+def test_a_plug_shares_a_node_only_under_the_same_mapping():
+    # One node occurs four times in the continuation body: twice where `a`
+    # and `s` are free, once under a binder of `a`, so that only `s` is
+    # substituted there, and once under a binder of `y`, which the payload
+    # `y` would be captured by, so it is renamed inside the node first.
+    node = S.ListE((S.Var("a"), S.Var("s"), S.Var("y")))
+    body = S.Ret(S.Pair(node, S.Pair(node, S.Pair(S.Lam("a", S.INT, node), S.Lam("y", S.INT, node)))))
+    call = S.Bind(S.ContCall("k", S.Var("y"), S.IntLit(7)), "v", S.Ret(S.Var("v")))
+    copy = unshared(body)
+    assert copy == body and copy.value.left is not copy.value.right.left
+    out = subst.subst_cont(call, "k", "a", "s", body)
+    expected = subst.subst_cont(call, "k", "a", "s", copy)
+    shown = "ret ([y, 7, y], ([y, 7, y], (fn a:int. [a, 7, y], fn y1:int. [y, 7, y1])))"
+    assert pretty(out) == pretty(expected) == shown
+    assert alpha_equal(out, expected)
+    # The two uses under the same mapping give one result node.
+    assert out.value.left is out.value.right.left
 
 
 # ---------------------------------------------------------------------------
