@@ -65,10 +65,8 @@ class _StuckError(Exception):
 # class is one of the value forms below.
 _CONGRUENCE: dict[type, tuple[tuple[str, str], ...]] = {
     S.App: (("fn", "cong-app-l"), ("arg", "cong-app-r")),
-    S.LetBoxE: (("bound", "cong-letbox"),),
-    S.LetBoxC: (("bound", "cong-letbox"),),
-    S.IfE: (("cond", "cong-if"),),
-    S.IfC: (("cond", "cong-if"),),
+    S.LetBox: (("bound", "cong-letbox"),),
+    S.If: (("cond", "cong-if"),),
     S.Ret: (("value", "cong-ret"),),
     S.Pair: (("left", "cong-pair-l"), ("right", "cong-pair-r")),
     S.Proj1: (("arg", "cong-proj"),),
@@ -101,7 +99,7 @@ _OPAQUE = frozenset({"cong-letbox", "cong-if"})
 _Frame = tuple[Union[S.Term, _Elems], int]
 
 
-def _unroll(t: Union[S.FixE, S.FixC]) -> S.Term:
+def _unroll(t: S.Fix) -> S.Term:
     """One unrolling: the recursive name becomes a function whose body is
     the same fix with its own body boxed as the scope.
 
@@ -118,7 +116,7 @@ def _unroll(t: Union[S.FixE, S.FixC]) -> S.Term:
         lam = S.Lam(
             t.param,
             t.annot,
-            S.FixE(*key, t.rec_body, S.BoxTerm(t.theory, t.rec_body)),
+            S.Fix(*key, t.rec_body, S.BoxTerm(t.theory, t.rec_body)),
         )
         memo = (key, lam)
         object.__setattr__(t.rec_body, "_unrolled", memo)
@@ -140,13 +138,13 @@ def _contract(t: S.Term) -> tuple[S.Term, str]:
             if isinstance(f, S.Lam):
                 return subst.subst_values(f.body, {f.param: a}), "beta-app"
             raise _StuckError("application of a non-function")
-        case S.LetBoxE(u, e, body) | S.LetBoxC(u, e, body):
+        case S.LetBox(u, e, body):
             if isinstance(e, S.BoxTerm):
                 return subst.modal_subst(body, u, e.body), "beta-letbox"
             raise _StuckError("let box on a non-box value")
-        case S.FixE() | S.FixC():
+        case S.Fix():
             return _unroll(t), "unroll-fix"
-        case S.IfE(cond, a, b) | S.IfC(cond, a, b):
+        case S.If(cond, a, b):
             if isinstance(cond, S.BoolLit):
                 return (a, "if-true") if cond.value else (b, "if-false")
             raise _StuckError("conditional on a non-boolean")

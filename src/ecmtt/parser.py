@@ -378,7 +378,7 @@ class _Parser:
                 self.advance()
                 return S.Ret(self.parse_expr(), span=tok.span)
             case "let" | "if":
-                cls, fields, span = self.parse_twin(self.parse_comp, S.LetBoxC, S.FixC, S.IfC)
+                cls, fields, span = self.parse_twin(self.parse_comp)
                 return cls(*fields, self.parse_comp(), span=span)
             case "(":
                 self.advance()
@@ -415,29 +415,27 @@ class _Parser:
                     f"expected a computation, found {tok.text or 'end of input'!r}", tok.span
                 )
 
-    def parse_twin(
-        self, branch: Callable[[], S.Term], let_box: type, fix: type, if_: type
-    ) -> tuple[type, tuple, Span]:
+    def parse_twin(self, branch: Callable[[], S.Term]) -> tuple[type, tuple, Span]:
         """`let box`, `let fix` or `if`, the forms that exist in both
         categories, up to their last part: the class, the fields before that
         part, and the span.  `branch` parses a branch in the category of the
-        whole, and the three classes are that category's.  The caller parses
-        the last part itself, so a chain of these forms (`else if`, `in let
-        box`) takes one Python frame per form."""
+        whole.  The caller parses the last part itself, in that category, so
+        a chain of these forms (`else if`, `in let box`) takes one Python
+        frame per form."""
         tok = self.advance()
         if tok.kind == "if":
             cond = self.parse_expr()
             self.expect("then")
             then = branch()
             self.expect("else")
-            return if_, (cond, then), tok.span
+            return S.If, (cond, then), tok.span
         if not self.at("fix"):
             self.expect("box")
             uvar = self.expect("ident").text
             self.expect("=")
             bound = self.parse_expr()
             self.expect("in")
-            return let_box, (uvar, bound), tok.span
+            return S.LetBox, (uvar, bound), tok.span
         self.advance()
         fname = self.expect("ident").text
         self.expect("(")
@@ -453,7 +451,7 @@ class _Parser:
         self.expect("=")
         rec_body = self.parse_comp()
         self.expect("in")
-        return fix, (fname, param, annot, theory, ret_type, rec_body), tok.span
+        return S.Fix, (fname, param, annot, theory, ret_type, rec_body), tok.span
 
     # -- expressions
 
@@ -486,7 +484,7 @@ class _Parser:
                 body = self.parse_comp()
                 expr = S.BoxTerm(theory, body, span=tok.span)
             case "let" | "if":
-                cls, fields, span = self.parse_twin(self.parse_expr, S.LetBoxE, S.FixE, S.IfE)
+                cls, fields, span = self.parse_twin(self.parse_expr)
                 expr = cls(*fields, self.parse_expr(), span=span)
             case _:
                 expr = self.parse_cmp()
@@ -634,7 +632,7 @@ class _Parser:
             assert isinstance(resolved, S.Handler)
             return name.text, resolved
         body = self._resolve(self.parse_term())
-        if not isinstance(body, S.Expr):
+        if not isinstance(S.last_part(body), S.Expr):
             raise _err(
                 f"definition {name.text!r} must be an expression, a theory, or a handler",
                 name.span,
@@ -665,7 +663,7 @@ def _bind_pure(var: str, value: S.Expr, rest: S.Comp, span: Optional[Span]) -> S
     )
     handle = S.Handle(uvar, S.EMPTY_HSEQ, trivial, S.UnitLit(span=span), span=span)
     boxed = S.BoxTerm(S.EMPTY_THEORY, S.Ret(value, span=span), span=span)
-    return S.LetBoxC(uvar, boxed, S.Bind(handle, var, rest, span=span), span=span)
+    return S.LetBox(uvar, boxed, S.Bind(handle, var, rest, span=span), span=span)
 
 
 def _finish(parser: _Parser, result: _T) -> _T:

@@ -98,14 +98,6 @@ def _handler_text(h: S.Handler) -> str:
     return f"handler for {theory_text(h.theory)} {{ {', '.join(clauses)} }}"
 
 
-def _fix_text(t: S.FixE | S.FixC) -> str:
-    head = (
-        f"let fix {t.fname}({t.param}:{type_text(t.annot)}):"
-        f"[ {theory_text(t.theory)} ] {type_text(t.ret_type, 3)}"
-    )
-    return f"{head} = {pretty(t.rec_body, 0)} in {pretty(t.scope, 0)}"
-
-
 def pretty(t: S.Term, prec: int = 0) -> str:
     match t:
         case S.Var(name):
@@ -129,13 +121,14 @@ def pretty(t: S.Term, prec: int = 0) -> str:
             return _wrap(f"{pretty(fn, 4)} {pretty(arg, 5)}", 4, prec)
         case S.BoxTerm(theory, body):
             return _wrap(f"box {theory_text(theory)}. {pretty(body, 0)}", 0, prec)
-        case S.LetBoxE(uvar, bound, body) | S.LetBoxC(uvar, bound, body):
+        case S.LetBox(uvar, bound, body):
             return _wrap(f"let box {uvar} = {pretty(bound, 0)} in {pretty(body, 0)}", 0, prec)
         case S.EvalTerm(hseq, uvar):
             seq = "" if not hseq.clauses else f"[{_hseq_text(hseq)}] "
             return _wrap(f"eval {seq}{uvar}", 4, prec)
-        case S.FixE() | S.FixC():
-            return _wrap(_fix_text(t), 0, prec)
+        case S.Fix(fname, param, annot, theory, ret_type, rec_body, scope):
+            head = f"let fix {fname}({param}:{type_text(annot)}):[ {theory_text(theory)} ] {type_text(ret_type, 3)}"
+            return _wrap(f"{head} = {pretty(rec_body, 0)} in {pretty(scope, 0)}", 0, prec)
         case S.Proj1(arg) | S.Proj2(arg):
             word = "fst" if isinstance(t, S.Proj1) else "snd"
             return _wrap(f"{word} {pretty(arg, 5)}", 4, prec)
@@ -147,7 +140,7 @@ def pretty(t: S.Term, prec: int = 0) -> str:
             return _wrap(f"{pretty(left, 3)} {op} {pretty(right, 4)}", 3, prec)
         case S.Cmp(op, left, right):
             return _wrap(f"{pretty(left, 2)} {op} {pretty(right, 2)}", 1, prec)
-        case S.IfE(cond, then, els) | S.IfC(cond, then, els):
+        case S.If(cond, then, els):
             return _wrap(
                 f"if {pretty(cond, 1)} then {pretty(then, 0)} else {pretty(els, 0)}", 0, prec
             )

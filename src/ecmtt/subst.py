@@ -127,10 +127,10 @@ def mk_append(left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Exp
 
 
 def mk_if(cond: S.Expr, then: S.Term, els: S.Term, span: Optional[Span] = None) -> S.Term:
-    """A conditional, an expression or a computation as `then` is."""
+    """A conditional; one on a literal boolean is the branch it takes."""
     if isinstance(cond, S.BoolLit):
         return then if cond.value else els
-    return (S.IfC if isinstance(then, S.Comp) else S.IfE)(cond, then, els, span=span)
+    return S.If(cond, then, els, span=span)
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +147,14 @@ _BUILD.update(
         S.Append: mk_append,
         S.Arith: mk_arith,
         S.Cmp: mk_cmp,
-        S.IfE: mk_if,
-        S.IfC: mk_if,
+        S.If: mk_if,
     }
 )
 
 # The children of each computation but `ret` that its result comes from,
 # its tails, by name and by position in `Row.fields`.
-_TAILS = {S.Bind: ("rest",), S.LetBoxC: ("body",), S.FixC: ("scope",), S.IfC: ("then", "els")}
+_TAILS = {S.Bind: ("rest",), S.LetBox: ("body",), S.Fix: ("scope",), S.If: ("then", "els")}
 _TAIL_AT = {cls: tuple(map(SCHEMA[cls].fields.index, tails)) for cls, tails in _TAILS.items()}
-
-# The expression form of each computation that `eval_meta` strips down.
-_EXPR_TWIN = {S.LetBoxC: S.LetBoxE, S.FixC: S.FixE, S.IfC: S.IfE}
 
 
 # Each class's field values in `Row.fields` order, read in one call.
@@ -301,18 +297,21 @@ class _Engine:
     # -- capture avoidance: renaming a binder where something would be captured
 
     def _rename(self, t: S.Term, ns: str, old: str, new: str) -> S.Term:
-        """Rename a free name of namespace `ns`.  `new` must be fresh for
-        `t`.  Nodes are rebuilt with their plain constructors."""
+        """Rename the free name `old` of namespace `ns`, any but `OPS`, to
+        `new`, which must not be free in `t`.  A binder of `new` over a free
+        `old` is renamed first, away from both names, through `_freshen`, as
+        `sub` renames its binders through `_scope`.  Nodes are rebuilt with
+        their plain constructors."""
         if old not in getattr(free_vars(t), ns):
             return t
         self.tick()
-        cls = type(t)
-        row = SCHEMA[cls]
-        args = _field_values(t, row)
+        row = SCHEMA[type(t)]
+        into = _unshadowed(t, row, ns, old)
+        args = self._freshen(t, into, S.named(ns, (new,)), S.named(ns, (new, old)))
         for f, used in row.uses:
             if used == ns and getattr(t, f) == old:
                 args[row.fields.index(f)] = new
-        return cls(*_map_into(row, args, _unshadowed(t, row, ns, old), self._rename, ns, old, new))
+        return row.cls(*_map_into(row, args, into, self._rename, ns, old, new))
 
     def _freshen(
         self, t: S.Term, into: tuple[str, ...], danger: S.FreeVars, avoid: Optional[S.FreeVars] = None
@@ -320,9 +319,9 @@ class _Engine:
         """The field values of `t`, with each binder renamed that scopes
         over a child in `into` and whose name is in `danger`: to a name
         outside `avoid` (by default `danger`), the free names of the children
-        it scopes over and the node's other binders, and in each of those
-        children where no other binder of the node rebinds its old name.
-        Operation names are never renamed."""
+        it scopes over and the node's other binders, and, by `_rename`, in
+        each of those children where no other binder of the node rebinds its
+        old name.  Operation names are never renamed."""
         row = SCHEMA[type(t)]
         args = _field_values(t, row)
         index = row.fields.index
@@ -341,7 +340,7 @@ class _Engine:
                 if any(other == ns and g != f and args[index(g)] == b for g, other in row.over[c]):
                     continue
                 i = index(c)
-                args[i] = self.sub(args[i], {b: S.Var(b2)}) if ns == VALUES else self._rename(args[i], ns, b, b2)
+                args[i] = self._rename(args[i], ns, b, b2)
         return args
 
     def _scope(self, t: S.Term, m: dict[str, S.Expr], outside: S.FreeVars = S.NO_FREE_VARS) -> tuple[list, dict]:
@@ -538,11 +537,11 @@ class _Engine:
                     out = S.Bind(S.Handle(inner.uvar, hseq, h, state, span=c.span), "x", S.Ret(S.Var("x")), span=c.span)
                     break
             cls = type(c)
-            if cls is S.IfC:
+            if cls is S.If:
                 # Each branch is handled by a call of its own, once `env` is
                 # applied; a condition that folds leaves one branch.
                 c, env = self._pending(c, env), env and {}
-                if type(c) is S.IfC:
+                if type(c) is S.If:
                     out = mk_if(c.cond, self.handle_with(c.then, h, state), self.handle_with(c.els, h, state), c.span)
                     break
                 continue
@@ -601,7 +600,7 @@ class _Engine:
         """Strip a computation with no effects left into an expression: a
         returned value is the value itself, and a handle at the head folds
         into an eval with the handling attached to the sequence.  A `let
-        box`, `let fix` or `if` becomes its expression twin."""
+        box`, `let fix` or `if` keeps its class, with its tails stripped."""
         self.tick()
         match c:
             case S.Ret(e):
@@ -616,7 +615,7 @@ class _Engine:
         args = _field_values(c, SCHEMA[type(c)])
         for i in _TAIL_AT[type(c)]:
             args[i] = self.eval_meta(args[i])
-        return _BUILD[_EXPR_TWIN[type(c)]](*args)
+        return _BUILD[type(c)](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -680,4 +679,4 @@ def eta_expand(e: S.Expr, theory: S.EffectContext) -> S.Expr:
         "x",
         S.Ret(S.Var("x")),
     )
-    return S.LetBoxE(uvar, e, S.BoxTerm(theory, inner))
+    return S.LetBox(uvar, e, S.BoxTerm(theory, inner))

@@ -2,12 +2,14 @@
 
 Terms come in five syntactic categories that reference each other: expressions
 (pure), computations (effectful bodies), statements (the effectful heads of a
-bind), handlers, and handling sequences.  Four disjoint namespaces are in play:
-value variables, modal variables, operation names, and continuation names.
-Binding follows the term structure: ``fn`` and binds of a statement bind value
-variables, ``let box`` binds a modal variable, a box literal binds the
-operation names of its theory over its body, and a handler clause binds its
-continuation name over the clause body.
+bind), handlers, and handling sequences.  `let box`, `let fix` and `if` are
+one class each, a `Twin` of both the expression and the computation class,
+whose category is that of its last part (`last_part`).  Four disjoint
+namespaces are in play: value variables, modal variables, operation names,
+and continuation names.  Binding follows the term structure: ``fn`` and
+binds of a statement bind value variables, ``let box`` binds a modal
+variable, a box literal binds the operation names of its theory over its
+body, and a handler clause binds its continuation name over the clause body.
 """
 
 from __future__ import annotations
@@ -310,11 +312,17 @@ class BoxTerm(Expr):
         _check_theory(self.theory, "box annotation")
 
 
+class Twin(Expr, Comp):
+    """`let box`, `let fix` or `if`: a form whose typing and reduction are
+    the same in both categories, and whose category is its last part's
+    (`last_part`)."""
+
+
 @record
-class LetBoxE(Expr):
+class LetBox(Twin):
     uvar: str
     bound: Expr
-    body: Expr
+    body: Union[Expr, Comp]
     span: Optional[Span] = None
 
 
@@ -326,14 +334,14 @@ class EvalTerm(Expr):
 
 
 @record
-class FixE(Expr):
+class Fix(Twin):
     fname: str
     param: str
     annot: Type
     theory: EffectContext
     ret_type: Type
     rec_body: Comp
-    scope: Expr
+    scope: Union[Expr, Comp]
     span: Optional[Span] = None
 
     def __post_init__(self) -> None:
@@ -431,10 +439,10 @@ class Cmp(Expr):
 
 
 @record
-class IfE(Expr):
+class If(Twin):
     cond: Expr
-    then: Expr
-    els: Expr
+    then: Union[Expr, Comp]
+    els: Union[Expr, Comp]
     span: Optional[Span] = None
 
 
@@ -449,37 +457,6 @@ class Bind(Comp):
     stmt: Stmt
     var: str
     rest: Comp
-    span: Optional[Span] = None
-
-
-@record
-class LetBoxC(Comp):
-    uvar: str
-    bound: Expr
-    body: Comp
-    span: Optional[Span] = None
-
-
-@record
-class FixC(Comp):
-    fname: str
-    param: str
-    annot: Type
-    theory: EffectContext
-    ret_type: Type
-    rec_body: Comp
-    scope: Comp
-    span: Optional[Span] = None
-
-    def __post_init__(self) -> None:
-        _check_theory(self.theory, "fix annotation")
-
-
-@record
-class IfC(Comp):
-    cond: Expr
-    then: Comp
-    els: Comp
     span: Optional[Span] = None
 
 
@@ -558,6 +535,18 @@ EMPTY_HSEQ = HSeq()
 Term = Union[Expr, Comp, Stmt, Handler, HSeq]
 
 
+# The field of each twin that holds its last part.
+_LAST = {LetBox: "body", Fix: "scope", If: "els"}
+
+
+def last_part(t: Term) -> Term:
+    """The node whose class gives `t` its category: `t` itself, or, down a
+    chain of twins, the `body`, `scope` or `els` that is not a twin."""
+    while type(t) in _LAST:
+        t = getattr(t, _LAST[type(t)])
+    return t
+
+
 # ---------------------------------------------------------------------------
 # The node schema
 
@@ -597,20 +586,14 @@ class Row:
         self.data = tuple(f for f in self.fields if f not in named)
 
 
-_FIX = dict(
-    children=("rec_body", "scope"),
-    binds=(("fname", VALUES, ("rec_body", "scope")), ("param", VALUES, ("rec_body",))),
-)
-_LET_BOX = dict(children=("bound", "body"), binds=(("uvar", MODALS, ("body",)),))
-
 ROWS: tuple[Row, ...] = (
     Row(Var, uses=(("name", VALUES),)),
     Row(Lam, ("body",), binds=(("param", VALUES, ("body",)),)),
     Row(App, ("fn", "arg")),
     Row(BoxTerm, ("body",), binds=(("theory", OPS, ("body",)),)),
-    Row(LetBoxE, **_LET_BOX),
+    Row(LetBox, ("bound", "body"), binds=(("uvar", MODALS, ("body",)),)),
     Row(EvalTerm, ("hseq",), uses=(("uvar", MODALS),)),
-    Row(FixE, **_FIX),
+    Row(Fix, ("rec_body", "scope"), binds=(("fname", VALUES, ("rec_body", "scope")), ("param", VALUES, ("rec_body",)))),
     Row(IntLit),
     Row(BoolLit),
     Row(UnitLit),
@@ -621,12 +604,9 @@ ROWS: tuple[Row, ...] = (
     Row(Append, ("left", "right")),
     Row(Arith, ("left", "right")),
     Row(Cmp, ("left", "right")),
-    Row(IfE, ("cond", "then", "els")),
+    Row(If, ("cond", "then", "els")),
     Row(Ret, ("value",)),
     Row(Bind, ("stmt", "rest"), binds=(("var", VALUES, ("rest",)),)),
-    Row(LetBoxC, **_LET_BOX),
-    Row(FixC, **_FIX),
-    Row(IfC, ("cond", "then", "els")),
     Row(OpCall, ("arg",), uses=(("op", OPS),)),
     Row(ContCall, ("arg", "state"), uses=(("kname", CONTS),)),
     Row(Handle, ("hseq", "handler", "init"), uses=(("uvar", MODALS),)),
@@ -663,7 +643,7 @@ NO_FREE_VARS = FreeVars(_NO_NAMES, _NO_NAMES, _NO_NAMES, _NO_NAMES)
 _NAMESPACES = (VALUES, MODALS, OPS, CONTS)
 
 
-def _named(ns: str, names: Iterable[str]) -> FreeVars:
+def named(ns: str, names: Iterable[str]) -> FreeVars:
     """The names as a set in one namespace."""
     sets = [_NO_NAMES] * 4
     sets[_NAMESPACES.index(ns)] = frozenset(names)
@@ -725,7 +705,7 @@ def free_vars(term: Term) -> FreeVars:
     row = SCHEMA[type(term)]
     fv = NO_FREE_VARS
     for f, ns in row.uses:
-        fv = _join(fv, _named(ns, (getattr(term, f),)))
+        fv = _join(fv, named(ns, (getattr(term, f),)))
     for _, c, many in row.kids:
         kid = getattr(term, c)
         if many:

@@ -201,8 +201,9 @@ def _join(t1: Type, t2: Type, span: Optional[Span], message: str = "conditional 
 def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Type:
     """The type of an expression when `gamma` is None, and otherwise of a
     computation over the effect context `gamma`; a term of another category
-    is rejected.  `let box`, `let fix` and `if` exist in both categories and
-    are one case each, whose last part stays in the category of the whole."""
+    is rejected.  A twin (`let box`, `let fix`, `if`) passes in either
+    position and types its last part in the same one, so a last part of the
+    wrong category is rejected where it sits."""
     if not isinstance(t, S.Expr if gamma is None else S.Comp):
         what = "expression" if gamma is None else "computation"
         raise TypeCheckError("argument-mismatch", f"unrecognized {what} {t!r}")
@@ -239,7 +240,7 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
         case S.BoxTerm(theory, body):
             return S.BoxT(theory, infer(delta, theory, body))
 
-        case S.LetBoxE(uvar, bound, body) | S.LetBoxC(uvar, bound, body):
+        case S.LetBox(uvar, bound, body):
             tb = infer(delta, None, bound)
             if isinstance(tb, S.BottomT):
                 return S.BOTTOM
@@ -255,9 +256,7 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
                 raise TypeCheckError("unbound-variable", f"modal variable {uvar}", span=t.span)
             return infer_hseq(delta, EMPTY_THEORY, hseq, bind.type, bind.theory, span=t.span)
 
-        case S.FixE(fname, param, annot, theory, ret_type, rec_body, scope) | S.FixC(
-            fname, param, annot, theory, ret_type, rec_body, scope
-        ):
+        case S.Fix(fname, param, annot, theory, ret_type, rec_body, scope):
             ftype = S.ArrowT(annot, S.BoxT(theory, ret_type))
             inner = delta.with_value(fname, ftype).with_value(param, annot)
             got = infer(inner, theory, rec_body)
@@ -318,7 +317,7 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
             _require(infer(delta, None, right), S.INT, t.span, message="comparison operand")
             return S.BOOL
 
-        case S.IfE(cond, then, els) | S.IfC(cond, then, els):
+        case S.If(cond, then, els):
             _require(infer(delta, None, cond), S.BOOL, t.span, message="condition")
             return _join(infer(delta, gamma, then), infer(delta, gamma, els), t.span)
 
@@ -477,12 +476,14 @@ def infer_term(term: S.Term) -> Type:
 
     Expressions are typed in the empty modal context; computations and
     statements additionally get the empty effect context, so any operation
-    they perform must be handled internally.
+    they perform must be handled internally.  A twin is of the category of
+    its `last_part`.
     """
-    if isinstance(term, S.Expr):
+    last = S.last_part(term)
+    if isinstance(last, S.Expr):
         return infer(S.EMPTY_MODAL, None, term)
-    if isinstance(term, S.Comp):
+    if isinstance(last, S.Comp):
         return infer(S.EMPTY_MODAL, EMPTY_THEORY, term)
-    if isinstance(term, S.Stmt):
+    if isinstance(last, S.Stmt):
         return infer_stmt(S.EMPTY_MODAL, EMPTY_THEORY, term)
     raise ValueError(f"cannot type a {type(term).__name__} at top level")

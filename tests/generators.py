@@ -93,7 +93,7 @@ def gen_expr(rng: random.Random, sup: NameSupply, env: Env, ty: S.Type, depth: i
         case "var":
             return S.Var(rng.choice(matching))
         case "if":
-            return S.IfE(
+            return S.If(
                 gen_expr(rng, sup, env, S.BOOL, depth - 1),
                 gen_expr(rng, sup, env, ty, depth - 1),
                 gen_expr(rng, sup, env, ty, depth - 1),
@@ -215,7 +215,7 @@ def gen_comp(
         options.append("pipeline")
     match rng.choice(options):
         case "ifc":
-            return S.IfC(
+            return S.If(
                 gen_expr(rng, sup, env, S.BOOL, depth - 1),
                 gen_comp(rng, sup, env, theory, ty, depth - 1),
                 gen_comp(rng, sup, env, theory, ty, depth - 1),
@@ -233,7 +233,7 @@ def gen_comp(
             gh = gen_handler(rng, sup, inner_theory, inner_ty)
             u, x = sup.fresh("u"), sup.fresh("w")
             rest = gen_comp(rng, sup, env + [(x, gh.out_type)], theory, ty, depth - 1)
-            return S.LetBoxC(
+            return S.LetBox(
                 u,
                 S.BoxTerm(inner_theory, body),
                 S.Bind(S.Handle(u, S.EMPTY_HSEQ, gh.handler, gh.init), x, rest),
@@ -255,7 +255,7 @@ def gen_handle_comp(
     gh = gen_handler(rng, sup, theory, in_type)
     u, x = sup.fresh("u"), sup.fresh("r")
     rest = gen_comp(rng, sup, env + [(x, gh.out_type)], ambient, gh.out_type, 1)
-    comp = S.LetBoxC(
+    comp = S.LetBox(
         u,
         S.BoxTerm(theory, body),
         S.Bind(S.Handle(u, S.EMPTY_HSEQ, gh.handler, gh.init), x, rest),
@@ -285,7 +285,7 @@ def gen_staged_comp(
 
     u, x = sup.fresh("u"), sup.fresh("r")
     theta = S.HSeq((S.HClause(gh1.handler, gh1.init, y, mid),))
-    comp = S.LetBoxC(
+    comp = S.LetBox(
         u,
         S.BoxTerm(theory1, c1),
         S.Bind(S.Handle(u, theta, gh2.handler, gh2.init), x, S.Ret(S.Var(x))),
@@ -303,7 +303,7 @@ def gen_eval_comp(
     ty = gen_data_type(rng, 1)
     body = gen_comp(rng, sup, env, S.EMPTY_THEORY, ty, depth)
     u = sup.fresh("u")
-    return S.Ret(S.LetBoxE(u, S.BoxTerm(S.EMPTY_THEORY, body), S.EvalTerm(S.EMPTY_HSEQ, u))), ty
+    return S.Ret(S.LetBox(u, S.BoxTerm(S.EMPTY_THEORY, body), S.EvalTerm(S.EMPTY_HSEQ, u))), ty
 
 
 def gen_fix_comp(
@@ -318,7 +318,7 @@ def gen_fix_comp(
     f, p = sup.fresh("f"), sup.fresh("n")
     rec_body = gen_comp(rng, sup, env + [(p, dom)], S.EMPTY_THEORY, ret_ty, depth)
     u, x = sup.fresh("u"), sup.fresh("r")
-    scope = S.LetBoxC(
+    scope = S.LetBox(
         u,
         S.App(S.Var(f), gen_literal(rng, dom)),
         S.Bind(
@@ -336,7 +336,7 @@ def gen_fix_comp(
             S.Ret(S.Var(x)),
         ),
     )
-    comp = S.FixC(f, p, dom, S.EMPTY_THEORY, ret_ty, rec_body, scope)
+    comp = S.Fix(f, p, dom, S.EMPTY_THEORY, ret_ty, rec_body, scope)
     return comp, ret_ty
 
 

@@ -53,17 +53,14 @@ def reference_alpha_equal(t1, t2) -> bool:
                 return go(f1, f2, vs, rvs, ms, rms, ks, rks) and go(a1, a2, vs, rvs, ms, rms, ks, rks)
             case (S.BoxTerm(th1, c1), S.BoxTerm(th2, c2)):
                 return theory_equal(th1, th2) and go(c1, c2, vs, rvs, ms, rms, ks, rks)
-            case (S.LetBoxE(u1, e1, b1), S.LetBoxE(u2, e2, b2)) | (S.LetBoxC(u1, e1, b1), S.LetBoxC(u2, e2, b2)):
+            case (S.LetBox(u1, e1, b1), S.LetBox(u2, e2, b2)):
                 if not go(e1, e2, vs, rvs, ms, rms, ks, rks):
                     return False
                 ms2, rms2 = extend(ms, rms, u1, u2)
                 return go(b1, b2, vs, rvs, ms2, rms2, ks, rks)
             case (S.EvalTerm(h1, u1), S.EvalTerm(h2, u2)):
                 return var_eq(ms, rms, u1, u2) and go(h1, h2, vs, rvs, ms, rms, ks, rks)
-            case (
-                (S.FixE(f1, x1, a1_, th1, r1, c1, s1), S.FixE(f2, x2, a2_, th2, r2, c2, s2))
-                | (S.FixC(f1, x1, a1_, th1, r1, c1, s1), S.FixC(f2, x2, a2_, th2, r2, c2, s2))
-            ):
+            case (S.Fix(f1, x1, a1_, th1, r1, c1, s1), S.Fix(f2, x2, a2_, th2, r2, c2, s2)):
                 if not (type_equal(a1_, a2_) and theory_equal(th1, th2) and type_equal(r1, r2)):
                     return False
                 vs2, rvs2 = extend(vs, rvs, f1, f2)
@@ -85,7 +82,7 @@ def reference_alpha_equal(t1, t2) -> bool:
                 return len(es1) == len(es2) and all(
                     go(x1, x2, vs, rvs, ms, rms, ks, rks) for x1, x2 in zip(es1, es2)
                 )
-            case (S.IfE(c1, t1_, e1), S.IfE(c2, t2_, e2)) | (S.IfC(c1, t1_, e1), S.IfC(c2, t2_, e2)):
+            case (S.If(c1, t1_, e1), S.If(c2, t2_, e2)):
                 return (
                     go(c1, c2, vs, rvs, ms, rms, ks, rks)
                     and go(t1_, t2_, vs, rvs, ms, rms, ks, rks)

@@ -2,23 +2,32 @@
 
 The reference renames *every* binder of the term it substitutes into to a
 globally fresh name (one no term or payload can contain: it has a `'`), and
-then replaces the free occurrences of each key by its payload.  No payload
-can be captured then, so there is nothing to check.  Its table of binders is
-written out here, apart from `syntax.SCHEMA`, and it never calls the engine.
+then replaces the free occurrences of each key by its payload, or by the new
+name of a renamed modal variable or continuation.  Nothing can be captured
+then, so there is nothing to check.  Its table of binders is written out
+here, apart from `syntax.SCHEMA`, and it never calls the engine.
 
-The terms are random and untyped (substitution is syntactic): small names
-drawn from one pool per namespace, so binders shadow one another, and
-payloads built from the same pools, so they name the term's own value,
-modal and continuation binders, and carry `let box`/`let fix` of their own.
-The engine's result and the reference's must be alpha-equal once both are
-normalized.  Each seed is printed on failure.
+Three engine operations are checked against it: `subst_values`,
+`subst_monadic`, and the engine's renaming of a free name (`_rename`), which
+capture avoidance uses in every namespace, here in the modal and
+continuation ones.  The terms are random and untyped (substitution is
+syntactic): small names drawn from one pool per namespace, so binders shadow
+one another, and payloads and new names from the same pools, so they name
+the term's own value, modal and continuation binders; payloads carry `let
+box`/`let fix` of their own.  The engine's result and the reference's must
+be alpha-equal once both are normalized.  Each seed is printed on failure.
+Two regression cases close the file, a value substitution and a handled
+program, where a box variable is renamed to the name of a binder inside.
 """
 
 import random
 
 from ecmtt import syntax as S
-from ecmtt.pretty import pretty
-from ecmtt.subst import normalize, subst_monadic, subst_values
+from ecmtt.evaluator import Value, evaluate
+from ecmtt.parser import parse_source, parse_term
+from ecmtt.pretty import pretty, type_text
+from ecmtt.subst import _Engine, normalize, subst_monadic, subst_values
+from ecmtt.typecheck import infer_term
 from ecmtt.syntax import alpha_equal, free_vars
 
 VAL, MOD, CONT = "value", "modal", "cont"
@@ -27,10 +36,8 @@ VAL, MOD, CONT = "value", "modal", "cont"
 # scopes over, in order: a later binder shadows an earlier one of a name.
 BINDERS = {
     S.Lam: (("param", VAL, ("body",)),),
-    S.LetBoxE: (("uvar", MOD, ("body",)),),
-    S.LetBoxC: (("uvar", MOD, ("body",)),),
-    S.FixE: (("fname", VAL, ("rec_body", "scope")), ("param", VAL, ("rec_body",))),
-    S.FixC: (("fname", VAL, ("rec_body", "scope")), ("param", VAL, ("rec_body",))),
+    S.LetBox: (("uvar", MOD, ("body",)),),
+    S.Fix: (("fname", VAL, ("rec_body", "scope")), ("param", VAL, ("rec_body",))),
     S.Bind: (("var", VAL, ("rest",)),),
     S.OpClause: (("x", VAL, ("body",)), ("z", VAL, ("body",)), ("k", CONT, ("body",))),
     S.RetClause: (("x", VAL, ("body",)), ("z", VAL, ("body",))),
@@ -84,12 +91,12 @@ class Reference:
                 return self.subst(cont, {(VAL, x): e})
             case S.Bind(stmt, v, rest):
                 return S.Bind(stmt, v, self.plug(rest, x, cont))
-            case S.LetBoxC(u, e, body):
-                return S.LetBoxC(u, e, self.plug(body, x, cont))
-            case S.FixC():
+            case S.LetBox(u, e, body):
+                return S.LetBox(u, e, self.plug(body, x, cont))
+            case S.Fix():
                 return c.replace(scope=self.plug(c.scope, x, cont))
-            case S.IfC(cond, then, els):
-                return S.IfC(cond, self.plug(then, x, cont), self.plug(els, x, cont))
+            case S.If(cond, then, els):
+                return S.If(cond, self.plug(then, x, cont), self.plug(els, x, cont))
         raise AssertionError(f"not a computation: {c!r}")
 
 
@@ -133,11 +140,11 @@ class Gen:
         if pick == 0:
             return S.Lam(self.value(), S.INT, self.expr(d))
         if pick == 1:
-            return S.LetBoxE(self.modal(), self.expr(d), self.expr(d))
+            return S.LetBox(self.modal(), self.expr(d), self.expr(d))
         if pick == 2:
             return S.EvalTerm(self.hseq(d), self.modal())
         if pick == 3:
-            return S.FixE(self.value(), self.value(), S.INT, THEORY, S.INT, self.comp(d), self.expr(d))
+            return S.Fix(self.value(), self.value(), S.INT, THEORY, S.INT, self.comp(d), self.expr(d))
         if pick == 4:
             return S.BoxTerm(THEORY, self.comp(d))
         if pick == 5:
@@ -145,7 +152,7 @@ class Gen:
         if pick == 6:
             return S.Arith("+", self.expr(d), self.expr(d))
         if pick == 7:
-            return S.IfE(S.Cmp("<", self.expr(d), self.expr(d)), self.expr(d), self.expr(d))
+            return S.If(S.Cmp("<", self.expr(d), self.expr(d)), self.expr(d), self.expr(d))
         return S.App(self.expr(d), self.expr(d))
 
     def stmt(self, depth: int) -> S.Stmt:
@@ -166,11 +173,11 @@ class Gen:
         if pick == 0:
             return S.Ret(self.expr(d))
         if pick == 1:
-            return S.LetBoxC(self.modal(), self.expr(d), self.comp(d))
+            return S.LetBox(self.modal(), self.expr(d), self.comp(d))
         if pick == 2:
-            return S.FixC(self.value(), self.value(), S.INT, THEORY, S.INT, self.comp(d), self.comp(d))
+            return S.Fix(self.value(), self.value(), S.INT, THEORY, S.INT, self.comp(d), self.comp(d))
         if pick == 3:
-            return S.IfC(S.Cmp("<", self.expr(d), self.expr(d)), self.comp(d), self.comp(d))
+            return S.If(S.Cmp("<", self.expr(d), self.expr(d)), self.comp(d), self.comp(d))
         return S.Bind(self.stmt(d), self.value(), self.comp(d))
 
     def handler(self, depth: int) -> S.Handler:
@@ -189,15 +196,15 @@ class Gen:
         return {k: self.expr(self.rng.randint(0, 2)) for k in keys}
 
 
-def bound_values(t) -> set[str]:
-    """The value names bound anywhere in `t`."""
+def bound_names(t, namespace: str = VAL) -> set[str]:
+    """The names of one namespace bound anywhere in `t`."""
     if isinstance(t, tuple):
-        return set().union(*map(bound_values, t))
+        return set().union(*(bound_names(item, namespace) for item in t))
     if not isinstance(t, NODES):
         return set()
-    names = {getattr(t, f) for f, ns, _ in BINDERS.get(type(t), ()) if ns == VAL}
+    names = {getattr(t, f) for f, ns, _ in BINDERS.get(type(t), ()) if ns == namespace}
     for f in t.fields():
-        names |= bound_values(getattr(t, f))
+        names |= bound_names(getattr(t, f), namespace)
     return names
 
 
@@ -222,7 +229,7 @@ def test_subst_values_agrees_with_renaming_every_binder():
             f"seed {seed}: {pretty(t)}\n  with {({k: pretty(v) for k, v in m.items()})}\n  gave {pretty(got)}"
         )
         payload_names = set().union(*(free_vars(v).values for v in m.values()))
-        exposed += bool(payload_names & bound_values(t))
+        exposed += bool(payload_names & bound_names(t))
     # Most cases put a payload under a binder of a name it mentions.
     assert exposed >= 500
 
@@ -236,7 +243,7 @@ def test_subst_monadic_agrees_with_renaming_every_binder():
         assert same(got, reference_monadic(c, x, cont)), (
             f"seed {seed}: {pretty(c)}\n  into {x}. {pretty(cont)}\n  gave {pretty(got)}"
         )
-        exposed += bool((free_vars(cont).values - {x}) & bound_values(c))
+        exposed += bool((free_vars(cont).values - {x}) & bound_names(c))
     assert exposed >= 600
 
 
@@ -244,6 +251,70 @@ def test_the_reference_renames_binders_and_not_free_names():
     t = S.Lam("a", S.INT, S.Arith("+", S.Var("a"), S.Var("b")))
     out = reference_subst(t, {"b": S.Var("a")})
     assert out == S.Lam("a'1", S.INT, S.Arith("+", S.Var("a'1"), S.Var("a")))
-    fix = S.FixC("f", "f", S.INT, THEORY, S.INT, S.Ret(S.Var("f")), S.Ret(S.Var("f")))
+    fix = S.Fix("f", "f", S.INT, THEORY, S.INT, S.Ret(S.Var("f")), S.Ret(S.Var("f")))
     out = reference_subst(fix, {})
     assert (out.rec_body, out.scope) == (S.Ret(S.Var("f'2")), S.Ret(S.Var("f'1")))
+
+
+# The engine's namespaces that a rename reaches, each with the reference's
+# name for it and the pool its random names come from.
+RENAMED = ((S.MODALS, MOD, MODAL_NAMES), (S.CONTS, CONT, CONT_NAMES))
+
+
+def test_rename_agrees_with_renaming_every_binder():
+    # `_rename` turns a free name into one that is not free in the term but
+    # may be bound in it: a binder of the new name over the old one must be
+    # renamed itself.
+    cases = exposed = 0
+    for seed in range(800):
+        gen = Gen(random.Random(seed))
+        t = gen.comp(4) if seed % 2 else gen.expr(4)
+        for ns, ref_ns, pool in RENAMED:
+            free = getattr(free_vars(t), ns)
+            if not free:
+                continue
+            old = gen.rng.choice(sorted(free))
+            new = gen.rng.choice(sorted({*pool, *(name + "1" for name in pool)} - free))
+            got = _Engine()._rename(t, ns, old, new)
+            assert same(got, Reference().subst(t, {(ref_ns, old): new})), (
+                f"seed {seed}: {pretty(t)}\n  {ns} {old} to {new}\n  gave {pretty(got)}"
+            )
+            cases += 1
+            exposed += new in bound_names(t, ref_ns)
+    assert cases >= 850
+    assert exposed >= 150
+
+
+_NO_OP = "handler for {} { return(x;z) -> ret x }"
+
+
+def test_a_value_substitution_does_not_capture_the_box_variable_it_renames():
+    # The payload names the outer `u`, so that binder is renamed, to `u1`;
+    # the inner `let box u1` must not then capture the renamed `handle u`.
+    t = parse_term(
+        f"let box u = box {{}}. ret 1 in let box u1 = box {{}}. ret 2 in y <- handle u with {_NO_OP} init (); ret (y, a)"
+    )
+    m = {"a": S.EvalTerm(S.EMPTY_HSEQ, "u")}
+    got = subst_values(t, m)
+    assert same(got, reference_subst(t, m)), pretty(got)
+    outcome = evaluate(S.LetBox("u", S.BoxTerm(S.EMPTY_THEORY, S.Ret(S.IntLit(7))), got))
+    assert outcome.final == Value(S.Ret(S.Pair(S.IntLit(1), S.IntLit(7))))
+
+
+def test_a_handled_box_variable_is_not_captured_by_a_clause_binder():
+    # The handled rest, read by the return clause, names the outer `b`, so
+    # the clause's own `let box b` around its `k` call is renamed, to `b1`;
+    # the clause's `let box b1` must not then capture the renamed `handle b`.
+    source = parse_source(
+        "def Ch = {op:unit=>int}\n"
+        f"def Hb = {_NO_OP}\n"
+        "let box a = box Ch. (r <- op(); ret r) in\n"
+        "let box b = box {}. ret 100 in\n"
+        "x <- handle a with handler for Ch {\n"
+        "    op(x;k;z) -> let box b = box {}. ret 1 in let box b1 = box {}. ret 2 in"
+        " (p <- handle b with Hb init (); q <- k(p; z); ret q),\n"
+        "    return(x;z) -> (w <- handle b with Hb init (); ret (x + w))\n"
+        "} init (); ret x"
+    )
+    assert type_text(infer_term(source.main)) == "int"
+    assert evaluate(source.main).final == Value(S.Ret(S.IntLit(101)))

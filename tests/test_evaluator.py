@@ -113,7 +113,7 @@ def _unrolled_afresh(t: S.Term) -> S.Term:
     lam = S.Lam(
         t.param,
         t.annot,
-        S.FixE(t.fname, t.param, t.annot, t.theory, t.ret_type, t.rec_body, S.BoxTerm(t.theory, t.rec_body)),
+        S.Fix(t.fname, t.param, t.annot, t.theory, t.ret_type, t.rec_body, S.BoxTerm(t.theory, t.rec_body)),
     )
     return subst.subst_values(t.scope, {t.fname: lam})
 
@@ -125,15 +125,15 @@ def test_definitions_sharing_a_body_unroll_to_their_own_functions():
     body = parse_term("ret (n + 1)")
     st = TABLE.theories["St"]
     fixes = [
-        S.FixE("f", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("f")),
-        S.FixE("f", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("f")),
-        S.FixE("g", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("g")),
-        S.FixE("g", "m", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("g")),
-        S.FixE("g", "m", S.BOOL, S.EMPTY_THEORY, S.INT, body, S.Var("g")),
-        S.FixE("g", "m", S.BOOL, st, S.INT, body, S.Var("g")),
-        S.FixE("g", "m", S.BOOL, st, S.BOOL, body, S.Var("g")),
-        S.FixC("f", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Ret(S.Var("f"))),
-        S.FixC("g", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Ret(S.Var("g"))),
+        S.Fix("f", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("f")),
+        S.Fix("f", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("f")),
+        S.Fix("g", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("g")),
+        S.Fix("g", "m", S.INT, S.EMPTY_THEORY, S.INT, body, S.Var("g")),
+        S.Fix("g", "m", S.BOOL, S.EMPTY_THEORY, S.INT, body, S.Var("g")),
+        S.Fix("g", "m", S.BOOL, st, S.INT, body, S.Var("g")),
+        S.Fix("g", "m", S.BOOL, st, S.BOOL, body, S.Var("g")),
+        S.Fix("f", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Ret(S.Var("f"))),
+        S.Fix("g", "n", S.INT, S.EMPTY_THEORY, S.INT, body, S.Ret(S.Var("g"))),
     ]
     for t in fixes + fixes[::-1]:
         got, want = evaluator._unroll(t), _unrolled_afresh(t)
@@ -171,7 +171,7 @@ def test_a_let_fix_computation_unrolls_in_place():
         "in ret (eval_f (f 4))",
         TABLE,
     )
-    assert isinstance(term, S.FixC)
+    assert isinstance(term, S.Fix) and isinstance(S.last_part(term), S.Comp)
     outcome = evaluate(term, record=True)
     assert outcome.final == Value(S.Ret(S.IntLit(10)))
     first = outcome.steps[0]
@@ -189,7 +189,7 @@ def test_fact_64_unrolls_one_function(monkeypatch):
     inner = subst.subst_values
 
     def recording(t, mapping, *rest):
-        functions.extend(v for v in mapping.values() if isinstance(v, S.Lam) and isinstance(v.body, S.FixE))
+        functions.extend(v for v in mapping.values() if isinstance(v, S.Lam) and isinstance(v.body, S.Fix))
         return inner(t, mapping, *rest)
 
     monkeypatch.setattr(subst, "subst_values", recording)
@@ -448,7 +448,7 @@ def _handled(u: str) -> S.Comp:
     "term, reason",
     [
         (S.Var("x"), "unbound variable x"),
-        (S.IfE(S.IntLit(1), S.IntLit(2), S.IntLit(3)), "conditional on a non-boolean"),
+        (S.If(S.IntLit(1), S.IntLit(2), S.IntLit(3)), "conditional on a non-boolean"),
         (S.Proj1(S.IntLit(1)), "projection from a non-pair"),
         (S.Append(S.IntLit(1), S.ListE(())), "append of non-list values"),
         (S.Arith("+", S.BoolLit(True), S.IntLit(1)), "arithmetic on non-integers"),
@@ -459,11 +459,11 @@ def _handled(u: str) -> S.Comp:
         (_handled("u"), "handle of an unresolved box variable"),
         (S.OpCall("get", S.UnitLit()), "no rule applies"),
         (
-            S.LetBoxE("u", S.BoxTerm(S.EMPTY_THEORY, _bound(_K_CALL)), S.EvalTerm(S.EMPTY_HSEQ, "u")),
+            S.LetBox("u", S.BoxTerm(S.EMPTY_THEORY, _bound(_K_CALL)), S.EvalTerm(S.EMPTY_HSEQ, "u")),
             "continuation 'k' escapes evaluation",
         ),
         (
-            S.LetBoxC("u", S.BoxTerm(S.EMPTY_THEORY, _bound(_K_CALL)), _handled("u")),
+            S.LetBox("u", S.BoxTerm(S.EMPTY_THEORY, _bound(_K_CALL)), _handled("u")),
             "continuation call in a handled computation",
         ),
     ],

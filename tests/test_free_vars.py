@@ -42,16 +42,14 @@ def reference_free_vars(term: S.Term) -> FreeVars:
                 go(arg, bv, bm, bo, bk)
             case S.BoxTerm(theory, body):
                 go(body, bv, bm, bo | theory.op_names(), bk)
-            case S.LetBoxE(uvar, bound, body) | S.LetBoxC(uvar, bound, body):
+            case S.LetBox(uvar, bound, body):
                 go(bound, bv, bm, bo, bk)
                 go(body, bv, bm | {uvar}, bo, bk)
             case S.EvalTerm(hseq, uvar):
                 go(hseq, bv, bm, bo, bk)
                 if uvar not in bm:
                     modals.add(uvar)
-            case S.FixE(fname, param, _, _, _, rec_body, scope) | S.FixC(
-                fname, param, _, _, _, rec_body, scope
-            ):
+            case S.Fix(fname, param, _, _, _, rec_body, scope):
                 go(rec_body, bv | {fname, param}, bm, bo, bk)
                 go(scope, bv | {fname}, bm, bo, bk)
             case S.IntLit() | S.BoolLit() | S.UnitLit():
@@ -67,7 +65,7 @@ def reference_free_vars(term: S.Term) -> FreeVars:
                 go(right, bv, bm, bo, bk)
             case S.Proj1(arg) | S.Proj2(arg):
                 go(arg, bv, bm, bo, bk)
-            case S.IfE(cond, then, els) | S.IfC(cond, then, els):
+            case S.If(cond, then, els):
                 go(cond, bv, bm, bo, bk)
                 go(then, bv, bm, bo, bk)
                 go(els, bv, bm, bo, bk)
@@ -186,10 +184,10 @@ SHADOWING = [
     ),
     # let box u = (eval u) in let box u = ... in eval u: the bound expression sees the outer u.
     (
-        S.LetBoxE(
+        S.LetBox(
             u,
             S.EvalTerm(S.EMPTY_HSEQ, u),
-            S.LetBoxE(u, S.BoxTerm(S.EMPTY_THEORY, S.Ret(S.Var(x))), S.EvalTerm(S.EMPTY_HSEQ, u)),
+            S.LetBox(u, S.BoxTerm(S.EMPTY_THEORY, S.Ret(S.Var(x))), S.EvalTerm(S.EMPTY_HSEQ, u)),
         ),
         _fv(values=[x], modals=[u]),
     ),
@@ -205,7 +203,7 @@ SHADOWING = [
     # let fix x(x) = ret (x y) in x z: fname and param both bind in the body,
     # fname alone in the scope.
     (
-        S.FixE(
+        S.Fix(
             x, x, S.INT, S.EMPTY_THEORY, S.INT, S.Ret(S.App(S.Var(x), S.Var(y))), S.App(S.Var(x), S.Var(z))
         ),
         _fv(values=[y, z]),

@@ -8,6 +8,7 @@ keeps nothing is the reference for that.
 """
 
 import random
+import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -162,9 +163,30 @@ def handlerSt = handler for St {
 """
 
 
-def chain_program(pairs: int) -> str:
-    chain = "".join(f"a{i} <- get(); b{i} <- set(a{i} + 1); " for i in range(pairs))
+NAMED_PAIR = "a{i} <- get(); b{i} <- set(a{i} + 1); "
+BARE_PAIR = "get(); set({i}); "
+
+
+def chain_program(pairs: int, pair: str = NAMED_PAIR) -> str:
+    chain = "".join(pair.format(i=i) for i in range(pairs))
     return PRELUDE + f"let box u = box St. ({chain}ret 0) in x <- handle u with handlerSt init 0; ret x\n"
+
+
+@pytest.mark.parametrize("pair", [NAMED_PAIR, BARE_PAIR], ids=["named", "bare"])
+def test_a_400_pair_chain_parses_at_the_default_recursion_limit(pair):
+    # The parser takes a frame per statement of a chain, and both kinds of
+    # chain parse up to about 490 pairs; a second frame per statement would
+    # halve that.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        source = parse_source(chain_program(400, pair))
+    finally:
+        sys.setrecursionlimit(limit)
+    chain, statements = source.main.bound.body, 0
+    while isinstance(chain, S.Bind):
+        chain, statements = chain.rest, statements + 1
+    assert (statements, chain) == (800, S.Ret(S.IntLit(0)))
 
 
 @pytest.mark.parametrize("pairs", [10, 200])
@@ -181,7 +203,7 @@ def test_each_statement_is_parsed_once(monkeypatch, pairs):
 
     monkeypatch.setattr(P._Parser, "parse_stmt", counting)
     source = parse_source(chain_program(pairs))
-    assert isinstance(source.main, S.LetBoxC)
+    assert isinstance(source.main, S.LetBox) and isinstance(S.last_part(source.main), S.Comp)
     assert calls == 2 * pairs + 3
 
 
@@ -231,40 +253,48 @@ TIES = (
 )
 
 
+def category(t: S.Term) -> type:
+    """`S.Expr` or `S.Comp`: the category of `t`, which a twin takes from
+    its last part."""
+    return S.Expr if isinstance(S.last_part(t), S.Expr) else S.Comp
+
+
 @pytest.mark.parametrize("text", TIES)
 def test_sharing_does_not_change_the_reading(text):
     shared = parse_term(text)
     unshared = parse_term_unshared(text)
     assert shared == unshared
+    assert category(shared) is category(unshared)
     assert pretty(shared) == pretty(unshared)
 
 
 def test_ties_go_to_the_expression():
     assert isinstance(parse_term("f(1)"), S.App)
-    assert isinstance(parse_term("let box u = b in f(2)"), S.LetBoxE)
+    term = parse_term("let box u = b in f(2)")
+    assert isinstance(term, S.LetBox) and category(term) is S.Expr
 
 
 # A bare `f(a)` reads as an application or as an operation call, so the
 # category of a twin form, and the reading of the branches before its last
-# part, can hang on tokens after that last part: each text with its class
-# and printed form, or `None` for a parse error at `;`.
+# part, can hang on tokens after that last part: each text with its class,
+# its category and printed form, or `None` for a parse error at `;`.
 WHOLE_TERMS = (
-    ("if true then f(1) else g(2); ret 3", S.IfC, "if true then x <- f(1); ret x else _ <- g(2); ret 3"),
-    ("if true then f(1) else g(2)", S.IfE, "if true then f 1 else g 2"),
-    ("let box u = x in f(1); ret 1", S.LetBoxC, "let box u = x in _ <- f(1); ret 1"),
-    ("(f(1)); ret 2", None, None),
-    ("(f(1); ret 2)", S.Bind, "_ <- f(1); ret 2"),
+    ("if true then f(1) else g(2); ret 3", S.If, S.Comp, "if true then x <- f(1); ret x else _ <- g(2); ret 3"),
+    ("if true then f(1) else g(2)", S.If, S.Expr, "if true then f 1 else g 2"),
+    ("let box u = x in f(1); ret 1", S.LetBox, S.Comp, "let box u = x in _ <- f(1); ret 1"),
+    ("(f(1)); ret 2", None, None, None),
+    ("(f(1); ret 2)", S.Bind, S.Comp, "_ <- f(1); ret 2"),
 )
 
 
-@pytest.mark.parametrize("text, cls, printed", WHOLE_TERMS)
-def test_the_category_of_a_whole_term_can_hang_on_its_last_tokens(text, cls, printed):
+@pytest.mark.parametrize("text, cls, cat, printed", WHOLE_TERMS)
+def test_the_category_of_a_whole_term_can_hang_on_its_last_tokens(text, cls, cat, printed):
     if cls is None:
         with pytest.raises(ParseError, match="^1:7: .*found ';'"):
             parse_term(text)
         return
     term = parse_term(text)
-    assert (type(term), pretty(term)) == (cls, printed)
+    assert (type(term), category(term), pretty(term)) == (cls, cat, printed)
 
 
 def test_sharing_does_not_change_printed_terms():

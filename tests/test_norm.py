@@ -33,16 +33,12 @@ def reference_norm(t: S.Term) -> S.Term:
             return S.App(n(f), n(a), span=t.span)
         case S.BoxTerm(th, b):
             return S.BoxTerm(th, n(b), span=t.span)
-        case S.LetBoxE(u, e, b):
-            return S.LetBoxE(u, n(e), n(b), span=t.span)
-        case S.LetBoxC(u, e, b):
-            return S.LetBoxC(u, n(e), n(b), span=t.span)
+        case S.LetBox(u, e, b):
+            return S.LetBox(u, n(e), n(b), span=t.span)
         case S.EvalTerm(hseq, u):
             return S.EvalTerm(n(hseq), u, span=t.span)
-        case S.FixE(f, p, a, th, r, rec, sc):
-            return S.FixE(f, p, a, th, r, n(rec), n(sc), span=t.span)
-        case S.FixC(f, p, a, th, r, rec, sc):
-            return S.FixC(f, p, a, th, r, n(rec), n(sc), span=t.span)
+        case S.Fix(f, p, a, th, r, rec, sc):
+            return S.Fix(f, p, a, th, r, n(rec), n(sc), span=t.span)
         case S.Pair(l, r):
             return S.Pair(n(l), n(r), span=t.span)
         case S.Proj1(a):
@@ -57,9 +53,7 @@ def reference_norm(t: S.Term) -> S.Term:
             return mk_arith(op, n(l), n(r), span=t.span)
         case S.Cmp(op, l, r):
             return mk_cmp(op, n(l), n(r), span=t.span)
-        case S.IfE(c, a, b):
-            return mk_if(n(c), n(a), n(b), span=t.span)
-        case S.IfC(c, a, b):
+        case S.If(c, a, b):
             return mk_if(n(c), n(a), n(b), span=t.span)
         case S.Ret(e):
             return S.Ret(n(e), span=t.span)

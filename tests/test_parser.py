@@ -105,7 +105,7 @@ def test_lambda_requires_annotation():
 
 def test_box_let_box_eval():
     term = roundtrip("let box u = box {}. ret 1 in eval u")
-    assert isinstance(term, S.LetBoxE)
+    assert isinstance(term, S.LetBox)
     assert isinstance(term.bound, S.BoxTerm)
     assert isinstance(term.body, S.EvalTerm)
 
@@ -115,7 +115,7 @@ def test_let_fix_parses_both_layers():
         "let fix f(n:int) : [{}] int = if n = 0 then ret 1 else ret 2 "
         "in let box u = f 3 in eval u"
     )
-    assert isinstance(term, S.FixE)
+    assert isinstance(term, S.Fix) and isinstance(S.last_part(term), S.Expr)
     assert term.fname == "f"
     assert type_equal(term.ret_type, S.INT)
 
@@ -131,7 +131,7 @@ def test_handle_with_initial_state():
         "(handle u with handler for {get:unit=>int} "
         "{ get(x;k;z) -> k(z;z), return(x;z) -> ret (x, z) } init 0)"
     )
-    assert isinstance(term, (S.LetBoxE, S.LetBoxC))
+    assert isinstance(term, S.LetBox)
 
 
 def test_handling_sequence_brackets():
@@ -147,7 +147,7 @@ def test_handling_sequence_brackets():
         "handler for {} { return(x;z) -> ret x } init ())",
         table,
     )
-    assert isinstance(term, (S.LetBoxE, S.LetBoxC))
+    assert isinstance(term, S.LetBox)
 
 
 def test_parse_type_forms():
@@ -357,7 +357,7 @@ def test_eval_with_a_two_clause_sequence():
     h = "handler for {} { return(x;z) -> ret x }"
     text = f"let box u = box {{}}. ret 1 in eval [{h} init () as y. ret y; {h} init () as w. ret (w, w)] u"
     term = parse_term(text)
-    assert isinstance(term, S.LetBoxE)
+    assert isinstance(term, S.LetBox)
     assert isinstance(term.body, S.EvalTerm)
     assert [c.var for c in term.body.hseq.clauses] == ["y", "w"]
     assert parse_term(pretty(term)) == term

@@ -26,18 +26,15 @@ FIELDS = {
     S.Cmp: ("op", "left", "right", "span"),
     S.ContCall: ("kname", "arg", "state", "span"),
     S.EvalTerm: ("hseq", "uvar", "span"),
-    S.FixC: ("fname", "param", "annot", "theory", "ret_type", "rec_body", "scope", "span"),
-    S.FixE: ("fname", "param", "annot", "theory", "ret_type", "rec_body", "scope", "span"),
+    S.Fix: ("fname", "param", "annot", "theory", "ret_type", "rec_body", "scope", "span"),
     S.HClause: ("handler", "init", "var", "body"),
     S.HSeq: ("clauses",),
     S.Handle: ("uvar", "hseq", "handler", "init", "span"),
     S.Handler: ("theory", "op_clauses", "ret_clause", "span"),
-    S.IfC: ("cond", "then", "els", "span"),
-    S.IfE: ("cond", "then", "els", "span"),
+    S.If: ("cond", "then", "els", "span"),
     S.IntLit: ("value", "span"),
     S.Lam: ("param", "annot", "body", "span"),
-    S.LetBoxC: ("uvar", "bound", "body", "span"),
-    S.LetBoxE: ("uvar", "bound", "body", "span"),
+    S.LetBox: ("uvar", "bound", "body", "span"),
     S.ListE: ("elems", "span"),
     S.OpCall: ("op", "arg", "span"),
     S.OpClause: ("op", "x", "k", "z", "body"),
@@ -129,7 +126,7 @@ def test_dataclasses_functions_still_read_records():
     import dataclasses
 
     assert dataclasses.fields(S.Expr) == ()
-    assert [f.name for f in dataclasses.fields(S.FixE)] == list(FIELDS[S.FixE])
+    assert [f.name for f in dataclasses.fields(S.Fix)] == list(FIELDS[S.Fix])
     assert dataclasses.is_dataclass(S.Var("x"))
     lam = S.Lam("x", S.INT, S.Var("x"), S.Span(1, 2))
     assert dataclasses.replace(lam, param="y") == lam.replace(param="y")

@@ -102,12 +102,12 @@ def reference_sub(eng, t, m):
             return S.App(s(f), s(a), span=t.span)
         case S.BoxTerm(th, b):
             return S.BoxTerm(th, s(b), span=t.span)
-        case S.LetBoxE(u, e, b) | S.LetBoxC(u, e, b):
+        case S.LetBox(u, e, b):
             u2, b2 = _ref_modal_binder(eng, u, m, b)
             return type(t)(u2, s(e), s(b2), span=t.span)
         case S.EvalTerm(hseq, u):
             return S.EvalTerm(s(hseq), u, span=t.span)
-        case S.FixE(f, p, a, th, r, rec, sc) | S.FixC(f, p, a, th, r, rec, sc):
+        case S.Fix(f, p, a, th, r, rec, sc):
             f2, mf = _ref_value_binder(f, m, (rec, sc))
             p2, mp = _ref_value_binder(p, mf, (rec,))
             return type(t)(f2, p2, a, th, r, _ref_opt(eng, rec, mp), _ref_opt(eng, sc, mf), span=t.span)
@@ -125,9 +125,7 @@ def reference_sub(eng, t, m):
             return mk_arith(op, s(l), s(r), span=t.span)
         case S.Cmp(op, l, r):
             return mk_cmp(op, s(l), s(r), span=t.span)
-        case S.IfE(c, a, b):
-            return mk_if(s(c), s(a), s(b), span=t.span)
-        case S.IfC(c, a, b):
+        case S.If(c, a, b):
             return mk_if(s(c), s(a), s(b), span=t.span)
         case S.Ret(e):
             return S.Ret(s(e), span=t.span)
@@ -201,10 +199,10 @@ def binds_again(t) -> bool:
     """Whether some `fn`, bind, `let box` or `let fix` in `t` binds its name
     again inside its own scope."""
     match t:
-        case S.Lam(x, _, body) | S.Bind(_, x, body) | S.LetBoxE(x, _, body) | S.LetBoxC(x, _, body):
+        case S.Lam(x, _, body) | S.Bind(_, x, body) | S.LetBox(x, _, body):
             if x in bound_names(body):
                 return True
-        case S.FixE(x, _, _, _, _, _, body) | S.FixC(x, _, _, _, _, _, body):
+        case S.Fix(x, _, _, _, _, _, body):
             if x in bound_names(body):
                 return True
     if isinstance(t, tuple):
@@ -402,7 +400,7 @@ def beside(n: int, hot: S.Comp) -> S.Comp:
     """`if b then hot else ret [y0 + 1, ..., y(n-1) + 1]`, normalised, so
     that a skip costs no fuel."""
     elems = tuple(S.Arith("+", S.Var(f"y{i}"), S.IntLit(1)) for i in range(n))
-    return subst.normalize(S.IfC(S.Var("b"), hot, S.Ret(S.ListE(elems))))
+    return subst.normalize(S.If(S.Var("b"), hot, S.Ret(S.ListE(elems))))
 
 
 def test_modal_and_continuation_substitution_skip_where_their_name_is_not_free(monkeypatch):

@@ -32,7 +32,7 @@ ID_ST = TABLE.handlers["idSt"]
 
 def comp(text: str) -> S.Comp:
     term = parse_term(text, TABLE)
-    assert isinstance(term, S.Comp), text
+    assert isinstance(S.last_part(term), S.Comp), text
     return term
 
 
@@ -176,7 +176,7 @@ def test_eta_expansion_preserves_the_boxed_type():
     from ecmtt.typecheck import infer_expr
 
     e = parse_term("box St. get()", TABLE)
-    assert isinstance(e, S.Expr)
+    assert isinstance(S.last_part(e), S.Expr)
     expanded = eta_expand(e, ST)
     assert type_equal(infer_expr(EMPTY_MODAL, expanded), S.BoxT(ST, S.INT))
 
@@ -185,10 +185,10 @@ def test_eta_expansion_keeps_empty_theory_behaviour():
     from ecmtt.evaluator import Value, evaluate
 
     e = parse_term("box {}. ret 3")
-    assert isinstance(e, S.Expr)
+    assert isinstance(S.last_part(e), S.Expr)
 
     def observe(boxed: S.Expr) -> str:
-        probe = S.LetBoxE("w", boxed, S.EvalTerm(S.EMPTY_HSEQ, "w"))
+        probe = S.LetBox("w", boxed, S.EvalTerm(S.EMPTY_HSEQ, "w"))
         outcome = evaluate(probe)
         assert isinstance(outcome.final, Value)
         return pretty(outcome.final.term)

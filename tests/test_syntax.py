@@ -130,8 +130,8 @@ def _nodes_with_theory(theory):
     ret = S.RetClause("x", "z", body)
     return [
         lambda: S.BoxTerm(theory, body),
-        lambda: S.FixE("f", "n", S.INT, theory, S.INT, body, S.Var("f")),
-        lambda: S.FixC("f", "n", S.INT, theory, S.INT, body, body),
+        lambda: S.Fix("f", "n", S.INT, theory, S.INT, body, S.Var("f")),
+        lambda: S.Fix("f", "n", S.INT, theory, S.INT, body, body),
         lambda: S.Handler(theory, (), ret),
         lambda: S.ModalBind("u", S.INT, theory),
         lambda: S.BoxT(theory, S.INT),

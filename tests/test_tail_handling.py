@@ -48,7 +48,7 @@ TABLE = parse_source(PRELUDE + HANDLERS).table
 
 def comp(text: str) -> S.Comp:
     term = parse_term(text, TABLE)
-    assert isinstance(term, S.Comp), text
+    assert isinstance(S.last_part(term), S.Comp), text
     return term
 
 

@@ -270,7 +270,7 @@ def test_fix_checks_recursive_calls_at_annotated_type():
 
 def test_infer_comp_requires_ambient_operations():
     comp = parse_term("x <- get(); ret x", TABLE)
-    assert isinstance(comp, S.Comp)
+    assert isinstance(S.last_part(comp), S.Comp)
     got = infer_comp(EMPTY_MODAL, ST, comp)
     assert type_equal(got, S.INT)
     with pytest.raises(TypeCheckError) as exc:
@@ -308,10 +308,16 @@ _GET = S.OpCall("get", S.UnitLit())
         S.BoxTerm(ST, S.Bind(_GET, "x", _GET)),
         # `ret 1` as a bind's statement
         S.BoxTerm(ST, S.Bind(S.Ret(S.IntLit(1)), "x", S.Ret(S.Var("x")))),
-        # an expression `let box` whose body is `ret 2`
-        S.LetBoxE("u", S.BoxTerm(EMPTY_THEORY, S.Ret(S.IntLit(1))), S.Ret(S.IntLit(2))),
+        # a `let box` whose body is `ret 2`, as a function argument
+        S.App(
+            S.Lam("x", S.INT, S.Var("x")),
+            S.LetBox("u", S.BoxTerm(EMPTY_THEORY, S.Ret(S.IntLit(1))), S.Ret(S.IntLit(2))),
+        ),
+        # an `if` whose `else` branch, `2`, makes it an expression, and
+        # whose `then` branch is `ret 1`
+        S.If(S.BoolLit(True), S.Ret(S.IntLit(1)), S.IntLit(2)),
     ],
-    ids=["ret-as-argument", "expr-as-rest", "stmt-as-rest", "comp-as-stmt", "comp-as-letbox-body"],
+    ids=["ret-as-argument", "expr-as-rest", "stmt-as-rest", "comp-as-stmt", "comp-as-letbox-body", "comp-as-then"],
 )
 def test_a_term_of_the_wrong_category_is_rejected(term):
     # The parser never builds these, but a term built by hand can; the
@@ -320,6 +326,17 @@ def test_a_term_of_the_wrong_category_is_rejected(term):
     with pytest.raises(TypeCheckError) as exc:
         infer_term(term)
     assert exc.value.kind == "argument-mismatch"
+
+
+def test_a_twin_is_of_the_category_of_its_last_part():
+    box = S.BoxTerm(EMPTY_THEORY, S.Ret(S.IntLit(1)))
+    comp = S.LetBox("u", box, S.If(S.BoolLit(True), S.Ret(S.IntLit(2)), S.Ret(S.IntLit(3))))
+    expr = S.LetBox("u", box, S.If(S.BoolLit(True), S.IntLit(2), S.IntLit(3)))
+    assert type_equal(infer_term(comp), S.INT)
+    assert type_equal(infer_term(expr), S.INT)
+    # In an expression position the computation is rejected at its last part.
+    with pytest.raises(TypeCheckError, match="unrecognized expression Ret"):
+        infer_term(S.App(S.Lam("x", S.INT, S.Var("x")), comp))
 
 
 def _shadowed_chain(pairs: int, last: S.Comp) -> S.Comp:
