@@ -12,6 +12,7 @@ import typing
 import pytest
 
 from ecmtt import syntax as S
+from ecmtt.parser import parse_term
 from ecmtt.subst import _BUILD
 
 NAMESPACES = {S.VALUES, S.MODALS, S.OPS, S.CONTS}
@@ -33,6 +34,34 @@ def node_classes() -> set[type]:
 
 NODES = sorted(node_classes(), key=lambda cls: cls.__name__)
 
+# Each twin class in each of its two categories, written so that its last
+# part has that category.
+TWIN_TEXTS = {
+    (S.LetBox, S.Expr): "let box u = b in f(2)",
+    (S.LetBox, S.Comp): "let box u = b in f(1); ret 1",
+    (S.Fix, S.Expr): "let fix f(n:int):[{}]int = ret n in f 1",
+    (S.Fix, S.Comp): "let fix f(n:int):[{}]int = ret n in ret (f 1)",
+    (S.If, S.Expr): "if c then f(1) else g(2)",
+    (S.If, S.Comp): "if c then f(1) else g(2); ret 3",
+}
+
+# One case per class, and one per category of a twin, named after its
+# class with `E` or `C` added.
+CASES = [
+    pytest.param(cls, cat, id=cls.__name__ + (cat.__name__[0] if cat else ""))
+    for cls in NODES
+    for cat in ((S.Expr, S.Comp) if issubclass(cls, S.Twin) else (None,))
+]
+
+
+def twin(cls: type, cat: type) -> S.Twin:
+    """A parsed twin of class `cls` whose last part, not itself a twin, is
+    of category `cat`."""
+    t = parse_term(TWIN_TEXTS[cls, cat])
+    assert type(t) is cls
+    assert isinstance(S.last_part(t), cat) and not isinstance(S.last_part(t), S.Twin)
+    return t
+
 
 def holds_terms(tp) -> bool:
     """Whether a field of this annotated type holds a subterm or a tuple of
@@ -50,11 +79,18 @@ def test_every_node_class_has_exactly_one_row():
     assert len(S.SCHEMA) == 28
 
 
-@pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
-def test_each_row_names_its_own_fields(cls):
+@pytest.mark.parametrize("cls, cat", CASES)
+def test_each_row_names_its_own_fields(cls, cat):
     row = S.SCHEMA[cls]
     names = list(cls.fields())
     hints = typing.get_type_hints(cls)
+    if cat is not None:
+        # A twin's last part is one child, no tuple, that admits this
+        # category.
+        t = twin(cls, cat)
+        last = [n for n in row.children if S.last_part(getattr(t, n)) is S.last_part(t)]
+        assert len(last) == 1 and last[0] not in row.tuples
+        assert cat in typing.get_args(hints[last[0]])
     assert row.fields == tuple(names)
     # The children are exactly the fields that hold subterms, and the
     # tuples exactly those that hold a tuple of them.
@@ -76,9 +112,14 @@ def test_each_row_names_its_own_fields(cls):
     assert set(row.data) == set(names) - set(row.children) - renamed - {"span"}
 
 
-@pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
-def test_each_class_is_rebuilt_from_its_fields_in_order(cls):
+@pytest.mark.parametrize("cls, cat", CASES)
+def test_each_class_is_rebuilt_from_its_fields_in_order(cls, cat):
     # The walks rebuild a node by calling its constructor, or the smart
     # constructor of its class, with the field values in `Row.fields` order.
     build = _BUILD[cls]
     assert build is cls or list(inspect.signature(build).parameters) == list(S.SCHEMA[cls].fields)
+    if cat is not None:
+        # A twin rebuilt from its fields keeps its class and its category.
+        t = twin(cls, cat)
+        out = build(*(getattr(t, n) for n in S.SCHEMA[cls].fields))
+        assert type(out) is cls and out == t and isinstance(S.last_part(out), cat)
