@@ -1,4 +1,5 @@
-"""Lexer and recursive-descent parser for the surface syntax.
+"""Lexer, one regular expression per line, and recursive-descent parser for
+the surface syntax.
 
 A source file is a sequence of `def` bindings followed by one main term.
 Definitions come in three kinds, told apart by their first token: theories
@@ -14,11 +15,13 @@ consumed more input, preferring the expression on a tie.  A term that
 reads as an expression but fails as a computation beyond the point where
 the expression ended reports the computation's error; when both readings
 fail, the one that got further reports.  Everywhere else the grammar fixes
-the category.
+the category.  `parse_comp` reads a chain of binds, `;` sequences and twins
+in a loop, so a chain of any length takes one Python frame.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from . import syntax as S
@@ -32,6 +35,13 @@ KEYWORDS = frozenset(
 
 PUNCT2 = ("->", "=>", "<-", "++")
 PUNCT1 = "()[]{}.,;:=<+-*/"
+
+# The kind of every lexeme that is a keyword or a punctuation mark.
+_KINDS = {k: k for k in (*KEYWORDS, *PUNCT2, *PUNCT1)}
+
+# One lexeme of a line: blanks, a comment, a number (`\d` is a decimal digit,
+# as int() wants), a word, a two-character mark, or any one character.
+_LEXEME = r"[ \t\r]+|--.*|\d+|\w[\w']*|->|=>|<-|\+\+|."
 
 
 class Token(NamedTuple):
@@ -55,53 +65,32 @@ class ParseError(Exception):
         super().__init__(f"{span}: parse error: {message}" if span else f"parse error: {message}")
 
 
-def _err(message: str, span: Optional[Span]) -> ParseError:
-    return ParseError(message, span)
-
-
 def tokenize(text: str) -> list[Token]:
+    # `re.compile` compiles the pattern once and then finds it in its cache;
+    # `tuple.__new__` skips the Python frame of `Token`'s constructor.
+    lexemes = re.compile(_LEXEME).findall
+    new = tuple.__new__
     tokens: list[Token] = []
     emit = tokens.append
-    i = 0
-    line = 1
-    line_start = 0  # index of the current line's first character
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-        elif ch == "\n":
-            i += 1
-            line += 1
-            line_start = i
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            emit(Token(word if word in KEYWORDS else "ident", word, line, i - line_start + 1))
-            i = j
-        elif ch.isdecimal():
-            # isdecimal, not isdigit: int() rejects digits such as '²'.
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            emit(Token("int", text[i:j], line, i - line_start + 1))
-            i = j
-        elif ch == "-" and text.startswith("--", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        else:
-            two = text[i : i + 2]
-            if two in PUNCT2:
-                emit(Token(two, two, line, i - line_start + 1))
-                i += 2
-            elif ch in PUNCT1:
-                emit(Token(ch, ch, line, i - line_start + 1))
-                i += 1
-            else:
-                raise _err(f"unexpected character {ch!r}", Span(line, i - line_start + 1, 1))
-    emit(Token("eof", "", line, n - line_start + 1))
+    lines = text.split("\n")
+    for line, chars in enumerate(lines, 1):
+        col = 1
+        for lexeme in lexemes(chars):
+            kind = _KINDS.get(lexeme)
+            if kind is None:
+                first = lexeme[0]
+                if first.isalpha() or first == "_":
+                    kind = "ident"
+                elif first.isdecimal():
+                    kind = "int"
+                elif first in " \t\r-":  # blanks, or a comment: `-` alone is a mark
+                    col += len(lexeme)
+                    continue
+                else:
+                    raise ParseError(f"unexpected character {first!r}", Span(line, col, 1))
+            emit(new(Token, (kind, lexeme, line, col)))
+            col += len(lexeme)
+    emit(Token("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -169,7 +158,7 @@ class _Parser:
         if tok.kind != kind:
             want = what or f"'{kind}'"
             found = tok.text if tok.kind != "eof" else "end of input"
-            raise _err(f"expected {want}, found {found!r}", tok.span)
+            raise ParseError(f"expected {want}, found {found!r}", tok.span)
         return self.advance()
 
     def _attempt(self, f: Callable[[], _T]) -> tuple[Optional[_T], int, Optional[ParseError]]:
@@ -234,7 +223,7 @@ class _Parser:
                 self.expect(")")
                 return ty
             case _:
-                raise _err(f"expected a type, found {tok.text or 'end of input'!r}", tok.span)
+                raise ParseError(f"expected a type, found {tok.text or 'end of input'!r}", tok.span)
 
     # -- theories and handlers
 
@@ -249,7 +238,7 @@ class _Parser:
                 self.expect("=>")
                 out_type = self.parse_type()
                 if any(o.name == name.text for o in ops):
-                    raise _err(f"duplicate operation {name.text!r} in theory", name.span)
+                    raise ParseError(f"duplicate operation {name.text!r} in theory", name.span)
                 ops.append(S.OpDecl(name.text, in_type, out_type))
                 if self.at(","):
                     self.advance()
@@ -266,7 +255,7 @@ class _Parser:
         tok = self.expect("ident", f"a {what}")
         value = named.get(tok.text)
         if value is None:
-            raise _err(f"unknown {what} name {tok.text!r}", tok.span)
+            raise ParseError(f"unknown {what} name {tok.text!r}", tok.span)
         return value
 
     def parse_theory_ref(self) -> S.EffectContext:
@@ -286,7 +275,7 @@ class _Parser:
             # `return(x; z) -> c` or `op(x; k; z) -> c`
             tok = self.peek()
             if tok.kind not in ("return", "ident"):
-                raise _err(
+                raise ParseError(
                     f"expected an operation clause or return clause, found {tok.text!r}",
                     tok.span,
                 )
@@ -301,11 +290,11 @@ class _Parser:
             body = self.parse_comp()
             if tok.kind == "return":
                 if ret_clause is not None:
-                    raise _err("a handler has exactly one return clause", tok.span)
+                    raise ParseError("a handler has exactly one return clause", tok.span)
                 ret_clause = S.RetClause(*names, body)
             else:
                 if any(c.op == tok.text for c in op_clauses):
-                    raise _err(f"duplicate clause for operation {tok.text!r}", tok.span)
+                    raise ParseError(f"duplicate clause for operation {tok.text!r}", tok.span)
                 op_clauses.append(S.OpClause(tok.text, *names, body))
             if self.at(","):
                 self.advance()
@@ -313,7 +302,7 @@ class _Parser:
             break
         close = self.expect("}")
         if ret_clause is None:
-            raise _err("a handler needs a return clause", close.span)
+            raise ParseError("a handler needs a return clause", close.span)
         return S.Handler(theory, tuple(op_clauses), ret_clause, span=start.span)
 
     def parse_hseq_clauses(self) -> S.HSeq:
@@ -364,7 +353,7 @@ class _Parser:
                 return S.ContCall(tok.text, first, state, span=tok.span)
             self.expect(")")
             return S.OpCall(tok.text, first, span=tok.span)
-        raise _err(f"expected a statement, found {tok.text or 'end of input'!r}", tok.span)
+        raise ParseError(f"expected a statement, found {tok.text or 'end of input'!r}", tok.span)
 
     def _starts_stmt(self) -> bool:
         return self.at("handle") or (self.at("ident") and self.at("(", 1))
@@ -372,56 +361,56 @@ class _Parser:
     # -- computations
 
     def parse_comp(self) -> S.Comp:
-        tok = self.peek()
-        match tok.kind:
-            case "ret":
-                self.advance()
-                return S.Ret(self.parse_expr(), span=tok.span)
-            case "let" | "if":
-                cls, fields, span = self.parse_twin(self.parse_comp)
-                return cls(*fields, self.parse_comp(), span=span)
-            case "(":
-                self.advance()
-                body = self.parse_comp()
-                self.expect(")")
-                return body
-            case "ident" if self.at("<-", 1):
-                var = self.advance().text
-                self.advance()
-                if self.at("ret"):
-                    # Binding a pure computation: box it at the empty theory
-                    # and immediately handle with the trivial handler.
-                    ret_tok = self.advance()
-                    value = self.parse_expr()
-                    self.expect(";")
-                    rest = self.parse_comp()
-                    return _bind_pure(var, value, rest, ret_tok.span)
-                stmt = self.parse_stmt()
-                self.expect(";")
-                rest = self.parse_comp()
-                return S.Bind(stmt, var, rest, span=tok.span)
-            case _ if self._starts_stmt():
-                stmt = self.parse_stmt()
-                if self.at(";"):
+        # The loop keeps each head of a chain as a hole (a builder and its
+        # fields) and builds the nodes from the innermost rest outwards.
+        holes: list[tuple[Callable[..., S.Comp], tuple, Optional[Span]]] = []
+        while True:
+            tok = self.peek()
+            match tok.kind:
+                case "ret":
                     self.advance()
-                    rest = self.parse_comp()
-                    fv = S.free_vars(rest).values
-                    var = S.fresh_name("_", fv)
-                    return S.Bind(stmt, var, rest, span=tok.span)
-                var = "x"
-                return S.Bind(stmt, var, S.Ret(S.Var(var), span=tok.span), span=tok.span)
-            case _:
-                raise _err(
-                    f"expected a computation, found {tok.text or 'end of input'!r}", tok.span
-                )
+                    comp: S.Comp = S.Ret(self.parse_expr(), span=tok.span)
+                    break
+                case "let" | "if":
+                    holes.append(self.parse_twin(self.parse_comp))
+                case "(":
+                    self.advance()
+                    comp = self.parse_comp()
+                    self.expect(")")
+                    break
+                case "ident" if self.at("<-", 1):
+                    var = self.advance().text
+                    self.advance()
+                    if self.at("ret"):  # a pure computation: see `_bind_pure`
+                        ret_tok = self.advance()
+                        value = self.parse_expr()
+                        self.expect(";")
+                        holes.append((_bind_pure, (var, value), ret_tok.span))
+                        continue
+                    stmt = self.parse_stmt()
+                    self.expect(";")
+                    holes.append((S.Bind, (stmt, var), tok.span))
+                case _ if self._starts_stmt():
+                    stmt = self.parse_stmt()
+                    if not self.at(";"):
+                        comp = S.Bind(stmt, "x", S.Ret(S.Var("x"), span=tok.span), span=tok.span)
+                        break
+                    self.advance()
+                    holes.append((_bind_fresh, (stmt,), tok.span))
+                case _:
+                    raise ParseError(
+                        f"expected a computation, found {tok.text or 'end of input'!r}", tok.span
+                    )
+        for build, fields, span in reversed(holes):
+            comp = build(*fields, comp, span=span)
+        return comp
 
     def parse_twin(self, branch: Callable[[], S.Term]) -> tuple[type, tuple, Span]:
         """`let box`, `let fix` or `if`, the forms that exist in both
         categories, up to their last part: the class, the fields before that
         part, and the span.  `branch` parses a branch in the category of the
-        whole.  The caller parses the last part itself, in that category, so
-        a chain of these forms (`else if`, `in let box`) takes one Python
-        frame per form."""
+        whole.  The caller parses the last part, so that `parse_comp` reads a
+        chain of these forms (`else if`, `in let box`) in its loop."""
         tok = self.advance()
         if tok.kind == "if":
             cond = self.parse_expr()
@@ -588,7 +577,7 @@ class _Parser:
                 self.expect("]")
                 return S.ListE(tuple(elems), span=tok.span)
             case _:
-                raise _err(
+                raise ParseError(
                     f"expected an expression, found {tok.text or 'end of input'!r}", tok.span
                 )
 
@@ -633,7 +622,7 @@ class _Parser:
             return name.text, resolved
         body = self._resolve(self.parse_term())
         if not isinstance(S.last_part(body), S.Expr):
-            raise _err(
+            raise ParseError(
                 f"definition {name.text!r} must be an expression, a theory, or a handler",
                 name.span,
             )
@@ -664,6 +653,11 @@ def _bind_pure(var: str, value: S.Expr, rest: S.Comp, span: Optional[Span]) -> S
     handle = S.Handle(uvar, S.EMPTY_HSEQ, trivial, S.UnitLit(span=span), span=span)
     boxed = S.BoxTerm(S.EMPTY_THEORY, S.Ret(value, span=span), span=span)
     return S.LetBox(uvar, boxed, S.Bind(handle, var, rest, span=span), span=span)
+
+
+def _bind_fresh(stmt: S.Stmt, rest: S.Comp, span: Optional[Span]) -> S.Comp:
+    """`s; c`: bind the result of `s` to a name that `c` does not read."""
+    return S.Bind(stmt, S.fresh_name("_", S.free_vars(rest).values), rest, span=span)
 
 
 def _finish(parser: _Parser, result: _T) -> _T:

@@ -203,7 +203,8 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
     computation over the effect context `gamma`; a term of another category
     is rejected.  A twin (`let box`, `let fix`, `if`) passes in either
     position and types its last part in the same one, so a last part of the
-    wrong category is rejected where it sits."""
+    wrong category is rejected where it sits.  A chain of binds, `let box`
+    and `let fix` is walked in a loop, one frame for the whole chain."""
     if not isinstance(t, S.Expr if gamma is None else S.Comp):
         what = "expression" if gamma is None else "computation"
         raise TypeCheckError("argument-mismatch", f"unrecognized {what} {t!r}")
@@ -217,9 +218,31 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
         case S.Ret(value):
             return infer(delta, None, value)
 
-        case S.Bind(stmt, var, rest):
-            ta = infer_stmt(delta, gamma, stmt)
-            return infer(delta.with_value(var, ta), gamma, rest)
+        case S.Bind() | S.LetBox() | S.Fix():
+            # Each binder extends `delta`, and the loop moves on to its last
+            # part; a bind in an expression position meets the entry check.
+            while True:
+                match t:
+                    case S.Bind(stmt, var, rest) if gamma is not None:
+                        delta = delta.with_value(var, infer_stmt(delta, gamma, stmt))
+                        t = rest
+                    case S.LetBox(uvar, bound, body):
+                        tb = infer(delta, None, bound)
+                        if isinstance(tb, S.BottomT):
+                            return S.BOTTOM
+                        if not isinstance(tb, S.BoxT):
+                            raise TypeCheckError(
+                                "not-a-box", span=t.span, expected="a boxed computation", found=tb
+                            )
+                        delta = delta.with_modal(uvar, tb.body, tb.theory)
+                        t = body
+                    case S.Fix(fname, param, annot, theory, ret_type, rec_body, scope):
+                        delta = delta.with_value(fname, S.ArrowT(annot, S.BoxT(theory, ret_type)))
+                        got = infer(delta.with_value(param, annot), theory, rec_body)
+                        _require(got, ret_type, t.span, message="recursive body")
+                        t = scope
+                    case _:
+                        return infer(delta, gamma, t)
 
         case S.Lam(param, annot, body):
             return S.ArrowT(annot, infer(delta.with_value(param, annot), None, body))
@@ -240,28 +263,11 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
         case S.BoxTerm(theory, body):
             return S.BoxT(theory, infer(delta, theory, body))
 
-        case S.LetBox(uvar, bound, body):
-            tb = infer(delta, None, bound)
-            if isinstance(tb, S.BottomT):
-                return S.BOTTOM
-            if not isinstance(tb, S.BoxT):
-                raise TypeCheckError(
-                    "not-a-box", span=t.span, expected="a boxed computation", found=tb
-                )
-            return infer(delta.with_modal(uvar, tb.body, tb.theory), gamma, body)
-
         case S.EvalTerm(hseq, uvar):
             bind = delta.lookup_modal(uvar)
             if bind is None:
                 raise TypeCheckError("unbound-variable", f"modal variable {uvar}", span=t.span)
             return infer_hseq(delta, EMPTY_THEORY, hseq, bind.type, bind.theory, span=t.span)
-
-        case S.Fix(fname, param, annot, theory, ret_type, rec_body, scope):
-            ftype = S.ArrowT(annot, S.BoxT(theory, ret_type))
-            inner = delta.with_value(fname, ftype).with_value(param, annot)
-            got = infer(inner, theory, rec_body)
-            _require(got, ret_type, t.span, message="recursive body")
-            return infer(delta.with_value(fname, ftype), gamma, scope)
 
         case S.IntLit():
             return S.INT

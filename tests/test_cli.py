@@ -338,7 +338,8 @@ def test_repl_ends_cleanly_on_eof():
 
 
 def _state_chain(pairs: int) -> str:
-    # The parser runs out of frames at about 490 pairs.
+    # The parser and the typechecker read the chain in a loop; the
+    # evaluator's walks take a frame per statement.
     chain = "; ".join(f"y{i} <- get(); w{i} <- set(y{i} + 1)" for i in range(pairs))
     definitions = PIPELINE[: PIPELINE.index("let box")]
     main = f"let box u = box St. ({chain}; ret y0)\nin x <- handle u with handlerSt init 0; ret x\n"
@@ -367,20 +368,18 @@ def _collect_all_value(n: int) -> str:
 
 
 @pytest.mark.parametrize(
-    "source, check_code",
-    [(_state_chain(600), 6), (_collect_all(10), 0)],
+    "source, checked",
+    [(_state_chain(600), "int * int\n"), (_collect_all(10), "list int\n")],
     ids=["600-pair-chain", "collectAll-10"],
 )
-def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, check_code):
-    # The chain is nested too deeply for the parser.  `collectAll`'s
-    # 1,024-element result list takes no frame per element, so it runs and
-    # traces to its value.
+def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, checked):
+    # The chain checks, but it is nested too deeply for the evaluator.
+    # `collectAll`'s 1,024-element result list takes no frame per element, so
+    # it runs and traces to its value.
     path = tmp_path / "deep.ecmtt"
     path.write_text(source)
-    code, out, err = invoke(["check", str(path)])
-    assert code == check_code
-    if check_code == 0:
-        assert out == "list int\n"
+    assert invoke(["check", str(path)]) == (0, checked, "")
+    if checked == "list int\n":
         value = _collect_all_value(10)
         code, out, err = invoke(["run", "--json", str(path)])
         assert (code, err) == (0, "")
@@ -389,8 +388,6 @@ def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, check_c
         assert (code, err) == (0, "")
         assert out.endswith(f"  --[beta-letbox]--> {value}\n{value}\n")
         return
-    limit = sys.getrecursionlimit()
-    assert err == f"error: input nested too deeply: recursion limit of {limit} frames reached\n"
     code, out, err = invoke(["run", "--json", str(path)])
     assert code == 6
     payload = json.loads(out)
@@ -400,6 +397,16 @@ def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, check_c
     code, _, err = invoke(["trace", str(path)])
     assert code == 6
     assert err.count("\n") == 1 and "recursion limit" in err
+
+
+def test_check_of_a_deep_sum_exits_6_naming_the_recursion_limit(tmp_path):
+    # `infer` takes a frame per level of a left-nested sum.
+    path = tmp_path / "deep.ecmtt"
+    path.write_text("ret (" + " + ".join(["1"] * 3000) + ")\n")
+    code, out, err = invoke(["check", str(path)])
+    limit = sys.getrecursionlimit()
+    assert (code, out) == (6, "")
+    assert err == f"error: input nested too deeply: recursion limit of {limit} frames reached\n"
 
 
 def test_a_recursion_error_exits_6_naming_the_limit(monkeypatch, pipeline_file):

@@ -1,10 +1,11 @@
 """The front end reads each token once.
 
-`tokenize` builds tuple tokens in a char loop; the seed's tokenizer, with its
-frozen-dataclass tokens, is kept below as the reference.  `parse_term` reads a
-whole term as an expression and as a computation, and the two readings share
-every expression through the parser's position memo; a parser whose memo
-keeps nothing is the reference for that.
+`tokenize` builds tuple tokens from one `findall` of a lexeme pattern per
+line; the seed's tokenizer, a character loop with frozen-dataclass tokens, is
+kept below as the reference.  `parse_term` reads a whole term as an
+expression and as a computation, and the two readings share every expression
+through the parser's position memo; a parser whose memo keeps nothing is the
+reference for that.
 """
 
 import random
@@ -18,8 +19,9 @@ from ecmtt import parser as P
 from ecmtt import syntax as S
 from ecmtt.corpus import CASES
 from ecmtt.parser import ParseError, parse_source, parse_term, tokenize
-from ecmtt.pretty import pretty
+from ecmtt.pretty import pretty, type_text
 from ecmtt.syntax import Span
+from ecmtt.typecheck import TypeCheckError, infer_term
 
 from generators import gen_roundtrip_term
 
@@ -88,7 +90,7 @@ def reference_tokenize(text: str) -> list[RefToken]:
             i += 1
             col += 1
             continue
-        raise P._err(f"unexpected character {ch!r}", Span(line, col, 1))
+        raise ParseError(f"unexpected character {ch!r}", Span(line, col, 1))
     tokens.append(RefToken("eof", "", line, col))
     return tokens
 
@@ -133,7 +135,7 @@ FRAGMENTS = (
     "a", "x1", "f'", "_", "let", "ret", "fn", "7", "42", "٣", "é", "λ",
     " ", "  ", "\n", "\t", "\r", "-", "--", "->", "<-", "=>", "++", ">", "=",
     "<", "+", "*", "/", "(", ")", "[", "]", "{", "}", ".", ",", ";", ":",
-    "'", "?", "#",
+    "'", "?", "#", "-->", "<--", "\x0b", "\f",
 )
 
 
@@ -141,6 +143,21 @@ def test_tokenize_matches_the_reference_on_random_strings():
     rng = random.Random(7)
     for _ in range(3000):
         assert_tokens_match("".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(0, 12))))
+
+
+def test_a_word_may_go_on_with_a_non_decimal_digit():
+    assert tokenize("x²") == [P.Token("ident", "x²", 1, 1), P.Token("eof", "", 1, 3)]
+
+
+@pytest.mark.parametrize("digit", ["²", "½"])
+def test_a_non_decimal_digit_cannot_start_a_token(digit):
+    # Both are word characters to `\w`, so the word `²abc` is refused by its
+    # first character.
+    for text in (f"f {digit}", f"f {digit}abc"):
+        with pytest.raises(ParseError) as exc:
+            tokenize(text)
+        assert exc.value.message == f"unexpected character {digit!r}"
+        assert exc.value.span == Span(1, 3, 1)
 
 
 def test_tokens_are_tuples_with_spans():
@@ -172,21 +189,44 @@ def chain_program(pairs: int, pair: str = NAMED_PAIR) -> str:
     return PRELUDE + f"let box u = box St. ({chain}ret 0) in x <- handle u with handlerSt init 0; ret x\n"
 
 
-@pytest.mark.parametrize("pair", [NAMED_PAIR, BARE_PAIR], ids=["named", "bare"])
-def test_a_400_pair_chain_parses_at_the_default_recursion_limit(pair):
-    # The parser takes a frame per statement of a chain, and both kinds of
-    # chain parse up to about 490 pairs; a second frame per statement would
-    # halve that.
+@pytest.fixture
+def recursion_limit_1000():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
-    try:
-        source = parse_source(chain_program(400, pair))
-    finally:
-        sys.setrecursionlimit(limit)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("pair", [NAMED_PAIR, BARE_PAIR], ids=["named", "bare"])
+def test_a_5000_pair_chain_parses_and_typechecks_at_a_recursion_limit_of_1000(pair, recursion_limit_1000):
+    # The parser and `infer` read a chain of statements in a loop, so the
+    # chain's length takes no frames.
+    source = parse_source(chain_program(5000, pair))
+    assert type_text(infer_term(source.main)) == "int * int"
     chain, statements = source.main.bound.body, 0
     while isinstance(chain, S.Bind):
         chain, statements = chain.rest, statements + 1
-    assert (statements, chain) == (800, S.Ret(S.IntLit(0)))
+    assert (statements, chain) == (10000, S.Ret(S.IntLit(0)))
+
+
+def test_a_3000_deep_let_box_chain_parses_and_typechecks_at_a_recursion_limit_of_1000(recursion_limit_1000):
+    chain = "".join(f"let box v{i} = box {{}}. ret {i} in " for i in range(3000))
+    term = parse_term(f"box {{}}. ({chain}ret (eval v0 + eval v2999))")
+    body, depth = term.body, 0
+    while isinstance(body, S.LetBox):
+        body, depth = body.body, depth + 1
+    assert depth == 3000
+    assert type_text(infer_term(term)) == "[ {} ] int"
+
+
+def test_an_ill_typed_call_deep_in_a_chain_reports_its_own_span(recursion_limit_1000):
+    text = chain_program(5000).replace("a2500 <- get(); ", "e <- raise(); a2500 <- get(); ")
+    at = text.index("raise()")
+    source = parse_source(text)
+    with pytest.raises(TypeCheckError) as exc:
+        infer_term(source.main)
+    assert exc.value.kind == "op-not-in-context"
+    assert exc.value.span == Span(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at), 5)
 
 
 @pytest.mark.parametrize("pairs", [10, 200])
