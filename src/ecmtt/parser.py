@@ -16,7 +16,9 @@ reads as an expression but fails as a computation beyond the point where
 the expression ended reports the computation's error; when both readings
 fail, the one that got further reports.  Everywhere else the grammar fixes
 the category.  `parse_comp` reads a chain of binds, `;` sequences and twins
-in a loop, so a chain of any length takes one Python frame.
+in a loop, so a chain of any length takes one Python frame, and
+`parse_binary` reads the binary operators by precedence climbing over the
+level table `syntax.BINARY`.
 """
 
 from __future__ import annotations
@@ -169,7 +171,9 @@ class _Parser:
         except ParseError as e:
             failed_at = self.pos
             self.pos = start
-            return None, failed_at, e
+            # The traceback's frames would reach back to the caller that
+            # keeps the error, tying parser and tokens into a cycle.
+            return None, failed_at, e.with_traceback(None)
 
     # -- types
 
@@ -401,7 +405,13 @@ class _Parser:
                     raise ParseError(
                         f"expected a computation, found {tok.text or 'end of input'!r}", tok.span
                     )
-        for build, fields, span in reversed(holes):
+        # Bare and pure holes read the free names of the rest: below the
+        # outermost one, fill them node by node so no read recurses.
+        fill = next((i for i, h in enumerate(holes) if h[0] in (_bind_fresh, _bind_pure)), len(holes))
+        for i in range(len(holes) - 1, -1, -1):
+            build, fields, span = holes[i]
+            if i > fill:
+                S.free_vars(comp)
             comp = build(*fields, comp, span=span)
         return comp
 
@@ -476,41 +486,27 @@ class _Parser:
                 cls, fields, span = self.parse_twin(self.parse_expr)
                 expr = cls(*fields, self.parse_expr(), span=span)
             case _:
-                expr = self.parse_cmp()
+                expr = self.parse_binary()
         self._exprs[start] = (expr, self.pos)
         return expr
 
-    def parse_cmp(self) -> S.Expr:
-        left = self.parse_additive()
-        tok = self.peek()
-        if tok.kind in ("=", "<"):
-            self.advance()
-            right = self.parse_additive()
-            return S.Cmp(tok.kind, left, right, span=tok.span)
-        return left
-
-    def parse_additive(self) -> S.Expr:
-        left = self.parse_multiplicative()
-        while True:
-            tok = self.peek()
-            if tok.kind == "++":
-                self.advance()
-                left = S.Append(left, self.parse_multiplicative(), span=tok.span)
-            elif tok.kind in ("+", "-"):
-                self.advance()
-                left = S.Arith(tok.kind, left, self.parse_multiplicative(), span=tok.span)
-            else:
-                return left
-
-    def parse_multiplicative(self) -> S.Expr:
+    def parse_binary(self, floor: int = 1) -> S.Expr:
+        """Precedence climbing over `S.BINARY`: the operators of level `floor`
+        and above, each with its right operand read one level higher."""
         left = self.parse_application()
         while True:
             tok = self.peek()
-            if tok.kind in ("*", "/"):
-                self.advance()
-                left = S.Arith(tok.kind, left, self.parse_application(), span=tok.span)
-            else:
+            level = S.BINARY.get(tok.kind, 0)
+            if level < floor:
                 return left
+            self.advance()
+            right = self.parse_binary(level + 1)
+            if level == 1:
+                return S.Cmp(tok.kind, left, right, span=tok.span)
+            if tok.kind == "++":
+                left = S.Append(left, right, span=tok.span)
+            else:
+                left = S.Arith(tok.kind, left, right, span=tok.span)
 
     def parse_application(self) -> S.Expr:
         tok = self.peek()

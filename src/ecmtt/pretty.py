@@ -5,7 +5,8 @@ alpha-equivalent term.  Precedence levels (looser binds lower):
 
 types   1 arrow   2 product   3 list/box prefix   4 atom
 terms   0 binder forms (fn, box, let, if, ret, binds)
-        1 comparisons   2 additive   3 multiplicative   4 application   5 atom
+        1-3 binary operators, at their levels in `syntax.BINARY`
+        4 application   5 atom
 """
 
 from __future__ import annotations
@@ -132,14 +133,12 @@ def pretty(t: S.Term, prec: int = 0) -> str:
         case S.Proj1(arg) | S.Proj2(arg):
             word = "fst" if isinstance(t, S.Proj1) else "snd"
             return _wrap(f"{word} {pretty(arg, 5)}", 4, prec)
-        case S.Append(left, right):
-            return _wrap(f"{pretty(left, 2)} ++ {pretty(right, 3)}", 2, prec)
-        case S.Arith(op, left, right):
-            if op in "+-":
-                return _wrap(f"{pretty(left, 2)} {op} {pretty(right, 3)}", 2, prec)
-            return _wrap(f"{pretty(left, 3)} {op} {pretty(right, 4)}", 3, prec)
-        case S.Cmp(op, left, right):
-            return _wrap(f"{pretty(left, 2)} {op} {pretty(right, 2)}", 1, prec)
+        case S.Append() | S.Arith() | S.Cmp():
+            op = "++" if type(t) is S.Append else t.op
+            level = S.BINARY[op]
+            # Left grouping, but a comparison takes one operator only.
+            left = pretty(t.left, level + (level == 1))
+            return _wrap(f"{left} {op} {pretty(t.right, level + 1)}", level, prec)
         case S.If(cond, then, els):
             return _wrap(
                 f"if {pretty(cond, 1)} then {pretty(then, 0)} else {pretty(els, 0)}", 0, prec

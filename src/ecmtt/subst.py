@@ -561,12 +561,9 @@ class _Engine:
         return out
 
     def handle_seq(self, c: S.Comp, theta: S.HSeq) -> S.Comp:
-        if not theta.clauses:
-            return c
-        prefix = S.HSeq(theta.clauses[:-1])
-        last = theta.clauses[-1]
-        handled = self.handle_with(self.handle_seq(c, prefix), last.handler, last.init)
-        return self.subst_monadic(handled, last.var, last.body)
+        for stage in theta.clauses:
+            c = self.subst_monadic(self.handle_with(c, stage.handler, stage.init), stage.var, stage.body)
+        return c
 
     # -- modal substitution
 

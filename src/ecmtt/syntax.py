@@ -438,6 +438,12 @@ class Cmp(Expr):
     span: Optional[Span] = None
 
 
+# The binary operators by level: a higher level binds tighter, every level
+# groups to the left, and a comparison (level 1) takes one operator only.
+# `++` builds an `Append`, `=` and `<` a `Cmp`, the rest an `Arith`.
+BINARY = {"=": 1, "<": 1, "++": 2, "+": 2, "-": 2, "*": 3, "/": 3}
+
+
 @record
 class If(Twin):
     cond: Expr

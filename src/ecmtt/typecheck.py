@@ -6,9 +6,9 @@ Expressions and computations are typed by one walk, `infer`, where an effect
 context of None marks an expression position.
 Handlers are checked against the value type and state type of the computation
 they receive, synthesizing their answer type from the return clause.  A
-handling sequence is checked right to left: each clause's prefix must produce
-its handler's theory, while the clause body and continuation live in the
-ambient theory of the sequence itself.
+handling sequence is checked left to right, one stage at a time: each stage's
+handler and body live in the theory the next stage handles, and the last
+stage's in the ambient theory of the sequence itself.
 
 The Bottom type has no introduction form, so no value of it ever exists.  It
 is treated as the least type: a Bottom-typed expression is accepted wherever
@@ -450,27 +450,26 @@ def infer_hseq(
     """Type a handling sequence applied to a computation.
 
     ``source_theory`` is the theory of the handled computation and
-    ``ambient`` the theory its final result lives in.  An empty sequence
-    requires the source to be contained in the ambient; a nonempty one types
-    its prefix under the last clause's handler theory, then that handler and
-    its continuation under the ambient.
+    ``ambient`` the theory its final result lives in.  The source must be
+    contained in the first handler's theory (the ambient, for an empty
+    sequence); each stage's handler and body live in the next one's theory,
+    the last stage's in the ambient.
     """
-    if not theta.clauses:
-        if S.theory_subset(source_theory, ambient):
-            return in_type
+    theories = [c.handler.theory for c in theta.clauses] + [ambient]
+    if not S.theory_subset(source_theory, theories[0]):
         raise TypeCheckError(
             "theory-mismatch",
             "unhandled operations remain",
             span=span,
-            expected=ambient,
+            expected=theories[0],
             found=source_theory,
         )
-    last = theta.clauses[-1]
-    prefix = S.HSeq(theta.clauses[:-1])
-    mid = infer_hseq(delta, last.handler.theory, prefix, in_type, source_theory, span=span)
-    ts = infer(delta, None, last.init)
-    sig = check_handler(delta, ambient, last.handler, mid, ts)
-    return infer(delta.with_value(last.var, sig.out_type), ambient, last.body)
+    ty = in_type
+    for clause, gamma in zip(theta.clauses, theories[1:]):
+        ts = infer(delta, None, clause.init)
+        sig = check_handler(delta, gamma, clause.handler, ty, ts)
+        ty = infer(delta.with_value(clause.var, sig.out_type), gamma, clause.body)
+    return ty
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,37 @@ def test_check_of_a_deep_sum_exits_6_naming_the_recursion_limit(tmp_path):
     assert err == f"error: input nested too deeply: recursion limit of {limit} frames reached\n"
 
 
+TRIVIAL = "handler for {} { return(x;z) -> ret x }"
+STAGES = "; ".join([f"{TRIVIAL} init () as y. ret y"] * 2000)
+
+
+@pytest.mark.parametrize(
+    "main, ran",
+    [(f"x <- handle u [{STAGES}] with {TRIVIAL} init (); ret x", "ret 7\n"), (f"eval [{STAGES}] u", "7\n")],
+    ids=["handle", "eval"],
+)
+def test_a_2000_stage_sequence_checks_and_runs(tmp_path, recursion_limit_1000, main, ran):
+    # The stages are typed and handled in a loop, one after another.
+    path = tmp_path / "stages.ecmtt"
+    path.write_text(f"let box u = box {{}}. ret 7 in {main}\n")
+    assert invoke(["check", str(path)]) == (0, "int\n", "")
+    assert invoke(["run", str(path)]) == (0, ran, "")
+
+
+def test_a_bare_statement_before_a_long_named_chain_checks_and_runs(tmp_path, recursion_limit_1000):
+    # The bare `raise();` names its result away from the free names of the
+    # 2,500 statements after it, which the parser fills as it builds them.
+    chain = "".join(f"a{i} <- get(); " for i in range(2500))
+    path = tmp_path / "chain.ecmtt"
+    path.write_text(
+        "def E = {get:unit=>int, raise:unit=>unit}\n"
+        "def h = handler for E {get(x;k;z) -> k(z;z), raise(x;k;z) -> k(();z), return(x;z) -> ret (x, z)}\n"
+        f"let box u = box E. (raise(); {chain}ret 0) in x <- handle u with h init 0; ret x\n"
+    )
+    assert invoke(["check", str(path)]) == (0, "int * int\n", "")
+    assert invoke(["run", str(path)]) == (0, "ret (0, 0)\n", "")
+
+
 def test_a_recursion_error_exits_6_naming_the_limit(monkeypatch, pipeline_file):
     def too_deep(term):
         raise RecursionError("maximum recursion depth exceeded")

@@ -8,8 +8,8 @@ through the parser's position memo; a parser whose memo keeps nothing is the
 reference for that.
 """
 
+import gc
 import random
-import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -189,14 +189,6 @@ def chain_program(pairs: int, pair: str = NAMED_PAIR) -> str:
     return PRELUDE + f"let box u = box St. ({chain}ret 0) in x <- handle u with handlerSt init 0; ret x\n"
 
 
-@pytest.fixture
-def recursion_limit_1000():
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(limit)
-
-
 @pytest.mark.parametrize("pair", [NAMED_PAIR, BARE_PAIR], ids=["named", "bare"])
 def test_a_5000_pair_chain_parses_and_typechecks_at_a_recursion_limit_of_1000(pair, recursion_limit_1000):
     # The parser and `infer` read a chain of statements in a loop, so the
@@ -262,6 +254,18 @@ def test_no_free_names_walk_without_term_definitions(monkeypatch):
     source = parse_source("def one = 1\nfn y:int. y + one")
     assert calls > 0
     assert source.main == S.Lam("y", S.INT, S.Arith("+", S.Var("y"), S.IntLit(1)))
+
+
+def test_a_parse_leaves_no_reference_cycle():
+    # `ret 1` fails as an expression before it parses as a computation; the
+    # error kept from that reading must not hold the parser's frames.
+    gc.collect()
+    gc.disable()
+    try:
+        assert parse_term("ret 1") == S.Ret(S.IntLit(1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class _Forgetful(dict):

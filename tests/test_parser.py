@@ -1,5 +1,7 @@
 """Surface syntax: parsing, definitions, diagnostics, and printing round trips."""
 
+import itertools
+
 import pytest
 
 from ecmtt import syntax as S
@@ -54,6 +56,32 @@ def test_append_is_left_associative():
     term = parse_term("[1] ++ [2] ++ [3]")
     assert isinstance(term, S.Append)
     assert isinstance(term.left, S.Append)
+
+
+# The operator levels, modelled without the parser: a higher level binds
+# tighter, every level groups to the left, a comparison takes one operator.
+LEVELS = {"=": 1, "<": 1, "++": 2, "+": 2, "-": 2, "*": 3, "/": 3}
+
+
+def _binary(op: str, left: S.Expr, right: S.Expr) -> S.Expr:
+    if op == "++":
+        return S.Append(left, right)
+    return (S.Cmp if LEVELS[op] == 1 else S.Arith)(op, left, right)
+
+
+@pytest.mark.parametrize("op1, op2", itertools.product(LEVELS, repeat=2))
+def test_two_operators_group_by_their_levels(op1, op2):
+    a, b, c = S.Var("a"), S.Var("b"), S.Var("c")
+    text = f"a {op1} b {op2} c"
+    left, right = _binary(op2, _binary(op1, a, b), c), _binary(op1, a, _binary(op2, b, c))
+    if LEVELS[op1] == LEVELS[op2] == 1:
+        with pytest.raises(ParseError) as exc:
+            parse_term(text)
+        assert str(exc.value) == f"1:7: parse error: expected end of input, found {op2!r}"
+    else:
+        assert parse_term(text) == (left if LEVELS[op1] >= LEVELS[op2] else right)
+    for term in (left, right):
+        assert alpha_equal(parse_term(pretty(term)), term), pretty(term)
 
 
 def test_list_literal_is_one_flat_node():
