@@ -54,7 +54,8 @@ class Token(NamedTuple):
 
     @property
     def span(self) -> Span:
-        return Span(self.line, self.col, len(self.text))
+        # `Span(...)` would run the NamedTuple's Python-level `__new__`.
+        return tuple.__new__(Span, (self.line, self.col, len(self.text)))
 
 
 class ParseError(Exception):

@@ -4,6 +4,9 @@
 annotates, in order, as `__match_args__`, and one generated `__init__`
 that stores each with `object.__setattr__` and then calls the class's
 `__post_init__`, if any.  Fields with defaults, from the body, come last.
+One shape, a number of fields and whether there is a `__post_init__`, is
+compiled once, as a template whose placeholder names `a0`, `a1`, ... each
+class renames to its fields: 10 compiles make the package's 55 records.
 Everything else is shared.  A field named `span`, a source position, is
 carried by the constructor and `replace` but left out of `==`, `hash`
 and `repr`; `repr` reads as a dataclass's does: `Var(name='x')`.
@@ -12,10 +15,23 @@ and `repr`; `repr` reads as a dataclass's does: `Var(name='x')`.
 from __future__ import annotations
 
 from operator import attrgetter
+from types import CodeType, FunctionType
 from typing import Callable
 
 # The one global of the generated constructors.
 _INIT_GLOBALS = {"_set": object.__setattr__}
+# The template of each shape: (number of fields, has `__post_init__`).
+_TEMPLATES: dict[tuple[int, bool], CodeType] = {}
+
+
+def _template(count: int, post_init: bool) -> CodeType:
+    slots = [f"a{i}" for i in range(count)]
+    body = [f"\n    _set(self, {f!r}, {f})" for f in slots]
+    if post_init:
+        body.append("\n    self.__post_init__()")
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(slots)}):{''.join(body) or ' pass'}", _INIT_GLOBALS, namespace)
+    return namespace["__init__"].__code__
 
 
 def reader(names: tuple[str, ...]) -> Callable[[object], tuple]:
@@ -91,13 +107,16 @@ def record(cls: type) -> type:
     defaults = tuple(cls.__dict__[f] for f in names if f in cls.__dict__)
     if any(f in cls.__dict__ for f in names[: len(names) - len(defaults)]):
         raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
-    body = [f"\n    _set(self, {f!r}, {f})" for f in names]
-    if hasattr(cls, "__post_init__"):
-        body.append("\n    self.__post_init__()")
-    namespace: dict = {}
-    exec(f"def __init__(self, {', '.join(names)}):{''.join(body) or ' pass'}", _INIT_GLOBALS, namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__defaults__ = defaults or None
+    if taken := sorted({"self", "_set"} & set(names)):
+        raise TypeError(f"{cls.__qualname__}: the constructor uses the name {taken[0]!r} for itself")
+    shape = (len(names), hasattr(cls, "__post_init__"))
+    if shape not in _TEMPLATES:
+        _TEMPLATES[shape] = _template(*shape)
+    code = _TEMPLATES[shape]
+    slots = dict(zip(code.co_varnames[1:], names))
+    consts = tuple(slots.get(c, c) for c in code.co_consts)
+    code = code.replace(co_varnames=("self", *names), co_consts=consts)
+    cls.__init__ = FunctionType(code, _INIT_GLOBALS, "__init__", defaults or None)
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__match_args__ = names
     cls._compared = tuple(f for f in names if f != "span")

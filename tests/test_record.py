@@ -1,8 +1,10 @@
 """Frozen records: field order, equality without spans, the pinned `repr`,
 immutability, `replace`, the `__post_init__` check, the `dataclasses`
-functions on records, and an import of the package that loads neither
-`dataclasses` nor `inspect`."""
+functions on records, the constructors made from one template per shape,
+and an import of the package that loads neither `dataclasses` nor
+`inspect` and compiles one constructor per shape."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -152,3 +154,122 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect(modules):
     done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+MODULES = ("syntax", "evaluator", "parser", "typecheck", "corpus", "cli")
+
+
+def _record_classes():
+    """Every class that `record()` made in the package's modules."""
+    found = []
+    for name in MODULES:
+        module = importlib.import_module(f"ecmtt.{name}")
+        for obj in vars(module).values():
+            made = isinstance(obj, type) and issubclass(obj, Record) and "__match_args__" in vars(obj)
+            if made and obj.__module__ == module.__name__:
+                found.append(obj)
+    return found
+
+
+def test_every_constructor_is_the_one_a_per_class_source_compiles_to():
+    classes = _record_classes()
+    assert len(classes) == 55
+    for cls in classes:
+        names = cls.__match_args__
+        init = cls.__init__
+        source = "".join(f"\n    _set(self, {f!r}, {f})" for f in names)
+        if hasattr(cls, "__post_init__"):
+            source += "\n    self.__post_init__()"
+        namespace: dict = {}
+        exec(f"def __init__(self, {', '.join(names)}):{source or ' pass'}", {}, namespace)
+        expected = namespace["__init__"].__code__
+        for part in ("co_code", "co_consts", "co_names", "co_varnames", "co_argcount"):
+            assert getattr(init.__code__, part) == getattr(expected, part), (cls, part)
+        defaults = tuple(cls.__dict__[f] for f in names if f in cls.__dict__)
+        assert init.__defaults__ == (defaults or None), cls
+        assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+def test_keyword_construction_of_every_field_round_trips_through_replace():
+    for cls in _record_classes():
+        # Every `__post_init__` checks a `theory`; any other value will do.
+        values = {f: S.EffectContext(()) if f == "theory" else object() for f in cls.__match_args__}
+        made = cls(**values)
+        copy = made.replace()
+        assert type(copy) is cls
+        for f, value in values.items():
+            assert getattr(made, f) is value and getattr(copy, f) is value, (cls, f)
+        for f in values:
+            changed = made.replace(**{f: values[f]})
+            assert all(getattr(changed, g) is values[g] for g in values), (cls, f)
+
+
+def test_fields_named_like_the_placeholders_keep_their_own_values():
+    @record
+    class Swapped(Record):
+        a1: int
+        a0: int = 0
+
+    both = Swapped(1, 2)
+    assert (both.a1, both.a0) == (1, 2) and vars(both) == {"a1": 1, "a0": 2}
+    assert Swapped(a0=5, a1=6).replace(a1=7) == Swapped(7, 5)
+    assert Swapped(3).a0 == 0 and repr(Swapped(3)).endswith("Swapped(a1=3, a0=0)")
+
+
+def test_a_new_shape_is_compiled_once_and_shared(monkeypatch):
+    # No record of the package has nine fields.
+    sources = []
+    real = exec
+    monkeypatch.setattr("builtins.exec", lambda source, *args: sources.append(source) or real(source, *args))
+
+    def nine(prefix: str) -> type:
+        return record(type(prefix, (Record,), {"__annotations__": {f"{prefix}{i}": int for i in range(9)}}))
+
+    first, second = nine("p"), nine("q")
+    assert len(sources) == 1 and first.__init__ is not second.__init__
+    assert vars(first(*range(9))) == {f"p{i}": i for i in range(9)}
+    assert vars(second(*range(9))) == {f"q{i}": i for i in range(9)}
+    with pytest.raises(TypeError) as info:
+        first(*range(8))
+    assert str(info.value) == "p.__init__() missing 1 required positional argument: 'p8'"
+
+
+@pytest.mark.parametrize("name", ["self", "_set"])
+def test_a_field_may_not_take_a_name_the_constructor_uses(name):
+    with pytest.raises(TypeError, match=f"Clash.*{name!r}"):
+        record(type("Clash", (Record,), {"__annotations__": {"value": int, name: int}}))
+
+
+@pytest.mark.parametrize(
+    "modules",
+    [("ecmtt.cli",), ("ecmtt.parser", "ecmtt.typecheck", "ecmtt.evaluator", "ecmtt.subst", "ecmtt.syntax", "ecmtt.pretty")],
+    ids=["cli", "layers"],
+)
+def test_an_import_compiles_one_constructor_per_shape(modules):
+    # A shape is a number of fields and whether the class has a
+    # `__post_init__`; the package's 55 record classes have 10 shapes.
+    code = (
+        "import builtins, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "sources = []\n"
+        "real = builtins.exec\n"
+        "def counting(source, *args, **kwargs):\n"
+        "    if isinstance(source, str):\n"
+        "        sources.append(source)\n"
+        "    return real(source, *args, **kwargs)\n"
+        "builtins.exec = counting\n"
+        f"import {', '.join(modules)}\n"
+        "from ecmtt.record import Record\n"
+        "classes, todo = [], Record.__subclasses__()\n"
+        "while todo:\n"
+        "    cls = todo.pop()\n"
+        "    todo.extend(cls.__subclasses__())\n"
+        "    if '__match_args__' in vars(cls):  # made by `@record`\n"
+        "        classes.append(cls)\n"
+        "shapes = {(len(c.__match_args__), hasattr(c, '__post_init__')) for c in set(classes)}\n"
+        "print(len(sources), len(shapes), len(set(classes)))\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    compiled, shapes, classes = map(int, done.stdout.split())
+    assert compiled == shapes < classes
