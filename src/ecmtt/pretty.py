@@ -1,157 +1,155 @@
-"""Printing of types, theories, and terms.
+"""Printing of terms, types and theories.
 
 The output is valid surface syntax: anything printed here re-parses to an
-alpha-equivalent term.  Precedence levels (looser binds lower):
+alpha-equivalent term.  Levels (looser binds lower; the binary operators
+at their levels in `syntax.BINARY`):
 
-types   1 arrow   2 product   3 list/box prefix   4 atom
-terms   0 binder forms (fn, box, let, if, ret, binds)
-        1-3 binary operators, at their levels in `syntax.BINARY`
-        4 application   5 atom
+0   binder forms: fn, box, let box, let fix, if, ret, binds
+1   arrow types; comparisons
+2   product types; `++`, `+`, `-`
+3   the `list` and box type prefixes; `*`, `/`; a negative literal
+4   application, `fst`, `snd`, `eval`
+5   atoms: base types, names, other literals, pairs, lists, theories,
+    handlers, handling sequences and statements
+
+`_layout` gives every node its level and its text as pieces: strings, and
+each child followed by the level it is printed at.  `pretty` lays the
+pieces out in one loop over an explicit stack, and parenthesizes a node
+where it is printed at a tighter level than its own, so printing takes no
+Python frame per level.  A child and its level are two pieces, not a pair,
+so that pending children allocate nothing the cyclic collector counts.
 """
 
 from __future__ import annotations
 
 from . import syntax as S
 
-
-def _wrap(text: str, prec: int, ctx: int) -> str:
-    return f"({text})" if prec < ctx else text
-
-
-def theory_text(ctx: S.EffectContext) -> str:
-    parts = []
-    for entry in ctx.entries:
-        if isinstance(entry, S.OpDecl):
-            parts.append(f"{entry.name}:{type_text(entry.in_type)}=>{type_text(entry.out_type)}")
-        else:
-            parts.append(
-                f"{entry.name}~:{type_text(entry.in_type)}/{type_text(entry.state_type)}"
-                f"=>{type_text(entry.out_type)}"
-            )
-    return "{" + ", ".join(parts) + "}"
+ATOM = 5
+_WORDS = {S.UnitT: "unit", S.IntT: "int", S.BoolT: "bool", S.BottomT: "bot"}
 
 
-def type_text(ty: S.Type, prec: int = 0) -> str:
-    match ty:
-        case S.UnitT():
-            return "unit"
-        case S.IntT():
-            return "int"
-        case S.BoolT():
-            return "bool"
-        case S.BottomT():
-            return "bot"
-        case S.BaseT(name):
-            return name
-        case S.ArrowT(dom, cod):
-            return _wrap(f"{type_text(dom, 2)} -> {type_text(cod, 1)}", 1, prec)
-        case S.ProdT(left, right):
-            return _wrap(f"{type_text(left, 3)} * {type_text(right, 2)}", 2, prec)
-        case S.ListT(elem):
-            return _wrap(f"list {type_text(elem, 3)}", 3, prec)
-        case S.BoxT(theory, body):
-            return _wrap(f"[ {theory_text(theory)} ] {type_text(body, 3)}", 3, prec)
-        case _:
-            raise AssertionError(f"type_text: unhandled type {ty!r}")
+def _joined(parts, sep: str) -> list:
+    """The pieces of every part, with `sep` between two parts."""
+    pieces = []
+    for part in parts:
+        pieces += part
+        pieces.append(sep)
+    return pieces[:-1]
 
 
-def _stmt_text(s: S.Stmt) -> str:
-    match s:
-        case S.OpCall(op, arg):
-            if isinstance(arg, S.UnitLit):
-                return f"{op}()"
-            return f"{op}({pretty(arg, 0)})"
-        case S.ContCall(kname, arg, state):
-            return f"{kname}({pretty(arg, 0)}; {pretty(state, 0)})"
-        case S.Handle(uvar, hseq, handler, init):
-            seq = "" if not hseq.clauses else f" [{_hseq_text(hseq)}]"
-            return f"handle {uvar}{seq} with {_handler_text(handler)} init {pretty(init, 5)}"
-        case _:
-            raise AssertionError(f"_stmt_text: unhandled statement {s!r}")
-
-
-def _clause_body_text(c: S.Comp) -> str:
-    # Handling-sequence clause bodies are parenthesized when they contain a
-    # bind, since the bind separator would otherwise collide with the clause
-    # separator.
-    text = pretty(c, 0)
-    if isinstance(c, S.Bind):
-        return f"({text})"
-    return text
-
-
-def _hseq_text(hseq: S.HSeq) -> str:
-    parts = []
-    for clause in hseq.clauses:
-        parts.append(
-            f"{_handler_text(clause.handler)} init {pretty(clause.init, 5)}"
-            f" as {clause.var}. {_clause_body_text(clause.body)}"
-        )
-    return "; ".join(parts)
-
-
-def _handler_text(h: S.Handler) -> str:
-    clauses = []
-    for c in h.op_clauses:
-        clauses.append(f"{c.op}({c.x}; {c.k}; {c.z}) -> {pretty(c.body, 0)}")
-    r = h.ret_clause
-    clauses.append(f"return({r.x}; {r.z}) -> {pretty(r.body, 0)}")
-    return f"handler for {theory_text(h.theory)} {{ {', '.join(clauses)} }}"
-
-
-def pretty(t: S.Term, prec: int = 0) -> str:
-    match t:
-        case S.Var(name):
-            return name
-        case S.IntLit(value):
-            # A negative literal reads as an operand of binary minus in
-            # argument position, so it gets parens anywhere tighter than a
-            # multiplication operand.
-            return _wrap(S.int_text(value), 5 if value >= 0 else 3, prec)
-        case S.BoolLit(value):
-            return "true" if value else "false"
-        case S.UnitLit():
-            return "()"
-        case S.Pair(left, right):
-            return f"({pretty(left, 0)}, {pretty(right, 0)})"
-        case S.ListE(elems):
-            return "[" + ", ".join(pretty(e, 0) for e in elems) + "]"
-        case S.Lam(param, annot, body):
-            return _wrap(f"fn {param}:{type_text(annot)}. {pretty(body, 0)}", 0, prec)
-        case S.App(fn, arg):
-            return _wrap(f"{pretty(fn, 4)} {pretty(arg, 5)}", 4, prec)
-        case S.BoxTerm(theory, body):
-            return _wrap(f"box {theory_text(theory)}. {pretty(body, 0)}", 0, prec)
-        case S.LetBox(uvar, bound, body):
-            return _wrap(f"let box {uvar} = {pretty(bound, 0)} in {pretty(body, 0)}", 0, prec)
-        case S.EvalTerm(hseq, uvar):
-            seq = "" if not hseq.clauses else f"[{_hseq_text(hseq)}] "
-            return _wrap(f"eval {seq}{uvar}", 4, prec)
-        case S.Fix(fname, param, annot, theory, ret_type, rec_body, scope):
-            head = f"let fix {fname}({param}:{type_text(annot)}):[ {theory_text(theory)} ] {type_text(ret_type, 3)}"
-            return _wrap(f"{head} = {pretty(rec_body, 0)} in {pretty(scope, 0)}", 0, prec)
-        case S.Proj1(arg) | S.Proj2(arg):
-            word = "fst" if isinstance(t, S.Proj1) else "snd"
-            return _wrap(f"{word} {pretty(arg, 5)}", 4, prec)
-        case S.Append() | S.Arith() | S.Cmp():
+def _layout(t: S.Term | S.Type | S.EffectContext) -> tuple[int, list]:
+    """The level of `t` and its text as pieces."""
+    # Each case compares the class itself, which is faster than a class
+    # pattern's `isinstance`; the most frequent classes come first.
+    match type(t):
+        case S.Var:
+            return ATOM, [t.name]
+        case S.IntLit:
+            # A negative literal in argument position would read as binary
+            # minus: parens anywhere tighter than a multiplication operand.
+            return ATOM if t.value >= 0 else 3, [S.int_text(t.value)]
+        case S.Append | S.Arith | S.Cmp:
             op = "++" if type(t) is S.Append else t.op
             level = S.BINARY[op]
             # Left grouping, but a comparison takes one operator only.
-            left = pretty(t.left, level + (level == 1))
-            return _wrap(f"{left} {op} {pretty(t.right, level + 1)}", level, prec)
-        case S.If(cond, then, els):
-            return _wrap(
-                f"if {pretty(cond, 1)} then {pretty(then, 0)} else {pretty(els, 0)}", 0, prec
+            return level, [t.left, level + (level == 1), f" {op} ", t.right, level + 1]
+        case S.Ret:
+            return 0, ["ret ", t.value, 1]
+        case S.Bind:
+            return 0, [f"{t.var} <- ", t.stmt, 0, "; ", t.rest, 0]
+        case S.BoolLit:
+            return ATOM, ["true" if t.value else "false"]
+        case S.UnitLit:
+            return ATOM, ["()"]
+        case S.Pair:
+            return ATOM, ["(", t.left, 0, ", ", t.right, 0, ")"]
+        case S.UnitT | S.IntT | S.BoolT | S.BottomT:
+            return ATOM, [_WORDS[type(t)]]
+        case S.EffectContext:
+            decls = [
+                [f"{e.name}:", e.in_type, 0, "=>", e.out_type, 0] if isinstance(e, S.OpDecl)
+                else [f"{e.name}~:", e.in_type, 0, "/", e.state_type, 0, "=>", e.out_type, 0]
+                for e in t.entries
+            ]
+            return ATOM, ["{", *_joined(decls, ", "), "}"]
+        case S.ListE:
+            return ATOM, ["[", *_joined(((e, 0) for e in t.elems), ", "), "]"]
+        case S.If:
+            return 0, ["if ", t.cond, 1, " then ", t.then, 0, " else ", t.els, 0]
+        case S.App:
+            return 4, [t.fn, 4, " ", t.arg, 5]
+        case S.Lam:
+            return 0, [f"fn {t.param}:", t.annot, 0, ". ", t.body, 0]
+        case S.BoxTerm:
+            return 0, ["box ", t.theory, 0, ". ", t.body, 0]
+        case S.LetBox:
+            return 0, [f"let box {t.uvar} = ", t.bound, 0, " in ", t.body, 0]
+        case S.Proj1 | S.Proj2:
+            return 4, ["fst " if isinstance(t, S.Proj1) else "snd ", t.arg, 5]
+        case S.OpCall:
+            return ATOM, [f"{t.op}()"] if isinstance(t.arg, S.UnitLit) else [f"{t.op}(", t.arg, 0, ")"]
+        case S.ContCall:
+            return ATOM, [f"{t.kname}(", t.arg, 0, "; ", t.state, 0, ")"]
+        case S.Handle:
+            seq = [" [", t.hseq, 0, "]"] if t.hseq.clauses else []
+            return ATOM, [f"handle {t.uvar}", *seq, " with ", t.handler, 0, " init ", t.init, 5]
+        case S.Handler:
+            clauses = [[f"{c.op}({c.x}; {c.k}; {c.z}) -> ", c.body, 0] for c in t.op_clauses]
+            r = t.ret_clause
+            clauses.append([f"return({r.x}; {r.z}) -> ", r.body, 0])
+            return ATOM, ["handler for ", t.theory, 0, " { ", *_joined(clauses, ", "), " }"]
+        case S.HSeq:
+            # A bind as a clause body is parenthesized: its `;` would end the clause.
+            parts = (
+                [c.handler, 0, " init ", c.init, 5, f" as {c.var}. "]
+                + (["(", c.body, 0, ")"] if isinstance(c.body, S.Bind) else [c.body, 0])
+                for c in t.clauses
             )
-        case S.Ret(value):
-            return _wrap(f"ret {pretty(value, 1)}", 0, prec)
-        case S.Bind(stmt, var, rest):
-            return _wrap(f"{var} <- {_stmt_text(stmt)}; {pretty(rest, 0)}", 0, prec)
-        case S.OpCall() | S.ContCall() | S.Handle():
-            return _stmt_text(t)
-        case S.Handler():
-            return _handler_text(t)
-        case S.HSeq():
-            return _hseq_text(t)
+            return ATOM, _joined(parts, "; ")
+        case S.EvalTerm:
+            return 4, ["eval [", t.hseq, 0, f"] {t.uvar}"] if t.hseq.clauses else [f"eval {t.uvar}"]
+        case S.Fix:
+            head = [f"let fix {t.fname}({t.param}:", t.annot, 0, "):[ ", t.theory, 0, " ] ", t.ret_type, 3]
+            return 0, [*head, " = ", t.rec_body, 0, " in ", t.scope, 0]
+        case S.BaseT:
+            return ATOM, [t.name]
+        case S.ArrowT:
+            return 1, [t.dom, 2, " -> ", t.cod, 1]
+        case S.ProdT:
+            return 2, [t.left, 3, " * ", t.right, 2]
+        case S.ListT:
+            return 3, ["list ", t.elem, 3]
+        case S.BoxT:
+            return 3, ["[ ", t.theory, 0, " ] ", t.body, 3]
         case _:
             raise AssertionError(f"pretty: unhandled node {t!r}")
+
+
+def pretty(t: S.Term | S.Type | S.EffectContext, prec: int = 0) -> str:
+    """The text of `t`, parenthesized if its level is looser than `prec`."""
+    # The pieces are taken from the right, so `out` holds the text backwards.
+    out = []
+    todo: list = [t, prec]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        node = todo.pop()  # `piece` is the level `node` is printed at
+        level, pieces = _layout(node)
+        if level < piece:
+            todo += ["(", *pieces, ")"]
+        elif len(pieces) == 1:  # a leaf: its one piece is its text
+            out.append(pieces[0])
+        else:
+            todo += pieces
+    out.reverse()
+    return "".join(out)
+
+
+def type_text(ty: S.Type, prec: int = 0) -> str:
+    return pretty(ty, prec)
+
+
+def theory_text(ctx: S.EffectContext) -> str:
+    return pretty(ctx)

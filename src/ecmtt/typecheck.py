@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from . import syntax as S
-from .pretty import theory_text, type_text
+from .pretty import pretty
 from .record import Record, record
 from .syntax import EMPTY_THEORY, EffectContext, ModalContext, Span, Type
 
@@ -58,11 +58,7 @@ ERROR_KINDS = frozenset(
 
 
 def _side(t: Union[Type, EffectContext, str]) -> str:
-    if isinstance(t, S.Type):
-        return type_text(t)
-    if isinstance(t, S.EffectContext):
-        return theory_text(t)
-    return str(t)
+    return pretty(t) if isinstance(t, (Type, EffectContext)) else str(t)
 
 
 class TypeCheckError(Exception):

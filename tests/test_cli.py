@@ -579,3 +579,20 @@ def test_a_factorial_past_the_conversion_limit_prints(tmp_path):
     assert (code, err) == (0, "")
     assert out == _digits(math.factorial(1800)) + "\n"
     assert len(out) > 5000
+
+
+def test_trace_of_a_deep_factorial_prints_to_its_value(tmp_path):
+    # Each pending multiplication nests the printed term one level deeper,
+    # and printing takes no frame per level, so every step prints.
+    sample = Path(__file__).resolve().parent.parent / "samples" / "factorial.ecmtt"
+    path = tmp_path / "fact.ecmtt"
+    path.write_text(sample.read_text().replace("fact 3", "fact 200"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        code, out, err = invoke(["trace", str(path)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1007
+    assert out.endswith(f"\n{math.factorial(200)}\n")
