@@ -128,6 +128,17 @@ def _same_definition(a: tuple, b: tuple) -> bool:
     return a[0] == b[0] and a[1] == b[1] and all(x is y for x, y in zip(a[2:], b[2:]))
 
 
+# The redexes that their class's smart constructor folds, each with the rule
+# of the fold and the reason the term is stuck when it does not fold.
+_FOLDS = {
+    S.Proj1: ("proj-fst", "projection from a non-pair"),
+    S.Proj2: ("proj-snd", "projection from a non-pair"),
+    S.Append: ("append", "append of non-list values"),
+    S.Arith: ("arith", "arithmetic on non-integers"),
+    S.Cmp: ("cmp", "comparison of non-integers"),
+}
+
+
 def _contract(t: S.Term) -> tuple[S.Term, str]:
     """The contractum and rule of a redex: a non-value whose evaluated
     children are values.  Raises _StuckError when no rule applies."""
@@ -148,27 +159,15 @@ def _contract(t: S.Term) -> tuple[S.Term, str]:
             if isinstance(cond, S.BoolLit):
                 return (a, "if-true") if cond.value else (b, "if-false")
             raise _StuckError("conditional on a non-boolean")
-        case S.Proj1(a) | S.Proj2(a):
-            if isinstance(a, S.Pair):
-                return (a.left, "proj-fst") if isinstance(t, S.Proj1) else (a.right, "proj-snd")
-            raise _StuckError("projection from a non-pair")
-        case S.Append(l, r):
-            folded = subst.mk_append(l, r, span=t.span)
-            if isinstance(folded, S.Append):
-                raise _StuckError("append of non-list values")
-            return folded, "append"
-        case S.Arith(op, l, r):
-            if op == "/" and isinstance(r, S.IntLit) and r.value == 0:
+        case _ if type(t) in _FOLDS:
+            cls = type(t)
+            if cls is S.Arith and t.op == "/" and isinstance(t.right, S.IntLit) and t.right.value == 0:
                 raise _StuckError("division-by-zero")
-            folded = subst.mk_arith(op, l, r, span=t.span)
-            if isinstance(folded, S.Arith):
-                raise _StuckError("arithmetic on non-integers")
-            return folded, "arith"
-        case S.Cmp(op, l, r):
-            folded = subst.mk_cmp(op, l, r, span=t.span)
-            if isinstance(folded, S.Cmp):
-                raise _StuckError("comparison of non-integers")
-            return folded, "cmp"
+            folded = subst._BUILD[cls](*subst._READ[cls](t))
+            rule, reason = _FOLDS[cls]
+            if type(folded) is cls:
+                raise _StuckError(reason)
+            return folded, rule
         case S.EvalTerm():
             raise _StuckError("eval of an unresolved box variable")
         case S.Bind(stmt, _, _):

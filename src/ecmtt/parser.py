@@ -16,15 +16,16 @@ reads as an expression but fails as a computation beyond the point where
 the expression ended reports the computation's error; when both readings
 fail, the one that got further reports.  Everywhere else the grammar fixes
 the category.  `parse_comp` reads a chain of binds, `;` sequences and twins
-in a loop, so a chain of any length takes one Python frame, and
+in a loop, so a chain of any length takes one Python frame.
 `parse_binary` reads the binary operators by precedence climbing over the
-level table `syntax.BINARY`.
+level table `syntax.BINARY`, and `parse_type` the type operators the same
+way over `syntax.TYPE_BINARY`.  `_sep` reads every separated list.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Optional, TypeVar, Union
+from typing import Callable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 from . import syntax as S
 from .record import Record, record
@@ -32,8 +33,8 @@ from .syntax import Span
 
 KEYWORDS = frozenset(
     "fn box let in ret handle with init as eval fix if then else return "
-    "handler for fst snd true false unit int bool bot list def".split()
-)
+    "handler for fst snd true false list def".split()
+) | frozenset(S.TYPE_WORDS)
 
 PUNCT2 = ("->", "=>", "<-", "++")
 PUNCT1 = "()[]{}.,;:=<+-*/"
@@ -43,7 +44,7 @@ _KINDS = {k: k for k in (*KEYWORDS, *PUNCT2, *PUNCT1)}
 
 # One lexeme of a line: blanks, a comment, a number (`\d` is a decimal digit,
 # as int() wants), a word, a two-character mark, or any one character.
-_LEXEME = r"[ \t\r]+|--.*|\d+|\w[\w']*|->|=>|<-|\+\+|."
+_LEXEME = "|".join((r"[ \t\r]+", "--.*", r"\d+", r"\w[\w']*", *map(re.escape, PUNCT2), "."))
 
 
 class Token(NamedTuple):
@@ -157,12 +158,23 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str = "") -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            want = what or f"'{kind}'"
-            found = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {want}, found {found!r}", tok.span)
+        if not self.at(kind):
+            raise self._expected(what or f"'{kind}'")
         return self.advance()
+
+    def _expected(self, what: str) -> ParseError:
+        """The error at the next token, which is not the `what` wanted."""
+        tok = self.peek()
+        return ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
+
+    def _sep(self, item: Callable[[], _T], sep: str) -> Iterator[_T]:
+        """The items `item` reads with `sep` between two, the inverse of
+        `pretty._joined`: each is yielded before the next is read, so the
+        caller can reject it first."""
+        yield item()
+        while self.at(sep):
+            self.advance()
+            yield item()
 
     def _attempt(self, f: Callable[[], _T]) -> tuple[Optional[_T], int, Optional[ParseError]]:
         start = self.pos
@@ -178,47 +190,30 @@ class _Parser:
 
     # -- types
 
-    def parse_type(self) -> S.Type:
-        left = self.parse_type_prod()
-        if self.at("->"):
-            self.advance()
-            return S.ArrowT(left, self.parse_type())
-        return left
-
-    def parse_type_prod(self) -> S.Type:
+    def parse_type(self, floor: int = 1) -> S.Type:
+        """Precedence climbing over `S.TYPE_BINARY` from level `floor` up; a
+        right operand is read at its operator's own level: right grouping."""
         left = self.parse_type_prefix()
-        if self.at("*"):
+        while True:
+            tok = self.peek()
+            level = S.TYPE_BINARY.get(tok.kind, 0)
+            if level < floor:
+                return left
             self.advance()
-            return S.ProdT(left, self.parse_type_prod())
-        return left
+            right = self.parse_type(level)
+            left = S.ArrowT(left, right) if tok.kind == "->" else S.ProdT(left, right)
 
     def parse_type_prefix(self) -> S.Type:
         tok = self.peek()
-        if tok.kind == "list":
-            self.advance()
-            return S.ListT(self.parse_type_prefix())
-        if tok.kind == "[":
-            self.advance()
-            theory = self.parse_theory_ref()
-            self.expect("]")
-            return S.BoxT(theory, self.parse_type_prefix())
-        return self.parse_type_atom()
-
-    def parse_type_atom(self) -> S.Type:
-        tok = self.peek()
         match tok.kind:
-            case "unit":
+            case "list":
                 self.advance()
-                return S.UNIT
-            case "int":
+                return S.ListT(self.parse_type_prefix())
+            case "[":
                 self.advance()
-                return S.INT
-            case "bool":
-                self.advance()
-                return S.BOOL
-            case "bot":
-                self.advance()
-                return S.BOTTOM
+                theory = self.parse_theory_ref()
+                self.expect("]")
+                return S.BoxT(theory, self.parse_type_prefix())
             case "ident":
                 self.advance()
                 return S.BaseT(tok.text)
@@ -227,8 +222,10 @@ class _Parser:
                 ty = self.parse_type()
                 self.expect(")")
                 return ty
-            case _:
-                raise ParseError(f"expected a type, found {tok.text or 'end of input'!r}", tok.span)
+            case kind if kind in S.TYPE_WORDS:
+                self.advance()
+                return S.TYPE_WORDS[kind]
+        raise self._expected("a type")
 
     # -- theories and handlers
 
@@ -236,21 +233,19 @@ class _Parser:
         self.expect("{")
         ops: list[S.OpDecl] = []
         if not self.at("}"):
-            while True:
-                name = self.expect("ident", "an operation name")
-                self.expect(":")
-                in_type = self.parse_type()
-                self.expect("=>")
-                out_type = self.parse_type()
+            for name, in_type, out_type in self._sep(self.parse_op_decl, ","):
                 if any(o.name == name.text for o in ops):
                     raise ParseError(f"duplicate operation {name.text!r} in theory", name.span)
                 ops.append(S.OpDecl(name.text, in_type, out_type))
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
         self.expect("}")
         return S.make_theory(ops)
+
+    def parse_op_decl(self) -> tuple[Token, S.Type, S.Type]:
+        name = self.expect("ident", "an operation name")
+        self.expect(":")
+        in_type = self.parse_type()
+        self.expect("=>")
+        return name, in_type, self.parse_type()
 
     def _ref(self, start: str, literal: Callable[[], _T], what: str, named: dict[str, _T]) -> _T:
         """A theory or a handler: a literal, read by `literal` when the next
@@ -276,23 +271,7 @@ class _Parser:
         self.expect("{")
         op_clauses: list[S.OpClause] = []
         ret_clause: Optional[S.RetClause] = None
-        while True:
-            # `return(x; z) -> c` or `op(x; k; z) -> c`
-            tok = self.peek()
-            if tok.kind not in ("return", "ident"):
-                raise ParseError(
-                    f"expected an operation clause or return clause, found {tok.text!r}",
-                    tok.span,
-                )
-            self.advance()
-            self.expect("(")
-            names = [self.expect("ident").text]
-            while len(names) < (2 if tok.kind == "return" else 3):
-                self.expect(";")
-                names.append(self.expect("ident").text)
-            self.expect(")")
-            self.expect("->")
-            body = self.parse_comp()
+        for tok, names, body in self._sep(self.parse_clause, ","):
             if tok.kind == "return":
                 if ret_clause is not None:
                     raise ParseError("a handler has exactly one return clause", tok.span)
@@ -301,31 +280,48 @@ class _Parser:
                 if any(c.op == tok.text for c in op_clauses):
                     raise ParseError(f"duplicate clause for operation {tok.text!r}", tok.span)
                 op_clauses.append(S.OpClause(tok.text, *names, body))
-            if self.at(","):
-                self.advance()
-                continue
-            break
         close = self.expect("}")
         if ret_clause is None:
             raise ParseError("a handler needs a return clause", close.span)
         return S.Handler(theory, tuple(op_clauses), ret_clause, span=start.span)
 
-    def parse_hseq_clauses(self) -> S.HSeq:
-        clauses: list[S.HClause] = []
-        while True:
-            handler = self.parse_handler_ref()
-            self.expect("init")
-            init = self.parse_atom()
-            self.expect("as")
-            var = self.expect("ident").text
-            self.expect(".")
-            body = self.parse_comp()
-            clauses.append(S.HClause(handler, init, var, body))
-            if self.at(";"):
-                self.advance()
-                continue
-            break
-        return S.HSeq(tuple(clauses))
+    def parse_clause(self) -> tuple[Token, list[str], S.Comp]:
+        """`return(x; z) -> c` or `op(x; k; z) -> c`: its first token, its
+        names and its body."""
+        tok = self.peek()
+        if tok.kind not in ("return", "ident"):
+            raise ParseError(
+                f"expected an operation clause or return clause, found {tok.text!r}",
+                tok.span,
+            )
+        self.advance()
+        self.expect("(")
+        names = [self.expect("ident").text]
+        while len(names) < (2 if tok.kind == "return" else 3):
+            self.expect(";")
+            names.append(self.expect("ident").text)
+        self.expect(")")
+        self.expect("->")
+        return tok, names, self.parse_comp()
+
+    def parse_hseq(self) -> S.HSeq:
+        """The handling sequence of `handle` and `eval`: none, or its stages
+        in brackets."""
+        if not self.at("["):
+            return S.EMPTY_HSEQ
+        self.advance()
+        hseq = S.HSeq(tuple(self._sep(self.parse_stage, ";")))
+        self.expect("]")
+        return hseq
+
+    def parse_stage(self) -> S.HClause:
+        handler = self.parse_handler_ref()
+        self.expect("init")
+        init = self.parse_atom()
+        self.expect("as")
+        var = self.expect("ident").text
+        self.expect(".")
+        return S.HClause(handler, init, var, self.parse_comp())
 
     # -- statements
 
@@ -334,11 +330,7 @@ class _Parser:
         if tok.kind == "handle":
             self.advance()
             uvar = self.expect("ident", "a box variable").text
-            hseq = S.EMPTY_HSEQ
-            if self.at("["):
-                self.advance()
-                hseq = self.parse_hseq_clauses()
-                self.expect("]")
+            hseq = self.parse_hseq()
             self.expect("with")
             handler = self.parse_handler_ref()
             self.expect("init")
@@ -358,7 +350,7 @@ class _Parser:
                 return S.ContCall(tok.text, first, state, span=tok.span)
             self.expect(")")
             return S.OpCall(tok.text, first, span=tok.span)
-        raise ParseError(f"expected a statement, found {tok.text or 'end of input'!r}", tok.span)
+        raise self._expected("a statement")
 
     def _starts_stmt(self) -> bool:
         return self.at("handle") or (self.at("ident") and self.at("(", 1))
@@ -403,9 +395,7 @@ class _Parser:
                     self.advance()
                     holes.append((_bind_fresh, (stmt,), tok.span))
                 case _:
-                    raise ParseError(
-                        f"expected a computation, found {tok.text or 'end of input'!r}", tok.span
-                    )
+                    raise self._expected("a computation")
         # Bare and pure holes read the free names of the rest: below the
         # outermost one, fill them node by node so no read recurses.
         fill = next((i for i, h in enumerate(holes) if h[0] in (_bind_fresh, _bind_pure)), len(holes))
@@ -444,14 +434,13 @@ class _Parser:
         annot = self.parse_type()
         self.expect(")")
         self.expect(":")
-        self.expect("[", "a boxed return type")
-        theory = self.parse_theory_ref()
-        self.expect("]")
-        ret_type = self.parse_type_prefix()
+        if not self.at("["):
+            raise self._expected("a boxed return type")
+        boxed = self.parse_type_prefix()
         self.expect("=")
         rec_body = self.parse_comp()
         self.expect("in")
-        return S.Fix, (fname, param, annot, theory, ret_type, rec_body), tok.span
+        return S.Fix, (fname, param, annot, boxed.theory, boxed.body, rec_body), tok.span
 
     # -- expressions
 
@@ -517,11 +506,7 @@ class _Parser:
             return proj(self.parse_atom(), span=tok.span)
         if tok.kind == "eval":
             self.advance()
-            hseq = S.EMPTY_HSEQ
-            if self.at("["):
-                self.advance()
-                hseq = self.parse_hseq_clauses()
-                self.expect("]")
+            hseq = self.parse_hseq()
             uvar = self.expect("ident", "a box variable").text
             return S.EvalTerm(hseq, uvar, span=tok.span)
         expr = self.parse_atom()
@@ -565,18 +550,11 @@ class _Parser:
                 return first
             case "[":
                 self.advance()
-                elems: list[S.Expr] = []
-                if not self.at("]"):
-                    elems.append(self.parse_expr())
-                    while self.at(","):
-                        self.advance()
-                        elems.append(self.parse_expr())
+                elems = () if self.at("]") else tuple(self._sep(self.parse_expr, ","))
                 self.expect("]")
-                return S.ListE(tuple(elems), span=tok.span)
+                return S.ListE(elems, span=tok.span)
             case _:
-                raise ParseError(
-                    f"expected an expression, found {tok.text or 'end of input'!r}", tok.span
-                )
+                raise self._expected("an expression")
 
     # -- whole terms
 

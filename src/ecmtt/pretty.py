@@ -1,8 +1,8 @@
 """Printing of terms, types and theories.
 
 The output is valid surface syntax: anything printed here re-parses to an
-alpha-equivalent term.  Levels (looser binds lower; the binary operators
-at their levels in `syntax.BINARY`):
+alpha-equivalent term.  Levels (looser binds lower; the operators at
+their levels in `syntax.BINARY` and `syntax.TYPE_BINARY`):
 
 0   binder forms: fn, box, let box, let fix, if, ret, binds
 1   arrow types; comparisons
@@ -25,7 +25,8 @@ from __future__ import annotations
 from . import syntax as S
 
 ATOM = 5
-_WORDS = {S.UnitT: "unit", S.IntT: "int", S.BoolT: "bool", S.BottomT: "bot"}
+# The keyword of each type written as one, by class.
+_TYPE_WORD = {type(ty): word for word, ty in S.TYPE_WORDS.items()}
 
 
 def _joined(parts, sep: str) -> list:
@@ -63,8 +64,6 @@ def _layout(t: S.Term | S.Type | S.EffectContext) -> tuple[int, list]:
             return ATOM, ["()"]
         case S.Pair:
             return ATOM, ["(", t.left, 0, ", ", t.right, 0, ")"]
-        case S.UnitT | S.IntT | S.BoolT | S.BottomT:
-            return ATOM, [_WORDS[type(t)]]
         case S.EffectContext:
             decls = [
                 [f"{e.name}:", e.in_type, 0, "=>", e.out_type, 0] if isinstance(e, S.OpDecl)
@@ -113,14 +112,17 @@ def _layout(t: S.Term | S.Type | S.EffectContext) -> tuple[int, list]:
             return 0, [*head, " = ", t.rec_body, 0, " in ", t.scope, 0]
         case S.BaseT:
             return ATOM, [t.name]
-        case S.ArrowT:
-            return 1, [t.dom, 2, " -> ", t.cod, 1]
-        case S.ProdT:
-            return 2, [t.left, 3, " * ", t.right, 2]
+        case S.ArrowT | S.ProdT:
+            op, left, right = ("->", t.dom, t.cod) if type(t) is S.ArrowT else ("*", t.left, t.right)
+            level = S.TYPE_BINARY[op]
+            # Right grouping: the left operand is printed one level tighter.
+            return level, [left, level + 1, f" {op} ", right, level]
         case S.ListT:
             return 3, ["list ", t.elem, 3]
         case S.BoxT:
             return 3, ["[ ", t.theory, 0, " ] ", t.body, 3]
+        case _ if type(t) in _TYPE_WORD:
+            return ATOM, [_TYPE_WORD[type(t)]]
         case _:
             raise AssertionError(f"pretty: unhandled node {t!r}")
 

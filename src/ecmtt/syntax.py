@@ -97,6 +97,12 @@ INT = IntT()
 BOOL = BoolT()
 BOTTOM = BottomT()
 
+# The types written as one keyword, and the type operators by level: a
+# higher level binds tighter, both group to the right, and the `list` and
+# box prefixes bind tighter still.  `->` builds an `ArrowT`, `*` a `ProdT`.
+TYPE_WORDS = {"unit": UNIT, "int": INT, "bool": BOOL, "bot": BOTTOM}
+TYPE_BINARY = {"->": 1, "*": 2}
+
 
 # ---------------------------------------------------------------------------
 # Effect contexts and theories

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import runpy
 import sys
 from pathlib import Path
 
@@ -473,6 +474,31 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
         invoke(["frobnicate"])
     assert exc.value.code == 7
     assert "invalid choice" in capsys.readouterr().err
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _sample_argv(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ecmtt", "check", str(SAMPLES / "incr_pipeline.ecmtt")])
+
+
+def test_the_console_script_exits_with_the_status_of_main(monkeypatch, capsys):
+    _sample_argv(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main_entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == "int * int"
+
+
+def test_python_dash_m_runs_the_command_line(monkeypatch, capsys):
+    _sample_argv(monkeypatch)
+    # A fresh `ecmtt.__main__` each time, as `python -m ecmtt` would run it.
+    monkeypatch.delitem(sys.modules, "ecmtt.__main__", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ecmtt", run_name="__main__", alter_sys=True)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == "int * int"
 
 
 # ---------------------------------------------------------------------------

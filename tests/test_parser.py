@@ -407,3 +407,108 @@ def test_statements_sequences_types_and_terms_print_on_their_own():
     # A clause is printed only as a part of its handler.
     with pytest.raises(AssertionError, match="unhandled node"):
         pretty(term.stmt.handler.ret_clause)
+
+
+# The type grammar: `->` loosest, then `*`, both grouping to the right, then
+# the `list` and `[Ψ]` prefixes, whose operand is again a prefix type.
+
+
+def test_product_groups_to_the_right():
+    unit = S.UNIT
+    assert parse_type("unit*unit*unit") == S.ProdT(unit, S.ProdT(unit, unit))
+
+
+def test_products_and_prefixes_around_arrows():
+    assert parse_type("int * int -> bool * unit -> int") == S.ArrowT(
+        S.ProdT(S.INT, S.INT), S.ArrowT(S.ProdT(S.BOOL, S.UNIT), S.INT)
+    )
+    assert parse_type("list int * [{}] int -> bot") == S.ArrowT(
+        S.ProdT(S.ListT(S.INT), S.BoxT(S.EMPTY_THEORY, S.INT)), S.BOTTOM
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # The return type of `let fix` is a prefix type: a product needs parens.
+        (
+            "let fix f(n:int):[{}] int * int = ret (n, n) in f",
+            "1:27: parse error: expected '=', found '*'",
+        ),
+        ("let fix f(n:int): int = ret n in f", "1:19: parse error: expected a boxed return type, found 'int'"),
+        ("let fix f(n:int):[{}] = ret n in f", "1:23: parse error: expected a type, found '='"),
+        ("fn x: . x", "1:7: parse error: expected a type, found '.'"),
+        ("fn x:int -> . x", "1:13: parse error: expected a type, found '.'"),
+        ("fn x:int -> -> int. x", "1:13: parse error: expected a type, found '->'"),
+        ("fn x:[{}]. x", "1:10: parse error: expected a type, found '.'"),
+    ],
+)
+def test_type_errors_keep_their_texts_and_columns(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert str(exc.value) == message
+
+
+def _type_forms(inner: S.Type) -> list[S.Type]:
+    """Every type operator with `inner` in each of its operand positions."""
+    return [
+        S.ArrowT(inner, S.INT),
+        S.ArrowT(S.INT, inner),
+        S.ProdT(inner, S.BOOL),
+        S.ProdT(S.BOOL, inner),
+        S.ListT(inner),
+        S.BoxT(S.EMPTY_THEORY, inner),
+    ]
+
+
+@pytest.mark.parametrize("ty", [outer for inner in _type_forms(S.UNIT) for outer in _type_forms(inner)])
+def test_each_pair_of_type_operators_prints_and_parses_back(ty):
+    assert parse_type(type_text(ty)) == ty
+
+
+# Separated lists: a separator must be followed by an item, and a missing
+# separator ends the list.
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_source, "def T = {a:int=>int,}", "1:21: parse error: expected an operation name, found '}'"),
+        (parse_source, "def T = {a:int=>int b:int=>int}", "1:21: parse error: expected '}', found 'b'"),
+        (parse_term, "[1,]", "1:4: parse error: expected an expression, found ']'"),
+        (parse_term, "[,]", "1:2: parse error: expected an expression, found ','"),
+        (
+            parse_handler,
+            "handler for {} { return(x;z) -> ret x, }",
+            "1:40: parse error: expected an operation clause or return clause, found '}'",
+        ),
+        (
+            parse_source,
+            "def h = handler for {} { return(x;z) -> ret x }\n"
+            "let box u = box {}. ret 0 in (y <- handle u [h init 0 as x. ret x;] with h init 0; ret y)",
+            "2:67: parse error: expected a handler, found ']'",
+        ),
+        (
+            parse_source,
+            "def h = handler for {} { return(x;z) -> ret x }\n"
+            "let box u = box {}. ret 0 in eval [h init 0 as x. ret x;] u",
+            "2:57: parse error: expected a handler, found ']'",
+        ),
+        # A duplicate is reported before the item after it is read.
+        (parse_source, "def T = {a:int=>int, a:int=>int, 1}", "1:22: parse error: duplicate operation 'a' in theory"),
+        (
+            parse_handler,
+            "handler for {a:unit=>int} { a(x;k;z) -> ret x, a(x;k;z) -> ret x, 1 }",
+            "1:48: parse error: duplicate clause for operation 'a'",
+        ),
+        (
+            parse_handler,
+            "handler for {} { return(x;z) -> ret x, return(x;z) -> ret x, 1 }",
+            "1:40: parse error: a handler has exactly one return clause",
+        ),
+    ],
+)
+def test_separated_list_errors_keep_their_texts(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
