@@ -163,7 +163,7 @@ def _contract(t: S.Term) -> tuple[S.Term, str]:
             cls = type(t)
             if cls is S.Arith and t.op == "/" and isinstance(t.right, S.IntLit) and t.right.value == 0:
                 raise _StuckError("division-by-zero")
-            folded = subst._BUILD[cls](*subst._READ[cls](t))
+            folded = subst._BUILD[cls](*S.SCHEMA[cls].read(t))
             rule, reason = _FOLDS[cls]
             if type(folded) is cls:
                 raise _StuckError(reason)
@@ -189,9 +189,9 @@ def _plug(parent: Union[S.Term, _Elems], i: int, child: S.Term) -> Union[S.Term,
     if cls is _Elems:
         parent[i] = child
         return parent
-    fields = cls.__match_args__
-    args = [getattr(parent, f) for f in fields]
-    args[fields.index(_CONGRUENCE[cls][i][0])] = child
+    row = S.SCHEMA[cls]
+    args = list(row.read(parent))
+    args[row.fields.index(_CONGRUENCE[cls][i][0])] = child
     return cls(*args)
 
 

@@ -48,7 +48,7 @@ _LEXEME = "|".join((r"[ \t\r]+", "--.*", r"\d+", r"\w[\w']*", *map(re.escape, PU
 
 
 class Token(NamedTuple):
-    kind: str  # "ident", "int", "eof", or the literal text of a keyword/punct
+    kind: str  # "ident", "num", "eof", or the literal text of a keyword/punct
     text: str
     line: int
     col: int
@@ -86,7 +86,7 @@ def tokenize(text: str) -> list[Token]:
                 if first.isalpha() or first == "_":
                     kind = "ident"
                 elif first.isdecimal():
-                    kind = "int"
+                    kind = "num"
                 elif first in " \t\r-":  # blanks, or a comment: `-` alone is a mark
                     col += len(lexeme)
                     continue
@@ -290,10 +290,7 @@ class _Parser:
         names and its body."""
         tok = self.peek()
         if tok.kind not in ("return", "ident"):
-            raise ParseError(
-                f"expected an operation clause or return clause, found {tok.text!r}",
-                tok.span,
-            )
+            raise self._expected("an operation clause or return clause")
         self.advance()
         self.expect("(")
         names = [self.expect("ident").text]
@@ -517,7 +514,7 @@ class _Parser:
 
     def _starts_atom(self) -> bool:
         kind = self.peek().kind
-        return kind in ("ident", "int", "true", "false", "(", "[")
+        return kind in ("ident", "num", "true", "false", "(", "[")
 
     def parse_atom(self) -> S.Expr:
         tok = self.peek()
@@ -525,10 +522,10 @@ class _Parser:
             case "ident":
                 self.advance()
                 return S.Var(tok.text, span=tok.span)
-            case "int":
+            case "num":
                 self.advance()
                 return S.IntLit(S.int_of_text(tok.text), span=tok.span)
-            case "-" if self.at("int", 1):
+            case "-" if self.at("num", 1):
                 self.advance()
                 num = self.advance()
                 return S.IntLit(-S.int_of_text(num.text), span=tok.span)

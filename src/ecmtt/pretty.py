@@ -25,8 +25,6 @@ from __future__ import annotations
 from . import syntax as S
 
 ATOM = 5
-# The keyword of each type written as one, by class.
-_TYPE_WORD = {type(ty): word for word, ty in S.TYPE_WORDS.items()}
 
 
 def _joined(parts, sep: str) -> list:
@@ -121,8 +119,8 @@ def _layout(t: S.Term | S.Type | S.EffectContext) -> tuple[int, list]:
             return 3, ["list ", t.elem, 3]
         case S.BoxT:
             return 3, ["[ ", t.theory, 0, " ] ", t.body, 3]
-        case _ if type(t) in _TYPE_WORD:
-            return ATOM, [_TYPE_WORD[type(t)]]
+        case S.BottomT:
+            return ATOM, ["bot"]
         case _:
             raise AssertionError(f"pretty: unhandled node {t!r}")
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from . import syntax as S
-from .record import reader
 from .syntax import (
     CONTS,
     MODALS,
@@ -151,19 +150,6 @@ _BUILD.update(
     }
 )
 
-# The children of each computation but `ret` that its result comes from,
-# its tails, by name and by position in `Row.fields`.
-_TAILS = {S.Bind: ("rest",), S.LetBox: ("body",), S.Fix: ("scope",), S.If: ("then", "els")}
-_TAIL_AT = {cls: tuple(map(SCHEMA[cls].fields.index, tails)) for cls, tails in _TAILS.items()}
-
-
-# Each class's field values in `Row.fields` order, read in one call.
-_READ = {cls: reader(row.fields) for cls, row in SCHEMA.items()}
-
-
-def _field_values(t: S.Term, row: S.Row) -> list:
-    return list(_READ[row.cls](t))
-
 
 def _unshadowed(t: S.Term, row: S.Row, ns: str, name: str) -> tuple[str, ...]:
     """The children of `t` where no binder of `t` rebinds `name` in `ns`."""
@@ -217,7 +203,7 @@ class _Engine:
         norm = self.norm
         cls = type(t)
         row = SCHEMA[cls]
-        args = _field_values(t, row)
+        args = list(row.read(t))
         changed = False
         for i, _, many in row.kids:
             kid = args[i]
@@ -274,7 +260,7 @@ class _Engine:
         if row.binds:
             args, inner = self._scope(t, m)
         else:
-            args, inner = _field_values(t, row), {}
+            args, inner = list(row.read(t)), {}
         for i, c, many in row.kids:
             m2 = inner.get(c, m)
             if not m2:
@@ -323,7 +309,7 @@ class _Engine:
         each of those children where no other binder of the node rebinds its
         old name.  Operation names are never renamed."""
         row = SCHEMA[type(t)]
-        args = _field_values(t, row)
+        args = list(row.read(t))
         index = row.fields.index
         for f, ns, scope in row.binds:
             b = args[index(f)]
@@ -347,7 +333,7 @@ class _Engine:
         """Take the substitution `m` under the binders of `t`: the field
         values of `t` with each binder renamed that a payload would capture
         (the payload of a key free in `t` other than the binder), and each
-        binder over a tail of `t` (see `_TAILS`) whose name is in `outside`;
+        binder over a tail of `t` (`Row.tails`) whose name is in `outside`;
         and the mapping for each child, `m` less the value names bound over
         it."""
         row = SCHEMA[type(t)]
@@ -356,13 +342,13 @@ class _Engine:
         for k in m.keys() & fv:
             p = free_vars(m[k])
             danger |= S.FreeVars(p.values - {k}, p.modals, p.ops, p.conts) if k in p.values else p
-        args = _field_values(t, row)
+        args = list(row.read(t))
         if danger is not S.NO_FREE_VARS or outside is not S.NO_FREE_VARS:
             # A new name must not be a key either, or `m` would replace it.
             avoid = S.FreeVars(danger.values.union(m), danger.modals, danger.ops, danger.conts)
             args = self._freshen(t, row.children, danger, avoid)
             if outside is not S.NO_FREE_VARS:
-                args = self._freshen(row.cls(*args), _TAILS[row.cls], outside, outside | avoid)
+                args = self._freshen(row.cls(*args), row.tails, outside, outside | avoid)
         inner: dict[str, dict[str, S.Expr]] = {}
         for f, ns, scope in row.binds:
             b = getattr(t, f)
@@ -382,8 +368,9 @@ class _Engine:
         cfv = free_vars(cont)
         danger = S.FreeVars(cfv.values - {x}, cfv.modals, cfv.ops, cfv.conts)
         avoid = S.FreeVars(cfv.values | {x}, cfv.modals, cfv.ops, cfv.conts)
-        args = self._freshen(c, _TAILS[type(c)], danger, avoid)
-        for i in _TAIL_AT[type(c)]:
+        row = SCHEMA[type(c)]
+        args = self._freshen(c, row.tails, danger, avoid)
+        for i in row.tail_at:
             args[i] = self.subst_monadic(args[i], x, cont)
         return _BUILD[type(c)](*args)
 
@@ -427,7 +414,7 @@ class _Engine:
     def _tail_path(t: S.Comp, k: str) -> Optional[list[tuple[type, int]]]:
         """The way down to the one call of `k` in `t`, where `k` is free,
         when that call is `v <- k(e1; e2); ret v` and each step goes into
-        the only tail of a node (see `_TAILS`) where `k` is free: each step
+        the only tail of a node (`Row.tails`) where `k` is free: each step
         as the node's class and the tail's position in its field values.
         None when `k` is called in a non-tail position or in two branches."""
         path = []
@@ -436,10 +423,10 @@ class _Engine:
             if cls is S.Bind and type(t.stmt) is S.ContCall and t.stmt.kname == k:
                 v = t.rest.value if type(t.rest) is S.Ret else None
                 return path if type(v) is S.Var and v.name == t.var else None
-            at = _TAIL_AT.get(cls, ())
-            args = _field_values(t, SCHEMA[cls])
-            hot = [i for i, _, _ in SCHEMA[cls].kids if k in free_vars(args[i]).conts]
-            if len(hot) != 1 or hot[0] not in at:
+            row = SCHEMA[cls]
+            args = row.read(t)
+            hot = [i for i, _, _ in row.kids if k in free_vars(args[i]).conts]
+            if len(hot) != 1 or hot[0] not in row.tail_at:
                 return None
             path.append((cls, hot[0]))
             t = args[hot[0]]
@@ -547,7 +534,7 @@ class _Engine:
                 continue
             # A `let box` or `let fix`: `env` goes on into its tail through
             # its binders, renamed as in `sub` and away from `h` and the state.
-            row, i = SCHEMA[cls], _TAIL_AT[cls][0]
+            row, i = SCHEMA[cls], SCHEMA[cls].tail_at[0]
             args, inner = self._scope(c, env or {}, free_vars(h) | free_vars(state))
             for j, f, _ in row.kids:
                 if j != i:
@@ -609,8 +596,9 @@ class _Engine:
                 raise SubstitutionError(f"operation {op!r} escapes evaluation")
             case S.Bind(S.ContCall(kn, _, _), _, _):
                 raise SubstitutionError(f"continuation {kn!r} escapes evaluation")
-        args = _field_values(c, SCHEMA[type(c)])
-        for i in _TAIL_AT[type(c)]:
+        row = SCHEMA[type(c)]
+        args = list(row.read(c))
+        for i in row.tail_at:
             args[i] = self.eval_meta(args[i])
         return _BUILD[type(c)](*args)
 

@@ -1,5 +1,8 @@
 """Kernel syntax: types, contexts, terms, and the basic operations on them.
 
+A base type is a `BaseT` named by a word, `unit`, `int` and `bool` among
+them; the least type `bot` is the one `BottomT`.
+
 Terms come in five syntactic categories that reference each other: expressions
 (pure), computations (effectful bodies), statements (the effectful heads of a
 bind), handlers, and handling sequences.  `let box`, `let fix` and `if` are
@@ -10,13 +13,16 @@ and continuation names.  Binding follows the term structure: ``fn`` and
 binds of a statement bind value variables, ``let box`` binds a modal
 variable, a box literal binds the operation names of its theory over its
 body, and a handler clause binds its continuation name over the clause body.
+Each term class has one row in `ROWS`, which declares its children,
+names, binders and tails and reads its field values; every walk reads
+the rows.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .record import Record, record
+from .record import Record, reader, record
 
 
 class Span(NamedTuple):
@@ -39,21 +45,6 @@ class Type(Record):
         from .pretty import type_text
 
         return type_text(self)
-
-
-@record
-class UnitT(Type):
-    pass
-
-
-@record
-class IntT(Type):
-    pass
-
-
-@record
-class BoolT(Type):
-    pass
 
 
 @record
@@ -92,9 +83,9 @@ class BoxT(Type):
         _check_theory(self.theory, "box type")
 
 
-UNIT = UnitT()
-INT = IntT()
-BOOL = BoolT()
+UNIT = BaseT("unit")
+INT = BaseT("int")
+BOOL = BaseT("bool")
 BOTTOM = BottomT()
 
 # The types written as one keyword, and the type operators by level: a
@@ -547,15 +538,11 @@ EMPTY_HSEQ = HSeq()
 Term = Union[Expr, Comp, Stmt, Handler, HSeq]
 
 
-# The field of each twin that holds its last part.
-_LAST = {LetBox: "body", Fix: "scope", If: "els"}
-
-
 def last_part(t: Term) -> Term:
     """The node whose class gives `t` its category: `t` itself, or, down a
-    chain of twins, the `body`, `scope` or `els` that is not a twin."""
-    while type(t) in _LAST:
-        t = getattr(t, _LAST[type(t)])
+    chain of twins, the last tail (`Row.tails`) that is not a twin."""
+    while isinstance(t, Twin):
+        t = getattr(t, SCHEMA[type(t)].tails[-1])
     return t
 
 
@@ -574,25 +561,34 @@ class Row:
     are the fields that name a free occurrence, each with its namespace.
     `binds` are the binding fields, each with its namespace and the children
     it scopes over, in the order a walk renames them; an `OPS` binder holds
-    a theory and binds its operations.  Every other field is data.
+    a theory and binds its operations.  `tails` are the children of a
+    computation but `ret` that its result comes from, the last of them its
+    last part when it is a twin.  Every other field is data.
 
     The rest is derived from these and the record: `fields`, every field
     in constructor order (span included), so a node is rebuilt from a list
-    of its field values; `kids`, each child's position in `fields`, name and
-    whether it holds a tuple; `over`, the binders scoping over each child;
-    and `data`, the fields that are neither children, names nor the span.
+    of its field values; `read`, a function from a node to the tuple of
+    those values; `kids`, each child's position in `fields`, name and
+    whether it holds a tuple; `tail_at`, each tail's position in `fields`;
+    `over`, the binders scoping over each child; and `data`, the fields
+    that are neither children, names nor the span.
     """
 
-    __slots__ = ("cls", "children", "tuples", "uses", "binds", "fields", "kids", "over", "data")
+    __slots__ = (
+        "cls", "children", "tuples", "uses", "binds", "tails", "fields", "read", "kids", "tail_at", "over", "data"
+    )
 
-    def __init__(self, cls: type, children=(), tuples=(), uses=(), binds=()):
+    def __init__(self, cls: type, children=(), tuples=(), uses=(), binds=(), tails=()):
         self.cls = cls
         self.children: tuple[str, ...] = children
         self.tuples: tuple[str, ...] = tuples
         self.uses: tuple[tuple[str, str], ...] = uses
         self.binds: tuple[tuple[str, str, tuple[str, ...]], ...] = binds
+        self.tails: tuple[str, ...] = tails
         self.fields = cls.fields()
+        self.read = reader(self.fields)
         self.kids = tuple((self.fields.index(c), c, c in tuples) for c in children)
+        self.tail_at = tuple(map(self.fields.index, tails))
         self.over = {c: tuple((f, ns) for f, ns, scope in binds if c in scope) for c in children}
         named = {*children, *(f for f, _ in uses), *(f for f, ns, _ in binds if ns != OPS), "span"}
         self.data = tuple(f for f in self.fields if f not in named)
@@ -603,9 +599,14 @@ ROWS: tuple[Row, ...] = (
     Row(Lam, ("body",), binds=(("param", VALUES, ("body",)),)),
     Row(App, ("fn", "arg")),
     Row(BoxTerm, ("body",), binds=(("theory", OPS, ("body",)),)),
-    Row(LetBox, ("bound", "body"), binds=(("uvar", MODALS, ("body",)),)),
+    Row(LetBox, ("bound", "body"), binds=(("uvar", MODALS, ("body",)),), tails=("body",)),
     Row(EvalTerm, ("hseq",), uses=(("uvar", MODALS),)),
-    Row(Fix, ("rec_body", "scope"), binds=(("fname", VALUES, ("rec_body", "scope")), ("param", VALUES, ("rec_body",)))),
+    Row(
+        Fix,
+        ("rec_body", "scope"),
+        binds=(("fname", VALUES, ("rec_body", "scope")), ("param", VALUES, ("rec_body",))),
+        tails=("scope",),
+    ),
     Row(IntLit),
     Row(BoolLit),
     Row(UnitLit),
@@ -616,9 +617,9 @@ ROWS: tuple[Row, ...] = (
     Row(Append, ("left", "right")),
     Row(Arith, ("left", "right")),
     Row(Cmp, ("left", "right")),
-    Row(If, ("cond", "then", "els")),
+    Row(If, ("cond", "then", "els"), tails=("then", "els")),
     Row(Ret, ("value",)),
-    Row(Bind, ("stmt", "rest"), binds=(("var", VALUES, ("rest",)),)),
+    Row(Bind, ("stmt", "rest"), binds=(("var", VALUES, ("rest",)),), tails=("rest",)),
     Row(OpCall, ("arg",), uses=(("op", OPS),)),
     Row(ContCall, ("arg", "state"), uses=(("kname", CONTS),)),
     Row(Handle, ("hseq", "handler", "init"), uses=(("uvar", MODALS),)),
@@ -741,7 +742,7 @@ def type_equal(a: Type, b: Type) -> bool:
     if a is b:
         return True
     match (a, b):
-        case (UnitT(), UnitT()) | (IntT(), IntT()) | (BoolT(), BoolT()) | (BottomT(), BottomT()):
+        case (BottomT(), BottomT()):
             return True
         case (BaseT(n1), BaseT(n2)):
             return n1 == n2

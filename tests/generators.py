@@ -56,11 +56,11 @@ def gen_literal(rng: random.Random, ty: S.Type) -> S.Expr:
     only empty-list form the surface syntax has.
     """
     match ty:
-        case S.IntT():
+        case S.BaseT("int"):
             return S.IntLit(rng.randint(-9, 99))
-        case S.BoolT():
+        case S.BaseT("bool"):
             return S.BoolLit(rng.random() < 0.5)
-        case S.UnitT():
+        case S.BaseT("unit"):
             return S.UnitLit()
         case S.ProdT(left, right):
             return S.Pair(gen_literal(rng, left), gen_literal(rng, right))
@@ -78,9 +78,9 @@ def gen_expr(rng: random.Random, sup: NameSupply, env: Env, ty: S.Type, depth: i
     if depth > 0:
         options.append("if")
         options.append("proj")
-        if isinstance(ty, S.IntT):
+        if ty == S.INT:
             options.append("arith")
-        if isinstance(ty, S.BoolT):
+        if ty == S.BOOL:
             options.append("cmp")
         if isinstance(ty, S.ProdT):
             options.append("pair")

@@ -106,6 +106,23 @@ def test_run_reports_a_non_decimal_digit_as_a_parse_error(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("ret int", "1:5: parse error: expected an expression, found 'int'"),
+        ("x = 13 int", "1:8: parse error: expected end of input, found 'int'"),
+    ],
+)
+def test_the_type_keyword_int_in_an_expression_is_a_parse_error(tmp_path, source, message):
+    # The keyword is not read as an integer literal.
+    path = tmp_path / "word.ecmtt"
+    path.write_text(source + "\n")
+    code, out, err = invoke(["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_missing_file_is_an_io_error(tmp_path):
     code, _, err = invoke(["check", str(tmp_path / "nope.ecmtt")])
     assert code == 4

@@ -75,7 +75,7 @@ def reference_tokenize(text: str) -> list[RefToken]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(RefToken("int", text[i:j], line, col))
+            tokens.append(RefToken("num", text[i:j], line, col))
             col += j - i
             i = j
             continue

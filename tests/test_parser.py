@@ -356,6 +356,13 @@ def test_integers_past_the_conversion_limit_parse_and_print():
             "handler for {} { 1 }",
             "1:18: parse error: expected an operation clause or return clause, found '1'",
         ),
+        (
+            parse_handler,
+            "handler for {} {",
+            "1:17: parse error: expected an operation clause or return clause, found 'end of input'",
+        ),
+        # The type keyword `int` is not an integer literal.
+        (parse_term, "ret int", "1:5: parse error: expected an expression, found 'int'"),
         (parse_term, "box Nope. ret 1", "1:5: parse error: unknown theory name 'Nope'"),
         (
             parse_source,
@@ -481,6 +488,11 @@ def test_each_pair_of_type_operators_prints_and_parses_back(ty):
             parse_handler,
             "handler for {} { return(x;z) -> ret x, }",
             "1:40: parse error: expected an operation clause or return clause, found '}'",
+        ),
+        (
+            parse_handler,
+            "handler for {} { return(x;z) -> ret x,",
+            "1:39: parse error: expected an operation clause or return clause, found 'end of input'",
         ),
         (
             parse_source,

@@ -49,12 +49,6 @@ def theory_text(ctx: S.EffectContext) -> str:
 
 def type_text(ty: S.Type, prec: int = 0) -> str:
     match ty:
-        case S.UnitT():
-            return "unit"
-        case S.IntT():
-            return "int"
-        case S.BoolT():
-            return "bool"
         case S.BottomT():
             return "bot"
         case S.BaseT(name):

@@ -67,8 +67,8 @@ def test_spans_do_not_take_part_in_equality_or_hash():
 def test_records_of_different_classes_are_not_equal():
     arg = S.Pair(S.IntLit(1), S.IntLit(2))
     assert S.Proj1(arg) != S.Proj2(arg)
-    assert S.IntT() != S.BoolT()
-    assert S.IntT() == S.INT
+    assert S.INT != S.BOTTOM
+    assert S.BaseT("int") == S.INT
 
 
 def test_repr_reads_as_before():
@@ -76,7 +76,7 @@ def test_repr_reads_as_before():
     assert repr(Stuck("division-by-zero")) == "Stuck(reason='division-by-zero')"
     assert repr(FuelExhausted(3)) == "FuelExhausted(steps=3, budget='steps')"
     ctx = S.EMPTY_MODAL.with_value("x", S.INT)
-    assert repr(ctx) == "ModalContext((ValBind(name='x', type=IntT()),))"
+    assert repr(ctx) == "ModalContext((ValBind(name='x', type=BaseT(name='int')),))"
 
 
 def test_fields_can_be_neither_assigned_nor_deleted():
@@ -173,7 +173,7 @@ def _record_classes():
 
 def test_every_constructor_is_the_one_a_per_class_source_compiles_to():
     classes = _record_classes()
-    assert len(classes) == 55
+    assert len(classes) == 52
     for cls in classes:
         names = cls.__match_args__
         init = cls.__init__
@@ -247,7 +247,7 @@ def test_a_field_may_not_take_a_name_the_constructor_uses(name):
 )
 def test_an_import_compiles_one_constructor_per_shape(modules):
     # A shape is a number of fields and whether the class has a
-    # `__post_init__`; the package's 55 record classes have 10 shapes.
+    # `__post_init__`; the package's 52 record classes have 10 shapes.
     code = (
         "import builtins, sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"

@@ -12,8 +12,10 @@ import typing
 import pytest
 
 from ecmtt import syntax as S
-from ecmtt.parser import parse_term
+from ecmtt.parser import parse_term, parse_type
+from ecmtt.pretty import type_text
 from ecmtt.subst import _BUILD
+from ecmtt.typecheck import infer_term
 
 NAMESPACES = {S.VALUES, S.MODALS, S.OPS, S.CONTS}
 
@@ -123,3 +125,53 @@ def test_each_class_is_rebuilt_from_its_fields_in_order(cls, cat):
         t = twin(cls, cat)
         out = build(*(getattr(t, n) for n in S.SCHEMA[cls].fields))
         assert type(out) is cls and out == t and isinstance(S.last_part(out), cat)
+
+
+# The tails of each computation but `ret`: the children its result comes from.
+TAILS = {S.Bind: ("rest",), S.LetBox: ("body",), S.Fix: ("scope",), S.If: ("then", "els")}
+
+
+def built(cls: type, **given) -> S.Term:
+    """A node of class `cls` whose fields hold distinct objects, or the
+    values given; every `__post_init__` checks a theory."""
+    values = {f: S.EMPTY_THEORY if f == "theory" else object() for f in cls.fields()}
+    return cls(**{**values, **given})
+
+
+def test_exactly_the_computations_with_a_tail_declare_their_tails():
+    assert {row.cls: row.tails for row in S.ROWS if row.tails} == TAILS
+    for row in S.ROWS:
+        assert set(row.tails) <= set(row.children) - set(row.tuples), row.cls.__name__
+        assert row.tail_at == tuple(row.fields.index(f) for f in row.tails), row.cls.__name__
+
+
+@pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
+def test_each_row_reads_a_node_s_field_values_in_order(cls):
+    row = S.SCHEMA[cls]
+    node = built(cls)
+    assert row.read(node) == tuple(getattr(node, f) for f in row.fields)
+    assert all(a is getattr(node, f) for a, f in zip(row.read(node), row.fields))
+
+
+@pytest.mark.parametrize("cls", [S.LetBox, S.Fix, S.If], ids=lambda cls: cls.__name__)
+def test_the_last_part_of_a_twin_follows_its_last_tail(cls):
+    last = S.SCHEMA[cls].tails[-1]
+    leaf = S.Var("leaf")
+    inner = built(cls, **{last: leaf})
+    assert S.last_part(inner) is leaf
+    # Down a chain of twins, and never into a tail before the last.
+    outer = built(cls, **{**{tail: S.Var("other") for tail in S.SCHEMA[cls].tails}, last: inner})
+    assert S.last_part(outer) is leaf
+    assert S.last_part(leaf) is leaf
+
+
+@pytest.mark.parametrize("word", sorted(S.TYPE_WORDS))
+def test_each_type_word_parses_to_its_type_and_prints_back(word):
+    assert parse_type(word) is S.TYPE_WORDS[word]
+    assert type_text(S.TYPE_WORDS[word]) == word
+
+
+def test_a_separately_built_base_type_is_the_same_type():
+    term = S.App(S.Lam("x", S.BaseT("int"), S.Var("x")), S.IntLit(1))
+    ty = infer_term(term)
+    assert ty == S.INT and S.type_equal(ty, S.INT) and type_text(ty) == "int"

@@ -29,8 +29,8 @@ def test_type_equal_compares_distinct_objects_by_structure():
     # The same object answers at once; separately built types are walked.
     pair = S.ProdT(S.INT, S.ListT(S.UNIT))
     assert type_equal(pair, pair)
-    assert type_equal(S.ProdT(S.IntT(), S.ListT(S.UnitT())), pair)
-    assert type_equal(S.BoxT(ST, S.BoolT()), S.BoxT(ST, S.BOOL))
+    assert type_equal(S.ProdT(S.BaseT("int"), S.ListT(S.BaseT("unit"))), pair)
+    assert type_equal(S.BoxT(ST, S.BaseT("bool")), S.BoxT(ST, S.BOOL))
 
 
 def test_type_equal_distinguishes_structure():
@@ -181,7 +181,7 @@ def test_contexts_print_their_entries_outermost_first():
     ctx = S.ModalContext(S.ValBind("x", S.INT), S.ModalContext())
     ctx = S.ModalContext(S.ModalBind("u", S.BOOL, S.EMPTY_THEORY), ctx)
     assert repr(ctx) == (
-        "ModalContext((ValBind(name='x', type=IntT()), "
-        "ModalBind(name='u', type=BoolT(), theory=EffectContext(entries=()))))"
+        "ModalContext((ValBind(name='x', type=BaseT(name='int')), "
+        "ModalBind(name='u', type=BaseT(name='bool'), theory=EffectContext(entries=()))))"
     )
     assert repr(S.ModalContext()) == "ModalContext(())"
