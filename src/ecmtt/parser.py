@@ -214,9 +214,6 @@ class _Parser:
                 theory = self.parse_theory_ref()
                 self.expect("]")
                 return S.BoxT(theory, self.parse_type_prefix())
-            case "ident":
-                self.advance()
-                return S.BaseT(tok.text)
             case "(":
                 self.advance()
                 ty = self.parse_type()

@@ -119,17 +119,15 @@ def _layout(t: S.Term | S.Type | S.EffectContext) -> tuple[int, list]:
             return 3, ["list ", t.elem, 3]
         case S.BoxT:
             return 3, ["[ ", t.theory, 0, " ] ", t.body, 3]
-        case S.BottomT:
-            return ATOM, ["bot"]
         case _:
             raise AssertionError(f"pretty: unhandled node {t!r}")
 
 
-def pretty(t: S.Term | S.Type | S.EffectContext, prec: int = 0) -> str:
-    """The text of `t`, parenthesized if its level is looser than `prec`."""
+def pretty(t: S.Term | S.Type | S.EffectContext) -> str:
+    """The text of `t`."""
     # The pieces are taken from the right, so `out` holds the text backwards.
     out = []
-    todo: list = [t, prec]
+    todo: list = [t, 0]
     while todo:
         piece = todo.pop()
         if type(piece) is str:
@@ -147,8 +145,8 @@ def pretty(t: S.Term | S.Type | S.EffectContext, prec: int = 0) -> str:
     return "".join(out)
 
 
-def type_text(ty: S.Type, prec: int = 0) -> str:
-    return pretty(ty, prec)
+def type_text(ty: S.Type) -> str:
+    return pretty(ty)
 
 
 def theory_text(ctx: S.EffectContext) -> str:

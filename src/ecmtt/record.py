@@ -6,7 +6,7 @@ that stores each with `object.__setattr__` and then calls the class's
 `__post_init__`, if any.  Fields with defaults, from the body, come last.
 One shape, a number of fields and whether there is a `__post_init__`, is
 compiled once, as a template whose placeholder names `a0`, `a1`, ... each
-class renames to its fields: 10 compiles make the package's 52 records.
+class renames to its fields: 10 compiles make the package's 51 records.
 Everything else is shared.  A field named `span`, a source position, is
 carried by the constructor and `replace` but left out of `==`, `hash`
 and `repr`; `repr` reads as a dataclass's does: `Var(name='x')`.

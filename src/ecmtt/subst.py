@@ -607,38 +607,36 @@ class _Engine:
 # Public entry points
 
 
-def subst_values(t: S.Term, mapping: dict[str, S.Expr], fuel: int = DEFAULT_FUEL) -> S.Term:
-    return _Engine(fuel).subst(t, mapping)
+def subst_values(t: S.Term, mapping: dict[str, S.Expr]) -> S.Term:
+    return _Engine().subst(t, mapping)
 
 
-def subst_monadic(c: S.Comp, x: str, cont: S.Comp, fuel: int = DEFAULT_FUEL) -> S.Comp:
-    return _Engine(fuel).subst_monadic(c, x, cont)
+def subst_monadic(c: S.Comp, x: str, cont: S.Comp) -> S.Comp:
+    return _Engine().subst_monadic(c, x, cont)
 
 
-def subst_cont(
-    t: S.Term, k: str, x: str, y: str, body: S.Comp, fuel: int = DEFAULT_FUEL
-) -> S.Term:
-    return _Engine(fuel).subst_cont(t, k, x, y, body)
+def subst_cont(t: S.Term, k: str, x: str, y: str, body: S.Comp) -> S.Term:
+    return _Engine().subst_cont(t, k, x, y, body)
 
 
-def handle_with(c: S.Comp, h: S.Handler, state: S.Expr, fuel: int = DEFAULT_FUEL) -> S.Comp:
-    return _Engine(fuel).handle_with(c, h, state)
+def handle_with(c: S.Comp, h: S.Handler, state: S.Expr) -> S.Comp:
+    return _Engine().handle_with(c, h, state)
 
 
-def handle_seq(c: S.Comp, theta: S.HSeq, fuel: int = DEFAULT_FUEL) -> S.Comp:
-    return _Engine(fuel).handle_seq(c, theta)
+def handle_seq(c: S.Comp, theta: S.HSeq) -> S.Comp:
+    return _Engine().handle_seq(c, theta)
 
 
-def modal_subst(t: S.Term, u: str, c: S.Comp, fuel: int = DEFAULT_FUEL) -> S.Term:
-    return _Engine(fuel).modal_subst(t, u, c)
+def modal_subst(t: S.Term, u: str, c: S.Comp) -> S.Term:
+    return _Engine().modal_subst(t, u, c)
 
 
-def eval_meta(c: S.Comp, fuel: int = DEFAULT_FUEL) -> S.Expr:
-    return _Engine(fuel).eval_meta(c)
+def eval_meta(c: S.Comp) -> S.Expr:
+    return _Engine().eval_meta(c)
 
 
-def normalize(t: S.Term, fuel: int = DEFAULT_FUEL) -> S.Term:
-    return _Engine(fuel).norm(t)
+def normalize(t: S.Term) -> S.Term:
+    return _Engine().norm(t)
 
 
 def id_handler(theory: S.EffectContext) -> S.Handler:

@@ -1,7 +1,7 @@
 """Kernel syntax: types, contexts, terms, and the basic operations on them.
 
-A base type is a `BaseT` named by a word, `unit`, `int` and `bool` among
-them; the least type `bot` is the one `BottomT`.
+A base type is a `BaseT` named by one of the four words of `TYPE_WORDS`:
+`unit`, `int`, `bool`, and `bot`, the least type.
 
 Terms come in five syntactic categories that reference each other: expressions
 (pure), computations (effectful bodies), statements (the effectful heads of a
@@ -48,11 +48,6 @@ class Type(Record):
 
 
 @record
-class BottomT(Type):
-    pass
-
-
-@record
 class BaseT(Type):
     name: str
 
@@ -86,7 +81,7 @@ class BoxT(Type):
 UNIT = BaseT("unit")
 INT = BaseT("int")
 BOOL = BaseT("bool")
-BOTTOM = BottomT()
+BOTTOM = BaseT("bot")
 
 # The types written as one keyword, and the type operators by level: a
 # higher level binds tighter, both group to the right, and the `list` and
@@ -742,8 +737,6 @@ def type_equal(a: Type, b: Type) -> bool:
     if a is b:
         return True
     match (a, b):
-        case (BottomT(), BottomT()):
-            return True
         case (BaseT(n1), BaseT(n2)):
             return n1 == n2
         case (ProdT(l1, r1), ProdT(l2, r2)):

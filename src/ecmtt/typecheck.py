@@ -125,9 +125,9 @@ def _merge(t1: Type, t2: Type) -> Optional[Type]:
     """
     if t1 is t2:
         return t1
-    if isinstance(t1, S.BottomT):
+    if t1 == S.BOTTOM:
         return t2
-    if isinstance(t2, S.BottomT):
+    if t2 == S.BOTTOM:
         return t1
     match (t1, t2):
         case (S.ProdT(), S.ProdT()):
@@ -224,7 +224,7 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
                         t = rest
                     case S.LetBox(uvar, bound, body):
                         tb = infer(delta, None, bound)
-                        if isinstance(tb, S.BottomT):
+                        if tb == S.BOTTOM:
                             return S.BOTTOM
                         if not isinstance(tb, S.BoxT):
                             raise TypeCheckError(
@@ -245,7 +245,7 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
 
         case S.App(fn, arg):
             tf = infer(delta, None, fn)
-            if isinstance(tf, S.BottomT):
+            if tf == S.BOTTOM:
                 infer(delta, None, arg)
                 return S.BOTTOM
             if not isinstance(tf, S.ArrowT):
@@ -277,7 +277,7 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
 
         case S.Proj1(arg) | S.Proj2(arg):
             tp = infer(delta, None, arg)
-            if isinstance(tp, S.BottomT):
+            if tp == S.BOTTOM:
                 return S.BOTTOM
             if not isinstance(tp, S.ProdT):
                 raise TypeCheckError(
@@ -303,7 +303,7 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
             tl = infer(delta, None, left)
             tr = infer(delta, None, right)
             for side in (tl, tr):
-                if not isinstance(side, (S.ListT, S.BottomT)):
+                if side != S.BOTTOM and not isinstance(side, S.ListT):
                     raise TypeCheckError(
                         "argument-mismatch", span=t.span, expected="a list type", found=side
                     )

@@ -84,7 +84,7 @@ def assert_matches_reference(t: S.Term) -> None:
     # Normal forms are their own normal forms, at no cost.
     assert subst.normalize(got) is got
     assert subst.normalize(t) is got
-    assert subst.normalize(t, fuel=0) is got
+    assert subst._Engine(0).norm(t) is got
 
 
 # Pure redexes on literals in every position the smart constructors fold.
@@ -140,10 +140,10 @@ def test_a_normal_node_is_returned_as_it_is():
 def test_a_memo_hit_spends_no_fuel():
     term = gen_program(random.Random(7))[0]
     with pytest.raises(subst.OutOfFuel):
-        subst.normalize(term, fuel=0)
+        subst._Engine(0).norm(term)
     out = subst.normalize(term)
-    assert subst.normalize(term, fuel=0) is out
-    assert subst.normalize(out, fuel=0) is out
+    assert subst._Engine(0).norm(term) is out
+    assert subst._Engine(0).norm(out) is out
 
 
 def test_the_memo_is_invisible():

@@ -15,7 +15,6 @@ from ecmtt.parser import (
 )
 from ecmtt.pretty import pretty, type_text
 from ecmtt.syntax import alpha_equal, type_equal
-from ecmtt.typecheck import infer_term
 
 
 def roundtrip(text: str) -> S.Term:
@@ -384,10 +383,6 @@ def test_rare_parse_errors_keep_their_texts(parse, text, message):
     assert str(exc.value) == message
 
 
-def test_a_named_base_type_is_its_own_type():
-    assert type_text(infer_term(parse_term("fn x:A. x"))) == "A -> A"
-
-
 def test_eval_with_a_two_clause_sequence():
     h = "handler for {} { return(x;z) -> ret x }"
     text = f"let box u = box {{}}. ret 1 in eval [{h} init () as y. ret y; {h} init () as w. ret (w, w)] u"
@@ -448,6 +443,12 @@ def test_products_and_prefixes_around_arrows():
         ("fn x:int -> . x", "1:13: parse error: expected a type, found '.'"),
         ("fn x:int -> -> int. x", "1:13: parse error: expected a type, found '->'"),
         ("fn x:[{}]. x", "1:10: parse error: expected a type, found '.'"),
+        # Only the words of `syntax.TYPE_WORDS` name a base type.
+        ("fn x:A. x", "1:6: parse error: expected a type, found 'A'"),
+        ("fn x:list Foo. x", "1:11: parse error: expected a type, found 'Foo'"),
+        ("box {a:Foo=>int}. ret 1", "1:8: parse error: expected a type, found 'Foo'"),
+        ("let fix f(n:T):[{}]int = ret 1 in 0", "1:13: parse error: expected a type, found 'T'"),
+        ("fn x:[{}] Int. x", "1:11: parse error: expected a type, found 'Int'"),
     ],
 )
 def test_type_errors_keep_their_texts_and_columns(text, message):

@@ -49,8 +49,6 @@ def theory_text(ctx: S.EffectContext) -> str:
 
 def type_text(ty: S.Type, prec: int = 0) -> str:
     match ty:
-        case S.BottomT():
-            return "bot"
         case S.BaseT(name):
             return name
         case S.ArrowT(dom, cod):
@@ -194,12 +192,19 @@ def printable_nodes(root) -> list:
     return found
 
 
+def printed_at(text: str, node, prec: int) -> str:
+    """`text`, the printer's text of `node`, as it stands where a node of
+    level `prec` is expected: whole, or parenthesized if its own level is
+    looser."""
+    return f"({text})" if P._layout(node)[0] < prec else text
+
+
 def assert_prints_as_reference(node, precs=(0,)) -> None:
     for prec in precs:
-        assert P.pretty(node, prec) == reference(node, prec)
+        assert printed_at(P.pretty(node), node, prec) == reference(node, prec)
     if isinstance(node, S.Type):
         for prec in range(6):
-            assert P.type_text(node, prec) == type_text(node, prec)
+            assert printed_at(P.type_text(node), node, prec) == type_text(node, prec)
     if isinstance(node, S.EffectContext):
         assert P.theory_text(node) == theory_text(node)
 
@@ -334,7 +339,7 @@ CORNERS = [
     (S.ProdT(S.ArrowT(S.INT, S.INT), S.ListT(S.ProdT(S.INT, S.INT))), "(int -> int) * list (int * int)"),
     (S.ArrowT(S.BoxT(S.EMPTY_THEORY, S.INT), S.INT), "[ {} ] int -> int"),
     (S.BoxT(ST, S.ArrowT(S.INT, S.INT)), "[ {get:unit=>int, set:int=>unit} ] (int -> int)"),
-    (S.ListT(S.BoxT(S.EMPTY_THEORY, S.BottomT())), "list [ {} ] bot"),
+    (S.ListT(S.BoxT(S.EMPTY_THEORY, S.BOTTOM)), "list [ {} ] bot"),
     (S.BaseT("T"), "T"),
     (S.EMPTY_THEORY, "{}"),
     (S.EffectContext((S.ContDecl("k", S.INT, S.BOOL, S.UNIT), S.OpDecl("get", S.UNIT, S.INT))), "{k~:int/bool=>unit, get:unit=>int}"),
@@ -411,4 +416,4 @@ def test_a_deep_list_type_prints_at_a_recursion_limit_of_1000(recursion_limit_10
 def test_a_deep_arrow_prints_at_a_recursion_limit_of_1000(recursion_limit_1000):
     ty = nest(lambda t: S.ArrowT(S.INT, t), S.BOOL)
     assert P.type_text(ty) == "int -> " * DEPTH + "bool"
-    assert P.type_text(ty, 2) == "(" + "int -> " * DEPTH + "bool)"
+    assert P.type_text(S.ProdT(ty, S.INT)) == "(" + "int -> " * DEPTH + "bool) * int"

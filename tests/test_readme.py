@@ -4,15 +4,18 @@ Every line `$ ecmtt ARGS` in a fenced block is run through `cli.main` from
 the root of the repository; the lines after it, to the end of its block,
 are what it prints.  A documented line holding `...` stands for any line
 that starts with its text before the `...` and ends with its text after it.
+The type words of "Language summary" are checked against the parser's.
 """
 
 import io
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 from ecmtt import cli
+from ecmtt.syntax import TYPE_WORDS
 
 ROOT = Path(__file__).resolve().parent.parent
 PROMPT = "$ ecmtt "
@@ -67,3 +70,13 @@ def test_each_example_prints_as_documented(args, documented, monkeypatch):
     assert len(printed) == len(documented), printed
     for doc, line in zip(documented, printed):
         assert matches(doc, line), (doc, line)
+
+
+def test_the_type_words_are_the_parsers():
+    """The one-word types that "Language summary" lists before `products`
+    are exactly the words the parser reads as base types."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    summary = text.split("## Language summary", 1)[1]
+    sentence = summary[summary.index("Types are") :].split("products", 1)[0]
+    words = re.findall(r"`(\w+)`", sentence)
+    assert sorted(words) == sorted(TYPE_WORDS)

@@ -330,9 +330,9 @@ def test_a_skipped_normal_subterm_is_returned_at_no_cost():
     vy = subst.normalize(S.Var("y"))
     # No mapped name is free, so the term is not walked, even where a binder
     # is a key or is free in a payload.
-    assert subst.subst_values(term, {"x": y3}, fuel=0) is term
-    assert subst.subst_values(term, {"y": y3}, fuel=0) is term
-    assert subst.subst_values(term, {"x": vy}, fuel=0) is term
+    assert subst._Engine(0).subst(term, {"x": y3}) is term
+    assert subst._Engine(0).subst(term, {"y": y3}) is term
+    assert subst._Engine(0).subst(term, {"x": vy}) is term
     # Next to a mapped name, the subterm is still skipped, binder and all.
     out = subst.subst_values(S.Pair(S.Var("x"), term), {"x": S.Var("y")})
     assert pretty(out) == "(y, fn y:int. (y + 1, [y, 2]))"
@@ -346,8 +346,8 @@ def test_sub_output_of_a_normal_term_is_marked_normal():
     term = subst.normalize(parse_term("fn y:int. (x + y, if x < 2 then [x] else [])"))
     out = subst.subst_values(term, {"x": S.IntLit(1)})
     assert pretty(out) == "fn y:int. (1 + y, [1])"
-    assert subst.normalize(out, fuel=0) is out
-    assert subst.normalize(out.body.left, fuel=0) is out.body.left
+    assert subst._Engine(0).norm(out) is out
+    assert subst._Engine(0).norm(out.body.left) is out.body.left
     # Output of a term not known to be normal carries no mark.
     raw = parse_term("fn y:int. (x + y, 1 + 1)")
     out = subst.subst_values(raw, {"x": S.IntLit(1)})
@@ -424,8 +424,8 @@ def test_modal_and_continuation_substitution_skip_where_their_name_is_not_free(m
         assert counts == [2, 2], name
     # A normal term without the name comes back as it is, at no cost.
     side = beside(10, handle_u).els
-    assert subst.modal_subst(side, "u", S.Ret(S.IntLit(1)), fuel=0) is side
-    assert subst.subst_cont(side, "k", "a", "s", S.Ret(S.Var("a")), fuel=0) is side
+    assert subst._Engine(0).modal_subst(side, "u", S.Ret(S.IntLit(1))) is side
+    assert subst._Engine(0).subst_cont(side, "k", "a", "s", S.Ret(S.Var("a"))) is side
 
 
 def unshared(t):

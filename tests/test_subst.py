@@ -9,6 +9,7 @@ from ecmtt.pretty import pretty
 from ecmtt.subst import (
     OutOfFuel,
     SubstitutionError,
+    _Engine,
     eta_expand,
     eval_meta,
     handle_seq,
@@ -223,9 +224,7 @@ def test_a_renamed_clause_binder_avoids_the_other_binders_of_its_clause():
 
 def test_fuel_runs_out_instead_of_spinning():
     with pytest.raises(OutOfFuel):
-        handle_with(
-            comp("y <- get(); w <- set(y + 1); ret y"), HANDLER_ST, S.IntLit(0), fuel=2
-        )
+        _Engine(2).handle_with(comp("y <- get(); w <- set(y + 1); ret y"), HANDLER_ST, S.IntLit(0))
 
 
 def test_mk_append_folds_two_lists_of_pure_values_only():

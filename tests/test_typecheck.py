@@ -94,8 +94,8 @@ def test_argument_mismatch_on_application():
 
 
 def test_base_types_are_equal_by_name():
-    assert type_of("fn f:A -> A. fn a:A. f a") == "(A -> A) -> A -> A"
-    err = reject("fn f:A -> A. fn b:B. f b")
+    assert type_of("fn f:int -> int. fn a:int. f a") == "(int -> int) -> int -> int"
+    err = reject("fn f:int -> int. fn b:bool. f b")
     assert err.kind == "argument-mismatch"
 
 
@@ -257,6 +257,16 @@ def test_abort_component_fits_inside_a_pair():
         S.INT,
     )
     assert type_equal(sig.out_type, S.ProdT(S.ProdT(S.INT, S.INT), S.INT))
+
+
+def test_a_separately_built_bot_is_the_least_type():
+    # The least type is told by `==`, not by object identity, so a `bot`
+    # built apart from `S.BOTTOM` is absorbed and eliminated alike.
+    bot = S.BaseT("bot")
+    assert bot is not S.BOTTOM and type_equal(bot, S.BOTTOM)
+    delta = EMPTY_MODAL.with_value("b", bot)
+    assert infer_expr(delta, parse_term("if true then 1 else b", TABLE)) == S.INT
+    assert infer_expr(delta, parse_term("fst b", TABLE)) == S.BOTTOM
 
 
 def test_fix_checks_recursive_calls_at_annotated_type():
