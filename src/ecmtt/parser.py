@@ -1,6 +1,10 @@
 """Lexer, one regular expression per line, and recursive-descent parser for
 the surface syntax.
 
+`_lex` gives the tokens as parallel lists of kinds, texts, lines and
+columns, which the parser reads by index: a token is its position, and a
+`Span` is built only for a node or an error that keeps one.
+
 A source file is a sequence of `def` bindings followed by one main term.
 Definitions come in three kinds, told apart by their first token: theories
 (`{...}`), handlers (`handler for ...`), and plain expressions.  Theory and
@@ -55,8 +59,7 @@ class Token(NamedTuple):
 
     @property
     def span(self) -> Span:
-        # `Span(...)` would run the NamedTuple's Python-level `__new__`.
-        return tuple.__new__(Span, (self.line, self.col, len(self.text)))
+        return Span(self.line, self.col, len(self.text))
 
 
 class ParseError(Exception):
@@ -69,15 +72,12 @@ class ParseError(Exception):
         super().__init__(f"{span}: parse error: {message}" if span else f"parse error: {message}")
 
 
-def tokenize(text: str) -> list[Token]:
-    # `re.compile` compiles the pattern once and then finds it in its cache;
-    # `tuple.__new__` skips the Python frame of `Token`'s constructor.
+def _lex(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The tokens of `text`, `eof` last, as lists of kinds, texts, lines, columns."""
+    # `re.compile` compiles the pattern once and then finds it in its cache.
     lexemes = re.compile(_LEXEME).findall
-    new = tuple.__new__
-    tokens: list[Token] = []
-    emit = tokens.append
-    lines = text.split("\n")
-    for line, chars in enumerate(lines, 1):
+    kinds, texts, lines, cols = columns = ([], [], [], [])
+    for line, chars in enumerate(text.split("\n"), 1):
         col = 1
         for lexeme in lexemes(chars):
             kind = _KINDS.get(lexeme)
@@ -92,10 +92,19 @@ def tokenize(text: str) -> list[Token]:
                     continue
                 else:
                     raise ParseError(f"unexpected character {first!r}", Span(line, col, 1))
-            emit(new(Token, (kind, lexeme, line, col)))
+            kinds.append(kind)
+            texts.append(lexeme)
+            lines.append(line)
+            cols.append(col)
             col += len(lexeme)
-    emit(Token("eof", "", len(lines), len(lines[-1]) + 1))
-    return tokens
+    # The lexemes cover the last line, so `eof` sits just after it.
+    for column, value in zip(columns, ("eof", "", line, col)):
+        column.append(value)
+    return columns
+
+
+def tokenize(text: str) -> list[Token]:
+    return list(map(Token._make, zip(*_lex(text))))
 
 
 class DefTable:
@@ -134,10 +143,12 @@ _T = TypeVar("_T")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], table: Optional[DefTable] = None):
-        # One extra `eof` lets `at(kind, 1)` look past the end without a
+    def __init__(self, text: str, table: Optional[DefTable] = None):
+        # One more `eof` lets `kinds[tok + 2]` look past the end without a
         # bound check; `advance` never moves beyond the first `eof`.
-        self.tokens = tokens + tokens[-1:]
+        self.kinds, self.texts, self.lines, self.cols = columns = _lex(text)
+        for column in columns:
+            column.append(column[-1])
         self.pos = 0
         self.table = table if table is not None else DefTable()
         # Successful `parse_expr` results by start position, as (expr, end).
@@ -145,27 +156,31 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
 
-    def at(self, kind: str, ahead: int = 0) -> bool:
-        return self.tokens[self.pos + ahead].kind == kind
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+    def advance(self) -> int:
+        tok = self.pos
+        if self.kinds[tok] != "eof":
+            self.pos = tok + 1
         return tok
 
-    def expect(self, kind: str, what: str = "") -> Token:
-        if not self.at(kind):
+    def expect(self, kind: str, what: str = "") -> int:
+        if self.kinds[self.pos] != kind:
             raise self._expected(what or f"'{kind}'")
         return self.advance()
 
+    def name(self, what: str = "") -> str:
+        return self.texts[self.expect("ident", what)]
+
+    def span(self, tok: int) -> Span:
+        # `Span(...)` would run the NamedTuple's Python-level `__new__`.
+        return tuple.__new__(Span, (self.lines[tok], self.cols[tok], len(self.texts[tok])))
+
     def _expected(self, what: str) -> ParseError:
         """The error at the next token, which is not the `what` wanted."""
-        tok = self.peek()
-        return ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
+        tok = self.pos
+        return ParseError(f"expected {what}, found {self.texts[tok] or 'end of input'!r}", self.span(tok))
 
     def _sep(self, item: Callable[[], _T], sep: str) -> Iterator[_T]:
         """The items `item` reads with `sep` between two, the inverse of
@@ -185,7 +200,7 @@ class _Parser:
             failed_at = self.pos
             self.pos = start
             # The traceback's frames would reach back to the caller that
-            # keeps the error, tying parser and tokens into a cycle.
+            # keeps the error, tying the parser and its lists into a cycle.
             return None, failed_at, e.with_traceback(None)
 
     # -- types
@@ -195,17 +210,16 @@ class _Parser:
         right operand is read at its operator's own level: right grouping."""
         left = self.parse_type_prefix()
         while True:
-            tok = self.peek()
-            level = S.TYPE_BINARY.get(tok.kind, 0)
+            op = self.kinds[self.pos]
+            level = S.TYPE_BINARY.get(op, 0)
             if level < floor:
                 return left
             self.advance()
             right = self.parse_type(level)
-            left = S.ArrowT(left, right) if tok.kind == "->" else S.ProdT(left, right)
+            left = S.ArrowT(left, right) if op == "->" else S.ProdT(left, right)
 
     def parse_type_prefix(self) -> S.Type:
-        tok = self.peek()
-        match tok.kind:
+        match self.kinds[self.pos]:
             case "list":
                 self.advance()
                 return S.ListT(self.parse_type_prefix())
@@ -231,13 +245,14 @@ class _Parser:
         ops: list[S.OpDecl] = []
         if not self.at("}"):
             for name, in_type, out_type in self._sep(self.parse_op_decl, ","):
-                if any(o.name == name.text for o in ops):
-                    raise ParseError(f"duplicate operation {name.text!r} in theory", name.span)
-                ops.append(S.OpDecl(name.text, in_type, out_type))
+                op = self.texts[name]
+                if any(o.name == op for o in ops):
+                    raise ParseError(f"duplicate operation {op!r} in theory", self.span(name))
+                ops.append(S.OpDecl(op, in_type, out_type))
         self.expect("}")
         return S.make_theory(ops)
 
-    def parse_op_decl(self) -> tuple[Token, S.Type, S.Type]:
+    def parse_op_decl(self) -> tuple[int, S.Type, S.Type]:
         name = self.expect("ident", "an operation name")
         self.expect(":")
         in_type = self.parse_type()
@@ -250,9 +265,9 @@ class _Parser:
         if self.at(start):
             return literal()
         tok = self.expect("ident", f"a {what}")
-        value = named.get(tok.text)
+        value = named.get(self.texts[tok])
         if value is None:
-            raise ParseError(f"unknown {what} name {tok.text!r}", tok.span)
+            raise ParseError(f"unknown {what} name {self.texts[tok]!r}", self.span(tok))
         return value
 
     def parse_theory_ref(self) -> S.EffectContext:
@@ -269,31 +284,32 @@ class _Parser:
         op_clauses: list[S.OpClause] = []
         ret_clause: Optional[S.RetClause] = None
         for tok, names, body in self._sep(self.parse_clause, ","):
-            if tok.kind == "return":
+            if self.kinds[tok] == "return":
                 if ret_clause is not None:
-                    raise ParseError("a handler has exactly one return clause", tok.span)
+                    raise ParseError("a handler has exactly one return clause", self.span(tok))
                 ret_clause = S.RetClause(*names, body)
             else:
-                if any(c.op == tok.text for c in op_clauses):
-                    raise ParseError(f"duplicate clause for operation {tok.text!r}", tok.span)
-                op_clauses.append(S.OpClause(tok.text, *names, body))
+                op = self.texts[tok]
+                if any(c.op == op for c in op_clauses):
+                    raise ParseError(f"duplicate clause for operation {op!r}", self.span(tok))
+                op_clauses.append(S.OpClause(op, *names, body))
         close = self.expect("}")
         if ret_clause is None:
-            raise ParseError("a handler needs a return clause", close.span)
-        return S.Handler(theory, tuple(op_clauses), ret_clause, span=start.span)
+            raise ParseError("a handler needs a return clause", self.span(close))
+        return S.Handler(theory, tuple(op_clauses), ret_clause, span=self.span(start))
 
-    def parse_clause(self) -> tuple[Token, list[str], S.Comp]:
+    def parse_clause(self) -> tuple[int, list[str], S.Comp]:
         """`return(x; z) -> c` or `op(x; k; z) -> c`: its first token, its
         names and its body."""
-        tok = self.peek()
-        if tok.kind not in ("return", "ident"):
+        tok = self.pos
+        if self.kinds[tok] not in ("return", "ident"):
             raise self._expected("an operation clause or return clause")
         self.advance()
         self.expect("(")
-        names = [self.expect("ident").text]
-        while len(names) < (2 if tok.kind == "return" else 3):
+        names = [self.name()]
+        while len(names) < (2 if self.kinds[tok] == "return" else 3):
             self.expect(";")
-            names.append(self.expect("ident").text)
+            names.append(self.name())
         self.expect(")")
         self.expect("->")
         return tok, names, self.parse_comp()
@@ -313,41 +329,38 @@ class _Parser:
         self.expect("init")
         init = self.parse_atom()
         self.expect("as")
-        var = self.expect("ident").text
+        var = self.name()
         self.expect(".")
         return S.HClause(handler, init, var, self.parse_comp())
 
     # -- statements
 
     def parse_stmt(self) -> S.Stmt:
-        tok = self.peek()
-        if tok.kind == "handle":
-            self.advance()
-            uvar = self.expect("ident", "a box variable").text
+        tok = self.pos
+        if self.kinds[tok] == "handle":
+            self.pos = tok + 1
+            uvar = self.name("a box variable")
             hseq = self.parse_hseq()
             self.expect("with")
             handler = self.parse_handler_ref()
             self.expect("init")
             init = self.parse_atom()
-            return S.Handle(uvar, hseq, handler, init, span=tok.span)
-        if tok.kind == "ident" and self.at("(", 1):
-            self.advance()
-            self.advance()
+            return S.Handle(uvar, hseq, handler, init, span=self.span(tok))
+        if self.kinds[tok] == "ident" and self.kinds[tok + 1] == "(":
+            op = self.texts[tok]
+            self.pos = tok + 2
             if self.at(")"):
                 close = self.advance()
-                return S.OpCall(tok.text, S.UnitLit(span=close.span), span=tok.span)
+                return S.OpCall(op, S.UnitLit(span=self.span(close)), span=self.span(tok))
             first = self.parse_expr()
             if self.at(";"):
                 self.advance()
                 state = self.parse_expr()
                 self.expect(")")
-                return S.ContCall(tok.text, first, state, span=tok.span)
+                return S.ContCall(op, first, state, span=self.span(tok))
             self.expect(")")
-            return S.OpCall(tok.text, first, span=tok.span)
+            return S.OpCall(op, first, span=self.span(tok))
         raise self._expected("a statement")
-
-    def _starts_stmt(self) -> bool:
-        return self.at("handle") or (self.at("ident") and self.at("(", 1))
 
     # -- computations
 
@@ -356,38 +369,38 @@ class _Parser:
         # fields) and builds the nodes from the innermost rest outwards.
         holes: list[tuple[Callable[..., S.Comp], tuple, Optional[Span]]] = []
         while True:
-            tok = self.peek()
-            match tok.kind:
+            tok = self.pos
+            match self.kinds[tok]:
                 case "ret":
-                    self.advance()
-                    comp: S.Comp = S.Ret(self.parse_expr(), span=tok.span)
+                    self.pos = tok + 1
+                    comp: S.Comp = S.Ret(self.parse_expr(), span=self.span(tok))
                     break
                 case "let" | "if":
                     holes.append(self.parse_twin(self.parse_comp))
                 case "(":
-                    self.advance()
+                    self.pos = tok + 1
                     comp = self.parse_comp()
                     self.expect(")")
                     break
-                case "ident" if self.at("<-", 1):
-                    var = self.advance().text
-                    self.advance()
-                    if self.at("ret"):  # a pure computation: see `_bind_pure`
-                        ret_tok = self.advance()
+                case "ident" if self.kinds[tok + 1] == "<-":
+                    var = self.texts[tok]
+                    if self.kinds[tok + 2] == "ret":  # a pure computation: see `_bind_pure`
+                        self.pos = tok + 3
                         value = self.parse_expr()
                         self.expect(";")
-                        holes.append((_bind_pure, (var, value), ret_tok.span))
+                        holes.append((_bind_pure, (var, value), self.span(tok + 2)))
                         continue
+                    self.pos = tok + 2
                     stmt = self.parse_stmt()
                     self.expect(";")
-                    holes.append((S.Bind, (stmt, var), tok.span))
-                case _ if self._starts_stmt():
+                    holes.append((S.Bind, (stmt, var), self.span(tok)))
+                case "handle" | "ident" as kind if kind == "handle" or self.kinds[tok + 1] == "(":
                     stmt = self.parse_stmt()
                     if not self.at(";"):
-                        comp = S.Bind(stmt, "x", S.Ret(S.Var("x"), span=tok.span), span=tok.span)
+                        comp = S.Bind(stmt, "x", S.Ret(S.Var("x"), span=self.span(tok)), span=self.span(tok))
                         break
                     self.advance()
-                    holes.append((_bind_fresh, (stmt,), tok.span))
+                    holes.append((_bind_fresh, (stmt,), self.span(tok)))
                 case _:
                     raise self._expected("a computation")
         # Bare and pure holes read the free names of the rest: below the
@@ -407,23 +420,23 @@ class _Parser:
         whole.  The caller parses the last part, so that `parse_comp` reads a
         chain of these forms (`else if`, `in let box`) in its loop."""
         tok = self.advance()
-        if tok.kind == "if":
+        if self.kinds[tok] == "if":
             cond = self.parse_expr()
             self.expect("then")
             then = branch()
             self.expect("else")
-            return S.If, (cond, then), tok.span
+            return S.If, (cond, then), self.span(tok)
         if not self.at("fix"):
             self.expect("box")
-            uvar = self.expect("ident").text
+            uvar = self.name()
             self.expect("=")
             bound = self.parse_expr()
             self.expect("in")
-            return S.LetBox, (uvar, bound), tok.span
+            return S.LetBox, (uvar, bound), self.span(tok)
         self.advance()
-        fname = self.expect("ident").text
+        fname = self.name()
         self.expect("(")
-        param = self.expect("ident").text
+        param = self.name()
         self.expect(":")
         annot = self.parse_type()
         self.expect(")")
@@ -434,7 +447,7 @@ class _Parser:
         self.expect("=")
         rec_body = self.parse_comp()
         self.expect("in")
-        return S.Fix, (fname, param, annot, boxed.theory, boxed.body, rec_body), tok.span
+        return S.Fix, (fname, param, annot, boxed.theory, boxed.body, rec_body), self.span(tok)
 
     # -- expressions
 
@@ -450,22 +463,21 @@ class _Parser:
         if done is not None:
             self.pos = done[1]
             return done[0]
-        tok = self.tokens[start]
-        match tok.kind:
+        match self.kinds[start]:
             case "fn":
-                self.advance()
-                param = self.expect("ident").text
+                self.pos = start + 1
+                param = self.name()
                 self.expect(":")
                 annot = self.parse_type()
                 self.expect(".")
                 body = self.parse_expr()
-                expr: S.Expr = S.Lam(param, annot, body, span=tok.span)
+                expr: S.Expr = S.Lam(param, annot, body, span=self.span(start))
             case "box":
-                self.advance()
+                self.pos = start + 1
                 theory = self.parse_theory_ref()
                 self.expect(".")
                 body = self.parse_comp()
-                expr = S.BoxTerm(theory, body, span=tok.span)
+                expr = S.BoxTerm(theory, body, span=self.span(start))
             case "let" | "if":
                 cls, fields, span = self.parse_twin(self.parse_expr)
                 expr = cls(*fields, self.parse_expr(), span=span)
@@ -479,74 +491,70 @@ class _Parser:
         and above, each with its right operand read one level higher."""
         left = self.parse_application()
         while True:
-            tok = self.peek()
-            level = S.BINARY.get(tok.kind, 0)
+            tok = self.pos
+            op = self.kinds[tok]
+            level = S.BINARY.get(op, 0)
             if level < floor:
                 return left
-            self.advance()
+            self.pos = tok + 1
             right = self.parse_binary(level + 1)
             if level == 1:
-                return S.Cmp(tok.kind, left, right, span=tok.span)
-            if tok.kind == "++":
-                left = S.Append(left, right, span=tok.span)
+                return S.Cmp(op, left, right, span=self.span(tok))
+            if op == "++":
+                left = S.Append(left, right, span=self.span(tok))
             else:
-                left = S.Arith(tok.kind, left, right, span=tok.span)
+                left = S.Arith(op, left, right, span=self.span(tok))
 
     def parse_application(self) -> S.Expr:
-        tok = self.peek()
-        if tok.kind in ("fst", "snd"):
-            self.advance()
-            proj = S.Proj1 if tok.kind == "fst" else S.Proj2
-            return proj(self.parse_atom(), span=tok.span)
-        if tok.kind == "eval":
-            self.advance()
+        tok = self.pos
+        if self.kinds[tok] in ("fst", "snd"):
+            self.pos = tok + 1
+            proj = S.Proj1 if self.kinds[tok] == "fst" else S.Proj2
+            return proj(self.parse_atom(), span=self.span(tok))
+        if self.kinds[tok] == "eval":
+            self.pos = tok + 1
             hseq = self.parse_hseq()
-            uvar = self.expect("ident", "a box variable").text
-            return S.EvalTerm(hseq, uvar, span=tok.span)
+            uvar = self.name("a box variable")
+            return S.EvalTerm(hseq, uvar, span=self.span(tok))
         expr = self.parse_atom()
-        while self._starts_atom():
+        while self.kinds[self.pos] in ("ident", "num", "true", "false", "(", "["):
             arg = self.parse_atom()
-            expr = S.App(expr, arg, span=tok.span)
+            expr = S.App(expr, arg, span=self.span(tok))
         return expr
 
-    def _starts_atom(self) -> bool:
-        kind = self.peek().kind
-        return kind in ("ident", "num", "true", "false", "(", "[")
-
     def parse_atom(self) -> S.Expr:
-        tok = self.peek()
-        match tok.kind:
+        tok = self.pos
+        match self.kinds[tok]:
             case "ident":
-                self.advance()
-                return S.Var(tok.text, span=tok.span)
+                self.pos = tok + 1
+                return S.Var(self.texts[tok], span=self.span(tok))
             case "num":
-                self.advance()
-                return S.IntLit(S.int_of_text(tok.text), span=tok.span)
-            case "-" if self.at("num", 1):
-                self.advance()
-                num = self.advance()
-                return S.IntLit(-S.int_of_text(num.text), span=tok.span)
-            case "true" | "false":
-                self.advance()
-                return S.BoolLit(tok.kind == "true", span=tok.span)
+                self.pos = tok + 1
+                return S.IntLit(S.int_of_text(self.texts[tok]), span=self.span(tok))
+            case "-" if self.kinds[tok + 1] == "num":
+                self.pos = tok + 2
+                return S.IntLit(-S.int_of_text(self.texts[tok + 1]), span=self.span(tok))
+            case "true" | "false" as kind:
+                self.pos = tok + 1
+                return S.BoolLit(kind == "true", span=self.span(tok))
             case "(":
-                self.advance()
+                self.pos = tok + 1
                 if self.at(")"):
                     self.advance()
-                    return S.UnitLit(span=tok.span)
+                    return S.UnitLit(span=self.span(tok))
                 first = self.parse_expr()
                 if self.at(","):
                     self.advance()
                     second = self.parse_expr()
                     self.expect(")")
-                    return S.Pair(first, second, span=tok.span)
+                    return S.Pair(first, second, span=self.span(tok))
                 self.expect(")")
                 return first
             case "[":
-                self.advance()
+                self.pos = tok + 1
                 elems = () if self.at("]") else tuple(self._sep(self.parse_expr, ","))
                 self.expect("]")
-                return S.ListE(elems, span=tok.span)
+                return S.ListE(elems, span=self.span(tok))
             case _:
                 raise self._expected("an expression")
 
@@ -580,22 +588,23 @@ class _Parser:
 
     def parse_def(self) -> tuple[str, Union[S.EffectContext, S.Handler, S.Expr]]:
         self.expect("def")
-        name = self.expect("ident", "a definition name")
+        tok = self.expect("ident", "a definition name")
+        name = self.texts[tok]
         self.expect("=")
         if self.at("{"):
-            return name.text, self.parse_theory_literal()
+            return name, self.parse_theory_literal()
         if self.at("handler"):
             handler = self.parse_handler_literal()
             resolved = self._resolve(handler)
             assert isinstance(resolved, S.Handler)
-            return name.text, resolved
+            return name, resolved
         body = self._resolve(self.parse_term())
         if not isinstance(S.last_part(body), S.Expr):
             raise ParseError(
-                f"definition {name.text!r} must be an expression, a theory, or a handler",
-                name.span,
+                f"definition {name!r} must be an expression, a theory, or a handler",
+                self.span(tok),
             )
-        return name.text, body
+        return name, body
 
     def parse_source(self) -> SourceFile:
         while self.at("def"):
@@ -635,20 +644,20 @@ def _finish(parser: _Parser, result: _T) -> _T:
 
 
 def parse_type(text: str, table: Optional[DefTable] = None) -> S.Type:
-    parser = _Parser(tokenize(text), table)
+    parser = _Parser(text, table)
     return _finish(parser, parser.parse_type())
 
 
 def parse_handler(text: str, table: Optional[DefTable] = None) -> S.Handler:
-    parser = _Parser(tokenize(text), table)
+    parser = _Parser(text, table)
     return _finish(parser, parser.parse_handler_literal())
 
 
 def parse_term(text: str, table: Optional[DefTable] = None) -> S.Term:
-    parser = _Parser(tokenize(text), table)
+    parser = _Parser(text, table)
     return parser._resolve(_finish(parser, parser.parse_term()))
 
 
 def parse_source(text: str, table: Optional[DefTable] = None) -> SourceFile:
-    parser = _Parser(tokenize(text), table)
+    parser = _Parser(text, table)
     return parser.parse_source()

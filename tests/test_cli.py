@@ -4,9 +4,11 @@ import io
 import itertools
 import json
 import math
+import random
 import runpy
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -14,6 +16,7 @@ from ecmtt import cli, subst
 from ecmtt.cli import ENV_MAX_STEPS, cmd_trace, main
 from ecmtt.corpus import CASES, TypeIs
 from ecmtt.evaluator import DEFAULT_MAX_STEPS
+from ecmtt.parser import KEYWORDS, PUNCT1, PUNCT2, ParseError, parse_source, tokenize
 
 PIPELINE = """\
 def St = {get:unit=>int, set:int=>unit}
@@ -583,6 +586,57 @@ def test_run_json_names_the_substitution_budget(tmp_path, monkeypatch):
     assert code == 3
     assert json.loads(out) == {"status": "fuel-exhausted", "steps": 2, "budget": "substitution fuel"}
     assert err == "error: substitution fuel exhausted after 2 steps\n"
+
+
+# ---------------------------------------------------------------------------
+# Token mutants: one token deleted, inserted, replaced or swapped
+
+FUZZ_SOURCES = [(path.name, path.read_text()) for path in sorted(SAMPLES.glob("*.ecmtt"))] + [
+    (case.name, case.source) for case in CASES
+]
+# What an insertion or a replacement writes: every keyword and mark, a few
+# names the programs use, and numbers.
+FUZZ_WORDS = (*sorted(KEYWORDS), *PUNCT2, *PUNCT1, "x", "k", "z", "get", "set", "St", "handlerSt", "0", "13")
+MUTANTS_PER_SOURCE = 8
+DOCUMENTED_CODES = {code for code, _, _ in cli.OUTCOMES.values()}
+
+
+def token_mutants(text: str, rng: random.Random, count: int) -> Iterator[str]:
+    starts = list(itertools.accumulate((len(line) + 1 for line in text.split("\n")), initial=0))
+    bounds = [(starts[t.line - 1] + t.col - 1, starts[t.line - 1] + t.col - 1 + len(t.text)) for t in tokenize(text)]
+    bounds.pop()  # `eof`
+    for _ in range(count):
+        i = rng.randrange(len(bounds) - 1)  # a token with a next one to swap with
+        (a, b), (c, d), word = bounds[i], bounds[i + 1], rng.choice(FUZZ_WORDS)
+        yield rng.choice(
+            (
+                text[:a] + text[b:],
+                f"{text[:a]} {word} {text[a:]}",
+                f"{text[:a]} {word} {text[b:]}",
+                text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:],
+            )
+        )
+
+
+def span_inside(span, text: str) -> bool:
+    """`span` covers characters of `text`, or the end of a line when empty."""
+    lines = text.split("\n")
+    return 1 <= span.line <= len(lines) and 1 <= span.col and span.col - 1 + span.length <= len(lines[span.line - 1])
+
+
+@pytest.mark.parametrize("name, text", FUZZ_SOURCES, ids=[name for name, _ in FUZZ_SOURCES])
+def test_token_mutants_end_in_a_documented_outcome(tmp_path, name, text):
+    # Derandomised: each source draws its mutants from its own seed.
+    path = tmp_path / "mutant.ecmtt"
+    for mutant in token_mutants(text, random.Random(name), MUTANTS_PER_SOURCE):
+        path.write_text(mutant, encoding="utf-8")
+        for argv in (["check", str(path)], ["run", "--max-steps", "300", str(path)]):
+            code, _, err = invoke(argv)
+            assert code in DOCUMENTED_CODES, (argv[0], mutant, err)
+        try:
+            parse_source(mutant)
+        except ParseError as exc:
+            assert exc.span is not None and span_inside(exc.span, mutant), (str(exc), mutant)
 
 
 # ---------------------------------------------------------------------------

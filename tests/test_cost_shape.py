@@ -1,18 +1,24 @@
-"""The shape of the engine's cost: handling N operations costs O(N) engine
-ticks in every handling family, and unrolling a `let fix` costs the same
-ticks per step at every depth.
+"""The shape of the cost: handling N operations costs O(N) engine ticks in
+every handling family, unrolling a `let fix` costs the same ticks per step
+at every depth, and the front end does the same work per token and per node
+at every length of a chain.
 
 Ticks are counted by wrapping `subst._Engine.tick`, one frame per tick, so
 the counts are deterministic.  A linear cost roughly doubles when N
-doubles; a quadratic term would push the ratio towards 4.
+doubles; a quadratic term would push the ratio towards 4.  The front end is
+counted the same way, by wrapping the parser's methods and `typecheck.infer`.
 """
 
 import pytest
 
+from ecmtt import parser as P
 from ecmtt import subst
+from ecmtt import syntax as S
+from ecmtt import typecheck
 from ecmtt.corpus import PRELUDE
 from ecmtt.evaluator import Value, evaluate
 from ecmtt.parser import parse_source
+from ecmtt.pretty import type_text
 
 # Measured ratios per doubling from N = 20: 1.86-1.95 for the three state
 # families (233 / 433 / 833 ticks plain, 333 / 633 / 1,233 staged,
@@ -94,3 +100,75 @@ def test_recursion_costs_the_same_ticks_per_step_at_every_depth(cost):
         ticks, steps = cost(factorial(n))
         per_step[n] = ticks / steps
     assert abs(per_step[128] - per_step[32]) <= MAX_PER_STEP_DRIFT * per_step[32], per_step
+
+
+# ---------------------------------------------------------------------------
+# The front end on chains shaped as the benchmark's `check_large` programs
+
+# Measured at 100 / 200 / 400 pairs: parser method calls per token 1.836 /
+# 1.818 / 1.809, and `infer` calls per node 0.510 / 0.505 / 0.503, each a
+# drift of 1.4 % as the fixed part of the program is shared out over more
+# pairs.  Work per pair that grew with N would make the ratio at 400 pairs
+# about 4 times that at 100; the bound leaves a margin of 3.6 points over
+# the drift.
+MAX_FRONT_END_DRIFT = 0.05
+
+
+def check_large_shaped(n: int) -> str:
+    # As the benchmark builds them: the boxed chain inside a function literal
+    # under a `let box`, handled after it.
+    return f"let box u = (fn n:int. box St. ({chain(n)})) 3 in x <- handle u with handlerSt init 0; ret x"
+
+
+def node_count(term: S.Term) -> int:
+    count, todo = 0, [term]
+    while todo:
+        t = todo.pop()
+        count += 1
+        for _, name, many in S.SCHEMA[type(t)].kids:
+            child = getattr(t, name)
+            todo.extend(child if many else (child,))
+    return count
+
+
+def counting(monkeypatch, owner, name: str) -> list[int]:
+    """Wrap `owner.name` to count its calls in the one cell returned."""
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def assert_flat(ratios: dict[int, float]) -> None:
+    assert abs(ratios[400] - ratios[100]) <= MAX_FRONT_END_DRIFT * ratios[100], ratios
+
+
+def test_the_parser_makes_the_same_calls_per_token_at_every_length(monkeypatch):
+    table = parse_source(PRELUDE).table
+    methods = [name for name, f in vars(P._Parser).items() if callable(f) and not name.startswith("__")]
+    cells = [counting(monkeypatch, P._Parser, name) for name in methods]
+    ratios = {}
+    for n in (100, 200, 400):
+        text = check_large_shaped(n)
+        for cell in cells:
+            cell[0] = 0
+        assert parse_source(text, table).main is not None
+        ratios[n] = sum(cell[0] for cell in cells) / len(P.tokenize(text))
+    assert_flat(ratios)
+
+
+def test_infer_makes_the_same_calls_per_node_at_every_length(monkeypatch):
+    table = parse_source(PRELUDE).table
+    calls = counting(monkeypatch, typecheck, "infer")
+    ratios = {}
+    for n in (100, 200, 400):
+        term = parse_source(check_large_shaped(n), table).main
+        calls[0] = 0
+        assert type_text(typecheck.infer_term(term)) == "int * int"
+        ratios[n] = calls[0] / node_count(term)
+    assert_flat(ratios)

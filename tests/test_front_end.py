@@ -1,11 +1,13 @@
 """The front end reads each token once.
 
-`tokenize` builds tuple tokens from one `findall` of a lexeme pattern per
-line; the seed's tokenizer, a character loop with frozen-dataclass tokens, is
-kept below as the reference.  `parse_term` reads a whole term as an
-expression and as a computation, and the two readings share every expression
-through the parser's position memo; a parser whose memo keeps nothing is the
-reference for that.
+The lexer reads each line with one `findall` of a lexeme pattern into four
+parallel lists (kinds, texts, lines and columns), the stream the parser
+reads by index; `tokenize` gives the same tokens as tuples.  The seed's
+tokenizer, a character loop with frozen-dataclass tokens, is kept below as
+the reference.  `parse_term` reads a whole term as an expression and as a
+computation, and the two readings share every expression through the
+parser's position memo; a parser whose memo keeps nothing is the reference
+for that.
 """
 
 import gc
@@ -160,6 +162,17 @@ def test_a_non_decimal_digit_cannot_start_a_token(digit):
         assert exc.value.span == Span(1, 3, 1)
 
 
+def test_tokenize_gives_the_tokens_the_parser_reads():
+    # The benchmark divides parse time by `len(tokenize(...))`, so it must
+    # count the tokens the parser reads: those of `_lex`, then one more `eof`.
+    for text in [path.read_text() for path in SAMPLES] + [case.source for case in CASES]:
+        tokens = tokenize(text)
+        assert tokens == list(zip(*P._lex(text)))
+        assert [t.kind for t in tokens].index("eof") == len(tokens) - 1
+        parser = P._Parser(text)
+        assert list(zip(parser.kinds, parser.texts, parser.lines, parser.cols)) == tokens + tokens[-1:]
+
+
 def test_tokens_are_tuples_with_spans():
     tok = tokenize("  abc")[0]
     assert isinstance(tok, tuple)
@@ -276,7 +289,7 @@ class _Forgetful(dict):
 
 
 def parse_term_unshared(text: str) -> S.Term:
-    parser = P._Parser(tokenize(text))
+    parser = P._Parser(text)
     parser._exprs = _Forgetful()
     term = parser.parse_term()
     parser.expect("eof", "end of input")
