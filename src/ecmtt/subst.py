@@ -451,14 +451,18 @@ class _Engine:
         state stays a value.  A clause whose whole body is the call is not
         plugged: only `e1` and `e2` are substituted into.  The result `y :=
         e1` joins `env`, a pending substitution from names of `c` to
-        normalized payloads, cut down at each operation to the names free in
-        `rest`.  `env` is applied (`_pending`) where the loop emits code: an
-        operation's argument, a `ret` value, the fields of a `let box` or
-        `let fix` outside its tail, and all that is left when the loop
-        leaves the rule.  The binders of such a hole are renamed by `_scope`
-        as in `sub`, and those over its tail away from the free names of `h`
-        and the state; the clause's binders around the call, away from those
-        of `h` and of `rest` once `env` is applied.
+        normalized payloads, in place: the loop does not take the free names
+        of `rest`, a walk of the whole chain, so `env` may keep results that
+        nothing reads any more.  It is cut down to the names free in a node
+        where those names matter.  `env` is applied (`_pending`) where the
+        loop emits code: an operation's argument, a `ret` value, the fields
+        of a `let box` or `let fix` outside its tail, and all that is left
+        when the loop leaves the rule.  The binders of such a hole are
+        renamed by `_scope` as in `sub`, once `env` is cut to the names free
+        in the hole, and those over its tail away from the free names of `h`
+        and the state.  A clause with statements around its call cuts `env`
+        to the names free in `rest`, and renames its binders there away from
+        those of `h` and of `rest` once `env` is applied.
         A clause that does not call its `k` is the result as it is, and
         `rest` is not handled.  Any other clause handles `rest` under a
         fresh state variable and substitutes the continuation for `k` with
@@ -479,12 +483,11 @@ class _Engine:
                     if clause is None:
                         raise SubstitutionError(f"no clause handles operation {op!r}")
                     m = {clause.x: self._pending(arg, env), clause.z: state}
-                    rfv = free_vars(rest)
-                    live = {v: env[v] for v in rfv.values if v != yv and v in env} if env else {}
                     if type(clause.body) is S.Bind and self._tail_path(clause.body, clause.k) == []:
                         call = clause.body.stmt
-                        live[yv], state = self.subst(call.arg, m), self.subst(call.state, m)
-                        env, c = live, rest
+                        env = {} if env is None else env
+                        env[yv], state = self.subst(call.arg, m), self.subst(call.state, m)
+                        c = rest
                         continue
                     plugged = self.subst(clause.body, m)
                     if clause.k not in free_vars(plugged).conts:
@@ -499,18 +502,23 @@ class _Engine:
                         out = self.subst_cont(plugged, clause.k, yv, z2, resumed)
                         break
                     if path:
+                        # The clause's binders around the call stay in the
+                        # result, over the rest once `env` is applied.
+                        rfv = free_vars(rest)
+                        env = {v: env[v] for v in rfv.values if v != yv and v in env} if env else {}
                         danger = free_vars(h) | S.FreeVars(
-                            rfv.values.difference((yv,), live), rfv.modals, rfv.ops, rfv.conts
+                            rfv.values.difference((yv,), env), rfv.modals, rfv.ops, rfv.conts
                         )
-                        for payload in live.values():
+                        for payload in env.values():
                             danger |= free_vars(payload)
                         avoid = S.FreeVars(danger.values | {yv}, danger.modals, danger.ops, danger.conts)
                         for cls, i in path:
                             args = self._freshen(plugged, (SCHEMA[cls].fields[i],), danger, avoid)
                             holes.append((cls, args, i))
                             plugged = args[i]
-                    live[yv], state = plugged.stmt.arg, plugged.stmt.state
-                    env, c = live, rest
+                    env = {} if env is None else env
+                    env[yv], state = plugged.stmt.arg, plugged.stmt.state
+                    c = rest
                     continue
                 case S.Bind(S.ContCall(), _, _):
                     raise SubstitutionError("continuation call in a handled computation")
@@ -535,6 +543,8 @@ class _Engine:
             # A `let box` or `let fix`: `env` goes on into its tail through
             # its binders, renamed as in `sub` and away from `h` and the state.
             row, i = SCHEMA[cls], SCHEMA[cls].tail_at[0]
+            if env:
+                env = {v: env[v] for v in free_vars(c).values if v in env}
             args, inner = self._scope(c, env or {}, free_vars(h) | free_vars(state))
             for j, f, _ in row.kids:
                 if j != i:

@@ -20,6 +20,7 @@ the rows.
 
 from __future__ import annotations
 
+from collections import _tuplegetter
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .record import Record, reader, record
@@ -635,17 +636,33 @@ SCHEMA: dict[type, Row] = {row.cls: row for row in ROWS}
 # Free and bound names
 
 
-@record
-class FreeVars(Record):
-    values: frozenset[str]
-    modals: frozenset[str]
-    ops: frozenset[str]
-    conts: frozenset[str]
+class FreeVars(tuple):
+    """The free names of a term, one set per namespace.
+
+    A tuple, as `Span` is: `free_vars` makes one for nearly every node it
+    meets, and `named`, `_join` and `_unbound` build it with `tuple.__new__`,
+    so no constructor of its own runs.  Its fields are read by name."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: frozenset[str], modals: frozenset[str], ops: frozenset[str], conts: frozenset[str]):
+        return _new(cls, (values, modals, ops, conts))
+
+    # The field readers `collections.namedtuple` gives its classes.
+    values = _tuplegetter(0, "The free value variables.")
+    modals = _tuplegetter(1, "The free modal variables.")
+    ops = _tuplegetter(2, "The free operation names.")
+    conts = _tuplegetter(3, "The free continuation names.")
 
     def __or__(self, other: FreeVars) -> FreeVars:
         return _join(self, other)
 
+    def __getnewargs__(self) -> tuple:
+        # So that `copy` and `pickle` rebuild it through `__new__`.
+        return tuple(self)
 
+
+_new = tuple.__new__
 _NO_NAMES: frozenset[str] = frozenset()
 NO_FREE_VARS = FreeVars(_NO_NAMES, _NO_NAMES, _NO_NAMES, _NO_NAMES)
 _NAMESPACES = (VALUES, MODALS, OPS, CONTS)
@@ -655,7 +672,7 @@ def named(ns: str, names: Iterable[str]) -> FreeVars:
     """The names as a set in one namespace."""
     sets = [_NO_NAMES] * 4
     sets[_NAMESPACES.index(ns)] = frozenset(names)
-    return FreeVars(*sets)
+    return _new(FreeVars, sets)
 
 
 def _join(a: FreeVars, b: FreeVars) -> FreeVars:
@@ -666,13 +683,13 @@ def _join(a: FreeVars, b: FreeVars) -> FreeVars:
         return a
     if a is NO_FREE_VARS:
         return b
-    av, am, ao, ak = a.values, a.modals, a.ops, a.conts
-    bv, bm, bo, bk = b.values, b.modals, b.ops, b.conts
+    av, am, ao, ak = a
+    bv, bm, bo, bk = b
     if bv <= av and bm <= am and bo <= ao and bk <= ak:
         return a
     if av <= bv and am <= bm and ao <= bo and ak <= bk:
         return b
-    return FreeVars(av | bv, am | bm, ao | bo, ak | bk)
+    return _new(FreeVars, (av | bv, am | bm, ao | bo, ak | bk))
 
 
 def _unbound(fv: FreeVars, term: Term, binders: Iterable[tuple[str, str]]) -> FreeVars:
@@ -683,15 +700,15 @@ def _unbound(fv: FreeVars, term: Term, binders: Iterable[tuple[str, str]]) -> Fr
         v = getattr(term, f)
         names = v.op_names() if ns == OPS else (v,)
         i = _NAMESPACES.index(ns)
-        held = getattr(fv, ns) if sets is None else sets[i]
+        held = fv[i] if sets is None else sets[i]
         if held.isdisjoint(names):
             continue
         if sets is None:
-            sets = [fv.values, fv.modals, fv.ops, fv.conts]
+            sets = list(fv)
         sets[i] = held.difference(names)
     if sets is None:
         return fv
-    return FreeVars(*sets) if any(sets) else NO_FREE_VARS
+    return _new(FreeVars, sets) if any(sets) else NO_FREE_VARS
 
 
 def free_vars(term: Term) -> FreeVars:

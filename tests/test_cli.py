@@ -18,6 +18,9 @@ from ecmtt.corpus import CASES, TypeIs
 from ecmtt.evaluator import DEFAULT_MAX_STEPS
 from ecmtt.parser import KEYWORDS, PUNCT1, PUNCT2, ParseError, parse_source, tokenize
 
+from test_cost_shape import HANDLERS
+from test_tail_handling import READS, state_chain, state_model, state_ops
+
 PIPELINE = """\
 def St = {get:unit=>int, set:int=>unit}
 
@@ -358,13 +361,16 @@ def test_repl_ends_cleanly_on_eof():
 # Input deeper than the recursion limit
 
 
-def _state_chain(pairs: int) -> str:
-    # The parser and the typechecker read the chain in a loop; the
-    # evaluator's walks take a frame per statement.
+def _reperformed_chain(pairs: int) -> str:
+    # The parser and the typechecker read the chain in a loop. `idSt`'s
+    # clauses keep a statement around the call of `k`, so handling it takes
+    # the free names of the rest of the chain, a frame per statement.
     chain = "; ".join(f"y{i} <- get(); w{i} <- set(y{i} + 1)" for i in range(pairs))
-    definitions = PIPELINE[: PIPELINE.index("let box")]
-    main = f"let box u = box St. ({chain}; ret y0)\nin x <- handle u with handlerSt init 0; ret x\n"
-    return definitions + main
+    return HANDLERS + (
+        f"let box v = (let box u = box St. ({chain}; ret y0)\n"
+        "  in box StExn. (x <- handle u with idSt init (); ret x))\n"
+        "in r <- handle v with handlerStExn init 0; ret r\n"
+    )
 
 
 def _collect_all(n: int) -> str:
@@ -390,11 +396,12 @@ def _collect_all_value(n: int) -> str:
 
 @pytest.mark.parametrize(
     "source, checked",
-    [(_state_chain(600), "int * int\n"), (_collect_all(10), "list int\n")],
+    [(_reperformed_chain(600), "int * int\n"), (_collect_all(10), "list int\n")],
     ids=["600-pair-chain", "collectAll-10"],
 )
 def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, checked):
-    # The chain checks, but it is nested too deeply for the evaluator.
+    # The re-performed chain checks, but it is nested too deeply for the
+    # evaluator.
     # `collectAll`'s 1,024-element result list takes no frame per element, so
     # it runs and traces to its value.
     path = tmp_path / "deep.ecmtt"
@@ -418,6 +425,34 @@ def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, checked
     code, _, err = invoke(["trace", str(path)])
     assert code == 6
     assert err.count("\n") == 1 and "recursion limit" in err
+
+
+@pytest.mark.parametrize(
+    "pairs, stages, result",
+    [
+        (10_000, "", "ret ({}, {})"),
+        (600, " [handlerExplosiveSt init 2 as y. ret (fst y)]", "ret {}"),
+    ],
+    ids=["10000-pair-chain", "600-pair-staged-chain"],
+)
+def test_a_long_tail_resumptive_chain_checks_runs_and_traces(tmp_path, recursion_limit_1000, pairs, stages, result):
+    # `handlerSt` and `handlerExplosiveSt` resume in place with a concrete
+    # state, so handling the chain takes no frame per statement.
+    ops = state_ops(pairs)
+    handler = "handlerExn init ()" if stages else "handlerSt init 2"
+    path = tmp_path / "chain.ecmtt"
+    path.write_text(
+        HANDLERS + f"let box u = box St. ({state_chain(ops, READS)})\nin x <- handle u{stages} with {handler}; ret x\n"
+    )
+    value = result.format(*state_model(ops, 2, READS, False))
+    checked = "int\n" if stages else "int * int\n"
+    assert invoke(["check", str(path)]) == (0, checked, "")
+    code, out, err = invoke(["run", "--json", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"status": "ok", "value": value, "steps": 1}
+    code, out, err = invoke(["trace", str(path)])
+    assert (code, err) == (0, "")
+    assert out.endswith(f"  --[beta-letbox]--> {value}\n{value}\n")
 
 
 def test_check_of_a_deep_sum_exits_6_naming_the_recursion_limit(tmp_path):

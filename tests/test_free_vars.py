@@ -7,6 +7,8 @@ code with the cached one.  Every comparison covers each subterm of the
 term, not only its root, because every node carries its own result.
 """
 
+import copy
+import pickle
 import random
 import sys
 
@@ -260,6 +262,14 @@ def test_caching_leaves_equality_hash_and_printing_alone():
         assert (repr(a), hash(a), pretty(a)) == before
         assert a == b and b == a
         assert hash(a) == hash(b)
+
+
+def test_a_cached_node_copies_and_pickles_with_its_free_names():
+    lam = S.Lam(x, S.INT, S.App(S.Var(x), S.Var(y)))
+    free_vars(lam)
+    for copied in (copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))):
+        assert copied == lam and type(copied._fv) is FreeVars
+        assert copied._fv == _fv(values=[y]) and copied._fv.values == {y}
 
 
 def test_replace_on_a_cached_node_recomputes():

@@ -173,7 +173,7 @@ def _record_classes():
 
 def test_every_constructor_is_the_one_a_per_class_source_compiles_to():
     classes = _record_classes()
-    assert len(classes) == 51
+    assert len(classes) == 50
     for cls in classes:
         names = cls.__match_args__
         init = cls.__init__
@@ -247,7 +247,7 @@ def test_a_field_may_not_take_a_name_the_constructor_uses(name):
 )
 def test_an_import_compiles_one_constructor_per_shape(modules):
     # A shape is a number of fields and whether the class has a
-    # `__post_init__`; the package's 51 record classes have 10 shapes.
+    # `__post_init__`; the package's 50 record classes have 10 shapes.
     code = (
         "import builtins, sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"

@@ -250,6 +250,32 @@ def test_a_pending_payload_is_not_captured_by_a_let_fix_or_let_box_of_the_progra
     assert run(PRELUDE + HANDLERS + main) == f"ret ({10 + 1 + 2 + 0}, 5)"
 
 
+@pytest.mark.parametrize("handler", ["handlerSt", "handlerExplosiveSt"])
+def test_a_let_fix_binder_may_take_the_name_of_a_result_nothing_reads(handler, monkeypatch):
+    # `y` reads the state, which names the outer `f` and `u`, so the
+    # program's `let fix f` and `let box u` are renamed.  The result `f1` is
+    # read nowhere after its operation, so it does not hold the name `f1`
+    # back: a pending result kept past its last read would make it `f2`.
+    code = (
+        "f1 <- get(); y <- get(); w <- set(5); let fix f(n:int):[{}]int = ret n in "
+        "let box u = box {}. ret 0 in ret (y + eval_f (f 2) + eval u)"
+    )
+    out, conts = handled(monkeypatch, code, handler, parse_term("eval_f (f (eval u))", TABLE))
+    eval_f = "(fn x:[ {} ] int. let box u = x in eval u)"
+    assert pretty(out) == (
+        "let fix f1(n:int):[ {} ] int = ret n in let box u1 = box {}. ret 0 in "
+        f"ret ({eval_f} (f (eval u)) + {eval_f} (f1 2) + eval u1, 5)"
+    )
+    assert conts == 0
+    main = (
+        f"let box v = box St. ({code})\n"
+        "in let box u = box {}. ret 10\n"
+        "in let fix f(n:int):[{}]int = ret (n + 1)\n"
+        f"in x <- handle v with {handler} init (eval_f (f (eval u))); ret x\n"
+    )
+    assert run(PRELUDE + HANDLERS + main) == f"ret ({10 + 1 + 2 + 0}, 5)"
+
+
 def test_a_let_box_binder_is_renamed_away_from_the_state(monkeypatch):
     # The state names `u`, so the program's `let box u` would capture the
     # handler's use of it, before and after an operation.
