@@ -142,44 +142,44 @@ _FOLDS = {
 def _contract(t: S.Term) -> tuple[S.Term, str]:
     """The contractum and rule of a redex: a non-value whose evaluated
     children are values.  Raises _StuckError when no rule applies."""
-    match t:
-        case S.Var(name):
-            raise _StuckError(f"unbound variable {name}")
-        case S.App(f, a):
-            if isinstance(f, S.Lam):
-                return subst.subst_values(f.body, {f.param: a}), "beta-app"
-            raise _StuckError("application of a non-function")
-        case S.LetBox(u, e, body):
-            if isinstance(e, S.BoxTerm):
-                return subst.modal_subst(body, u, e.body), "beta-letbox"
-            raise _StuckError("let box on a non-box value")
-        case S.Fix():
-            return _unroll(t), "unroll-fix"
-        case S.If(cond, a, b):
-            if isinstance(cond, S.BoolLit):
-                return (a, "if-true") if cond.value else (b, "if-false")
-            raise _StuckError("conditional on a non-boolean")
-        case _ if type(t) in _FOLDS:
-            cls = type(t)
-            if cls is S.Arith and t.op == "/" and isinstance(t.right, S.IntLit) and t.right.value == 0:
-                raise _StuckError("division-by-zero")
-            folded = subst._BUILD[cls](*S.SCHEMA[cls].read(t))
-            rule, reason = _FOLDS[cls]
-            if type(folded) is cls:
-                raise _StuckError(reason)
-            return folded, rule
-        case S.EvalTerm():
-            raise _StuckError("eval of an unresolved box variable")
-        case S.Bind(stmt, _, _):
-            match stmt:
-                case S.OpCall(op, _):
-                    raise _StuckError(f"unhandled operation {op} at top level")
-                case S.ContCall(k, _, _):
-                    raise _StuckError(f"unapplied continuation {k} at top level")
-                case _:
-                    raise _StuckError("handle of an unresolved box variable")
-        case _:
-            raise _StuckError("no rule applies")
+    cls = type(t)
+    if cls is S.App:
+        f = t.fn
+        if type(f) is S.Lam:
+            return subst.subst_values(f.body, {f.param: t.arg}), "beta-app"
+        raise _StuckError("application of a non-function")
+    if cls is S.LetBox:
+        e = t.bound
+        if type(e) is S.BoxTerm:
+            return subst.modal_subst(t.body, t.uvar, e.body), "beta-letbox"
+        raise _StuckError("let box on a non-box value")
+    if cls is S.Fix:
+        return _unroll(t), "unroll-fix"
+    if cls is S.If:
+        cond = t.cond
+        if type(cond) is S.BoolLit:
+            return (t.then, "if-true") if cond.value else (t.els, "if-false")
+        raise _StuckError("conditional on a non-boolean")
+    if cls in _FOLDS:
+        if cls is S.Arith and t.op == "/" and type(t.right) is S.IntLit and t.right.value == 0:
+            raise _StuckError("division-by-zero")
+        folded = subst._BUILD[cls](*S.SCHEMA[cls].read(t))
+        rule, reason = _FOLDS[cls]
+        if type(folded) is cls:
+            raise _StuckError(reason)
+        return folded, rule
+    if cls is S.Var:
+        raise _StuckError(f"unbound variable {t.name}")
+    if cls is S.EvalTerm:
+        raise _StuckError("eval of an unresolved box variable")
+    if cls is S.Bind:
+        stmt = t.stmt
+        if type(stmt) is S.OpCall:
+            raise _StuckError(f"unhandled operation {stmt.op} at top level")
+        if type(stmt) is S.ContCall:
+            raise _StuckError(f"unapplied continuation {stmt.kname} at top level")
+        raise _StuckError("handle of an unresolved box variable")
+    raise _StuckError("no rule applies")
 
 
 def _plug(parent: Union[S.Term, _Elems], i: int, child: S.Term) -> Union[S.Term, _Elems]:

@@ -576,10 +576,19 @@ class _Parser:
             return comp_result
         raise comp_err if expr_err is None or comp_pos > expr_pos else expr_err
 
-    def _resolve(self, term: S.Term) -> S.Term:
-        if not self.table.terms:
+    def _resolve(self, term: S.Term, start: int = 0) -> S.Term:
+        """`term`, read from token `start` on, with the term definitions it
+        reads put in for their names.  Its free names come from its tokens
+        or the handlers they name: if neither names one, it is not walked."""
+        terms, handlers = self.table.terms, self.table.handlers
+        if not terms:
             return term
-        names = S.free_vars(term).values & self.table.terms.keys()
+        named = set(self.texts[start : self.pos])
+        if terms.keys().isdisjoint(named) and all(
+            S.free_vars(handlers[n]).values.isdisjoint(terms) for n in handlers.keys() & named
+        ):
+            return term
+        names = S.free_vars(term).values & terms.keys()
         if not names:
             return term
         from .subst import subst_values
@@ -593,12 +602,12 @@ class _Parser:
         self.expect("=")
         if self.at("{"):
             return name, self.parse_theory_literal()
+        start = self.pos
         if self.at("handler"):
-            handler = self.parse_handler_literal()
-            resolved = self._resolve(handler)
+            resolved = self._resolve(self.parse_handler_literal(), start)
             assert isinstance(resolved, S.Handler)
             return name, resolved
-        body = self._resolve(self.parse_term())
+        body = self._resolve(self.parse_term(), start)
         if not isinstance(S.last_part(body), S.Expr):
             raise ParseError(
                 f"definition {name!r} must be an expression, a theory, or a handler",
@@ -613,7 +622,8 @@ class _Parser:
             self._exprs.clear()  # kept expressions were read under the old table
         if self.at("eof"):
             return SourceFile(self.table, None)
-        main = self._resolve(self.parse_term())
+        start = self.pos
+        main = self._resolve(self.parse_term(), start)
         self.expect("eof", "end of input")
         return SourceFile(self.table, main)
 

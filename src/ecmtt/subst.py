@@ -63,19 +63,22 @@ class OutOfFuel(Exception):
 # Values and smart constructors
 
 
+# The atoms `is_pure_value` accepts without looking inside.
+_PURE_ATOMS = frozenset({S.Var, S.IntLit, S.BoolLit, S.UnitLit, S.Lam, S.BoxTerm})
+
+
 def is_pure_value(e: S.Expr) -> bool:
     """Open values: safe to duplicate or discard during substitution.  A
     list `mk_append` folded is marked pure on the node, outside its record
     fields, so it is not checked again."""
-    match e:
-        case S.Var() | S.IntLit() | S.BoolLit() | S.UnitLit() | S.Lam() | S.BoxTerm():
-            return True
-        case S.Pair(left, right):
-            return is_pure_value(left) and is_pure_value(right)
-        case S.ListE(elems):
-            return getattr(e, "_pure", False) or all(map(is_pure_value, elems))
-        case _:
-            return False
+    cls = type(e)
+    if cls in _PURE_ATOMS:
+        return True
+    if cls is S.Pair:
+        return is_pure_value(e.left) and is_pure_value(e.right)
+    if cls is S.ListE:
+        return getattr(e, "_pure", False) or all(map(is_pure_value, e.elems))
+    return False
 
 
 def _div(a: int, b: int) -> int:

@@ -3,7 +3,10 @@
 Expressions synthesize a type from the modal context alone; computations and
 statements also consult an effect context of operations and continuations.
 Expressions and computations are typed by one walk, `infer`, where an effect
-context of None marks an expression position.
+context of None marks an expression position.  The system is syntax-directed,
+one rule per node class, so `infer` checks the category and then applies the
+rule that `_INFER` holds for the node's exact class, with no chain of class
+patterns to try first; a new class needs one rule and one `_INFER` entry.
 Handlers are checked against the value type and state type of the computation
 they receive, synthesizing their answer type from the return clause.  A
 handling sequence is checked left to right, one stage at a time: each stage's
@@ -199,129 +202,139 @@ def infer(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Typ
     computation over the effect context `gamma`; a term of another category
     is rejected.  A twin (`let box`, `let fix`, `if`) passes in either
     position and types its last part in the same one, so a last part of the
-    wrong category is rejected where it sits.  A chain of binds, `let box`
-    and `let fix` is walked in a loop, one frame for the whole chain."""
+    wrong category is rejected where it sits.  The rule is the one `_INFER`
+    holds for the node's class."""
     if not isinstance(t, S.Expr if gamma is None else S.Comp):
         what = "expression" if gamma is None else "computation"
         raise TypeCheckError("argument-mismatch", f"unrecognized {what} {t!r}")
-    match t:
-        case S.Var(name):
-            bind = delta.lookup_value(name)
-            if bind is None:
-                raise TypeCheckError("unbound-variable", f"value variable {name}", span=t.span)
-            return bind.type
+    return _INFER[type(t)](delta, gamma, t)
 
-        case S.Ret(value):
-            return infer(delta, None, value)
 
-        case S.Bind() | S.LetBox() | S.Fix():
-            # Each binder extends `delta`, and the loop moves on to its last
-            # part; a bind in an expression position meets the entry check.
-            while True:
-                match t:
-                    case S.Bind(stmt, var, rest) if gamma is not None:
-                        delta = delta.with_value(var, infer_stmt(delta, gamma, stmt))
-                        t = rest
-                    case S.LetBox(uvar, bound, body):
-                        tb = infer(delta, None, bound)
-                        if tb == S.BOTTOM:
-                            return S.BOTTOM
-                        if not isinstance(tb, S.BoxT):
-                            raise TypeCheckError(
-                                "not-a-box", span=t.span, expected="a boxed computation", found=tb
-                            )
-                        delta = delta.with_modal(uvar, tb.body, tb.theory)
-                        t = body
-                    case S.Fix(fname, param, annot, theory, ret_type, rec_body, scope):
-                        delta = delta.with_value(fname, S.ArrowT(annot, S.BoxT(theory, ret_type)))
-                        got = infer(delta.with_value(param, annot), theory, rec_body)
-                        _require(got, ret_type, t.span, message="recursive body")
-                        t = scope
-                    case _:
-                        return infer(delta, gamma, t)
+def _var(delta: ModalContext, gamma: Optional[EffectContext], t: S.Var) -> Type:
+    bind = delta.lookup_value(t.name)
+    if bind is None:
+        raise TypeCheckError("unbound-variable", f"value variable {t.name}", span=t.span)
+    return bind.type
 
-        case S.Lam(param, annot, body):
-            return S.ArrowT(annot, infer(delta.with_value(param, annot), None, body))
 
-        case S.App(fn, arg):
-            tf = infer(delta, None, fn)
-            if tf == S.BOTTOM:
-                infer(delta, None, arg)
+def _chain(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Type:
+    """A chain of binds, `let box` and `let fix`, walked in a loop, one
+    frame for the whole chain: each binder extends `delta`, and the loop
+    moves on to its last part; a bind in an expression position meets the
+    entry check of `infer`."""
+    while True:
+        cls = type(t)
+        if cls is S.Bind and gamma is not None:
+            delta = delta.with_value(t.var, infer_stmt(delta, gamma, t.stmt))
+            t = t.rest
+        elif cls is S.LetBox:
+            tb = infer(delta, None, t.bound)
+            if tb == S.BOTTOM:
                 return S.BOTTOM
-            if not isinstance(tf, S.ArrowT):
-                raise TypeCheckError(
-                    "not-a-function", span=t.span, expected="a function type", found=tf
-                )
-            ta = infer(delta, None, arg)
-            _require(ta, tf.dom, t.span, message="function argument")
-            return tf.cod
+            if not isinstance(tb, S.BoxT):
+                raise TypeCheckError("not-a-box", span=t.span, expected="a boxed computation", found=tb)
+            delta = delta.with_modal(t.uvar, tb.body, tb.theory)
+            t = t.body
+        elif cls is S.Fix:
+            delta = delta.with_value(t.fname, S.ArrowT(t.annot, S.BoxT(t.theory, t.ret_type)))
+            got = infer(delta.with_value(t.param, t.annot), t.theory, t.rec_body)
+            _require(got, t.ret_type, t.span, message="recursive body")
+            t = t.scope
+        else:
+            return infer(delta, gamma, t)
 
-        case S.BoxTerm(theory, body):
-            return S.BoxT(theory, infer(delta, theory, body))
 
-        case S.EvalTerm(hseq, uvar):
-            bind = delta.lookup_modal(uvar)
-            if bind is None:
-                raise TypeCheckError("unbound-variable", f"modal variable {uvar}", span=t.span)
-            return infer_hseq(delta, EMPTY_THEORY, hseq, bind.type, bind.theory, span=t.span)
+def _lam(delta: ModalContext, gamma: Optional[EffectContext], t: S.Lam) -> Type:
+    return S.ArrowT(t.annot, infer(delta.with_value(t.param, t.annot), None, t.body))
 
-        case S.IntLit():
-            return S.INT
-        case S.BoolLit():
-            return S.BOOL
-        case S.UnitLit():
-            return S.UNIT
 
-        case S.Pair(left, right):
-            return S.ProdT(infer(delta, None, left), infer(delta, None, right))
+def _app(delta: ModalContext, gamma: Optional[EffectContext], t: S.App) -> Type:
+    tf = infer(delta, None, t.fn)
+    if tf == S.BOTTOM:
+        infer(delta, None, t.arg)
+        return S.BOTTOM
+    if not isinstance(tf, S.ArrowT):
+        raise TypeCheckError("not-a-function", span=t.span, expected="a function type", found=tf)
+    _require(infer(delta, None, t.arg), tf.dom, t.span, message="function argument")
+    return tf.cod
 
-        case S.Proj1(arg) | S.Proj2(arg):
-            tp = infer(delta, None, arg)
-            if tp == S.BOTTOM:
-                return S.BOTTOM
-            if not isinstance(tp, S.ProdT):
-                raise TypeCheckError(
-                    "argument-mismatch", span=t.span, expected="a pair type", found=tp
-                )
-            return tp.left if isinstance(t, S.Proj1) else tp.right
 
-        case S.ListE(elems):
-            if not elems:
-                raise TypeCheckError(
-                    "argument-mismatch",
-                    "cannot infer an element type for []",
-                    span=t.span,
-                )
-            # Joined from the right, as a cons onto each element's tail.
-            types = [infer(delta, None, e) for e in elems]
-            out = S.ListT(types.pop())
-            for ty in reversed(types):
-                out = _join(S.ListT(ty), out, t.span, message="list tail")
-            return out
+def _eval(delta: ModalContext, gamma: Optional[EffectContext], t: S.EvalTerm) -> Type:
+    bind = delta.lookup_modal(t.uvar)
+    if bind is None:
+        raise TypeCheckError("unbound-variable", f"modal variable {t.uvar}", span=t.span)
+    return infer_hseq(delta, EMPTY_THEORY, t.hseq, bind.type, bind.theory, span=t.span)
 
-        case S.Append(left, right):
-            tl = infer(delta, None, left)
-            tr = infer(delta, None, right)
-            for side in (tl, tr):
-                if side != S.BOTTOM and not isinstance(side, S.ListT):
-                    raise TypeCheckError(
-                        "argument-mismatch", span=t.span, expected="a list type", found=side
-                    )
-            return _join(tl, tr, t.span, message="append operand")
 
-        case S.Arith(_, left, right):
-            _require(infer(delta, None, left), S.INT, t.span, message="arithmetic operand")
-            _require(infer(delta, None, right), S.INT, t.span, message="arithmetic operand")
-            return S.INT
+def _proj(delta: ModalContext, gamma: Optional[EffectContext], t: S.Term) -> Type:
+    tp = infer(delta, None, t.arg)
+    if tp == S.BOTTOM:
+        return S.BOTTOM
+    if not isinstance(tp, S.ProdT):
+        raise TypeCheckError("argument-mismatch", span=t.span, expected="a pair type", found=tp)
+    return tp.left if type(t) is S.Proj1 else tp.right
 
-        case S.Cmp(_, left, right):
-            _require(infer(delta, None, left), S.INT, t.span, message="comparison operand")
-            _require(infer(delta, None, right), S.INT, t.span, message="comparison operand")
-            return S.BOOL
 
-        case S.If(cond, then, els):
-            _require(infer(delta, None, cond), S.BOOL, t.span, message="condition")
-            return _join(infer(delta, gamma, then), infer(delta, gamma, els), t.span)
+def _list(delta: ModalContext, gamma: Optional[EffectContext], t: S.ListE) -> Type:
+    if not t.elems:
+        raise TypeCheckError("argument-mismatch", "cannot infer an element type for []", span=t.span)
+    # Joined from the right, as a cons onto each element's tail.
+    types = [infer(delta, None, e) for e in t.elems]
+    out = S.ListT(types.pop())
+    for ty in reversed(types):
+        out = _join(S.ListT(ty), out, t.span, message="list tail")
+    return out
+
+
+def _append(delta: ModalContext, gamma: Optional[EffectContext], t: S.Append) -> Type:
+    tl = infer(delta, None, t.left)
+    tr = infer(delta, None, t.right)
+    for side in (tl, tr):
+        if side != S.BOTTOM and not isinstance(side, S.ListT):
+            raise TypeCheckError("argument-mismatch", span=t.span, expected="a list type", found=side)
+    return _join(tl, tr, t.span, message="append operand")
+
+
+def _arith(delta: ModalContext, gamma: Optional[EffectContext], t: S.Arith) -> Type:
+    _require(infer(delta, None, t.left), S.INT, t.span, message="arithmetic operand")
+    _require(infer(delta, None, t.right), S.INT, t.span, message="arithmetic operand")
+    return S.INT
+
+
+def _cmp(delta: ModalContext, gamma: Optional[EffectContext], t: S.Cmp) -> Type:
+    _require(infer(delta, None, t.left), S.INT, t.span, message="comparison operand")
+    _require(infer(delta, None, t.right), S.INT, t.span, message="comparison operand")
+    return S.BOOL
+
+
+def _if(delta: ModalContext, gamma: Optional[EffectContext], t: S.If) -> Type:
+    _require(infer(delta, None, t.cond), S.BOOL, t.span, message="condition")
+    return _join(infer(delta, gamma, t.then), infer(delta, gamma, t.els), t.span)
+
+
+# The typing rule of each expression and computation class.
+_INFER = {
+    S.Var: _var,
+    S.Ret: lambda delta, gamma, t: infer(delta, None, t.value),
+    S.Bind: _chain,
+    S.LetBox: _chain,
+    S.Fix: _chain,
+    S.Lam: _lam,
+    S.App: _app,
+    S.BoxTerm: lambda delta, gamma, t: S.BoxT(t.theory, infer(delta, t.theory, t.body)),
+    S.EvalTerm: _eval,
+    S.IntLit: lambda delta, gamma, t: S.INT,
+    S.BoolLit: lambda delta, gamma, t: S.BOOL,
+    S.UnitLit: lambda delta, gamma, t: S.UNIT,
+    S.Pair: lambda delta, gamma, t: S.ProdT(infer(delta, None, t.left), infer(delta, None, t.right)),
+    S.Proj1: _proj,
+    S.Proj2: _proj,
+    S.ListE: _list,
+    S.Append: _append,
+    S.Arith: _arith,
+    S.Cmp: _cmp,
+    S.If: _if,
+}
 
 
 def infer_expr(delta: ModalContext, e: S.Expr) -> Type:
@@ -333,41 +346,34 @@ def infer_comp(delta: ModalContext, gamma: EffectContext, c: S.Comp) -> Type:
 
 
 def infer_stmt(delta: ModalContext, gamma: EffectContext, s: S.Stmt) -> Type:
-    match s:
-        case S.OpCall(op, arg):
-            decl = gamma.lookup_op(op)
-            if decl is None:
-                raise TypeCheckError("op-not-in-context", f"operation {op}", span=s.span)
-            ta = infer(delta, None, arg)
-            _require(ta, decl.in_type, s.span, message=f"argument of {op}")
-            return decl.out_type
+    cls = type(s)
+    if cls is S.OpCall:
+        decl = gamma.lookup_op(s.op)
+        if decl is None:
+            raise TypeCheckError("op-not-in-context", f"operation {s.op}", span=s.span)
+        ta = infer(delta, None, s.arg)
+        _require(ta, decl.in_type, s.span, message=f"argument of {s.op}")
+        return decl.out_type
 
-        case S.ContCall(kname, arg, state):
-            decl = gamma.lookup_cont(kname)
-            if decl is None:
-                raise TypeCheckError(
-                    "unbound-variable", f"continuation variable {kname}", span=s.span
-                )
-            ta = infer(delta, None, arg)
-            _require(ta, decl.in_type, s.span, message=f"argument of {kname}")
-            ts = infer(delta, None, state)
-            _require(
-                ts,
-                decl.state_type,
-                s.span,
-                kind="state-type-mismatch",
-                message=f"state passed to {kname}",
-            )
-            return decl.out_type
+    if cls is S.ContCall:
+        decl = gamma.lookup_cont(s.kname)
+        if decl is None:
+            raise TypeCheckError("unbound-variable", f"continuation variable {s.kname}", span=s.span)
+        ta = infer(delta, None, s.arg)
+        _require(ta, decl.in_type, s.span, message=f"argument of {s.kname}")
+        ts = infer(delta, None, s.state)
+        message = f"state passed to {s.kname}"
+        _require(ts, decl.state_type, s.span, kind="state-type-mismatch", message=message)
+        return decl.out_type
 
-        case S.Handle(uvar, hseq, handler, init):
-            bind = delta.lookup_modal(uvar)
-            if bind is None:
-                raise TypeCheckError("unbound-variable", f"modal variable {uvar}", span=s.span)
-            mid = infer_hseq(delta, handler.theory, hseq, bind.type, bind.theory, span=s.span)
-            ts = infer(delta, None, init)
-            sig = check_handler(delta, gamma, handler, mid, ts)
-            return sig.out_type
+    if cls is S.Handle:
+        bind = delta.lookup_modal(s.uvar)
+        if bind is None:
+            raise TypeCheckError("unbound-variable", f"modal variable {s.uvar}", span=s.span)
+        mid = infer_hseq(delta, s.handler.theory, s.hseq, bind.type, bind.theory, span=s.span)
+        ts = infer(delta, None, s.init)
+        sig = check_handler(delta, gamma, s.handler, mid, ts)
+        return sig.out_type
 
     raise TypeCheckError("argument-mismatch", f"unrecognized statement {s!r}")
 

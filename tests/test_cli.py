@@ -14,11 +14,12 @@ import pytest
 
 from ecmtt import cli, subst
 from ecmtt.cli import ENV_MAX_STEPS, cmd_trace, main
-from ecmtt.corpus import CASES, TypeIs
+from ecmtt.corpus import CASES, PRELUDE, TypeIs
 from ecmtt.evaluator import DEFAULT_MAX_STEPS
 from ecmtt.parser import KEYWORDS, PUNCT1, PUNCT2, ParseError, parse_source, tokenize
 
 from test_cost_shape import HANDLERS
+from test_free_vars import subterms
 from test_tail_handling import READS, state_chain, state_model, state_ops
 
 PIPELINE = """\
@@ -361,12 +362,12 @@ def test_repl_ends_cleanly_on_eof():
 # Input deeper than the recursion limit
 
 
-def _reperformed_chain(pairs: int) -> str:
+def _reperformed_chain(pairs: int, prelude: str = HANDLERS) -> str:
     # The parser and the typechecker read the chain in a loop. `idSt`'s
     # clauses keep a statement around the call of `k`, so handling it takes
     # the free names of the rest of the chain, a frame per statement.
     chain = "; ".join(f"y{i} <- get(); w{i} <- set(y{i} + 1)" for i in range(pairs))
-    return HANDLERS + (
+    return prelude + (
         f"let box v = (let box u = box St. ({chain}; ret y0)\n"
         "  in box StExn. (x <- handle u with idSt init (); ret x))\n"
         "in r <- handle v with handlerStExn init 0; ret r\n"
@@ -425,6 +426,47 @@ def test_deep_input_exits_6_naming_the_recursion_limit(tmp_path, source, checked
     code, _, err = invoke(["trace", str(path)])
     assert code == 6
     assert err.count("\n") == 1 and "recursion limit" in err
+
+
+def test_a_chain_that_names_no_term_definition_checks_under_the_whole_prelude(tmp_path):
+    # The corpus prelude also defines terms (`incr_n`, `eval_f`, ...).  The
+    # chain names none of them, so the parser does not ask for its free
+    # names, which would take a frame per statement; running it still
+    # reaches the recursion limit in `evaluate`.
+    path = tmp_path / "deep.ecmtt"
+    path.write_text(_reperformed_chain(600, PRELUDE))
+    assert invoke(["check", str(path)]) == (0, "int * int\n", "")
+    code, out, _ = invoke(["run", "--json", str(path)])
+    assert code == 6
+    assert json.loads(out)["status"] == "depth-limit"
+
+
+def test_a_main_term_that_names_no_definition_is_not_walked_at_parse_time():
+    main = parse_source(
+        PRELUDE + "let box u = box St. (y <- get(); w <- set(y + 1); ret y)\n"
+        "in x <- handle u with handlerSt init 0; ret x\n"
+    ).main
+    # The handler comes from the table; the chain and the binders around it
+    # are the main term's own.
+    own = [main, main.body, *subterms(main.bound)]
+    assert not [node for node in own if "_fv" in vars(node)]
+    # A term that names one is resolved as before.
+    main = parse_source(PRELUDE + "eval_f (box {}. ret 1)\n").main
+    assert "eval_f" not in str(main)
+
+
+def test_a_handler_reads_a_term_defined_after_it_through_the_main_term(tmp_path):
+    # `foo` is not a token of the main term, but the handler the main term
+    # names reads it, so it is resolved there.
+    path = tmp_path / "late.ecmtt"
+    path.write_text(
+        "def St = {get:unit=>int, set:int=>unit}\n"
+        "def h = handler for St { get(x;k;z) -> k(foo;z), set(x;k;z) -> k(();x), return(x;z) -> ret x }\n"
+        "def foo = 1\n"
+        "let box u = box St. (y <- get(); ret y) in r <- handle u with h init 0; ret r\n"
+    )
+    assert invoke(["check", str(path)]) == (0, "int\n", "")
+    assert invoke(["run", str(path)]) == (0, "ret 1\n", "")
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,12 @@ doubles; a quadratic term would push the ratio towards 4.  The front end is
 counted the same way, by wrapping the parser's methods and `typecheck.infer`.
 """
 
+import ast
+import inspect
+
 import pytest
 
+from ecmtt import evaluator
 from ecmtt import parser as P
 from ecmtt import subst
 from ecmtt import syntax as S
@@ -192,3 +196,31 @@ def test_infer_makes_the_same_calls_per_node_at_every_length(monkeypatch):
         assert type_text(typecheck.infer_term(term)) == "int * int"
         ratios[n] = calls[0] / node_count(term)
     assert_flat(ratios)
+
+
+def capturing_class_patterns(tree: ast.AST) -> list[int]:
+    """The lines of the class patterns under `tree` that hold sub-patterns,
+    such as `case S.Var(name)`."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.MatchClass) and (n.patterns or n.kwd_patterns)]
+
+
+def test_the_guard_finds_a_capturing_class_pattern():
+    tree = ast.parse("match t:\n    case S.Var():\n        pass\n    case S.Pair(left, S.IntLit()):\n        pass\n")
+    assert capturing_class_patterns(tree) == [4]
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [(typecheck, None), (evaluator, "_contract"), (subst, "is_pure_value")],
+    ids=["typecheck", "evaluator._contract", "subst.is_pure_value"],
+)
+def test_the_rule_on_every_node_or_step_is_chosen_without_capturing_class_patterns(module, function):
+    # A class pattern with sub-patterns costs a few hundred ns for each
+    # capture on a record, and a failed one about twice a test of the exact
+    # class, so these paths choose their rule by `type(t)` and read fields
+    # by attribute.  The benchmark is too noisy to notice the slow form
+    # coming back; this test is not.
+    tree = ast.parse(inspect.getsource(module))
+    if function is not None:
+        (tree,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    assert capturing_class_patterns(tree) == []

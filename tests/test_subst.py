@@ -1,10 +1,13 @@
 """Substitution operations: value, monadic, continuation, handling, modal."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from ecmtt import syntax as S
-from ecmtt.corpus import PRELUDE
-from ecmtt.parser import parse_source, parse_term
+from ecmtt.corpus import CASES, PRELUDE
+from ecmtt.parser import ParseError, parse_source, parse_term
 from ecmtt.pretty import pretty
 from ecmtt.subst import (
     OutOfFuel,
@@ -15,6 +18,7 @@ from ecmtt.subst import (
     handle_seq,
     handle_with,
     id_handler,
+    is_pure_value,
     modal_subst,
     normalize,
     subst_cont,
@@ -23,6 +27,9 @@ from ecmtt.subst import (
 )
 from ecmtt.syntax import EMPTY_MODAL, alpha_equal, type_equal
 from ecmtt.typecheck import HandlerSig, check_handler
+
+from generators import gen_program
+from test_free_vars import subterms
 
 TABLE = parse_source(PRELUDE).table
 ST = TABLE.theories["St"]
@@ -269,3 +276,46 @@ def test_renaming_a_clause_binder_skips_a_body_another_binder_rebinds():
     assert out.op_clauses == (S.OpClause("get", "x1", "k", "x2", renamed),)
     by_hand = S.OpClause("get", "a", "k", "b", S.Ret(S.Arith("+", S.Var("b"), S.Var("x"))))
     assert alpha_equal(out, S.Handler(theory, (by_hand,), ret))
+
+
+def reference_is_pure_value(e: S.Term) -> bool:
+    """`is_pure_value` as it was written with class patterns: the reference
+    for the exact-class version."""
+    match e:
+        case S.Var() | S.IntLit() | S.BoolLit() | S.UnitLit() | S.Lam() | S.BoxTerm():
+            return True
+        case S.Pair(left, right):
+            return reference_is_pure_value(left) and reference_is_pure_value(right)
+        case S.ListE(elems):
+            return getattr(e, "_pure", False) or all(map(reference_is_pure_value, elems))
+        case _:
+            return False
+
+
+def _pure_value_samples() -> list[S.Term]:
+    """The main terms of the samples and the corpus cases that parse, and
+    `gen_program` seeds 0-399, plain and shadowing."""
+    sources = [p.read_text() for p in sorted(Path(__file__).parent.parent.glob("samples/*.ecmtt"))]
+    sources += [case.source for case in CASES]
+    mains = []
+    for source in sources:
+        try:
+            mains.append(parse_source(source).main)
+        except ParseError:
+            continue
+    for shadow in (False, True):
+        mains += [gen_program(random.Random(seed), shadow)[0] for seed in range(400)]
+    return [m for m in mains if m is not None]
+
+
+def test_is_pure_value_agrees_with_the_class_pattern_reference():
+    mains = _pure_value_samples()
+    assert len(mains) > 800
+    pure = seen = 0
+    for main in mains:
+        for node in subterms(main):
+            assert is_pure_value(node) == reference_is_pure_value(node), pretty(node)
+            pure += reference_is_pure_value(node)
+            seen += 1
+    # Both answers occur, so the agreement says something.
+    assert 0 < pure < seen

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from ecmtt import syntax as S
+from ecmtt import typecheck
 from ecmtt.corpus import PRELUDE
 from ecmtt.parser import parse_source, parse_term, parse_type
 from ecmtt.pretty import type_text
@@ -347,6 +348,32 @@ def test_a_twin_is_of_the_category_of_its_last_part():
     # In an expression position the computation is rejected at its last part.
     with pytest.raises(TypeCheckError, match="unrecognized expression Ret"):
         infer_term(S.App(S.Lam("x", S.INT, S.Var("x")), comp))
+
+
+def test_every_expression_and_computation_class_has_one_typing_rule():
+    # `infer` finds a node's rule by its exact class, so a class missing
+    # from `_INFER` would end in a KeyError in place of a TypeCheckError.
+    classes = {cls for cls in S.SCHEMA if issubclass(cls, (S.Expr, S.Comp))}
+    assert set(typecheck._INFER) == classes
+
+
+@pytest.mark.parametrize(
+    "term, gamma, message",
+    [
+        (S.OpCall("get", S.UnitLit()), None, "unrecognized expression OpCall"),
+        (S.OpCall("get", S.UnitLit()), EMPTY_THEORY, "unrecognized computation OpCall"),
+        (S.Ret(S.IntLit(1)), None, "unrecognized expression Ret"),
+        (S.IntLit(1), EMPTY_THEORY, "unrecognized computation IntLit"),
+        (S.Bind(S.OpCall("get", S.UnitLit()), "x", S.Ret(S.Var("x"))), None, "unrecognized expression Bind"),
+        (S.HSeq(), EMPTY_THEORY, "unrecognized computation HSeq"),
+    ],
+    ids=["stmt-as-expr", "stmt-as-comp", "comp-as-expr", "expr-as-comp", "bind-as-expr", "hseq-as-comp"],
+)
+def test_a_node_of_another_category_is_rejected_before_its_rule_is_looked_up(term, gamma, message):
+    with pytest.raises(TypeCheckError, match=message) as exc:
+        typecheck.infer(EMPTY_MODAL, gamma, term)
+    assert exc.value.kind == "argument-mismatch"
+    assert exc.value.span is None
 
 
 def _shadowed_chain(pairs: int, last: S.Comp) -> S.Comp:
