@@ -250,7 +250,7 @@ class _Parser:
                     raise ParseError(f"duplicate operation {op!r} in theory", self.span(name))
                 ops.append(S.OpDecl(op, in_type, out_type))
         self.expect("}")
-        return S.make_theory(ops)
+        return S.EffectContext(tuple(ops))
 
     def parse_op_decl(self) -> tuple[int, S.Type, S.Type]:
         name = self.expect("ident", "an operation name")

@@ -40,7 +40,6 @@ from . import syntax as S
 from .syntax import (
     CONTS,
     MODALS,
-    OPS,
     SCHEMA,
     VALUES,
     Span,
@@ -286,11 +285,11 @@ class _Engine:
     # -- capture avoidance: renaming a binder where something would be captured
 
     def _rename(self, t: S.Term, ns: str, old: str, new: str) -> S.Term:
-        """Rename the free name `old` of namespace `ns`, any but `OPS`, to
-        `new`, which must not be free in `t`.  A binder of `new` over a free
-        `old` is renamed first, away from both names, through `_freshen`, as
-        `sub` renames its binders through `_scope`.  Nodes are rebuilt with
-        their plain constructors."""
+        """Rename the free name `old` of namespace `ns` to `new`, which must
+        not be free in `t`.  A binder of `new` over a free `old` is renamed
+        first, away from both names, through `_freshen`, as `sub` renames
+        its binders through `_scope`.  Nodes are rebuilt with their plain
+        constructors."""
         if old not in getattr(free_vars(t), ns):
             return t
         self.tick()
@@ -310,13 +309,13 @@ class _Engine:
         outside `avoid` (by default `danger`), the free names of the children
         it scopes over and the node's other binders, and, by `_rename`, in
         each of those children where no other binder of the node rebinds its
-        old name.  Operation names are never renamed."""
+        old name."""
         row = SCHEMA[type(t)]
         args = list(row.read(t))
         index = row.fields.index
         for f, ns, scope in row.binds:
             b = args[index(f)]
-            if ns == OPS or b not in getattr(danger, ns) or not any(c in into for c in scope):
+            if b not in getattr(danger, ns) or not any(c in into for c in scope):
                 continue
             taken = set(getattr(avoid or danger, ns))
             for c in scope:
@@ -344,11 +343,11 @@ class _Engine:
         danger = S.NO_FREE_VARS
         for k in m.keys() & fv:
             p = free_vars(m[k])
-            danger |= S.FreeVars(p.values - {k}, p.modals, p.ops, p.conts) if k in p.values else p
+            danger |= S.FreeVars(p.values - {k}, p.modals, p.conts) if k in p.values else p
         args = list(row.read(t))
         if danger is not S.NO_FREE_VARS or outside is not S.NO_FREE_VARS:
             # A new name must not be a key either, or `m` would replace it.
-            avoid = S.FreeVars(danger.values.union(m), danger.modals, danger.ops, danger.conts)
+            avoid = S.FreeVars(danger.values.union(m), danger.modals, danger.conts)
             args = self._freshen(t, row.children, danger, avoid)
             if outside is not S.NO_FREE_VARS:
                 args = self._freshen(row.cls(*args), row.tails, outside, outside | avoid)
@@ -369,8 +368,8 @@ class _Engine:
         if type(c) is S.Ret:
             return self.subst(cont, {x: c.value})
         cfv = free_vars(cont)
-        danger = S.FreeVars(cfv.values - {x}, cfv.modals, cfv.ops, cfv.conts)
-        avoid = S.FreeVars(cfv.values | {x}, cfv.modals, cfv.ops, cfv.conts)
+        danger = S.FreeVars(cfv.values - {x}, cfv.modals, cfv.conts)
+        avoid = S.FreeVars(cfv.values | {x}, cfv.modals, cfv.conts)
         row = SCHEMA[type(c)]
         args = self._freshen(c, row.tails, danger, avoid)
         for i in row.tail_at:
@@ -407,7 +406,7 @@ class _Engine:
         row = SCHEMA[type(t)]
         into = _unshadowed(t, row, CONTS, k)
         bfv = free_vars(body)
-        danger = S.FreeVars(bfv.values - {xp, yp}, bfv.modals, bfv.ops, bfv.conts)
+        danger = S.FreeVars(bfv.values - {xp, yp}, bfv.modals, bfv.conts)
         args = self._freshen(t, into, danger, bfv)
         return _BUILD[type(t)](*_map_into(row, args, into, self.subst_cont, k, xp, yp, body))
 
@@ -509,12 +508,10 @@ class _Engine:
                         # result, over the rest once `env` is applied.
                         rfv = free_vars(rest)
                         env = {v: env[v] for v in rfv.values if v != yv and v in env} if env else {}
-                        danger = free_vars(h) | S.FreeVars(
-                            rfv.values.difference((yv,), env), rfv.modals, rfv.ops, rfv.conts
-                        )
+                        danger = free_vars(h) | S.FreeVars(rfv.values.difference((yv,), env), rfv.modals, rfv.conts)
                         for payload in env.values():
                             danger |= free_vars(payload)
-                        avoid = S.FreeVars(danger.values | {yv}, danger.modals, danger.ops, danger.conts)
+                        avoid = S.FreeVars(danger.values | {yv}, danger.modals, danger.conts)
                         for cls, i in path:
                             args = self._freshen(plugged, (SCHEMA[cls].fields[i],), danger, avoid)
                             holes.append((cls, args, i))

@@ -7,12 +7,14 @@ Terms come in five syntactic categories that reference each other: expressions
 (pure), computations (effectful bodies), statements (the effectful heads of a
 bind), handlers, and handling sequences.  `let box`, `let fix` and `if` are
 one class each, a `Twin` of both the expression and the computation class,
-whose category is that of its last part (`last_part`).  Four disjoint
-namespaces are in play: value variables, modal variables, operation names,
+whose category is that of its last part (`last_part`).  Three disjoint
+namespaces of names are bound and renamed: value variables, modal variables
 and continuation names.  Binding follows the term structure: ``fn`` and
 binds of a statement bind value variables, ``let box`` binds a modal
-variable, a box literal binds the operation names of its theory over its
-body, and a handler clause binds its continuation name over the clause body.
+variable, and a handler clause binds its continuation name over the clause
+body.  Operation names are data, like the theories that declare them: the
+typing rules resolve them against the theory in scope, and no walk renames
+them.
 Each term class has one row in `ROWS`, which declares its children,
 names, binders and tails and reads its field values; every walk reads
 the rows.
@@ -151,26 +153,25 @@ EMPTY_THEORY = EffectContext()
 
 
 def make_theory(ops: Iterable[OpDecl]) -> EffectContext:
-    """Build a theory, rejecting duplicate operation names (well-formedness)."""
-    ops = tuple(ops)
-    seen: set[str] = set()
-    for op in ops:
-        if op.name in seen:
-            raise ValueError(f"duplicate operation {op.name!r} in theory")
-        seen.add(op.name)
-    return EffectContext(ops)
+    """Build a theory, rejecting a malformed one (`_check_theory`)."""
+    theory = EffectContext(tuple(ops))
+    _check_theory(theory, "theory")
+    return theory
 
 
 def _check_theory(th: EffectContext, where: str) -> None:
+    """Well-formedness: operations only, each name declared once."""
     # Nodes built from already-checked nodes pass the same context again, so
     # a context that passed is marked, outside its record fields.
     if getattr(th, "_theory_ok", False):
         return
     if not th.is_theory():
         raise ValueError(f"{where} must be an algebraic theory (operations only)")
-    names = [op.name for op in th.ops]
-    if len(names) != len(set(names)):
-        raise ValueError(f"duplicate operation name in {where}")
+    seen: set[str] = set()
+    for op in th.entries:
+        if op.name in seen:
+            raise ValueError(f"duplicate operation {op.name!r} in {where}")
+        seen.add(op.name)
     object.__setattr__(th, "_theory_ok", True)
 
 
@@ -545,8 +546,8 @@ def last_part(t: Term) -> Term:
 # ---------------------------------------------------------------------------
 # The node schema
 
-# The four namespaces, named as the fields of `FreeVars`.
-VALUES, MODALS, OPS, CONTS = "values", "modals", "ops", "conts"
+# The three namespaces, named as the fields of `FreeVars`.
+VALUES, MODALS, CONTS = "values", "modals", "conts"
 
 
 class Row:
@@ -556,10 +557,10 @@ class Row:
     them, and `tuples` those of them that hold a tuple of subterms.  `uses`
     are the fields that name a free occurrence, each with its namespace.
     `binds` are the binding fields, each with its namespace and the children
-    it scopes over, in the order a walk renames them; an `OPS` binder holds
-    a theory and binds its operations.  `tails` are the children of a
-    computation but `ret` that its result comes from, the last of them its
-    last part when it is a twin.  Every other field is data.
+    it scopes over, in the order a walk renames them.  `tails` are the
+    children of a computation but `ret` that its result comes from, the last
+    of them its last part when it is a twin.  Every other field is data:
+    operation names and theories too, since no walk renames them.
 
     The rest is derived from these and the record: `fields`, every field
     in constructor order (span included), so a node is rebuilt from a list
@@ -586,7 +587,7 @@ class Row:
         self.kids = tuple((self.fields.index(c), c, c in tuples) for c in children)
         self.tail_at = tuple(map(self.fields.index, tails))
         self.over = {c: tuple((f, ns) for f, ns, scope in binds if c in scope) for c in children}
-        named = {*children, *(f for f, _ in uses), *(f for f, ns, _ in binds if ns != OPS), "span"}
+        named = {*children, *(f for f, _ in uses), *(f for f, _, _ in binds), "span"}
         self.data = tuple(f for f in self.fields if f not in named)
 
 
@@ -594,7 +595,7 @@ ROWS: tuple[Row, ...] = (
     Row(Var, uses=(("name", VALUES),)),
     Row(Lam, ("body",), binds=(("param", VALUES, ("body",)),)),
     Row(App, ("fn", "arg")),
-    Row(BoxTerm, ("body",), binds=(("theory", OPS, ("body",)),)),
+    Row(BoxTerm, ("body",)),
     Row(LetBox, ("bound", "body"), binds=(("uvar", MODALS, ("body",)),), tails=("body",)),
     Row(EvalTerm, ("hseq",), uses=(("uvar", MODALS),)),
     Row(
@@ -616,7 +617,7 @@ ROWS: tuple[Row, ...] = (
     Row(If, ("cond", "then", "els"), tails=("then", "els")),
     Row(Ret, ("value",)),
     Row(Bind, ("stmt", "rest"), binds=(("var", VALUES, ("rest",)),), tails=("rest",)),
-    Row(OpCall, ("arg",), uses=(("op", OPS),)),
+    Row(OpCall, ("arg",)),
     Row(ContCall, ("arg", "state"), uses=(("kname", CONTS),)),
     Row(Handle, ("hseq", "handler", "init"), uses=(("uvar", MODALS),)),
     Row(
@@ -645,14 +646,13 @@ class FreeVars(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, values: frozenset[str], modals: frozenset[str], ops: frozenset[str], conts: frozenset[str]):
-        return _new(cls, (values, modals, ops, conts))
+    def __new__(cls, values: frozenset[str], modals: frozenset[str], conts: frozenset[str]):
+        return _new(cls, (values, modals, conts))
 
     # The field readers `collections.namedtuple` gives its classes.
     values = _tuplegetter(0, "The free value variables.")
     modals = _tuplegetter(1, "The free modal variables.")
-    ops = _tuplegetter(2, "The free operation names.")
-    conts = _tuplegetter(3, "The free continuation names.")
+    conts = _tuplegetter(2, "The free continuation names.")
 
     def __or__(self, other: FreeVars) -> FreeVars:
         return _join(self, other)
@@ -664,13 +664,13 @@ class FreeVars(tuple):
 
 _new = tuple.__new__
 _NO_NAMES: frozenset[str] = frozenset()
-NO_FREE_VARS = FreeVars(_NO_NAMES, _NO_NAMES, _NO_NAMES, _NO_NAMES)
-_NAMESPACES = (VALUES, MODALS, OPS, CONTS)
+NO_FREE_VARS = FreeVars(_NO_NAMES, _NO_NAMES, _NO_NAMES)
+_NAMESPACES = (VALUES, MODALS, CONTS)
 
 
 def named(ns: str, names: Iterable[str]) -> FreeVars:
     """The names as a set in one namespace."""
-    sets = [_NO_NAMES] * 4
+    sets = [_NO_NAMES] * 3
     sets[_NAMESPACES.index(ns)] = frozenset(names)
     return _new(FreeVars, sets)
 
@@ -683,13 +683,13 @@ def _join(a: FreeVars, b: FreeVars) -> FreeVars:
         return a
     if a is NO_FREE_VARS:
         return b
-    av, am, ao, ak = a
-    bv, bm, bo, bk = b
-    if bv <= av and bm <= am and bo <= ao and bk <= ak:
+    av, am, ak = a
+    bv, bm, bk = b
+    if bv <= av and bm <= am and bk <= ak:
         return a
-    if av <= bv and am <= bm and ao <= bo and ak <= bk:
+    if av <= bv and am <= bm and ak <= bk:
         return b
-    return _new(FreeVars, (av | bv, am | bm, ao | bo, ak | bk))
+    return _new(FreeVars, (av | bv, am | bm, ak | bk))
 
 
 def _unbound(fv: FreeVars, term: Term, binders: Iterable[tuple[str, str]]) -> FreeVars:
@@ -697,15 +697,14 @@ def _unbound(fv: FreeVars, term: Term, binders: Iterable[tuple[str, str]]) -> Fr
     bind; `fv` itself when none of them is free."""
     sets = None
     for f, ns in binders:
-        v = getattr(term, f)
-        names = v.op_names() if ns == OPS else (v,)
+        name = getattr(term, f)
         i = _NAMESPACES.index(ns)
         held = fv[i] if sets is None else sets[i]
-        if held.isdisjoint(names):
+        if name not in held:
             continue
         if sets is None:
             sets = list(fv)
-        sets[i] = held.difference(names)
+        sets[i] = held - {name}
     if sets is None:
         return fv
     return _new(FreeVars, sets) if any(sets) else NO_FREE_VARS
@@ -714,8 +713,8 @@ def _unbound(fv: FreeVars, term: Term, binders: Iterable[tuple[str, str]]) -> Fr
 def free_vars(term: Term) -> FreeVars:
     """Free names of a term, one set per namespace: the names its `uses`
     fields hold, and its children's free names less those bound over them.
-    Handler clause labels and theory ascriptions are data, so they
-    contribute nothing.
+    Operation names, handler clause labels and theory ascriptions are data,
+    so they contribute nothing.
 
     Terms are immutable, so the result is computed once per node, from the
     cached results of its children, and stored on the node outside its
@@ -821,10 +820,9 @@ def alpha_equal(t1: Term, t2: Term) -> bool:
         for _, c, many in row.kids:
             inner = env
             for f, ns in row.over[c]:
-                if ns != OPS:
-                    fwd, back = inner[ns]
-                    x, y = getattr(a, f), getattr(b, f)
-                    inner = {**inner, ns: ({**fwd, x: y}, {**back, y: x})}
+                fwd, back = inner[ns]
+                x, y = getattr(a, f), getattr(b, f)
+                inner = {**inner, ns: ({**fwd, x: y}, {**back, y: x})}
             x, y = getattr(a, c), getattr(b, c)
             if not many:
                 x, y = (x,), (y,)

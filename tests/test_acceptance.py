@@ -420,7 +420,7 @@ def _boxes_in(term: S.Term) -> list[S.BoxTerm]:
 
 def _is_closed(term: S.Term) -> bool:
     fv = free_vars(term)
-    return not (fv.values or fv.modals or fv.ops or fv.conts)
+    return not (fv.values or fv.modals or fv.conts)
 
 
 def test_criterion_5_eta_and_identity():

@@ -16,11 +16,15 @@ one another, and payloads and new names from the same pools, so they name
 the term's own value, modal and continuation binders; payloads carry `let
 box`/`let fix` of their own.  The engine's result and the reference's must
 be alpha-equal once both are normalized.  Each seed is printed on failure.
-Two regression cases close the file, a value substitution and a handled
-program, where a box variable is renamed to the name of a binder inside.
+Two regression cases follow, a value substitution and a handled program,
+where a box variable is renamed to the name of a binder inside.  The file
+closes with operation names, which are data: a binder that shares a name
+with an operation is renamed, and the operation is not.
 """
 
 import random
+
+import pytest
 
 from ecmtt import syntax as S
 from ecmtt.evaluator import Value, evaluate
@@ -318,3 +322,35 @@ def test_a_handled_box_variable_is_not_captured_by_a_clause_binder():
     )
     assert type_text(infer_term(source.main)) == "int"
     assert evaluate(source.main).final == Value(S.Ret(S.IntLit(101)))
+
+
+_CLAUSE_TEXT = (
+    "x <- handle u with handler for {{get:unit=>int}} "
+    "{{ get(x; {k}; z) -> {body}, return(x; z) -> ret x }} init 0; ret x"
+)
+
+
+@pytest.mark.parametrize(
+    "text, walk, expected",
+    [
+        pytest.param(
+            "box {get:unit=>int}. get <- get(); ret (get + y)",
+            lambda t: subst_values(t, {"y": S.Var("get")}),
+            "box {get:unit=>int}. get1 <- get(); ret get1 + get",
+            id="value-binder",
+        ),
+        pytest.param(
+            _CLAUSE_TEXT.format(k="get", body="(a <- get(); b <- k(a; z); c <- get(b; z); ret c)"),
+            lambda t: _Engine()._rename(t, S.CONTS, "k", "get"),
+            _CLAUSE_TEXT.format(k="get1", body="a <- get(); b <- get(a; z); c <- get1(b; z); ret c"),
+            id="continuation-binder",
+        ),
+    ],
+)
+def test_an_operation_name_is_never_renamed(text, walk, expected):
+    # The payload or the new name is `get`, so the binder `get` is renamed
+    # to `get1`; the operation `get`, its declaration and its clause keep
+    # their name.
+    got = walk(parse_term(text))
+    assert pretty(got) == expected
+    assert alpha_equal(got, parse_term(expected))

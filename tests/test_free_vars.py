@@ -29,83 +29,80 @@ TERM_CLASSES = (S.Expr, S.Comp, S.Stmt, S.Handler, S.HSeq)
 def reference_free_vars(term: S.Term) -> FreeVars:
     values: set[str] = set()
     modals: set[str] = set()
-    ops: set[str] = set()
     conts: set[str] = set()
 
-    def go(t, bv, bm, bo, bk) -> None:
+    def go(t, bv, bm, bk) -> None:
         match t:
             case S.Var(name):
                 if name not in bv:
                     values.add(name)
             case S.Lam(param, _, body):
-                go(body, bv | {param}, bm, bo, bk)
+                go(body, bv | {param}, bm, bk)
             case S.App(fn, arg):
-                go(fn, bv, bm, bo, bk)
-                go(arg, bv, bm, bo, bk)
-            case S.BoxTerm(theory, body):
-                go(body, bv, bm, bo | theory.op_names(), bk)
+                go(fn, bv, bm, bk)
+                go(arg, bv, bm, bk)
+            case S.BoxTerm(_, body):
+                go(body, bv, bm, bk)
             case S.LetBox(uvar, bound, body):
-                go(bound, bv, bm, bo, bk)
-                go(body, bv, bm | {uvar}, bo, bk)
+                go(bound, bv, bm, bk)
+                go(body, bv, bm | {uvar}, bk)
             case S.EvalTerm(hseq, uvar):
-                go(hseq, bv, bm, bo, bk)
+                go(hseq, bv, bm, bk)
                 if uvar not in bm:
                     modals.add(uvar)
             case S.Fix(fname, param, _, _, _, rec_body, scope):
-                go(rec_body, bv | {fname, param}, bm, bo, bk)
-                go(scope, bv | {fname}, bm, bo, bk)
+                go(rec_body, bv | {fname, param}, bm, bk)
+                go(scope, bv | {fname}, bm, bk)
             case S.IntLit() | S.BoolLit() | S.UnitLit():
                 pass
             case S.ListE(elems):
                 for elem in elems:
-                    go(elem, bv, bm, bo, bk)
+                    go(elem, bv, bm, bk)
             case S.Pair(left, right) | S.Append(left, right):
-                go(left, bv, bm, bo, bk)
-                go(right, bv, bm, bo, bk)
+                go(left, bv, bm, bk)
+                go(right, bv, bm, bk)
             case S.Arith(_, left, right) | S.Cmp(_, left, right):
-                go(left, bv, bm, bo, bk)
-                go(right, bv, bm, bo, bk)
+                go(left, bv, bm, bk)
+                go(right, bv, bm, bk)
             case S.Proj1(arg) | S.Proj2(arg):
-                go(arg, bv, bm, bo, bk)
+                go(arg, bv, bm, bk)
             case S.If(cond, then, els):
-                go(cond, bv, bm, bo, bk)
-                go(then, bv, bm, bo, bk)
-                go(els, bv, bm, bo, bk)
+                go(cond, bv, bm, bk)
+                go(then, bv, bm, bk)
+                go(els, bv, bm, bk)
             case S.Ret(value):
-                go(value, bv, bm, bo, bk)
+                go(value, bv, bm, bk)
             case S.Bind(stmt, var, rest):
-                go(stmt, bv, bm, bo, bk)
-                go(rest, bv | {var}, bm, bo, bk)
-            case S.OpCall(op, arg):
-                if op not in bo:
-                    ops.add(op)
-                go(arg, bv, bm, bo, bk)
+                go(stmt, bv, bm, bk)
+                go(rest, bv | {var}, bm, bk)
+            case S.OpCall(_, arg):
+                go(arg, bv, bm, bk)
             case S.ContCall(kname, arg, state):
                 if kname not in bk:
                     conts.add(kname)
-                go(arg, bv, bm, bo, bk)
-                go(state, bv, bm, bo, bk)
+                go(arg, bv, bm, bk)
+                go(state, bv, bm, bk)
             case S.Handle(uvar, hseq, handler, init):
                 if uvar not in bm:
                     modals.add(uvar)
-                go(hseq, bv, bm, bo, bk)
-                go(handler, bv, bm, bo, bk)
-                go(init, bv, bm, bo, bk)
+                go(hseq, bv, bm, bk)
+                go(handler, bv, bm, bk)
+                go(init, bv, bm, bk)
             case S.Handler(_, op_clauses, ret_clause):
                 for clause in op_clauses:
-                    go(clause.body, bv | {clause.x, clause.z}, bm, bo, bk | {clause.k})
-                go(ret_clause.body, bv | {ret_clause.x, ret_clause.z}, bm, bo, bk)
+                    go(clause.body, bv | {clause.x, clause.z}, bm, bk | {clause.k})
+                go(ret_clause.body, bv | {ret_clause.x, ret_clause.z}, bm, bk)
             case S.HSeq(clauses):
                 for clause in clauses:
-                    go(clause.handler, bv, bm, bo, bk)
-                    go(clause.init, bv, bm, bo, bk)
-                    go(clause.body, bv | {clause.var}, bm, bo, bk)
+                    go(clause.handler, bv, bm, bk)
+                    go(clause.init, bv, bm, bk)
+                    go(clause.body, bv | {clause.var}, bm, bk)
             case _:
                 raise AssertionError(f"reference_free_vars: unhandled node {t!r}")
 
     empty: frozenset[str] = frozenset()
-    go(term, empty, empty, empty, empty)
-    return FreeVars(frozenset(values), frozenset(modals), frozenset(ops), frozenset(conts))
+    go(term, empty, empty, empty)
+    return FreeVars(frozenset(values), frozenset(modals), frozenset(conts))
 
 
 def subterms(term: S.Term) -> list[S.Term]:
@@ -156,8 +153,8 @@ x, y, k, z, u = "x", "y", "k", "z", "u"
 ST = S.make_theory([S.OpDecl("get", S.UNIT, S.INT), S.OpDecl("set", S.INT, S.UNIT)])
 
 
-def _fv(values=(), modals=(), ops=(), conts=()) -> FreeVars:
-    return FreeVars(frozenset(values), frozenset(modals), frozenset(ops), frozenset(conts))
+def _fv(values=(), modals=(), conts=()) -> FreeVars:
+    return FreeVars(frozenset(values), frozenset(modals), frozenset(conts))
 
 
 def _handler(body: S.Comp, ret_body: S.Comp) -> S.Handler:
@@ -182,7 +179,7 @@ SHADOWING = [
     # x <- get(x); x <- set(x); ret x: each bind rebinds x, the first get's x is free.
     (
         S.Bind(S.OpCall("get", S.Var(x)), x, S.Bind(S.OpCall("set", S.Var(x)), x, S.Ret(S.Var(x)))),
-        _fv(values=[x], ops=["get", "set"]),
+        _fv(values=[x]),
     ),
     # let box u = (eval u) in let box u = ... in eval u: the bound expression sees the outer u.
     (
@@ -193,14 +190,14 @@ SHADOWING = [
         ),
         _fv(values=[x], modals=[u]),
     ),
-    # box St. (x <- get(); y <- raise(); ret x): the box binds its theory's
-    # operations, not others.
+    # box St. (x <- get(); y <- raise(); ret x): operation names are data,
+    # free neither inside nor outside the box's theory.
     (
         S.BoxTerm(
             ST,
             S.Bind(S.OpCall("get", S.UnitLit()), x, S.Bind(S.OpCall("raise", S.UnitLit()), y, S.Ret(S.Var(x)))),
         ),
-        _fv(ops=["raise"]),
+        _fv(),
     ),
     # let fix x(x) = ret (x y) in x z: fname and param both bind in the body,
     # fname alone in the scope.
@@ -251,6 +248,11 @@ def test_closed_nodes_share_one_result_and_unions_reuse_children():
     assert free_vars(app) is free_vars(app.fn)
     pair = S.Pair(S.Var(x), S.Pair(S.Var(x), S.Var(y)))
     assert free_vars(pair) is free_vars(pair.right)
+    # Operation names and theories are data, so a chain of operation calls
+    # with nothing else free is closed, and a box shares its body's result.
+    assert free_vars(parse_term("x <- get(); ret x")) is NO_FREE_VARS
+    box = parse_term("box {get:unit=>int}. x <- get(); ret (x + y)")
+    assert free_vars(box) is free_vars(box.body)
 
 
 def test_caching_leaves_equality_hash_and_printing_alone():
@@ -289,6 +291,6 @@ def test_free_vars_of_a_450_pair_chain_fits_the_default_recursion_limit():
     sys.setrecursionlimit(1000)
     try:
         term = parse_term(chain)
-        assert free_vars(term) == _fv(ops=["get", "set"])
+        assert free_vars(term) is NO_FREE_VARS
     finally:
         sys.setrecursionlimit(limit)

@@ -285,7 +285,7 @@ def test_round_trip_terms_print_as_the_reference():
 ONE, MINUS_ONE, X, F = S.IntLit(1), S.IntLit(-1), S.Var("x"), S.Var("f")
 LESS = S.Cmp("<", X, ONE)
 ST = parse_type("[ {get:unit=>int, set:int=>unit} ] int").theory
-NO_OPS = S.Handler(S.EMPTY_THEORY, (), S.RetClause("r", "z", S.Ret(S.Var("r"))))
+NO_CLAUSES = S.Handler(S.EMPTY_THEORY, (), S.RetClause("r", "z", S.Ret(S.Var("r"))))
 GET = S.Handler(
     ST,
     (S.OpClause("get", "a", "k", "z", S.Bind(S.ContCall("k", S.Var("z"), S.Var("z")), "y", S.Ret(S.Var("y")))),),
@@ -293,7 +293,7 @@ GET = S.Handler(
 )
 SEQ = S.HSeq(
     (
-        S.HClause(NO_OPS, S.UnitLit(), "v", S.Ret(S.Var("v"))),
+        S.HClause(NO_CLAUSES, S.UnitLit(), "v", S.Ret(S.Var("v"))),
         S.HClause(GET, ONE, "w", S.Bind(S.OpCall("get", S.UnitLit()), "y", S.Ret(S.Var("w")))),
     )
 )
@@ -344,9 +344,9 @@ CORNERS = [
     (S.EMPTY_THEORY, "{}"),
     (S.EffectContext((S.ContDecl("k", S.INT, S.BOOL, S.UNIT), S.OpDecl("get", S.UNIT, S.INT))), "{k~:int/bool=>unit, get:unit=>int}"),
     (S.ListE(()), "[]"),
-    (NO_OPS, "handler for {} { return(r; z) -> ret r }"),
+    (NO_CLAUSES, "handler for {} { return(r; z) -> ret r }"),
     (GET, GET_TEXT),
-    (S.Handle("u", S.EMPTY_HSEQ, NO_OPS, MINUS_ONE), "handle u with handler for {} { return(r; z) -> ret r } init (-1)"),
+    (S.Handle("u", S.EMPTY_HSEQ, NO_CLAUSES, MINUS_ONE), "handle u with handler for {} { return(r; z) -> ret r } init (-1)"),
     (
         S.Handle("u", SEQ, GET, ONE),
         "handle u [handler for {} { return(r; z) -> ret r } init () as v. ret v; "
@@ -379,7 +379,7 @@ def _unhandled_id(node) -> str:
 
 
 @pytest.mark.parametrize(
-    "node", [object(), NO_OPS.ret_clause, GET.op_clauses[0], SEQ.clauses[0]], ids=_unhandled_id
+    "node", [object(), NO_CLAUSES.ret_clause, GET.op_clauses[0], SEQ.clauses[0]], ids=_unhandled_id
 )
 def test_an_unhandled_object_raises_naming_it(node):
     with pytest.raises(AssertionError, match=r"^pretty: unhandled node " + re.escape(repr(node))):

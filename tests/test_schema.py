@@ -17,7 +17,7 @@ from ecmtt.pretty import type_text
 from ecmtt.subst import _BUILD
 from ecmtt.typecheck import infer_term
 
-NAMESPACES = {S.VALUES, S.MODALS, S.OPS, S.CONTS}
+NAMESPACES = {S.VALUES, S.MODALS, S.CONTS}
 
 
 def node_classes() -> set[type]:
@@ -99,18 +99,16 @@ def test_each_row_names_its_own_fields(cls, cat):
     assert set(row.children) == {n for n in names if holds_terms(hints[n])}
     assert len(set(row.children)) == len(row.children)
     assert set(row.tuples) == {n for n in row.children if typing.get_origin(hints[n]) is tuple}
-    # Names are strings in one namespace; an operations binder is a theory.
+    # Names are strings in one namespace.
     for f, ns in row.uses:
         assert f in names and ns in NAMESPACES and hints[f] is str
     for f, ns, scope in row.binds:
-        assert f in names and ns in NAMESPACES
-        assert hints[f] is (S.EffectContext if ns == S.OPS else str)
+        assert f in names and ns in NAMESPACES and hints[f] is str
         # A binder scopes over children of its own class, and no tuple.
         assert scope and set(scope) <= set(row.children) - set(row.tuples)
-    # Everything else is data, which alpha-equivalence compares as it is;
-    # a theory that binds operations is data too, since they are never
-    # renamed.
-    renamed = {f for f, _ in row.uses} | {f for f, ns, _ in row.binds if ns != S.OPS}
+    # Everything else is data, which alpha-equivalence compares as it is:
+    # operation names and theories too, since they are never renamed.
+    renamed = {f for f, _ in row.uses} | {f for f, _, _ in row.binds}
     assert set(row.data) == set(names) - set(row.children) - renamed - {"span"}
 
 

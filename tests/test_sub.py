@@ -189,7 +189,7 @@ def bound_names(term: S.Term) -> set[str]:
     while todo:
         t = todo.pop()
         row = S.SCHEMA[type(t)]
-        names.update(getattr(t, f) for f, ns, _ in row.binds if ns != S.OPS)
+        names.update(getattr(t, f) for f, _, _ in row.binds)
         for _, c, many in row.kids:
             todo.extend(getattr(t, c) if many else (getattr(t, c),))
     return names

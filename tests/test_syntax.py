@@ -89,14 +89,14 @@ def test_free_vars_separates_namespaces():
     term = parse_term("x <- get(); ret (f x)")
     fv = free_vars(term)
     assert fv.values == {"f"}
-    assert fv.ops == {"get"}
     assert fv.modals == frozenset()
 
 
 def test_free_vars_box_binds_its_operations():
+    # Operation names are data: the box's theory declares them, and nothing
+    # is left free.
     term = parse_term("box {get:unit=>int}. get()")
-    fv = free_vars(term)
-    assert fv.ops == frozenset()
+    assert free_vars(term) is S.NO_FREE_VARS
 
 
 def test_free_vars_lambda_binds_value_variable():
