@@ -60,10 +60,11 @@ class _StuckError(Exception):
 
 
 # The congruence positions: for each node class, the children evaluated
-# before the node itself, in order, with the rule label of a step inside
-# each.  A node with every listed child a value is a redex, unless its
-# class is one of the value forms below.
-_CONGRUENCE: dict[type, tuple[tuple[str, str], ...]] = {
+# before the node itself, in order, each named and then taken as its
+# position in the node, with the rule label of a step inside it.  A node
+# with every listed child a value is a redex, unless its class is one of
+# the value forms below.
+_CONGRUENCE: dict[type, tuple[tuple[int, str], ...]] = {
     S.App: (("fn", "cong-app-l"), ("arg", "cong-app-r")),
     S.LetBox: (("bound", "cong-letbox"),),
     S.If: (("cond", "cong-if"),),
@@ -75,6 +76,7 @@ _CONGRUENCE: dict[type, tuple[tuple[str, str], ...]] = {
     S.Arith: (("left", "cong-arith-l"), ("right", "cong-arith-r")),
     S.Cmp: (("left", "cong-cmp-l"), ("right", "cong-cmp-r")),
 }
+_CONGRUENCE = {cls: tuple((cls.fields().index(f), rule) for f, rule in kids) for cls, kids in _CONGRUENCE.items()}
 
 
 class _Elems(list):
@@ -163,7 +165,7 @@ def _contract(t: S.Term) -> tuple[S.Term, str]:
     if cls in _FOLDS:
         if cls is S.Arith and t.op == "/" and type(t.right) is S.IntLit and t.right.value == 0:
             raise _StuckError("division-by-zero")
-        folded = subst._BUILD[cls](*S.SCHEMA[cls].read(t))
+        folded = subst._BUILD[cls](*t)
         rule, reason = _FOLDS[cls]
         if type(folded) is cls:
             raise _StuckError(reason)
@@ -189,9 +191,8 @@ def _plug(parent: Union[S.Term, _Elems], i: int, child: S.Term) -> Union[S.Term,
     if cls is _Elems:
         parent[i] = child
         return parent
-    row = S.SCHEMA[cls]
-    args = list(row.read(parent))
-    args[row.fields.index(_CONGRUENCE[cls][i][0])] = child
+    args = list(parent)
+    args[_CONGRUENCE[cls][i][0]] = child
     return cls(*args)
 
 
@@ -260,11 +261,11 @@ def run(
         # focus is a value.
         positions = _CONGRUENCE.get(type(focus), ())
         i = start
-        while i < len(positions) and is_value(getattr(focus, positions[i][0])):
+        while i < len(positions) and is_value(focus[positions[i][0]]):
             i += 1
         if i < len(positions):
             frames.append((focus, i))
-            focus, start = getattr(focus, positions[i][0]), 0
+            focus, start = focus[positions[i][0]], 0
             continue
         if type(focus) in _VALUE_FORMS:
             if type(focus) is S.ListE or type(focus) is _Elems:

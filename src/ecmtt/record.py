@@ -1,47 +1,38 @@
-"""Frozen records: immutable classes made from their field annotations.
+"""Frozen records: immutable tuples made from their field annotations.
 
-`@record` gives a subclass of `Record` its fields, the names its own body
-annotates, in order, as `__match_args__`, and one generated `__init__`
-that stores each with `object.__setattr__` and then calls the class's
-`__post_init__`, if any.  Fields with defaults, from the body, come last.
-One shape, a number of fields and whether there is a `__post_init__`, is
-compiled once, as a template whose placeholder names `a0`, `a1`, ... each
-class renames to its fields: 10 compiles make the package's 50 records.
-Everything else is shared.  A field named `span`, a source position, is
-carried by the constructor and `replace` but left out of `==`, `hash`
-and `repr`; `repr` reads as a dataclass's does: `Var(name='x')`.
+A record is the tuple of its fields.  `@record` gives a subclass of
+`Record` its fields, the names its own body annotates, in order, as
+`__match_args__`; a C reader per field, as `collections.namedtuple` gives
+its classes; and one generated `__new__` that builds the tuple with
+`tuple.__new__` and then calls the class's `__post_init__`, if any.
+Fields with defaults, from the body, come last.  One shape, a number of
+fields and whether there is a `__post_init__`, is compiled once, as a
+template whose placeholder names `a0`, `a1`, ... each class renames to its
+fields: 10 compiles make the package's 51 records.  A field named `span`,
+a source position, comes last: the constructor and `replace` carry it,
+and `==`, `hash` and `repr` leave it out; `repr` reads as a dataclass's
+does: `Var(name='x')`.  A value cached on a node, such as its free names,
+lives in the instance `__dict__`, outside the tuple.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from collections import _tuplegetter
 from types import CodeType, FunctionType
-from typing import Callable
 
 # The one global of the generated constructors.
-_INIT_GLOBALS = {"_set": object.__setattr__}
+_NEW_GLOBALS = {"_new": tuple.__new__}
 # The template of each shape: (number of fields, has `__post_init__`).
 _TEMPLATES: dict[tuple[int, bool], CodeType] = {}
 
 
 def _template(count: int, post_init: bool) -> CodeType:
     slots = [f"a{i}" for i in range(count)]
-    body = [f"\n    _set(self, {f!r}, {f})" for f in slots]
-    if post_init:
-        body.append("\n    self.__post_init__()")
+    made = f"_new(cls, ({''.join(f'{f}, ' for f in slots)}))"
+    body = f"\n    self = {made}\n    self.__post_init__()\n    return self" if post_init else f" return {made}"
     namespace: dict = {}
-    exec(f"def __init__(self, {', '.join(slots)}):{''.join(body) or ' pass'}", _INIT_GLOBALS, namespace)
-    return namespace["__init__"].__code__
-
-
-def reader(names: tuple[str, ...]) -> Callable[[object], tuple]:
-    """A function from an object to the tuple of its named attributes."""
-    if len(names) > 1:
-        return attrgetter(*names)
-    if names:
-        get = attrgetter(names[0])
-        return lambda obj: (get(obj),)
-    return lambda obj: ()
+    exec(f"def __new__(cls, {', '.join(slots)}):{body}", _NEW_GLOBALS, namespace)
+    return namespace["__new__"].__code__
 
 
 class _DataclassFields(dict):
@@ -59,14 +50,13 @@ class _DataclassFields(dict):
         return self[cls]
 
 
-class Record:
+class Record(tuple):
     """The methods every record shares."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-    # The fields that `==`, `hash` and `repr` see, and a reader of their values.
-    _compared: tuple[str, ...] = ()
-    _key = staticmethod(reader(()))
+    # The positions that `==`, `hash` and `repr` see: all but a `span`.
+    _compared = slice(0)
     __dataclass_fields__ = _DataclassFields()
 
     @classmethod
@@ -78,19 +68,29 @@ class Record:
         """A copy with the given fields changed and the others, `span`
         included, kept."""
         cls = type(self)
-        return cls(**{**{f: getattr(self, f) for f in cls.__match_args__}, **changes})
+        return cls(**{**dict(zip(cls.__match_args__, self)), **changes})
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
+            cut = self._compared
+            return self[cut] == other[cut]
         return NotImplemented
 
+    def __ne__(self, other: object) -> bool:
+        # `tuple.__ne__` would compare spans and ignore the class.
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        return hash(self[self._compared])
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._compared, self._key(self)))
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self[self._compared]))
         return f"{type(self).__qualname__}({shown})"
+
+    def __getnewargs__(self) -> tuple:
+        # So that `copy` and `pickle` rebuild it through `__new__`.
+        return tuple(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a record")
@@ -107,18 +107,21 @@ def record(cls: type) -> type:
     defaults = tuple(cls.__dict__[f] for f in names if f in cls.__dict__)
     if any(f in cls.__dict__ for f in names[: len(names) - len(defaults)]):
         raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
-    if taken := sorted({"self", "_set"} & set(names)):
+    if taken := sorted({"cls", "self", "_new"} & set(names)):
         raise TypeError(f"{cls.__qualname__}: the constructor uses the name {taken[0]!r} for itself")
+    if "span" in names[:-1]:
+        raise TypeError(f"{cls.__qualname__}: the field 'span' must come last")
     shape = (len(names), hasattr(cls, "__post_init__"))
     if shape not in _TEMPLATES:
         _TEMPLATES[shape] = _template(*shape)
     code = _TEMPLATES[shape]
     slots = dict(zip(code.co_varnames[1:], names))
-    consts = tuple(slots.get(c, c) for c in code.co_consts)
-    code = code.replace(co_varnames=("self", *names), co_consts=consts)
-    cls.__init__ = FunctionType(code, _INIT_GLOBALS, "__init__", defaults or None)
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    code = code.replace(co_varnames=tuple(slots.get(v, v) for v in code.co_varnames))
+    new = FunctionType(code, _NEW_GLOBALS, "__new__", defaults or None)
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    cls.__new__ = staticmethod(new)
+    for i, f in enumerate(names):
+        setattr(cls, f, _tuplegetter(i, f"Field {i} of {cls.__qualname__}."))
     cls.__match_args__ = names
-    cls._compared = tuple(f for f in names if f != "span")
-    cls._key = staticmethod(reader(cls._compared))
+    cls._compared = slice(len(names) - (names[-1:] == ("span",)))
     return cls

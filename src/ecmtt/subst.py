@@ -139,7 +139,7 @@ def mk_if(cond: S.Expr, then: S.Term, els: S.Term, span: Optional[Span] = None) 
 
 # The constructor every walk rebuilds a node with: the smart constructor of
 # its class, else the class itself.  Each takes the fields in constructor
-# order, span last, as `Row.fields` lists them.
+# order, span last, as the node holds them.
 _BUILD: dict[type, Callable[..., S.Term]] = {cls: cls for cls in SCHEMA}
 _BUILD.update(
     {
@@ -153,20 +153,19 @@ _BUILD.update(
 )
 
 
-def _unshadowed(t: S.Term, row: S.Row, ns: str, name: str) -> tuple[str, ...]:
-    """The children of `t` where no binder of `t` rebinds `name` in `ns`."""
+def _unshadowed(t: S.Term, row: S.Row, ns: str, name: str) -> tuple[int, ...]:
+    """The positions of the children of `t` where no binder of `t` rebinds
+    `name` in `ns`."""
     if not row.binds:
-        return row.children
-    return tuple(
-        c for c in row.children if not any(b == ns and getattr(t, f) == name for f, b in row.over[c])
-    )
+        return row.kid_at
+    return tuple(i for i in row.kid_at if not any(b == ns and t[j] == name for j, b in row.over[i]))
 
 
-def _map_into(row: S.Row, args: list, into: tuple[str, ...], walk: Callable, *extra) -> list:
+def _map_into(row: S.Row, args: list, into: tuple[int, ...], walk: Callable, *extra) -> list:
     """`args`, a node's field values, with `walk(child, *extra)` in place
-    of each child in `into`, item by item in a tuple."""
-    for i, c, many in row.kids:
-        if c in into:
+    of each child at a position in `into`, item by item in a tuple."""
+    for i, _, many in row.kids:
+        if i in into:
             if many:
                 items = []
                 for item in args[i]:
@@ -205,7 +204,7 @@ class _Engine:
         norm = self.norm
         cls = type(t)
         row = SCHEMA[cls]
-        args = list(row.read(t))
+        args = list(t)
         changed = False
         for i, _, many in row.kids:
             kid = args[i]
@@ -262,9 +261,9 @@ class _Engine:
         if row.binds:
             args, inner = self._scope(t, m)
         else:
-            args, inner = list(row.read(t)), {}
-        for i, c, many in row.kids:
-            m2 = inner.get(c, m)
+            args, inner = list(t), {}
+        for i, _, many in row.kids:
+            m2 = inner.get(i, m)
             if not m2:
                 continue
             if many:
@@ -296,39 +295,37 @@ class _Engine:
         row = SCHEMA[type(t)]
         into = _unshadowed(t, row, ns, old)
         args = self._freshen(t, into, S.named(ns, (new,)), S.named(ns, (new, old)))
-        for f, used in row.uses:
-            if used == ns and getattr(t, f) == old:
-                args[row.fields.index(f)] = new
+        for i, used in row.use_at:
+            if used == ns and t[i] == old:
+                args[i] = new
         return row.cls(*_map_into(row, args, into, self._rename, ns, old, new))
 
     def _freshen(
-        self, t: S.Term, into: tuple[str, ...], danger: S.FreeVars, avoid: Optional[S.FreeVars] = None
+        self, t: S.Term, into: tuple[int, ...], danger: S.FreeVars, avoid: Optional[S.FreeVars] = None
     ) -> list:
         """The field values of `t`, with each binder renamed that scopes
-        over a child in `into` and whose name is in `danger`: to a name
-        outside `avoid` (by default `danger`), the free names of the children
-        it scopes over and the node's other binders, and, by `_rename`, in
-        each of those children where no other binder of the node rebinds its
-        old name."""
+        over a child at a position in `into` and whose name is in `danger`:
+        to a name outside `avoid` (by default `danger`), the free names of the
+        children it scopes over and the node's other binders, and, by
+        `_rename`, in each of those children where no other binder of the
+        node rebinds its old name."""
         row = SCHEMA[type(t)]
-        args = list(row.read(t))
-        index = row.fields.index
-        for f, ns, scope in row.binds:
-            b = args[index(f)]
+        args = list(t)
+        for i, ns, scope in row.bind_at:
+            b = args[i]
             if b not in getattr(danger, ns) or not any(c in into for c in scope):
                 continue
             taken = set(getattr(avoid or danger, ns))
             for c in scope:
-                taken |= getattr(free_vars(args[index(c)]), ns)
-            for g, other, _ in row.binds:
-                if other == ns and g != f:
-                    taken.add(args[index(g)])
-            b2 = args[index(f)] = fresh_name(b, taken)
+                taken |= getattr(free_vars(args[c]), ns)
+            for j, other, _ in row.bind_at:
+                if other == ns and j != i:
+                    taken.add(args[j])
+            b2 = args[i] = fresh_name(b, taken)
             for c in scope:
-                if any(other == ns and g != f and args[index(g)] == b for g, other in row.over[c]):
+                if any(other == ns and j != i and args[j] == b for j, other in row.over[c]):
                     continue
-                i = index(c)
-                args[i] = self._rename(args[i], ns, b, b2)
+                args[c] = self._rename(args[c], ns, b, b2)
         return args
 
     def _scope(self, t: S.Term, m: dict[str, S.Expr], outside: S.FreeVars = S.NO_FREE_VARS) -> tuple[list, dict]:
@@ -336,24 +333,24 @@ class _Engine:
         values of `t` with each binder renamed that a payload would capture
         (the payload of a key free in `t` other than the binder), and each
         binder over a tail of `t` (`Row.tails`) whose name is in `outside`;
-        and the mapping for each child, `m` less the value names bound over
-        it."""
+        and the mapping for the child at each position, `m` less the value
+        names bound over it."""
         row = SCHEMA[type(t)]
         fv = free_vars(t).values
         danger = S.NO_FREE_VARS
         for k in m.keys() & fv:
             p = free_vars(m[k])
             danger |= S.FreeVars(p.values - {k}, p.modals, p.conts) if k in p.values else p
-        args = list(row.read(t))
+        args = list(t)
         if danger is not S.NO_FREE_VARS or outside is not S.NO_FREE_VARS:
             # A new name must not be a key either, or `m` would replace it.
             avoid = S.FreeVars(danger.values.union(m), danger.modals, danger.conts)
-            args = self._freshen(t, row.children, danger, avoid)
+            args = self._freshen(t, row.kid_at, danger, avoid)
             if outside is not S.NO_FREE_VARS:
-                args = self._freshen(row.cls(*args), row.tails, outside, outside | avoid)
-        inner: dict[str, dict[str, S.Expr]] = {}
-        for f, ns, scope in row.binds:
-            b = getattr(t, f)
+                args = self._freshen(row.cls(*args), row.tail_at, outside, outside | avoid)
+        inner: dict[int, dict[str, S.Expr]] = {}
+        for i, ns, scope in row.bind_at:
+            b = t[i]
             for c in scope:
                 m2 = inner.get(c, m)
                 if ns == VALUES and b in m2:
@@ -371,7 +368,7 @@ class _Engine:
         danger = S.FreeVars(cfv.values - {x}, cfv.modals, cfv.conts)
         avoid = S.FreeVars(cfv.values | {x}, cfv.modals, cfv.conts)
         row = SCHEMA[type(c)]
-        args = self._freshen(c, row.tails, danger, avoid)
+        args = self._freshen(c, row.tail_at, danger, avoid)
         for i in row.tail_at:
             args[i] = self.subst_monadic(args[i], x, cont)
         return _BUILD[type(c)](*args)
@@ -417,7 +414,7 @@ class _Engine:
         """The way down to the one call of `k` in `t`, where `k` is free,
         when that call is `v <- k(e1; e2); ret v` and each step goes into
         the only tail of a node (`Row.tails`) where `k` is free: each step
-        as the node's class and the tail's position in its field values.
+        as the node's class and the tail's position in the node.
         None when `k` is called in a non-tail position or in two branches."""
         path = []
         while True:
@@ -426,12 +423,11 @@ class _Engine:
                 v = t.rest.value if type(t.rest) is S.Ret else None
                 return path if type(v) is S.Var and v.name == t.var else None
             row = SCHEMA[cls]
-            args = row.read(t)
-            hot = [i for i, _, _ in row.kids if k in free_vars(args[i]).conts]
+            hot = [i for i, _, _ in row.kids if k in free_vars(t[i]).conts]
             if len(hot) != 1 or hot[0] not in row.tail_at:
                 return None
             path.append((cls, hot[0]))
-            t = args[hot[0]]
+            t = t[hot[0]]
 
     def _pending(self, t: S.Term, env: Optional[dict[str, S.Expr]]) -> S.Term:
         """`t` with `handle_with`'s pending substitution applied, normalized
@@ -498,7 +494,7 @@ class _Engine:
                     path = self._tail_path(plugged, clause.k)
                     if path is None:
                         outside = free_vars(h) | free_vars(state)
-                        _, yv, rest, _ = self._freshen(self._pending(c, env), ("rest",), outside)
+                        _, yv, rest, _ = self._freshen(self._pending(c, env), SCHEMA[S.Bind].tail_at, outside)
                         z2 = fresh_name("z", free_vars(rest).values | outside.values | {yv})
                         resumed = self.handle_with(rest, h, S.Var(z2))
                         out = self.subst_cont(plugged, clause.k, yv, z2, resumed)
@@ -513,7 +509,7 @@ class _Engine:
                             danger |= free_vars(payload)
                         avoid = S.FreeVars(danger.values | {yv}, danger.modals, danger.conts)
                         for cls, i in path:
-                            args = self._freshen(plugged, (SCHEMA[cls].fields[i],), danger, avoid)
+                            args = self._freshen(plugged, (i,), danger, avoid)
                             holes.append((cls, args, i))
                             plugged = args[i]
                     env = {} if env is None else env
@@ -546,10 +542,10 @@ class _Engine:
             if env:
                 env = {v: env[v] for v in free_vars(c).values if v in env}
             args, inner = self._scope(c, env or {}, free_vars(h) | free_vars(state))
-            for j, f, _ in row.kids:
+            for j, _, _ in row.kids:
                 if j != i:
-                    args[j] = self._pending(args[j], env and inner.get(f, env))
-            env = env and inner.get(row.fields[i], env)
+                    args[j] = self._pending(args[j], env and inner.get(j, env))
+            env = env and inner.get(i, env)
             holes.append((cls, args, i))
             c = args[i]
         for cls, args, i in reversed(holes):
@@ -606,9 +602,8 @@ class _Engine:
                 raise SubstitutionError(f"operation {op!r} escapes evaluation")
             case S.Bind(S.ContCall(kn, _, _), _, _):
                 raise SubstitutionError(f"continuation {kn!r} escapes evaluation")
-        row = SCHEMA[type(c)]
-        args = list(row.read(c))
-        for i in row.tail_at:
+        args = list(c)
+        for i in SCHEMA[type(c)].tail_at:
             args[i] = self.eval_meta(args[i])
         return _BUILD[type(c)](*args)
 

@@ -16,16 +16,15 @@ body.  Operation names are data, like the theories that declare them: the
 typing rules resolve them against the theory in scope, and no walk renames
 them.
 Each term class has one row in `ROWS`, which declares its children,
-names, binders and tails and reads its field values; every walk reads
-the rows.
+names, binders and tails and gives their positions in the node, which is
+the tuple of its field values; every walk reads the rows.
 """
 
 from __future__ import annotations
 
-from collections import _tuplegetter
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .record import Record, reader, record
+from .record import Record, record
 
 
 class Span(NamedTuple):
@@ -539,7 +538,7 @@ def last_part(t: Term) -> Term:
     """The node whose class gives `t` its category: `t` itself, or, down a
     chain of twins, the last tail (`Row.tails`) that is not a twin."""
     while isinstance(t, Twin):
-        t = getattr(t, SCHEMA[type(t)].tails[-1])
+        t = t[SCHEMA[type(t)].tail_at[-1]]
     return t
 
 
@@ -562,17 +561,21 @@ class Row:
     of them its last part when it is a twin.  Every other field is data:
     operation names and theories too, since no walk renames them.
 
-    The rest is derived from these and the record: `fields`, every field
-    in constructor order (span included), so a node is rebuilt from a list
-    of its field values; `read`, a function from a node to the tuple of
-    those values; `kids`, each child's position in `fields`, name and
-    whether it holds a tuple; `tail_at`, each tail's position in `fields`;
-    `over`, the binders scoping over each child; and `data`, the fields
-    that are neither children, names nor the span.
+    A node is the tuple of its field values, so the walks read it, and
+    rebuild it, by position.  The rest is derived from the fields above and
+    the record, as positions in `fields`, every field in constructor order
+    (span included): `kids`, each child's position, name and whether it
+    holds a tuple; `kid_at`, `tail_at` and `use_at`, the positions of the
+    children, the tails and the uses (each with its namespace); `bind_at`,
+    each binder's position, namespace and the positions of the children it
+    scopes over; `over`, the binders (position and namespace) scoping over
+    the child at each position; and `data`, the fields that are neither
+    children, names nor the span.
     """
 
     __slots__ = (
-        "cls", "children", "tuples", "uses", "binds", "tails", "fields", "read", "kids", "tail_at", "over", "data"
+        "cls", "children", "tuples", "uses", "binds", "tails", "fields",
+        "kids", "kid_at", "tail_at", "use_at", "bind_at", "over", "data",
     )
 
     def __init__(self, cls: type, children=(), tuples=(), uses=(), binds=(), tails=()):
@@ -583,10 +586,13 @@ class Row:
         self.binds: tuple[tuple[str, str, tuple[str, ...]], ...] = binds
         self.tails: tuple[str, ...] = tails
         self.fields = cls.fields()
-        self.read = reader(self.fields)
-        self.kids = tuple((self.fields.index(c), c, c in tuples) for c in children)
-        self.tail_at = tuple(map(self.fields.index, tails))
-        self.over = {c: tuple((f, ns) for f, ns, scope in binds if c in scope) for c in children}
+        at = self.fields.index
+        self.kids = tuple((at(c), c, c in tuples) for c in children)
+        self.kid_at = tuple(map(at, children))
+        self.tail_at = tuple(map(at, tails))
+        self.use_at = tuple((at(f), ns) for f, ns in uses)
+        self.bind_at = tuple((at(f), ns, tuple(map(at, scope))) for f, ns, scope in binds)
+        self.over = {i: tuple((j, ns) for j, ns, scope in self.bind_at if i in scope) for i in self.kid_at}
         named = {*children, *(f for f, _ in uses), *(f for f, _, _ in binds), "span"}
         self.data = tuple(f for f in self.fields if f not in named)
 
@@ -637,29 +643,21 @@ SCHEMA: dict[type, Row] = {row.cls: row for row in ROWS}
 # Free and bound names
 
 
-class FreeVars(tuple):
+@record
+class FreeVars(Record):
     """The free names of a term, one set per namespace.
 
-    A tuple, as `Span` is: `free_vars` makes one for nearly every node it
+    A record, so a tuple: `free_vars` makes one for nearly every node it
     meets, and `named`, `_join` and `_unbound` build it with `tuple.__new__`,
-    so no constructor of its own runs.  Its fields are read by name."""
+    so no constructor of its own runs.  It has no `__dict__`."""
 
     __slots__ = ()
-
-    def __new__(cls, values: frozenset[str], modals: frozenset[str], conts: frozenset[str]):
-        return _new(cls, (values, modals, conts))
-
-    # The field readers `collections.namedtuple` gives its classes.
-    values = _tuplegetter(0, "The free value variables.")
-    modals = _tuplegetter(1, "The free modal variables.")
-    conts = _tuplegetter(2, "The free continuation names.")
+    values: frozenset[str]
+    modals: frozenset[str]
+    conts: frozenset[str]
 
     def __or__(self, other: FreeVars) -> FreeVars:
         return _join(self, other)
-
-    def __getnewargs__(self) -> tuple:
-        # So that `copy` and `pickle` rebuild it through `__new__`.
-        return tuple(self)
 
 
 _new = tuple.__new__
@@ -692,12 +690,12 @@ def _join(a: FreeVars, b: FreeVars) -> FreeVars:
     return _new(FreeVars, (av | bv, am | bm, ak | bk))
 
 
-def _unbound(fv: FreeVars, term: Term, binders: Iterable[tuple[str, str]]) -> FreeVars:
-    """`fv` less the names the given (field, namespace) binders of `term`
-    bind; `fv` itself when none of them is free."""
+def _unbound(fv: FreeVars, term: Term, binders: Iterable[tuple[int, str]]) -> FreeVars:
+    """`fv` less the names the given (position, namespace) binders of
+    `term` bind; `fv` itself when none of them is free."""
     sets = None
-    for f, ns in binders:
-        name = getattr(term, f)
+    for at, ns in binders:
+        name = term[at]
         i = _NAMESPACES.index(ns)
         held = fv[i] if sets is None else sets[i]
         if name not in held:
@@ -728,15 +726,15 @@ def free_vars(term: Term) -> FreeVars:
         return fv
     row = SCHEMA[type(term)]
     fv = NO_FREE_VARS
-    for f, ns in row.uses:
-        fv = _join(fv, named(ns, (getattr(term, f),)))
-    for _, c, many in row.kids:
-        kid = getattr(term, c)
+    for i, ns in row.use_at:
+        fv = _join(fv, named(ns, (term[i],)))
+    for i, _, many in row.kids:
+        kid = term[i]
         if many:
             for item in kid:
                 fv = _join(fv, free_vars(item))
-        elif row.over[c]:
-            fv = _join(fv, _unbound(free_vars(kid), term, row.over[c]))
+        elif row.over[i]:
+            fv = _join(fv, _unbound(free_vars(kid), term, row.over[i]))
         else:
             fv = _join(fv, free_vars(kid))
     object.__setattr__(term, "_fv", fv)
@@ -812,18 +810,18 @@ def alpha_equal(t1: Term, t2: Term) -> bool:
         for f in row.data:
             if not _data_equal(getattr(a, f), getattr(b, f)):
                 return False
-        for f, ns in row.uses:
+        for i, ns in row.use_at:
             fwd, back = env[ns]
-            x, y = getattr(a, f), getattr(b, f)
+            x, y = a[i], b[i]
             if not (fwd[x] == y if x in fwd else y not in back and x == y):
                 return False
-        for _, c, many in row.kids:
+        for i, _, many in row.kids:
             inner = env
-            for f, ns in row.over[c]:
+            for j, ns in row.over[i]:
                 fwd, back = inner[ns]
-                x, y = getattr(a, f), getattr(b, f)
+                x, y = a[j], b[j]
                 inner = {**inner, ns: ({**fwd, x: y}, {**back, y: x})}
-            x, y = getattr(a, c), getattr(b, c)
+            x, y = a[i], b[i]
             if not many:
                 x, y = (x,), (y,)
             elif len(x) != len(y):

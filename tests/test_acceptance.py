@@ -407,10 +407,11 @@ def _boxes_in(term: S.Term) -> list[S.BoxTerm]:
     def walk(node) -> None:
         if isinstance(node, S.BoxTerm):
             found.append(node)
+        # A record is a tuple too, so records are told apart first.
         if isinstance(node, Record):
             for f in node.fields():
                 walk(getattr(node, f))
-        elif isinstance(node, tuple):
+        elif type(node) is tuple:
             for item in node:
                 walk(item)
 

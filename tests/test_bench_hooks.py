@@ -6,6 +6,8 @@ tokenizes each source and counts the nodes of parsed terms.  A change that
 deletes or renames one of those names crashes that run, and nothing else in
 this suite would notice.  These tests load `bench/` as the benchmark does
 and go through the same path on the smallest program of each workload.
+The node count the benchmark reports is checked against one read from
+`syntax.SCHEMA`, so a change to how nodes are held that moves it shows.
 """
 
 import sys
@@ -33,3 +35,27 @@ def test_a_traced_pass_runs_on_the_smallest_program(workload):
     traced = measure.traced_run(MODS, pipeline, [prog])
     assert [o.key() for o in traced.outcomes] == [o.key() for o in traced.untraced_outcomes]
     assert measure.is_ok(prog, traced.outcomes[0]), traced.outcomes[0]
+
+
+def schema_count(term) -> int:
+    """The nodes of `term` as a tree, read from the `SCHEMA` children."""
+    schema = MODS["syntax"].SCHEMA
+    n, todo = 0, [term]
+    while todo:
+        t = todo.pop()
+        n += 1
+        for i, _, many in schema[type(t)].kids:
+            todo.extend(t[i] if many else (t[i],))
+    return n
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_the_benchmark_counts_the_nodes_of_the_schema(workload):
+    # Types and theories are tuples as nodes are; the counter must not take
+    # them, or anything else in a field, for nodes.
+    prog = workloads.programs(workload, 0, small=True)[0]
+    main = MODS["parser"].parse_source(prog.source).main
+    final = MODS["evaluator"].evaluate(main).final
+    counter = measure.NodeCounter(MODS["syntax"])
+    assert counter.count(main) == schema_count(main) > 1
+    assert counter.count(final.term) == schema_count(final.term)

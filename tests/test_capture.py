@@ -65,11 +65,10 @@ class Reference:
 
     def subst(self, t, env: dict):
         """`t` with every binder renamed fresh and each free name looked up
-        in `env`: (namespace, name) to a payload for a value, else a name."""
-        if isinstance(t, tuple):
-            return tuple(self.subst(item, env) for item in t)
+        in `env`: (namespace, name) to a payload for a value, else a name.
+        A node is a tuple too, so nodes are told apart first."""
         if not isinstance(t, NODES):
-            return t
+            return tuple(self.subst(item, env) for item in t) if type(t) is tuple else t
         cls = type(t)
         if cls is S.Var:
             return env.get((VAL, t.name), t)
@@ -202,10 +201,8 @@ class Gen:
 
 def bound_names(t, namespace: str = VAL) -> set[str]:
     """The names of one namespace bound anywhere in `t`."""
-    if isinstance(t, tuple):
-        return set().union(*(bound_names(item, namespace) for item in t))
     if not isinstance(t, NODES):
-        return set()
+        return set().union(*(bound_names(item, namespace) for item in t)) if type(t) is tuple else set()
     names = {getattr(t, f) for f, ns, _ in BINDERS.get(type(t), ()) if ns == namespace}
     for f in t.fields():
         names |= bound_names(getattr(t, f), namespace)

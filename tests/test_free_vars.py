@@ -11,12 +11,13 @@ import copy
 import pickle
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from ecmtt import syntax as S
 from ecmtt.evaluator import evaluate
-from ecmtt.parser import parse_term
+from ecmtt.parser import parse_source, parse_term
 from ecmtt.pretty import pretty
 from ecmtt.record import Record
 from ecmtt.syntax import NO_FREE_VARS, FreeVars, free_vars
@@ -112,12 +113,14 @@ def subterms(term: S.Term) -> list[S.Term]:
     def walk(node) -> None:
         if isinstance(node, TERM_CLASSES):
             out.append(node)
-        if isinstance(node, tuple):
+        # A record is a tuple too, so records are told apart first.
+        if isinstance(node, Record):
+            if not isinstance(node, (S.EffectContext, S.Type)):
+                for f in node.fields():
+                    walk(getattr(node, f))
+        elif type(node) is tuple:
             for item in node:
                 walk(item)
-        elif isinstance(node, Record) and not isinstance(node, (S.EffectContext, S.Type)):
-            for f in node.fields():
-                walk(getattr(node, f))
 
     walk(term)
     return out
@@ -266,12 +269,40 @@ def test_caching_leaves_equality_hash_and_printing_alone():
         assert hash(a) == hash(b)
 
 
+def one_node_per_class() -> dict[type, S.Term]:
+    """The first node of each `SCHEMA` class in the samples, then in the
+    corpus programs for the classes the samples lack."""
+    samples = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.ecmtt"))
+    found: dict[type, S.Term] = {}
+    todo = [*reversed(corpus_mains()), *(parse_source(p.read_text()).main for p in reversed(samples))]
+    while todo:
+        t = todo.pop()
+        # A node is a tuple too, so nodes are told apart first.
+        if type(t) in S.SCHEMA:
+            found.setdefault(type(t), t)
+            todo.extend(reversed(t))
+        elif type(t) is tuple:
+            todo.extend(reversed(t))
+    return found
+
+
 def test_a_cached_node_copies_and_pickles_with_its_free_names():
     lam = S.Lam(x, S.INT, S.App(S.Var(x), S.Var(y)))
     free_vars(lam)
     for copied in (copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))):
         assert copied == lam and type(copied._fv) is FreeVars
         assert copied._fv == _fv(values=[y]) and copied._fv.values == {y}
+    # One parsed node of every class, with its span: a node is a tuple, so
+    # `copy` and `pickle` rebuild it through `__new__` from its fields.
+    nodes = one_node_per_class()
+    assert set(nodes) == set(S.SCHEMA)
+    for cls, node in nodes.items():
+        fv = free_vars(node)
+        for copied in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(copied) is cls and copied == node, cls
+            # Field by field, each span included.
+            assert tuple(copied) == tuple(node) and getattr(copied, "span", None) == getattr(node, "span", None)
+            assert type(copied._fv) is FreeVars and copied._fv == fv, cls
 
 
 def test_replace_on_a_cached_node_recomputes():

@@ -183,13 +183,26 @@ def printable_nodes(root) -> list:
     found, todo = [], [root]
     while todo:
         x = todo.pop()
-        if isinstance(x, tuple):
-            todo += x
-        elif isinstance(x, Record):
+        # A record is a tuple too, so records are told apart first.
+        if isinstance(x, Record):
             if isinstance(x, (S.Expr, S.Comp, S.Stmt, S.Handler, S.HSeq, S.Type, S.EffectContext)):
                 found.append(x)
             todo += (getattr(x, f) for f in x.fields())
+        elif type(x) is tuple:
+            todo += x
     return found
+
+
+def test_printable_nodes_finds_each_term_type_and_theory():
+    # The reference checks below see only what this walk finds.
+    box = S.BoxTerm(
+        S.make_theory([S.OpDecl("get", S.UNIT, S.INT)]),
+        S.Bind(S.OpCall("get", S.UnitLit()), "y", S.Ret(S.Var("y"))),
+    )
+    found = [type(x).__name__ for x in printable_nodes(S.Lam("x", S.INT, S.Arith("+", S.Var("x"), box)))]
+    # `int`, and the theory's `unit` and `int`, are three types.
+    expected = ["Lam", "Arith", "Var", "BoxTerm", "EffectContext", "Bind", "OpCall", "UnitLit", "Ret", "Var"]
+    assert sorted(found) == sorted(expected + ["BaseT"] * 3)
 
 
 def printed_at(text: str, node, prec: int) -> str:

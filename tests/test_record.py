@@ -1,8 +1,9 @@
-"""Frozen records: field order, equality without spans, the pinned `repr`,
-immutability, `replace`, the `__post_init__` check, the `dataclasses`
-functions on records, the constructors made from one template per shape,
-and an import of the package that loads neither `dataclasses` nor
-`inspect` and compiles one constructor per shape."""
+"""Frozen records: field order, equality without spans (`!=` and `hash`
+included), the pinned `repr`, immutability, `replace`, the `__post_init__`
+check, the `dataclasses` functions on records, a record as the tuple of
+its fields, the constructors made from one template per shape, and an
+import of the package that loads neither `dataclasses` nor `inspect` and
+compiles one constructor per shape."""
 
 import importlib
 import subprocess
@@ -71,6 +72,30 @@ def test_records_of_different_classes_are_not_equal():
     assert S.BaseT("int") == S.INT
 
 
+def _equality_agrees(a, b, equal: bool) -> None:
+    assert (a == b) is equal and (b == a) is equal
+    assert (a != b) is not equal and (b != a) is not equal
+    if equal:
+        assert hash(a) == hash(b)
+
+
+def test_not_equal_is_the_negation_of_equal_for_every_record_class():
+    # A record is a tuple, whose own `!=` would compare spans and ignore
+    # the class.
+    for cls in _record_classes():
+        values = {f: S.EffectContext(()) if f == "theory" else object() for f in cls.fields()}
+        a, b = cls(**values), cls(**values)
+        _equality_agrees(a, b, True)
+        if "span" in values:
+            _equality_agrees(a, cls(**{**values, "span": S.Span(1, 2, 3)}), True)
+        for f in values.keys() - {"span", "theory"}:
+            _equality_agrees(a, cls(**{**values, f: object()}), False)
+    arg = S.Pair(S.IntLit(1), S.IntLit(2))
+    _equality_agrees(S.Proj1(arg), S.Proj2(arg), False)
+    _equality_agrees(S.Proj1(arg, S.Span(1, 1)), S.Proj2(arg, S.Span(1, 1)), False)
+    assert tuple(S.Proj1(arg)) == tuple(S.Proj2(arg))
+
+
 def test_repr_reads_as_before():
     assert repr(S.Var("x", S.Span(3, 4))) == "Var(name='x')"
     assert repr(Stuck("division-by-zero")) == "Stuck(reason='division-by-zero')"
@@ -122,6 +147,12 @@ def test_record_rejects_misordered_defaults_and_a_class_not_derived_from_record(
             a: int
 
 
+def test_a_span_field_must_come_last():
+    # `==`, `hash` and `repr` leave out the last field when it is `span`.
+    with pytest.raises(TypeError, match="'span' must come last"):
+        record(type("Early", (Record,), {"__annotations__": {"span": int, "value": int}}))
+
+
 def test_dataclasses_functions_still_read_records():
     # Outside code, the benchmark's node counter among it, reads nodes
     # with `dataclasses.fields`.
@@ -171,23 +202,34 @@ def _record_classes():
     return found
 
 
+# The defaults that the package's record bodies give, other than `span = None`.
+DEFAULTS = {"EffectContext": ((),), "HSeq": ((),), "FuelExhausted": ("steps",), "Trace": (0,), "TypeErrorExpected": (None,)}
+
+
 def test_every_constructor_is_the_one_a_per_class_source_compiles_to():
     classes = _record_classes()
-    assert len(classes) == 50
+    assert len(classes) == 51
     for cls in classes:
         names = cls.__match_args__
-        init = cls.__init__
-        source = "".join(f"\n    _set(self, {f!r}, {f})" for f in names)
+        new = cls.__new__
+        made = f"_new(cls, ({''.join(f'{f}, ' for f in names)}))"
         if hasattr(cls, "__post_init__"):
-            source += "\n    self.__post_init__()"
+            source = f"\n    self = {made}\n    self.__post_init__()\n    return self"
+        else:
+            source = f" return {made}"
         namespace: dict = {}
-        exec(f"def __init__(self, {', '.join(names)}):{source or ' pass'}", {}, namespace)
-        expected = namespace["__init__"].__code__
+        exec(f"def __new__(cls, {', '.join(names)}):{source}", {}, namespace)
+        expected = namespace["__new__"].__code__
         for part in ("co_code", "co_consts", "co_names", "co_varnames", "co_argcount"):
-            assert getattr(init.__code__, part) == getattr(expected, part), (cls, part)
-        defaults = tuple(cls.__dict__[f] for f in names if f in cls.__dict__)
-        assert init.__defaults__ == (defaults or None), cls
-        assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+            assert getattr(new.__code__, part) == getattr(expected, part), (cls, part)
+        # Each field's reader has taken the place of its default in the
+        # class, so the defaults are compared with those of the bodies.
+        defaults = DEFAULTS.get(cls.__qualname__, (None,) if names[-1:] == ("span",) else None)
+        assert new.__defaults__ == defaults, cls
+        assert new.__qualname__ == f"{cls.__qualname__}.__new__"
+        # The record is the tuple of its fields, each read by position.
+        node = cls(**{f: S.EffectContext(()) if f == "theory" else object() for f in names})
+        assert type(node) is cls and tuple(node) == tuple(getattr(node, f) for f in names)
 
 
 def test_keyword_construction_of_every_field_round_trips_through_replace():
@@ -211,7 +253,7 @@ def test_fields_named_like_the_placeholders_keep_their_own_values():
         a0: int = 0
 
     both = Swapped(1, 2)
-    assert (both.a1, both.a0) == (1, 2) and vars(both) == {"a1": 1, "a0": 2}
+    assert (both.a1, both.a0) == (1, 2) == tuple(both) and vars(both) == {}
     assert Swapped(a0=5, a1=6).replace(a1=7) == Swapped(7, 5)
     assert Swapped(3).a0 == 0 and repr(Swapped(3)).endswith("Swapped(a1=3, a0=0)")
 
@@ -226,15 +268,15 @@ def test_a_new_shape_is_compiled_once_and_shared(monkeypatch):
         return record(type(prefix, (Record,), {"__annotations__": {f"{prefix}{i}": int for i in range(9)}}))
 
     first, second = nine("p"), nine("q")
-    assert len(sources) == 1 and first.__init__ is not second.__init__
-    assert vars(first(*range(9))) == {f"p{i}": i for i in range(9)}
-    assert vars(second(*range(9))) == {f"q{i}": i for i in range(9)}
+    assert len(sources) == 1 and first.__new__ is not second.__new__
+    assert {f"p{i}": getattr(first(*range(9)), f"p{i}") for i in range(9)} == {f"p{i}": i for i in range(9)}
+    assert {f"q{i}": getattr(second(*range(9)), f"q{i}") for i in range(9)} == {f"q{i}": i for i in range(9)}
     with pytest.raises(TypeError) as info:
         first(*range(8))
-    assert str(info.value) == "p.__init__() missing 1 required positional argument: 'p8'"
+    assert str(info.value) == "p.__new__() missing 1 required positional argument: 'p8'"
 
 
-@pytest.mark.parametrize("name", ["self", "_set"])
+@pytest.mark.parametrize("name", ["cls", "self", "_new"])
 def test_a_field_may_not_take_a_name_the_constructor_uses(name):
     with pytest.raises(TypeError, match=f"Clash.*{name!r}"):
         record(type("Clash", (Record,), {"__annotations__": {"value": int, name: int}}))
@@ -247,7 +289,7 @@ def test_a_field_may_not_take_a_name_the_constructor_uses(name):
 )
 def test_an_import_compiles_one_constructor_per_shape(modules):
     # A shape is a number of fields and whether the class has a
-    # `__post_init__`; the package's 50 record classes have 10 shapes.
+    # `__post_init__`; the package's 51 record classes have 10 shapes.
     code = (
         "import builtins, sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"

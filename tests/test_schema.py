@@ -145,10 +145,20 @@ def test_exactly_the_computations_with_a_tail_declare_their_tails():
 
 @pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
 def test_each_row_reads_a_node_s_field_values_in_order(cls):
+    # A node is the tuple of its field values in `Row.fields` order, and
+    # the row's positions point at the fields it names.
     row = S.SCHEMA[cls]
     node = built(cls)
-    assert row.read(node) == tuple(getattr(node, f) for f in row.fields)
-    assert all(a is getattr(node, f) for a, f in zip(row.read(node), row.fields))
+    assert type(node) is cls and len(node) == len(row.fields)
+    assert all(a is getattr(node, f) for a, f in zip(node, row.fields))
+    at = row.fields.index
+    assert row.kids == tuple((at(c), c, c in row.tuples) for c in row.children)
+    assert row.kid_at == tuple(i for i, _, _ in row.kids)
+    assert row.use_at == tuple((at(f), ns) for f, ns in row.uses)
+    assert row.bind_at == tuple((at(f), ns, tuple(map(at, scope))) for f, ns, scope in row.binds)
+    for i, c, _ in row.kids:
+        assert node[i] is getattr(node, c)
+        assert row.over[i] == tuple((at(f), ns) for f, ns, scope in row.binds if c in scope)
 
 
 @pytest.mark.parametrize("cls", [S.LetBox, S.Fix, S.If], ids=lambda cls: cls.__name__)

@@ -205,10 +205,11 @@ def binds_again(t) -> bool:
         case S.Fix(x, _, _, _, _, _, body):
             if x in bound_names(body):
                 return True
-    if isinstance(t, tuple):
-        return any(binds_again(x) for x in t)
+    # A record is a tuple too, so records are told apart first.
     if isinstance(t, Record):
         return any(binds_again(getattr(t, f)) for f in t.fields())
+    if type(t) is tuple:
+        return any(binds_again(x) for x in t)
     return False
 
 
@@ -429,11 +430,12 @@ def test_modal_and_continuation_substitution_skip_where_their_name_is_not_free(m
 
 
 def unshared(t):
-    """A copy of `t` rebuilt node by node, so that no node occurs twice."""
-    if isinstance(t, tuple):
-        return tuple(map(unshared, t))
+    """A copy of `t` rebuilt node by node, so that no node occurs twice.
+    A record is a tuple too, so records are told apart first."""
     if isinstance(t, Record):
         return type(t)(*(unshared(getattr(t, f)) for f in type(t).fields()))
+    if type(t) is tuple:
+        return tuple(map(unshared, t))
     return t
 
 
