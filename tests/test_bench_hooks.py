@@ -20,6 +20,7 @@ sys.path.insert(0, str(BENCH))
 
 import measure  # noqa: E402
 import workloads  # noqa: E402
+from test_cost_shape import node_count  # noqa: E402
 
 MODS = measure.import_ecmtt()
 
@@ -37,18 +38,6 @@ def test_a_traced_pass_runs_on_the_smallest_program(workload):
     assert measure.is_ok(prog, traced.outcomes[0]), traced.outcomes[0]
 
 
-def schema_count(term) -> int:
-    """The nodes of `term` as a tree, read from the `SCHEMA` children."""
-    schema = MODS["syntax"].SCHEMA
-    n, todo = 0, [term]
-    while todo:
-        t = todo.pop()
-        n += 1
-        for i, _, many in schema[type(t)].kids:
-            todo.extend(t[i] if many else (t[i],))
-    return n
-
-
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_the_benchmark_counts_the_nodes_of_the_schema(workload):
     # Types and theories are tuples as nodes are; the counter must not take
@@ -57,5 +46,5 @@ def test_the_benchmark_counts_the_nodes_of_the_schema(workload):
     main = MODS["parser"].parse_source(prog.source).main
     final = MODS["evaluator"].evaluate(main).final
     counter = measure.NodeCounter(MODS["syntax"])
-    assert counter.count(main) == schema_count(main) > 1
-    assert counter.count(final.term) == schema_count(final.term)
+    assert counter.count(main) == node_count(main) > 1
+    assert counter.count(final.term) == node_count(final.term)
