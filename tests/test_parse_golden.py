@@ -14,7 +14,13 @@ The sources: every file in `samples/`, the main term of every corpus case
 (parsed with the prelude's definitions in scope), and each definition of
 the corpus prelude (with the definitions before it in scope).
 
-A change that alters parsing on purpose regenerates the file with
+Printing leaves out spans, so `span_digests.json` pins them apart: for
+each source, one sha256 over the class and the span of every node the whole
+text parses to, the main term and the definitions it adds, each tree in
+preorder, or the text of the `ParseError`.  A span put in the wrong field or taken from the wrong token
+changes a digest there and nowhere else.
+
+A change that alters parsing on purpose regenerates both files with
 
     PYTHONPATH=src python tests/test_parse_golden.py
 
@@ -34,6 +40,7 @@ from ecmtt.pretty import pretty, theory_text
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "parse_digests.json"
+SPAN_DIGESTS = Path(__file__).resolve().parent / "span_digests.json"
 _KINDS = ("theories", "handlers", "terms")
 
 
@@ -74,6 +81,35 @@ def _digest(text: str, base: DefTable) -> str:
     return h.hexdigest()
 
 
+def _spans(t: S.Term, out: list[str]) -> None:
+    """The class and span of `t` and of each node under it, in preorder."""
+    row = S.SCHEMA[type(t)]
+    span = tuple(t.span) if "span" in row.fields and t.span is not None else None
+    out.append(f"{type(t).__name__}\t{span}")
+    for i, _, many in row.kids:
+        for kid in t[i] if many else (t[i],):
+            _spans(kid, out)
+
+
+def _span_digest(text: str, base: DefTable) -> str:
+    table = _copy(base)
+    out: list[str] = []
+    try:
+        source = parse_source(text, table)
+    except ParseError as e:
+        out.append(f"error\t{e}")
+    else:
+        for kind in _KINDS:
+            for name, value in getattr(table, kind).items():
+                if getattr(base, kind).get(name) is not value and type(value) in S.SCHEMA:
+                    out.append(f"def\t{name}")
+                    _spans(value, out)
+        if source.main is not None:
+            out.append("main")
+            _spans(source.main, out)
+    return hashlib.sha256("\n".join(out).encode()).hexdigest()
+
+
 def _prelude_defs() -> tuple[list[tuple[str, str, DefTable]], DefTable]:
     """(name, text, table of the definitions before it) for each prelude
     definition, and the table of the whole prelude."""
@@ -108,6 +144,10 @@ def current_digests() -> dict[str, str]:
     return {key: _digest(text, table) for key, text, table in _sources()}
 
 
+def current_span_digests() -> dict[str, str]:
+    return {key: _span_digest(text, table) for key, text, table in _sources()}
+
+
 def test_parses_match_the_golden_digests():
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = current_digests()
@@ -117,6 +157,15 @@ def test_parses_match_the_golden_digests():
     assert not changed, f"{len(changed)} parse digests changed, first {changed[:10]}"
 
 
+def test_every_node_keeps_its_class_and_span():
+    expected = json.loads(SPAN_DIGESTS.read_text(encoding="utf-8"))
+    got = current_span_digests()
+    assert sorted(got) == sorted(expected)
+    changed = [key for key in got if got[key] != expected[key]]
+    assert not changed, f"{len(changed)} span digests changed, first {changed[:10]}"
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(current_digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {DIGESTS}")
+    for path, digests in ((DIGESTS, current_digests()), (SPAN_DIGESTS, current_span_digests())):
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
