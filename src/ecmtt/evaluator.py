@@ -165,7 +165,7 @@ def _contract(t: S.Term) -> tuple[S.Term, str]:
     if cls in _FOLDS:
         if cls is S.Arith and t.op == "/" and type(t.right) is S.IntLit and t.right.value == 0:
             raise _StuckError("division-by-zero")
-        folded = subst._BUILD[cls](*t)
+        folded = subst._BUILD[cls](t)
         rule, reason = _FOLDS[cls]
         if type(folded) is cls:
             raise _StuckError(reason)
@@ -193,7 +193,7 @@ def _plug(parent: Union[S.Term, _Elems], i: int, child: S.Term) -> Union[S.Term,
         return parent
     args = list(parent)
     args[_CONGRUENCE[cls][i][0]] = child
-    return cls(*args)
+    return cls._make(args)
 
 
 def _recorded(frames: list[_Frame], contractum: S.Term, rule: str) -> Stepped:

@@ -296,7 +296,7 @@ class _Parser:
         close = self.expect("}")
         if ret_clause is None:
             raise ParseError("a handler needs a return clause", self.span(close))
-        return S.Handler(theory, tuple(op_clauses), ret_clause, span=self.span(start))
+        return S.Handler._make((theory, tuple(op_clauses), ret_clause, self.span(start)))
 
     def parse_clause(self) -> tuple[int, list[str], S.Comp]:
         """`return(x; z) -> c` or `op(x; k; z) -> c`: its first token, its
@@ -345,35 +345,36 @@ class _Parser:
             handler = self.parse_handler_ref()
             self.expect("init")
             init = self.parse_atom()
-            return S.Handle(uvar, hseq, handler, init, span=self.span(tok))
+            return S.Handle._make((uvar, hseq, handler, init, self.span(tok)))
         if self.kinds[tok] == "ident" and self.kinds[tok + 1] == "(":
             op = self.texts[tok]
             self.pos = tok + 2
             if self.at(")"):
                 close = self.advance()
-                return S.OpCall(op, S.UnitLit(span=self.span(close)), span=self.span(tok))
+                return S.OpCall._make((op, S.UnitLit._make((self.span(close),)), self.span(tok)))
             first = self.parse_expr()
             if self.at(";"):
                 self.advance()
                 state = self.parse_expr()
                 self.expect(")")
-                return S.ContCall(op, first, state, span=self.span(tok))
+                return S.ContCall._make((op, first, state, self.span(tok)))
             self.expect(")")
-            return S.OpCall(op, first, span=self.span(tok))
+            return S.OpCall._make((op, first, self.span(tok)))
         raise self._expected("a statement")
 
     # -- computations
 
     def parse_comp(self) -> S.Comp:
-        # The loop keeps each head of a chain as a hole (a builder and its
-        # fields) and builds the nodes from the innermost rest outwards.
-        holes: list[tuple[Callable[..., S.Comp], tuple, Optional[Span]]] = []
+        # The loop keeps each head of a chain as a hole (a builder of all the
+        # fields as one sequence, and the fields before the rest) and builds
+        # the nodes from the innermost rest outwards.
+        holes: list[tuple[Callable[[tuple], S.Comp], tuple, Optional[Span]]] = []
         while True:
             tok = self.pos
             match self.kinds[tok]:
                 case "ret":
                     self.pos = tok + 1
-                    comp: S.Comp = S.Ret(self.parse_expr(), span=self.span(tok))
+                    comp: S.Comp = S.Ret._make((self.parse_expr(), self.span(tok)))
                     break
                 case "let" | "if":
                     holes.append(self.parse_twin(self.parse_comp))
@@ -393,11 +394,11 @@ class _Parser:
                     self.pos = tok + 2
                     stmt = self.parse_stmt()
                     self.expect(";")
-                    holes.append((S.Bind, (stmt, var), self.span(tok)))
+                    holes.append((S.Bind._make, (stmt, var), self.span(tok)))
                 case "handle" | "ident" as kind if kind == "handle" or self.kinds[tok + 1] == "(":
                     stmt = self.parse_stmt()
                     if not self.at(";"):
-                        comp = S.Bind(stmt, "x", S.Ret(S.Var("x"), span=self.span(tok)), span=self.span(tok))
+                        comp = S.Bind._make((stmt, "x", S.Ret._make((S.Var("x"), self.span(tok))), self.span(tok)))
                         break
                     self.advance()
                     holes.append((_bind_fresh, (stmt,), self.span(tok)))
@@ -410,29 +411,29 @@ class _Parser:
             build, fields, span = holes[i]
             if i > fill:
                 S.free_vars(comp)
-            comp = build(*fields, comp, span=span)
+            comp = build((*fields, comp, span))
         return comp
 
-    def parse_twin(self, branch: Callable[[], S.Term]) -> tuple[type, tuple, Span]:
+    def parse_twin(self, branch: Callable[[], S.Term]) -> tuple[Callable[[tuple], S.Twin], tuple, Span]:
         """`let box`, `let fix` or `if`, the forms that exist in both
-        categories, up to their last part: the class, the fields before that
-        part, and the span.  `branch` parses a branch in the category of the
-        whole.  The caller parses the last part, so that `parse_comp` reads a
-        chain of these forms (`else if`, `in let box`) in its loop."""
+        categories, up to their last part: the class's `_make`, the fields
+        before that part, and the span.  `branch` parses a branch in the
+        category of the whole.  The caller parses the last part, so that
+        `parse_comp` reads a chain of these forms (`else if`, `in let box`)."""
         tok = self.advance()
         if self.kinds[tok] == "if":
             cond = self.parse_expr()
             self.expect("then")
             then = branch()
             self.expect("else")
-            return S.If, (cond, then), self.span(tok)
+            return S.If._make, (cond, then), self.span(tok)
         if not self.at("fix"):
             self.expect("box")
             uvar = self.name()
             self.expect("=")
             bound = self.parse_expr()
             self.expect("in")
-            return S.LetBox, (uvar, bound), self.span(tok)
+            return S.LetBox._make, (uvar, bound), self.span(tok)
         self.advance()
         fname = self.name()
         self.expect("(")
@@ -447,7 +448,7 @@ class _Parser:
         self.expect("=")
         rec_body = self.parse_comp()
         self.expect("in")
-        return S.Fix, (fname, param, annot, boxed.theory, boxed.body, rec_body), self.span(tok)
+        return S.Fix._make, (fname, param, annot, boxed.theory, boxed.body, rec_body), self.span(tok)
 
     # -- expressions
 
@@ -471,16 +472,16 @@ class _Parser:
                 annot = self.parse_type()
                 self.expect(".")
                 body = self.parse_expr()
-                expr: S.Expr = S.Lam(param, annot, body, span=self.span(start))
+                expr: S.Expr = S.Lam._make((param, annot, body, self.span(start)))
             case "box":
                 self.pos = start + 1
                 theory = self.parse_theory_ref()
                 self.expect(".")
                 body = self.parse_comp()
-                expr = S.BoxTerm(theory, body, span=self.span(start))
+                expr = S.BoxTerm._make((theory, body, self.span(start)))
             case "let" | "if":
-                cls, fields, span = self.parse_twin(self.parse_expr)
-                expr = cls(*fields, self.parse_expr(), span=span)
+                make, fields, span = self.parse_twin(self.parse_expr)
+                expr = make((*fields, self.parse_expr(), span))
             case _:
                 expr = self.parse_binary()
         self._exprs[start] = (expr, self.pos)
@@ -499,27 +500,27 @@ class _Parser:
             self.pos = tok + 1
             right = self.parse_binary(level + 1)
             if level == 1:
-                return S.Cmp(op, left, right, span=self.span(tok))
+                return S.Cmp._make((op, left, right, self.span(tok)))
             if op == "++":
-                left = S.Append(left, right, span=self.span(tok))
+                left = S.Append._make((left, right, self.span(tok)))
             else:
-                left = S.Arith(op, left, right, span=self.span(tok))
+                left = S.Arith._make((op, left, right, self.span(tok)))
 
     def parse_application(self) -> S.Expr:
         tok = self.pos
         if self.kinds[tok] in ("fst", "snd"):
             self.pos = tok + 1
             proj = S.Proj1 if self.kinds[tok] == "fst" else S.Proj2
-            return proj(self.parse_atom(), span=self.span(tok))
+            return proj._make((self.parse_atom(), self.span(tok)))
         if self.kinds[tok] == "eval":
             self.pos = tok + 1
             hseq = self.parse_hseq()
             uvar = self.name("a box variable")
-            return S.EvalTerm(hseq, uvar, span=self.span(tok))
+            return S.EvalTerm._make((hseq, uvar, self.span(tok)))
         expr = self.parse_atom()
         while self.kinds[self.pos] in ("ident", "num", "true", "false", "(", "["):
             arg = self.parse_atom()
-            expr = S.App(expr, arg, span=self.span(tok))
+            expr = S.App._make((expr, arg, self.span(tok)))
         return expr
 
     def parse_atom(self) -> S.Expr:
@@ -527,34 +528,34 @@ class _Parser:
         match self.kinds[tok]:
             case "ident":
                 self.pos = tok + 1
-                return S.Var(self.texts[tok], span=self.span(tok))
+                return S.Var._make((self.texts[tok], self.span(tok)))
             case "num":
                 self.pos = tok + 1
-                return S.IntLit(S.int_of_text(self.texts[tok]), span=self.span(tok))
+                return S.IntLit._make((S.int_of_text(self.texts[tok]), self.span(tok)))
             case "-" if self.kinds[tok + 1] == "num":
                 self.pos = tok + 2
-                return S.IntLit(-S.int_of_text(self.texts[tok + 1]), span=self.span(tok))
+                return S.IntLit._make((-S.int_of_text(self.texts[tok + 1]), self.span(tok)))
             case "true" | "false" as kind:
                 self.pos = tok + 1
-                return S.BoolLit(kind == "true", span=self.span(tok))
+                return S.BoolLit._make((kind == "true", self.span(tok)))
             case "(":
                 self.pos = tok + 1
                 if self.at(")"):
                     self.advance()
-                    return S.UnitLit(span=self.span(tok))
+                    return S.UnitLit._make((self.span(tok),))
                 first = self.parse_expr()
                 if self.at(","):
                     self.advance()
                     second = self.parse_expr()
                     self.expect(")")
-                    return S.Pair(first, second, span=self.span(tok))
+                    return S.Pair._make((first, second, self.span(tok)))
                 self.expect(")")
                 return first
             case "[":
                 self.pos = tok + 1
                 elems = () if self.at("]") else tuple(self._sep(self.parse_expr, ","))
                 self.expect("]")
-                return S.ListE(elems, span=self.span(tok))
+                return S.ListE._make((elems, self.span(tok)))
             case _:
                 raise self._expected("an expression")
 
@@ -628,24 +629,23 @@ class _Parser:
         return SourceFile(self.table, main)
 
 
-def _bind_pure(var: str, value: S.Expr, rest: S.Comp, span: Optional[Span]) -> S.Comp:
-    """Encode `x <- ret e; c` with a box at the empty theory handled by the
-    trivial handler, whose return clause hands `e` straight to `x`."""
+def _bind_pure(fields: tuple[str, S.Expr, S.Comp, Optional[Span]]) -> S.Comp:
+    """`x <- ret e; c`, given as `(x, e, c, span)`: a box at the empty theory
+    handled by the trivial handler, whose return clause hands `e` to `x`."""
+    var, value, rest, span = fields
     avoid = S.free_vars(rest).modals | S.free_vars(value).modals
     uvar = S.fresh_name("u", avoid)
-    trivial = S.Handler(
-        S.EMPTY_THEORY,
-        (),
-        S.RetClause("x", "z", S.Ret(S.Var("x", span=span), span=span)),
-    )
-    handle = S.Handle(uvar, S.EMPTY_HSEQ, trivial, S.UnitLit(span=span), span=span)
-    boxed = S.BoxTerm(S.EMPTY_THEORY, S.Ret(value, span=span), span=span)
-    return S.LetBox(uvar, boxed, S.Bind(handle, var, rest, span=span), span=span)
+    ret = S.RetClause("x", "z", S.Ret._make((S.Var._make(("x", span)), span)))
+    trivial = S.Handler._make((S.EMPTY_THEORY, (), ret, None))
+    handle = S.Handle._make((uvar, S.EMPTY_HSEQ, trivial, S.UnitLit._make((span,)), span))
+    boxed = S.BoxTerm._make((S.EMPTY_THEORY, S.Ret._make((value, span)), span))
+    return S.LetBox._make((uvar, boxed, S.Bind._make((handle, var, rest, span)), span))
 
 
-def _bind_fresh(stmt: S.Stmt, rest: S.Comp, span: Optional[Span]) -> S.Comp:
-    """`s; c`: bind the result of `s` to a name that `c` does not read."""
-    return S.Bind(stmt, S.fresh_name("_", S.free_vars(rest).values), rest, span=span)
+def _bind_fresh(fields: tuple[S.Stmt, S.Comp, Optional[Span]]) -> S.Comp:
+    """`s; c`, given as `(s, c, span)`: `s` bound to a name `c` does not read."""
+    stmt, rest, span = fields
+    return S.Bind._make((stmt, S.fresh_name("_", S.free_vars(rest).values), rest, span))
 
 
 def _finish(parser: _Parser, result: _T) -> _T:

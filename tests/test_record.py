@@ -1,10 +1,12 @@
 """Frozen records: field order, equality without spans (`!=` and `hash`
 included), the pinned `repr`, immutability, `replace`, the `__post_init__`
 check, the `dataclasses` functions on records, a record as the tuple of
-its fields, the constructors made from one template per shape, and an
-import of the package that loads neither `dataclasses` nor `inspect` and
-compiles one constructor per shape."""
+its fields, the constructors made from one template per shape, the builder
+`_make` that makes what the constructor makes, and an import of the package
+that loads neither `dataclasses` nor `inspect` and compiles one constructor
+per shape."""
 
+import functools
 import importlib
 import subprocess
 import sys
@@ -315,3 +317,46 @@ def test_an_import_compiles_one_constructor_per_shape(modules):
     assert done.returncode == 0, done.stderr
     compiled, shapes, classes = map(int, done.stdout.split())
     assert compiled == shapes < classes
+
+
+# The classes whose `__post_init__` checks that a context is a theory.
+CHECKED = {"BoxT", "ModalBind", "BoxTerm", "Fix", "Handler"}
+
+
+def _sample(cls: type) -> Record:
+    """A record of `cls` whose fields hold distinct objects, a span where it
+    has one and the empty theory where it checks one."""
+    values = [S.EMPTY_THEORY if f == "theory" else object() for f in cls.fields()]
+    if cls.fields()[-1:] == ("span",):
+        values[-1] = S.Span(2, 3, 4)
+    return cls(*values)
+
+
+def test_the_builder_makes_what_the_constructor_makes():
+    classes = _record_classes()
+    assert {cls.__name__ for cls in classes if hasattr(cls, "__post_init__")} == CHECKED
+    for cls in classes:
+        node = _sample(cls)
+        for fields in (tuple(node), list(node), node):
+            made = cls._make(fields)
+            assert type(made) is cls and made == node and repr(made) == repr(node), cls
+            assert tuple(made) == tuple(node), cls
+            if "span" in cls.fields():
+                assert made.span == node.span == S.Span(2, 3, 4), cls
+    # A class without a check is built in one C call.
+    assert isinstance(S.Var._make, functools.partial) and S.Var._make.args == (S.Var,)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_the_builder_checks_the_theory_as_the_constructor_does(name):
+    cls = next(c for c in _record_classes() if c.__name__ == name)
+    get = S.OpDecl("get", S.UNIT, S.INT)
+    twice = S.EffectContext((get, get))
+    fields = [twice if f == "theory" else object() for f in cls.fields()]
+    with pytest.raises(ValueError) as by_constructor:
+        cls(*fields)
+    with pytest.raises(ValueError) as by_builder:
+        cls._make(fields)
+    assert str(by_builder.value) == str(by_constructor.value)
+    assert "get" in str(by_builder.value)
+    assert any(entry.name == "__post_init__" for entry in by_builder.traceback)

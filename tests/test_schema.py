@@ -11,10 +11,11 @@ import typing
 
 import pytest
 
+from ecmtt import subst
 from ecmtt import syntax as S
 from ecmtt.parser import parse_term, parse_type
 from ecmtt.pretty import type_text
-from ecmtt.subst import _BUILD
+from ecmtt.subst import _BUILD, _SMART
 from ecmtt.typecheck import infer_term
 
 NAMESPACES = {S.VALUES, S.MODALS, S.CONTS}
@@ -114,14 +115,23 @@ def test_each_row_names_its_own_fields(cls, cat):
 
 @pytest.mark.parametrize("cls, cat", CASES)
 def test_each_class_is_rebuilt_from_its_fields_in_order(cls, cat):
-    # The walks rebuild a node by calling its constructor, or the smart
-    # constructor of its class, with the field values in `Row.fields` order.
+    # The walks rebuild a node by calling its class's builder, `_make` or
+    # the smart constructor of the class, with one list of the field values
+    # in `Row.fields` order.  A node whose fields hold distinct objects
+    # folds nothing, so each field comes back in place, span included.
     build = _BUILD[cls]
-    assert build is cls or list(inspect.signature(build).parameters) == list(S.SCHEMA[cls].fields)
+    assert build == _SMART.get(cls, cls._make)
+    names = S.SCHEMA[cls].fields
+    if cls in _SMART:
+        mk = getattr(subst, "mk_" + cls.__name__.lower())
+        assert list(inspect.signature(mk).parameters) == list(names)
+    node = built(cls, span=S.Span(1, 2, 3)) if "span" in names else built(cls)
+    out = build([getattr(node, n) for n in names])
+    assert type(out) is cls and all(getattr(out, n) is getattr(node, n) for n in names)
     if cat is not None:
         # A twin rebuilt from its fields keeps its class and its category.
         t = twin(cls, cat)
-        out = build(*(getattr(t, n) for n in S.SCHEMA[cls].fields))
+        out = build([getattr(t, n) for n in names])
         assert type(out) is cls and out == t and isinstance(S.last_part(out), cat)
 
 
