@@ -23,7 +23,8 @@ only the cases where the operations differ from a congruence are written
 out: a variable, a continuation call, a handle or eval of the substituted
 box variable, and the operations on computations.  The walks that act at a
 name (`sub`, `_rename`, `modal_subst`, `subst_cont`) return a subterm where
-their name is not free without walking it, normalised (`_rename`: as it is).
+their name is not free without walking it, normalised (`_rename`: as it is);
+`sub` tests each child in its own loop, and `subst` the root.
 
 Fuel is spent in ticks: one per node a walk enters where its name is free,
 plus one per node `norm` has not normalised before; the operations on
@@ -85,7 +86,8 @@ def _div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-def mk_arith(op: str, left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
+def _arith(fields: Sequence) -> S.Expr:
+    op, left, right, span = fields
     if isinstance(left, S.IntLit) and isinstance(right, S.IntLit):
         a, b = left.value, right.value
         match op:
@@ -97,41 +99,82 @@ def mk_arith(op: str, left: S.Expr, right: S.Expr, span: Optional[Span] = None) 
                 return S.IntLit._make((a * b, span))
             case "/" if b != 0:
                 return S.IntLit._make((_div(a, b), span))
-    return S.Arith._make((op, left, right, span))
+    return S.Arith._make(fields)
 
 
-def mk_cmp(op: str, left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
+def _cmp(fields: Sequence) -> S.Expr:
+    op, left, right, span = fields
     if isinstance(left, S.IntLit) and isinstance(right, S.IntLit):
         a, b = left.value, right.value
         return S.BoolLit._make((a == b if op == "=" else a < b, span))
-    return S.Cmp._make((op, left, right, span))
+    return S.Cmp._make(fields)
 
 
 def _value_pair(arg: S.Expr) -> bool:
     return isinstance(arg, S.Pair) and is_pure_value(arg.left) and is_pure_value(arg.right)
 
 
-def mk_proj1(arg: S.Expr, span: Optional[Span] = None) -> S.Expr:
-    return arg.left if _value_pair(arg) else S.Proj1._make((arg, span))
+def _proj1(fields: Sequence) -> S.Expr:
+    arg = fields[0]
+    return arg.left if _value_pair(arg) else S.Proj1._make(fields)
 
 
-def mk_proj2(arg: S.Expr, span: Optional[Span] = None) -> S.Expr:
-    return arg.right if _value_pair(arg) else S.Proj2._make((arg, span))
+def _proj2(fields: Sequence) -> S.Expr:
+    arg = fields[0]
+    return arg.right if _value_pair(arg) else S.Proj2._make(fields)
 
 
-def mk_append(left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
+def _append(fields: Sequence) -> S.Expr:
+    left, right, span = fields
     if type(left) is S.ListE and type(right) is S.ListE and is_pure_value(left) and is_pure_value(right):
         out = S.ListE._make((left.elems + right.elems, span))
         object.__setattr__(out, "_pure", True)
         return out
-    return S.Append._make((left, right, span))
+    return S.Append._make(fields)
+
+
+def _if(fields: Sequence) -> S.Term:
+    cond = fields[0]
+    if isinstance(cond, S.BoolLit):
+        return fields[1] if cond.value else fields[2]
+    return S.If._make(fields)
+
+
+# The smart constructors as the walks call them, on a node's field values in
+# order as one sequence; the `mk_*` below take them one by one.
+_SMART: dict[type, Callable[[Sequence], S.Term]] = {
+    S.Proj1: _proj1,
+    S.Proj2: _proj2,
+    S.Append: _append,
+    S.Arith: _arith,
+    S.Cmp: _cmp,
+    S.If: _if,
+}
+
+
+def mk_arith(op: str, left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
+    return _arith((op, left, right, span))
+
+
+def mk_cmp(op: str, left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
+    return _cmp((op, left, right, span))
+
+
+def mk_proj1(arg: S.Expr, span: Optional[Span] = None) -> S.Expr:
+    return _proj1((arg, span))
+
+
+def mk_proj2(arg: S.Expr, span: Optional[Span] = None) -> S.Expr:
+    return _proj2((arg, span))
+
+
+def mk_append(left: S.Expr, right: S.Expr, span: Optional[Span] = None) -> S.Expr:
+    return _append((left, right, span))
 
 
 def mk_if(cond: S.Expr, then: S.Term, els: S.Term, span: Optional[Span] = None) -> S.Term:
     """A conditional; one on a literal boolean is the branch it takes."""
-    if isinstance(cond, S.BoolLit):
-        return then if cond.value else els
-    return S.If._make((cond, then, els, span))
+    return _if((cond, then, els, span))
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +183,6 @@ def mk_if(cond: S.Expr, then: S.Term, els: S.Term, span: Optional[Span] = None) 
 # The builder every walk rebuilds a node with, given its field values in
 # order as one sequence (a node will do): the class's smart constructor, else
 # `cls._make`, one C call: 200 ns, to 350 for `cls(*fields)`, 520 with `span=`.
-_SMART: dict[type, Callable[[Sequence], S.Term]] = {
-    S.Proj1: lambda a: mk_proj1(*a),
-    S.Proj2: lambda a: mk_proj2(*a),
-    S.Append: lambda a: mk_append(*a),
-    S.Arith: lambda a: mk_arith(*a),
-    S.Cmp: lambda a: mk_cmp(*a),
-    S.If: lambda a: mk_if(*a),
-}
 _BUILD = {cls: _SMART.get(cls, cls._make) for cls in SCHEMA}
 
 
@@ -193,6 +228,10 @@ class _Engine:
         The result is stored on the node, outside its record fields as
         `free_vars` stores its own, and marks itself as its own normal form,
         so a payload that is already normal costs one lookup and no fuel.
+        The self-reference is deliberate: it makes each normal node a cycle
+        for the collector, but a `True` marker in its place made the
+        benchmark's `multishot_nondet` slower in every pair measured, by
+        20-25 % in p50 and p90.
         The memo check is here, not in a wrapper, and tuples of clauses are
         walked by loops, so deep terms take one frame per tree level."""
         nf = getattr(t, "_nf", None)
@@ -232,50 +271,63 @@ class _Engine:
 
     def subst(self, t: S.Term, mapping: dict[str, S.Expr]) -> S.Term:
         m = {k: self.norm(v) for k, v in mapping.items()}
-        return self.sub(t, m) if m else t
+        if not m:
+            return t
+        return self.norm(t) if free_vars(t).values.isdisjoint(m) else self.sub(t, m)
 
     def sub(self, t: S.Term, m: dict[str, S.Expr]) -> S.Term:
         """Substitute normalized payloads for the free value variables of
-        `t` (`m` is not empty).  A skipped subterm keeps its binders: no
-        payload can be captured where none is put.  Binders are renamed by
-        `_scope`; under a binder that drops the last key, a child is left as
-        it is.  When `t` is normal, so is the result, and it is marked so, as
-        `norm` marks its own.  The checks are here, not in a wrapper, so deep
-        terms take one frame per level."""
-        if free_vars(t).values.isdisjoint(m):
-            return self.norm(t)
+        `t`, where some key of `m` is free.  A child where no key is free
+        is not entered: it comes back normalised, its cached free names and
+        normal form read here, and a call made only where one is not cached
+        yet.  So a skipped subterm keeps its binders: no payload can be
+        captured where none is put.  Binders are renamed by `_scope`; under
+        a binder that drops the last key, a child is left as it is.  When
+        `t` is normal, so is the result, and it is marked so, as `norm`
+        marks its own.  The checks are here, not in a wrapper, so deep terms
+        take one frame per level."""
         shared = self.shared
         if shared is not None:
-            hit = shared.get((id(t), id(m)))
+            key = id(t), id(m)
+            hit = shared.get(key)
             if hit is not None:
                 return hit[2]
         self.tick()
         cls = type(t)
         if cls is S.Var:
             return m[t.name]
-        sub = self.sub
+        sub, norm = self.sub, self.norm
         row = SCHEMA[cls]
         if row.binds:
             args, inner = self._scope(t, m)
         else:
             args, inner = list(t), {}
+        # A node is a tuple of at least one field and a `FreeVars` one of
+        # three, so a cached value is true and `or` reads it.
         for i, _, many in row.kids:
             m2 = inner.get(i, m)
             if not m2:
                 continue
             if many:
                 items = []
-                for item in args[i]:
-                    items.append(sub(item, m2))
+                for kid in args[i]:
+                    if (getattr(kid, "_fv", None) or free_vars(kid)).values.isdisjoint(m2):
+                        items.append(getattr(kid, "_nf", None) or norm(kid))
+                    else:
+                        items.append(sub(kid, m2))
                 args[i] = tuple(items)
             else:
-                args[i] = sub(args[i], m2)
+                kid = args[i]
+                if (getattr(kid, "_fv", None) or free_vars(kid)).values.isdisjoint(m2):
+                    args[i] = getattr(kid, "_nf", None) or norm(kid)
+                else:
+                    args[i] = sub(kid, m2)
         out = _BUILD[cls](args)
         if getattr(t, "_nf", None) is t:
             object.__setattr__(out, "_nf", out)
         if shared is not None:
             # The entry keeps `t` and `m` alive, so neither id is reused.
-            shared[id(t), id(m)] = (t, m, out)
+            shared[key] = (t, m, out)
         return out
 
     # -- capture avoidance: renaming a binder where something would be captured

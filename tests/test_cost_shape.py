@@ -11,6 +11,7 @@ counted the same way, by wrapping the parser's methods and `typecheck.infer`.
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +245,39 @@ def test_nodes_are_built_without_a_span_keyword(module):
     # runs, about 520 ns a node where `_make` takes 200 ns; the parser
     # builds one node per form and the walks one per rebuilt node.
     assert span_keyword_calls(ast.parse(inspect.getsource(module))) == []
+
+
+def fuel_assignments(tree: ast.AST, where: str = "") -> list[tuple[str, int]]:
+    """Each assignment under `tree` to an attribute named `fuel`, as the
+    dotted name of the class and function it is in, and its line."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += fuel_assignments(node, f"{where}.{node.name}" if where else node.name)
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "fuel" and not isinstance(node.ctx, ast.Load):
+            found.append((where, node.lineno))
+        found += fuel_assignments(node, where)
+    return found
+
+
+def test_the_guard_finds_a_fuel_assignment():
+    tree = ast.parse(
+        "class _Engine:\n"
+        "    def tick(self):\n"
+        "        self.fuel -= 1\n"
+        "    def sub(self, t):\n"
+        "        left = self.fuel\n"
+        "        self.fuel, n = left - 1, 0\n"
+    )
+    assert fuel_assignments(tree) == [("_Engine.tick", 3), ("_Engine.sub", 6)]
+
+
+def test_fuel_is_spent_only_through_the_tick():
+    # The tick counts above, and those of `test_sub.py` and
+    # `test_tail_handling.py`, wrap `_Engine.tick`; a walk that spent its
+    # fuel inline would not be counted (factorial read 0.44 ticks per step
+    # in place of about 4.4).
+    for path in sorted(Path(subst.__file__).parent.glob("*.py")):
+        found = fuel_assignments(ast.parse(path.read_text()))
+        assert {where for where, _ in found} <= {"_Engine.__init__", "_Engine.tick"}, (path.name, found)

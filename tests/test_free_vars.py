@@ -258,6 +258,59 @@ def test_closed_nodes_share_one_result_and_unions_reuse_children():
     assert free_vars(box) is free_vars(box.body)
 
 
+PLAIN = [row.cls for row in S.ROWS if row.plain]
+# The data of the plain classes that hold any: an operator, a theory, a literal.
+PLAIN_DATA = {"op": "+", "theory": S.EMPTY_THEORY, "value": 1}
+
+
+def plain_node(cls: type, kids: list) -> S.Term:
+    """A node of the plain class `cls`, built by `_make`, with `kids` as its
+    children in order."""
+    row = S.SCHEMA[cls]
+    given = dict(zip(row.children, kids))
+    return cls._make([given[f] if f in given else PLAIN_DATA.get(f) for f in row.fields])
+
+
+def test_fourteen_rows_are_plain():
+    assert len(PLAIN) == 14
+    assert {S.Var, S.ListE, S.Bind, S.ContCall}.isdisjoint(PLAIN)
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_a_plain_node_joins_its_children_s_free_names(cls):
+    # `free_vars` reads the cached result of each child of a plain row and
+    # joins them without its loops over uses and binders; cached or not,
+    # closed or shared, the children give the reference names, and the
+    # result is a child's own where that child's names hold all the others.
+    n = len(S.SCHEMA[cls].children)
+
+    def cached(t):
+        free_vars(t)
+        return t
+
+    if n == 0:
+        assert free_vars(plain_node(cls, [])) is NO_FREE_VARS
+        return
+    open_kids = [S.Var(f"x{i}") for i in range(n)]
+    for kids in (open_kids, [cached(k) for k in open_kids]):
+        node = plain_node(cls, kids)
+        assert free_vars(node) == reference_free_vars(node) == FreeVars(
+            frozenset(f"x{i}" for i in range(n)), frozenset(), frozenset()
+        )
+    assert free_vars(plain_node(cls, [S.IntLit(i) for i in range(n)])) is NO_FREE_VARS
+    assert free_vars(plain_node(cls, [cached(S.IntLit(i)) for i in range(n)])) is NO_FREE_VARS
+    for hot in range(n):
+        for cache in (False, True):
+            kid = S.Pair(S.Var("x"), S.Var("y"))
+            kids = [(cached(kid) if cache else kid) if i == hot else S.UnitLit() for i in range(n)]
+            assert free_vars(plain_node(cls, kids)) is free_vars(kid)
+            # Beside a child whose names it holds, the larger set is shared.
+            kids = [kid if i == hot else S.Var("x") for i in range(n)]
+            assert free_vars(plain_node(cls, kids)) is free_vars(kid)
+    shared = S.Var("x")
+    assert free_vars(plain_node(cls, [shared] * n)) is free_vars(shared)
+
+
 def test_caching_leaves_equality_hash_and_printing_alone():
     for seed in range(40):
         a = gen_program(random.Random(seed))[0]

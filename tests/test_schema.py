@@ -135,6 +135,39 @@ def test_each_class_is_rebuilt_from_its_fields_in_order(cls, cat):
         assert type(out) is cls and out == t and isinstance(S.last_part(out), cat)
 
 
+def smart_inputs(span: S.Span) -> dict[type, tuple[list, list]]:
+    """For each class with a smart constructor, the field values of a node
+    that folds and of one that does not."""
+    one, two = S.IntLit(1), S.IntLit(2)
+    x, y = S.Var("x"), S.Var("y")
+    return {
+        S.Arith: (["+", one, two, span], ["+", x, two, span]),
+        S.Cmp: (["<", one, two, span], ["<", one, x, span]),
+        S.Proj1: ([S.Pair(one, two), span], [x, span]),
+        S.Proj2: ([S.Pair(one, two), span], [x, span]),
+        S.Append: ([S.ListE((one,)), S.ListE((two,)), span], [S.ListE((one,)), x, span]),
+        S.If: ([S.BoolLit(False), x, y, span], [x, x, y, span]),
+    }
+
+
+@pytest.mark.parametrize("cls", sorted(_SMART, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+def test_a_smart_builder_reads_a_sequence_as_its_mk_reads_arguments(cls):
+    # `_BUILD[cls]` takes the field values as one sequence, a list from a
+    # walk or the node itself from the stepper, and builds what `mk_*`
+    # builds from them one by one, span included.
+    mk = getattr(subst, "mk_" + cls.__name__.lower())
+    span = S.Span(4, 5, 6)
+    folding, plain = smart_inputs(span)[cls]
+    for fields, folds in ((folding, True), (plain, False)):
+        expected = mk(*fields)
+        assert (type(expected) is not cls) == folds
+        for given in (list(fields), cls._make(fields)):
+            out = _BUILD[cls](given)
+            assert type(out) is type(expected) and out == expected and out.span == expected.span
+            if not folds:
+                assert out is not given and all(a is b for a, b in zip(out, fields))
+
+
 # The tails of each computation but `ret`: the children its result comes from.
 TAILS = {S.Bind: ("rest",), S.LetBox: ("body",), S.Fix: ("scope",), S.If: ("then", "els")}
 

@@ -1,12 +1,12 @@
 """Substitute only where a mapped name is free: `_Engine.sub` against the
 walk-everything substitution.
 
-`sub` returns `norm(t)` for a subterm where no mapped name is free, without
-walking it.  The reference below is the walk it replaced, which visits every
-node under the substitution and keeps nothing.  Even where no mapped name
-occurs under it, the walk renames a binder that a payload would capture, and
-under a binder that shadows the only key it stops and leaves the body as it
-is, not normalised.  `sub` does neither, so a step could print a binder name
+`sub` leaves a child where no mapped name is free as `norm(child)`, without
+entering it, and `subst` a root the same way.  The reference below is the
+walk it replaced, which visits every node under the substitution and keeps
+nothing.  Even where no mapped name occurs under it, the walk renames a
+binder that a payload would capture, and under a binder that shadows the
+only key it stops and leaves the body as it is, not normalised.  `sub` does neither, so a step could print a binder name
 or a folded literal differently; the traces below, on programs whose names
 shadow one another, agree on every rule, step and final line.
 
@@ -80,6 +80,13 @@ def _ref_ret_clause(eng, c, m):
     x2, mx = _ref_value_binder(c.x, m, (c.body,))
     z2, mz = _ref_value_binder(c.z, mx, (c.body,))
     return S.RetClause(x2, z2, _ref_opt(eng, c.body, mz))
+
+
+def reference_subst(eng, t, mapping):
+    # `_Engine.subst` makes the skip test at the root, so the reference takes
+    # its place too, and walks every term under a non-empty mapping.
+    m = {k: eng.norm(v) for k, v in mapping.items()}
+    return reference_sub(eng, t, m) if m else t
 
 
 def reference_sub(eng, t, m):
@@ -233,6 +240,7 @@ def test_traces_match_the_walk_everything_substitution(monkeypatch):
         got, got_final = full_trace(build())
         with monkeypatch.context() as patch:
             patch.setattr(subst._Engine, "sub", reference_sub)
+            patch.setattr(subst._Engine, "subst", reference_subst)
             expected, expected_final = full_trace(build())
         assert [r for r, _ in got] == [r for r, _ in expected], pretty(build())
         assert got_final == expected_final, pretty(build())
@@ -301,7 +309,9 @@ def engine_calls(monkeypatch, name: str, source: str) -> tuple[int, S.Term]:
 
 def test_sub_visits_fall_on_multishot_handling(monkeypatch):
     # The walk-everything substitution makes 15,627 visits here, and a walk
-    # that enters each shared node once per path to it 9,861.
+    # that enters each shared node once per path to it 9,861.  `sub` makes
+    # 2,649, entered only where a key is free (3,723 when it was also called
+    # on each child it then skipped).
     visits, result = engine_calls(monkeypatch, "sub", collect_all(8))
     assert visits < 4_500
     assert pretty(result).count(",") == 2**8 - 1
@@ -319,7 +329,8 @@ def test_multishot_ticks_follow_the_leaves(monkeypatch):
 
 
 def test_sub_visits_do_not_rise_on_state_handling(monkeypatch):
-    # The walk-everything substitution makes 4,166 visits here.
+    # The walk-everything substitution makes 4,166 visits here, and `sub`
+    # 207 (287 when it was also called on each child it then skipped).
     visits, result = engine_calls(monkeypatch, "sub", state_pairs(40))
     assert visits <= 4_166
     assert pretty(result) == "ret (0, 40)"
@@ -341,6 +352,50 @@ def test_a_skipped_normal_subterm_is_returned_at_no_cost():
     # captured by, the binder is renamed.
     out = subst.subst_values(parse_term("fn y:int. x + y"), {"x": S.Var("y")})
     assert pretty(out) == "fn y1:int. y + y1"
+
+
+def test_sub_is_entered_only_where_a_key_is_free(monkeypatch):
+    # `C` is closed and normal: the loop of `sub` over the pair reads its
+    # cached free names and normal form, and enters only the pair and `x`.
+    calls = []
+    inner = subst._Engine.sub
+
+    def counting(self, t, m):
+        calls.append(t)
+        return inner(self, t, m)
+
+    monkeypatch.setattr(subst._Engine, "sub", counting)
+    text = "fn y:int. ((y + 1, [y * 2, y - 3, 7]), if y < 4 then (y, [y]) else ((y + y) * 2, []))"
+    closed = subst.normalize(parse_term(text))
+    assert free_vars(closed) is S.NO_FREE_VARS and node_count(closed) == 29
+    one = subst.normalize(S.IntLit(1))
+    term = S.Pair(S.Var("x"), closed)
+    out = subst.subst_values(term, {"x": one})
+    assert calls == [term, term.left]
+    assert out.left is one and out.right is closed
+    # A closed child with no normal form cached yet is folded all the same,
+    # by `norm`, at the ticks `norm` spends on a copy of it.
+    text = "(fn y:int. y + 1, ([2 * 3, 4 - 3], if 1 < 4 then fst (1, 2) else 5 + 6))"
+    folding = parse_term(text)
+    assert "_nf" not in vars(folding)
+    alone = subst._Engine()
+    expected = alone.norm(parse_term(text))
+    eng = subst._Engine()
+    out = eng.subst(S.Pair(S.Var("x"), folding), {"x": one})
+    assert pretty(out.right) == pretty(expected) == "(fn y:int. y + 1, ([6, 1], 1))"
+    # Two ticks for the pair and `x`, the rest spent by `norm`.
+    assert subst.DEFAULT_FUEL - eng.fuel == 2 + subst.DEFAULT_FUEL - alone.fuel
+    assert len(calls) == 4
+
+
+def node_count(term: S.Term) -> int:
+    count, todo = 0, [term]
+    while todo:
+        t = todo.pop()
+        count += 1
+        for i, _, many in S.SCHEMA[type(t)].kids:
+            todo.extend(t[i] if many else (t[i],))
+    return count
 
 
 def test_sub_output_of_a_normal_term_is_marked_normal():
