@@ -229,9 +229,11 @@ class _Engine:
         `free_vars` stores its own, and marks itself as its own normal form,
         so a payload that is already normal costs one lookup and no fuel.
         The self-reference is deliberate: it makes each normal node a cycle
-        for the collector, but a `True` marker in its place made the
-        benchmark's `multishot_nondet` slower in every pair measured, by
-        20-25 % in p50 and p90.
+        for the collector, but since `sub` reads a child's `_nf` in place, a
+        `True` marker in its place made the benchmark's `multishot_nondet`
+        slower in all 8 pairs measured (p50 4.0-4.5 against 5.0-5.4 ms).
+        One earlier measurement, before those reads, went the other way;
+        ROADMAP "Measured and rejected" lists them all.
         The memo check is here, not in a wrapper, and tuples of clauses are
         walked by loops, so deep terms take one frame per tree level."""
         nf = getattr(t, "_nf", None)
@@ -317,6 +319,9 @@ class _Engine:
                         items.append(sub(kid, m2))
                 args[i] = tuple(items)
             else:
+                # The same test as for a tuple's items above; keep the two
+                # identical.  One loop over `(args[i],)` for both made the
+                # seed-5 `multishot_nondet` pipeline about 7 % slower.
                 kid = args[i]
                 if (getattr(kid, "_fv", None) or free_vars(kid)).values.isdisjoint(m2):
                     args[i] = getattr(kid, "_nf", None) or norm(kid)

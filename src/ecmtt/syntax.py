@@ -569,14 +569,13 @@ class Row:
     children, the tails and the uses (each with its namespace); `bind_at`,
     each binder's position, namespace and the positions of the children it
     scopes over; `over`, the binders (position and namespace) scoping over
-    the child at each position; `data`, the fields that are neither
-    children, names nor the span; and `plain`, whether the row has no uses,
-    binders or tuples, so that a node's free names are its children's.
+    the child at each position; and `data`, the fields that are neither
+    children, names nor the span.
     """
 
     __slots__ = (
         "cls", "children", "tuples", "uses", "binds", "tails", "fields",
-        "kids", "kid_at", "tail_at", "use_at", "bind_at", "over", "data", "plain",
+        "kids", "kid_at", "tail_at", "use_at", "bind_at", "over", "data",
     )
 
     def __init__(self, cls: type, children=(), tuples=(), uses=(), binds=(), tails=()):
@@ -596,7 +595,6 @@ class Row:
         self.over = {i: tuple((j, ns) for j, ns, scope in self.bind_at if i in scope) for i in self.kid_at}
         named = {*children, *(f for f, _ in uses), *(f for f, _, _ in binds), "span"}
         self.data = tuple(f for f in self.fields if f not in named)
-        self.plain = not (uses or binds or tuples)
 
 
 ROWS: tuple[Row, ...] = (
@@ -723,35 +721,25 @@ def free_vars(term: Term) -> FreeVars:
     alone, one frame per tree level, so deep terms fit the same recursion
     limit as the parser that built them.
 
-    Under a `plain` row, a child's cached result is read here, not through
-    a call, and so is a union where one side is closed or both sides are
-    the same set: the other side, as `_join` gives it.
+    A child's cached result is read here, not through a call.
     """
     fv = getattr(term, "_fv", None)
     if fv is not None:
         return fv
     row = SCHEMA[type(term)]
     fv = NO_FREE_VARS
-    if row.plain:
-        # A `FreeVars` is a tuple of three sets, so a cached one is true.
-        for i in row.kid_at:
-            kid = term[i]
-            kfv = getattr(kid, "_fv", None) or free_vars(kid)
-            if kfv is fv or kfv is NO_FREE_VARS:
-                continue
-            fv = kfv if fv is NO_FREE_VARS else _join(fv, kfv)
-    else:
-        for i, ns in row.use_at:
-            fv = _join(fv, named(ns, (term[i],)))
-        for i, _, many in row.kids:
-            kid = term[i]
-            if many:
-                for item in kid:
-                    fv = _join(fv, free_vars(item))
-            elif row.over[i]:
-                fv = _join(fv, _unbound(free_vars(kid), term, row.over[i]))
-            else:
-                fv = _join(fv, free_vars(kid))
+    for i, ns in row.use_at:
+        fv = _join(fv, named(ns, (term[i],)))
+    # A `FreeVars` is a tuple of three sets, so a cached one is true.
+    for i, _, many in row.kids:
+        kid = term[i]
+        if many:
+            for item in kid:
+                fv = _join(fv, getattr(item, "_fv", None) or free_vars(item))
+        elif row.over[i]:
+            fv = _join(fv, _unbound(getattr(kid, "_fv", None) or free_vars(kid), term, row.over[i]))
+        else:
+            fv = _join(fv, getattr(kid, "_fv", None) or free_vars(kid))
     object.__setattr__(term, "_fv", fv)
     return fv
 

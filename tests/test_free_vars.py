@@ -258,7 +258,9 @@ def test_closed_nodes_share_one_result_and_unions_reuse_children():
     assert free_vars(box) is free_vars(box.body)
 
 
-PLAIN = [row.cls for row in S.ROWS if row.plain]
+# The 14 classes whose free names are their children's alone: no uses,
+# binders or tuples of children.
+PLAIN = [row.cls for row in S.ROWS if not (row.uses or row.binds or row.tuples)]
 # The data of the plain classes that hold any: an operator, a theory, a literal.
 PLAIN_DATA = {"op": "+", "theory": S.EMPTY_THEORY, "value": 1}
 
@@ -271,16 +273,10 @@ def plain_node(cls: type, kids: list) -> S.Term:
     return cls._make([given[f] if f in given else PLAIN_DATA.get(f) for f in row.fields])
 
 
-def test_fourteen_rows_are_plain():
-    assert len(PLAIN) == 14
-    assert {S.Var, S.ListE, S.Bind, S.ContCall}.isdisjoint(PLAIN)
-
-
 @pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
 def test_a_plain_node_joins_its_children_s_free_names(cls):
-    # `free_vars` reads the cached result of each child of a plain row and
-    # joins them without its loops over uses and binders; cached or not,
-    # closed or shared, the children give the reference names, and the
+    # `free_vars` reads the cached result of each child in place; cached or
+    # not, closed or shared, the children give the reference names, and the
     # result is a child's own where that child's names hold all the others.
     n = len(S.SCHEMA[cls].children)
 
